@@ -44,21 +44,6 @@ def probed_reports() -> Dict[str, ProbingReport]:
 
 
 @pytest.fixture(scope="session")
-def incremental_reports() -> Dict[str, ProbingReport]:
-    """The same sweep with ``--incremental on``: every probe with a
-    cached baseline is spliced/resumed instead of recompiled from
-    scratch.  Compared field-by-field against ``probed_reports`` by the
-    incremental benchmark — the two sweeps must be bit-identical."""
-    reports: Dict[str, ProbingReport] = {}
-    for row in row_names():
-        t0 = time.time()
-        reports[row] = ProbingDriver(get_config(row),
-                                     incremental="on").run()
-        reports[row].wall_seconds = time.time() - t0
-    return reports
-
-
-@pytest.fixture(scope="session")
 def once():
     """Helper to run a benchmark body exactly once under
     pytest-benchmark (probing is far too heavy to repeat)."""

@@ -77,20 +77,6 @@ def test_gridmini_kernel_slows_down(runtime_rows):
         r.kernel_cycles_orig, r.kernel_cycles_oraql)
 
 
-def test_incremental_sweep_runs_identically(probed_reports,
-                                            incremental_reports):
-    """The §V table is oblivious to ``--incremental``: the final
-    binaries are bit-identical, so every instruction/cycle figure above
-    would reproduce exactly from the incremental sweep."""
-    for name in row_names():
-        assert (incremental_reports[name].final_program.exe_hash
-                == probed_reports[name].final_program.exe_hash), name
-    r_off = probed_reports["XSBench-seq"].final_program.run()
-    r_on = incremental_reports["XSBench-seq"].final_program.run()
-    assert (r_on.instructions, r_on.cycles, r_on.stdout) == \
-        (r_off.instructions, r_off.cycles, r_off.stdout)
-
-
 def test_lulesh_runtime_flat(runtime_rows):
     """Paper §V-E: 18.66s vs 18.51s etc. — barely affected."""
     for name in ("LULESH-seq", "LULESH-openmp", "LULESH-mpi"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol
 
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -100,51 +100,22 @@ class AAResults:
         self.override = override
         self.current_pass: str = "<none>"
         self.current_function: Optional[Function] = None
-        #: pipeline ordinal of the pass currently executing (set by the
-        #: pass manager); keys the per-scope tallies below
-        self.current_ordinal: int = 0
         #: optional QueryTrace sink (repro.trace); None = tracing off.
         #: Strictly observational: no emission influences any answer.
         self.trace = None
-        #: set by the analysis manager around a *phantom* rebuild — an
-        #: analysis a mirrored full compile would serve from cache
-        #: without issuing a single query.  Answers flow unchanged;
-        #: nothing is tallied, so a resumed incremental compile's
-        #: counters stay bit-identical to the full compile's.
-        self.suppress_counters = False
         # counters (Fig. 4 columns)
         self.no_alias_count = 0
         self.must_alias_count = 0
         self.total_queries = 0
         self.no_alias_by_pass: Counter = Counter()
         self.queries_by_issuer: Counter = Counter()
-        #: the same counters attributed to (scope, pipeline ordinal) —
-        #: what lets an incremental compile seed the aggregate numbers
-        #: for work it spliced instead of re-running.  Each value is
-        #: ``[no_alias, must_alias, total, Counter(by pass),
-        #: Counter(by issuer)]``.
-        self.scope_counts: Dict[Tuple[str, int], list] = {}
-
-    def _tally(self, scope: str) -> list:
-        key = (scope, self.current_ordinal)
-        t = self.scope_counts.get(key)
-        if t is None:
-            t = [0, 0, 0, Counter(), Counter()]
-            self.scope_counts[key] = t
-        return t
 
     # -- the core query -------------------------------------------------------
     def alias(self, a: MemoryLocation, b: MemoryLocation) -> AliasResult:
-        suppress = self.suppress_counters
         fn = self.current_function
         fn_name = fn.name if fn is not None else "<module>"
-        tally: Optional[list] = None
-        if not suppress:
-            self.total_queries += 1
-            self.queries_by_issuer[self.current_pass] += 1
-            tally = self._tally(fn_name)
-            tally[2] += 1
-            tally[4][self.current_pass] += 1
+        self.total_queries += 1
+        self.queries_by_issuer[self.current_pass] += 1
         if self.override is not None and \
                 self.override.should_force_may(a, b, fn):
             if self.trace is not None:
@@ -155,8 +126,7 @@ class AAResults:
         for analysis in self.analyses:
             r = analysis.alias(a, b, fn)
             if r is not AliasResult.MAY:
-                if not suppress:
-                    self._record(r, analysis.name, tally)
+                self._record(r, analysis.name)
                 if self.trace is not None:
                     self.trace.chain_query(fn_name, a, b, analysis.name,
                                            str(r))
@@ -168,8 +138,7 @@ class AAResults:
             # from "not applicable")
             r = self.oraql.answer(a, b, fn, self.current_pass)
             if r is not AliasResult.MAY:
-                if not suppress:
-                    self._record(r, self.oraql.name, tally)
+                self._record(r, self.oraql.name)
                 return r
             return AliasResult.MAY
         if self.trace is not None:
@@ -178,15 +147,12 @@ class AAResults:
                                    str(AliasResult.MAY))
         return AliasResult.MAY
 
-    def _record(self, r: AliasResult, source: str, tally: list) -> None:
+    def _record(self, r: AliasResult, source: str) -> None:
         if r is AliasResult.NO:
             self.no_alias_count += 1
             self.no_alias_by_pass[source] += 1
-            tally[0] += 1
-            tally[3][source] += 1
         elif r is AliasResult.MUST:
             self.must_alias_count += 1
-            tally[1] += 1
 
     # -- convenience forms ------------------------------------------------
     def is_no_alias(self, a: MemoryLocation, b: MemoryLocation) -> bool:
@@ -250,33 +216,6 @@ class AAResults:
         self.total_queries += other.total_queries
         self.no_alias_by_pass.update(other.no_alias_by_pass)
         self.queries_by_issuer.update(other.queries_by_issuer)
-        # the other chain's aggregates already include its per-scope
-        # tallies, so fold the tallies without re-bumping aggregates
-        for key, t in other.scope_counts.items():
-            self._fold_tally(key, t)
-
-    def _fold_tally(self, key: "Tuple[str, int]", t: list) -> None:
-        mine = self.scope_counts.get(key)
-        if mine is None:
-            mine = [0, 0, 0, Counter(), Counter()]
-            self.scope_counts[key] = mine
-        mine[0] += t[0]
-        mine[1] += t[1]
-        mine[2] += t[2]
-        mine[3].update(t[3])
-        mine[4].update(t[4])
-
-    def seed_tally(self, key: "Tuple[str, int]", t: list) -> None:
-        """Fold one (scope, ordinal) tally into the per-scope *and*
-        aggregate counters — how an incremental compile accounts for
-        the chain queries a spliced (or not-yet-resumed) function would
-        have issued."""
-        self._fold_tally(key, t)
-        self.no_alias_count += t[0]
-        self.must_alias_count += t[1]
-        self.total_queries += t[2]
-        self.no_alias_by_pass.update(t[3])
-        self.queries_by_issuer.update(t[4])
 
 
 def underlying_object(ptr: Value, max_lookup: int = 12) -> Value:

@@ -23,11 +23,6 @@ key                       what it checks
                           sequence verifies.  A divergence bisection cannot
                           explain is a finding, exactly like a pipeline
                           miscompile.
-``incremental``           recompiling against the all-optimistic baseline
-                          (splice + mid-pipeline resume) must be
-                          bit-identical to the full compile: same
-                          ``exe_hash``, per-function hashes, pessimistic
-                          set, and unique-query index space
 ========================  =====================================================
 
 Findings are classified ``miscompile`` (a config that must match O0
@@ -65,7 +60,6 @@ class OracleFinding:
 
     kind: str                  # "miscompile" | "unsound-optimism-uncaught"
     #                          # | "invalidation-hash" | "reference-failure"
-    #                          # | "incremental-mismatch"
     config_key: str
     detail: str
 
@@ -86,9 +80,6 @@ class OracleResult:
     compiles: int = 0
     tests_run: int = 0
     cache_hits: int = 0
-    #: incremental differentials that fell back to a full compile
-    #: (counted, not findings — falling back is always sound)
-    incremental_fallbacks: int = 0
 
     @property
     def clean(self) -> bool:
@@ -181,10 +172,9 @@ class DifferentialOracle:
         # 3. override mode: chain forced pessimistic (§VIII)
         judge("override", self._run(result, cfg, suppress_chain=True)[1])
 
-        # 4. ORAQL all-optimistic (the empty sequence); collect resume
-        # state so step 7 can use it as an incremental baseline
+        # 4. ORAQL all-optimistic (the empty sequence)
         opt, opt_run = self._run(result, cfg, sequence=DecisionSequence(),
-                                 oraql_enabled=True, collect_resume=True)
+                                 oraql_enabled=True)
         result.unique_queries = opt.oraql.unique_queries
         opt_matches = judge("optimistic", opt_run, must_match=False)
 
@@ -199,55 +189,7 @@ class DifferentialOracle:
             result.optimism_divergent = True
             if bisect_divergence:
                 self._bisect(result, cfg, opt)
-
-        # 7. incremental recompilation against the all-optimistic
-        # baseline must be bit-identical to a full compile
-        self._check_incremental(result, cfg, opt)
         return result
-
-    def _check_incremental(self, result: OracleResult,
-                           cfg: BenchmarkConfig,
-                           opt: CompiledProgram) -> None:
-        """Incremental-vs-full differential: for representative decision
-        deltas (all-pessimistic, flip-first, flip-last) the spliced/
-        resumed compile must reproduce the full compile bit for bit —
-        executable hash, per-function hashes, the pessimistic record
-        set, and the unique-query index space."""
-        nq = opt.oraql.unique_queries
-        n = nq + TAIL_PAD
-        variants = [("all-pessimistic", [0] * n)]
-        if nq > 0:
-            flip_first = [1] * n
-            flip_first[0] = 0
-            variants.append(("flip-first", flip_first))
-            flip_last = [1] * n
-            flip_last[nq - 1] = 0
-            variants.append(("flip-last", flip_last))
-        ok = True
-        for label, bits in variants:
-            result.compiles += 2
-            inc = self.compiler.compile(
-                cfg, sequence=DecisionSequence(list(bits)),
-                oraql_enabled=True, baseline=opt)
-            full = self.compiler.compile(
-                cfg, sequence=DecisionSequence(list(bits)),
-                oraql_enabled=True)
-            result.incremental_fallbacks += inc.incremental is None
-            for what, a, b in (
-                    ("exe_hash", inc.exe_hash, full.exe_hash),
-                    ("fn_hashes", inc.fn_hashes, full.fn_hashes),
-                    ("unique_queries", inc.oraql.unique_queries,
-                     full.oraql.unique_queries),
-                    ("records", _record_space(inc), _record_space(full)),
-                    ("pessimistic", _pessimistic_set(inc),
-                     _pessimistic_set(full))):
-                if a != b:
-                    ok = False
-                    result.findings.append(OracleFinding(
-                        "incremental-mismatch", f"incremental-{label}",
-                        f"{what}: incremental {_short(a)} != full "
-                        f"{_short(b)}"))
-        result.outcomes["incremental"] = "match" if ok else "divergent"
 
     def _bisect(self, result: OracleResult, cfg: BenchmarkConfig,
                 opt: CompiledProgram) -> None:
@@ -333,21 +275,6 @@ class DifferentialOracle:
             result.outcomes[key] = (
                 "match" if rep.pessimistic_indices
                 == primary.pessimistic_indices else "valid")
-
-
-def _record_space(prog: CompiledProgram):
-    """The unique-query index space: every record's identity."""
-    return sorted((r.index, r.optimistic, r.scope, r.issuing_pass,
-                   r.ordinal) for r in prog.oraql.records)
-
-
-def _pessimistic_set(prog: CompiledProgram):
-    return sorted(r.index for r in prog.oraql.records if not r.optimistic)
-
-
-def _short(v) -> str:
-    s = repr(v)
-    return s if len(s) <= 120 else s[:117] + "..."
 
 
 def _first_diff(a: str, b: str) -> str:

@@ -78,8 +78,6 @@ from .printer import (
     print_module,
     print_module_header,
 )
-from .clone import (clone_function_into, detach_uses, mirror_use_order,
-                    repoint_functions)
 from .verifier import VerificationError, verify_function, verify_module
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,10 +37,9 @@ class Function(Value):
         self.blocks: List[BasicBlock] = []
         self.is_declaration = False
         self.source_file: Optional[str] = None
-        # plain int, not itertools.count: the incremental compiler
-        # snapshots and restores it (clone_function_into copies it), so
-        # resumed pipelines generate the same fresh names a full
-        # compile would
+        # per-function counter: block names end up in the printed body,
+        # so a function's fresh names — hence its ``function_hash`` and
+        # its share of the ``exe_hash`` — depend on its own history only
         self._next_names = 0
         names = list(arg_names or [])
         while len(names) < len(ftype.params):

@@ -199,9 +199,9 @@ def _header_parts(mod: Module) -> List[str]:
 
 def print_module_header(mod: Module) -> str:
     """The module's printed form minus the function bodies: ModuleID,
-    struct types, globals.  Together with per-function hashes this lets
-    the incremental compiler assemble an executable hash without
-    re-rendering unchanged functions."""
+    struct types, globals.  The executable hash is this text followed
+    by the per-function body hashes, so each body is rendered once —
+    for its ``function_hash``, which also keys the codegen cache."""
     return "\n".join(_header_parts(mod))
 
 

@@ -87,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "preserved analyses alive across passes, "
                         "'coarse' replicates the legacy invalidate-"
                         "everything behavior (for differential runs)")
-    p.add_argument("--incremental", choices=["on", "off"], default="off",
-                   help="incremental recompilation: splice unaffected "
-                        "optimized function bodies from the nearest "
-                        "cached baseline and resume affected pipelines "
-                        "mid-stream; results are bit-identical to full "
-                        "compiles (default off)")
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="worker processes for the parallel probing "
                         "engine (1 = sequential driver)")
@@ -179,10 +173,6 @@ def build_importance_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fuel", type=int, default=None, metavar="N")
     p.add_argument("--test-wall-clock", type=float, default=None,
                    metavar="SEC")
-    p.add_argument("--incremental", choices=["on", "off"], default="off",
-                   help="incremental recompilation for phase-1 probing "
-                        "and phase-2 measurement compiles (bit-identical "
-                        "to full compiles; default off)")
     p.add_argument("--lenient-cost", action="store_true",
                    help="price unknown opcodes/intrinsics with default "
                         "costs instead of crashing (measurements may be "
@@ -231,8 +221,7 @@ def importance_main(argv: Optional[List[str]] = None) -> int:
             max_measurements=args.max_measurements,
             policy=policy, verdict_cache=cache,
             journal_dir=args.journal, resume=args.resume,
-            strict_cost=not args.lenient_cost,
-            incremental=args.incremental).run()
+            strict_cost=not args.lenient_cost).run()
     except ProbingError as e:
         print(f"error: {e}", file=sys.stderr)
         if e.explain:
@@ -375,7 +364,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 max_tests=args.max_tests, cache_dir=args.cache_dir,
                 journal_dir=args.journal, resume=args.resume,
                 policy=policy, trace=trace,
-                incremental=args.incremental,
                 strategy_seed=args.strategy_seed).run()
             report = reports[0]
         else:
@@ -383,7 +371,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    strategy=args.strategy,
                                    max_tests=args.max_tests,
                                    policy=policy, trace=trace,
-                                   incremental=args.incremental,
                                    strategy_seed=args.strategy_seed)
             report = driver.run()
     except ProbingError as e:

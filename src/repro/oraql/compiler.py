@@ -21,36 +21,10 @@ from ..codegen import (
     compile_kernel,
 )
 from ..frontend import FrontendOptions, compile_source
-from ..ir import (
-    Module,
-    clone_function_into,
-    function_hash,
-    mirror_use_order,
-    print_module_header,
-    repoint_functions,
-    verify_module,
-)
+from ..ir import Module, function_hash, print_module_header, verify_module
 from ..passes import CompilationContext, PassManager, build_pipeline
-from ..passes.inliner import Inliner
-from ..passes.pass_manager import ModulePass
 from ..vm import Machine, MPIWorld, VMError
-from .cache import config_fingerprint
 from .config import BenchmarkConfig
-from .incremental import (
-    IncrementalOutcome,
-    NarrowPlan,
-    RemappedDecisionSequence,
-    ReplayDivergence,
-    ResumeState,
-    SnapshotCollector,
-    affected_functions,
-    call_graph_closure,
-    decision_delta,
-    effective_bit,
-    resolve_key,
-    seed_key_for,
-    translate_entry,
-)
 from .pass_ import DumpFlags, OraqlAAPass
 from .sequence import DecisionSequence
 from .verify import RunResult
@@ -69,18 +43,9 @@ class CompiledProgram:
     codegen: Dict[str, object]
     exe_hash: str
     #: per-function body hashes (module order, every function incl.
-    #: declarations); ``exe_hash`` is assembled from these, so an
-    #: incremental compile can splice a baseline's entries without
-    #: re-rendering the unchanged bodies
+    #: declarations); ``exe_hash`` is assembled from these, and they
+    #: key the content-addressed codegen cache
     fn_hashes: Dict[str, str] = field(default_factory=dict)
-    #: bookkeeping of the incremental compile that produced this
-    #: program; None for a full compile
-    incremental: Optional[IncrementalOutcome] = None
-    #: per-function resume material (pre-pass body snapshots + query
-    #: seed keys), populated when the compile was asked to collect it;
-    #: what lets the *next* incremental compile resume an affected
-    #: function mid-pipeline instead of re-running it from the frontend
-    resume: Dict[str, ResumeState] = field(default_factory=dict)
 
     # -- execution ---------------------------------------------------------
     def run(self, fuel: Optional[int] = None,
@@ -192,15 +157,6 @@ class Compiler:
         self._codegen_cache: Dict[Tuple[str, str], FunctionCodegen] = {}
         self._kernel_cache: Dict[Tuple[str, str],
                                  Tuple[int, int, int]] = {}
-        self.codegen_hits = 0
-        self.codegen_misses = 0
-        # incremental-compile accounting (per Compiler instance)
-        self.incremental_attempts = 0
-        self.incremental_fallbacks = 0
-        #: per config fingerprint, decision indices whose flips changed
-        #: their owner's query stream shape — narrow attempts touching
-        #: one of these go straight to the conservative affected set
-        self._volatile: Dict[str, set] = {}
 
     def compile(self, config: BenchmarkConfig,
                 sequence: Optional[DecisionSequence] = None,
@@ -211,10 +167,7 @@ class Compiler:
                 override=None,
                 verify_analyses: Optional[bool] = None,
                 invalidation: Optional[str] = None,
-                trace=None,
-                baseline: Optional[CompiledProgram] = None,
-                collect_resume: bool = False
-                ) -> CompiledProgram:
+                trace=None) -> CompiledProgram:
         if verify_analyses is None:
             verify_analyses = self.verify_analyses
         if invalidation is None:
@@ -222,22 +175,6 @@ class Compiler:
 
         def timed(name):
             return trace.phase(name) if trace is not None else nullcontext()
-
-        # incremental path: re-derive only what the decision-sequence
-        # delta can affect, splicing the rest from the baseline.  Any
-        # precondition failure (or the post-run replay guard) falls
-        # back to the full compile below — correctness never depends on
-        # the incremental machinery.
-        if (baseline is not None and oraql_enabled
-                and sequence is not None
-                and override is None and not suppress_chain
-                and trace is None and not verify_analyses
-                and not debug_pass_executions
-                and (dump is None or not dump.any())):
-            prog = self._compile_incremental(config, sequence, baseline,
-                                             invalidation, collect_resume)
-            if prog is not None:
-                return prog
 
         # 1. frontend: one module per translation unit
         modules: List[Module] = []
@@ -288,8 +225,6 @@ class Compiler:
                 debug_pass_executions=debug_pass_executions,
                 verify_analyses=verify_analyses, invalidation=invalidation,
                 trace=trace)
-            if collect_resume and oraql is not None:
-                ctx.resume_collector = SnapshotCollector(oraql, main, ctx)
             with timed("passes"):
                 PassManager(ctx).run(pipeline)
             verify_module(main)
@@ -335,22 +270,14 @@ class Compiler:
 
         exe_hash = self._hash(main, kernels, fn_hashes)
         if dump is not None and dump.any():
-            # per-function body hashes, for debugging splice mismatches
+            # per-function body hashes: which function made two
+            # executables' hashes differ
             for name, fh in fn_hashes.items():
                 ctx.log(f"[fn-hash] {name} {fh}")
         if trace is not None:
             trace.record_stats(ctx.stats)
-        resume: Dict[str, ResumeState] = {}
-        if ctx.resume_collector is not None and oraql is not None:
-            # resume material: the collector's snapshots plus, per
-            # record, the symbolic cache key in this program's value
-            # space (what a future resumed compile warms its cache with)
-            resume = ctx.resume_collector.states
-            for rec in oraql.records:
-                st = resume.setdefault(rec.scope, ResumeState())
-                st.seed_keys[rec.index] = seed_key_for(rec)
         return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
-                               exe_hash, fn_hashes=fn_hashes, resume=resume)
+                               exe_hash, fn_hashes=fn_hashes)
 
     # -- codegen through the content-addressed cache -----------------------
     def _codegen_cached(self, module: Module, stats, fn_hashes:
@@ -367,9 +294,6 @@ class Compiler:
             if cg is None:
                 cg = codegen_function(fn)
                 self._codegen_cache[key] = cg
-                self.codegen_misses += 1
-            else:
-                self.codegen_hits += 1
             out[fn.name] = cg
             stats.add("asm printer", "# machine instructions generated",
                       cg.machine_insts)
@@ -392,11 +316,9 @@ class Compiler:
                 ki = compile_kernel(fn)
                 self._kernel_cache[key] = (ki.registers, ki.stack_bytes,
                                            ki.machine_insts)
-                self.codegen_misses += 1
             else:
                 regs, stack, insts = cached
                 ki = KernelInfo(fn.name, regs, stack, insts)
-                self.codegen_hits += 1
             out[fn.name] = ki
         return out
 
@@ -405,10 +327,8 @@ class Compiler:
               fn_hashes: Dict[str, str]) -> str:
         """The executable hash: module header text, then the
         per-function body hashes in module order, then the kernel
-        properties.  Composition from ``fn_hashes`` (rather than one
-        monolithic module print) is what lets the incremental compiler
-        assemble a bit-identical hash while splicing baseline entries
-        for functions it never re-rendered."""
+        properties.  Each body is printed once, for ``fn_hashes``,
+        which the codegen cache keys on too."""
         h = hashlib.sha256(print_module_header(module).encode())
         for name, fh in fn_hashes.items():
             h.update(f"{name}={fh}\n".encode())
@@ -416,476 +336,3 @@ class Compiler:
             ki = kernels[name]
             h.update(f"{name}:{ki.registers}:{ki.stack_bytes}".encode())
         return h.hexdigest()
-
-    # -- incremental recompilation ----------------------------------------
-    def _compile_incremental(self, config: BenchmarkConfig,
-                             sequence: DecisionSequence,
-                             baseline: CompiledProgram,
-                             invalidation: str,
-                             collect_resume: bool = False
-                             ) -> Optional[CompiledProgram]:
-        """Recompile against a baseline, re-running only the affected
-        functions — and only the affected *tail* of each one's pipeline;
-        None means "take the full path".
-
-        Soundness rests on global prefix stability: with ``d`` the first
-        index where the new sequence's effective answers diverge from
-        the baseline's recorded stream, both compiles issue the
-        identical (query, answer) stream up to ``d``.  A function whose
-        baseline queries all sit below ``d`` therefore replays its
-        baseline optimization bit for bit — its optimized body is
-        spliced instead of re-derived.  The affected set F (scopes
-        owning a record at index ≥ d) re-runs the pipeline with a
-        remapped sequence that re-fills the sub-``d`` index slots F will
-        actually re-issue, so the unique-query index space matches the
-        full compile's exactly.
-
-        The same argument holds at pass granularity: per-function
-        records are issued in execution order, so an affected function's
-        records *before* its first index-≥-d record all replay exactly —
-        its body entering that record's pipeline ordinal is identical to
-        the full compile's.  When the baseline carries a body snapshot
-        at (or before) that ordinal, the function resumes there instead
-        of re-running from the frontend, with two pieces of seeding
-        keeping the resumed run observationally identical to a full one:
-
-        * the ORAQL pointer-pair cache is pre-warmed with every
-          pre-resume answer (keys translated capture ∘ restore into the
-          restored body's value space) — a post-divergence re-query must
-          hit the warm entry exactly as it would in a full compile;
-        * analyses the full compile would be holding in cache at the
-          resume point are phantom-cached: their first rebuild (on a
-          body identical to the preserved result) runs with chain
-          counters suppressed and is accounted as a preserved hit.
-
-        Together with per-(scope, ordinal) seeding of the chain tallies
-        and cached-query counters for all never-replayed work, every
-        aggregate number — unique/cached queries, no-alias counts,
-        per-pass attribution — is assembled bit-identical to a full
-        compile, so even the session's *final* (report-feeding) compile
-        can be incremental.
-
-        A post-run guard replays the argument: each re-optimized
-        function must have re-issued exactly the sub-``d`` index
-        multiset it was predicted to.  Any violation — e.g. the
-        pointer-pair cache sharing an entry across functions (only
-        same-named globals can form such pairs, and the chain answers
-        those before ORAQL) — trips the guard and falls back to a full
-        compile.
-
-        On top of the conservative set, a *narrow* first attempt: only
-        the scopes whose own recorded answers actually changed re-run,
-        each resuming at its first changed record, and everything else
-        — including scopes owning post-``d`` records — is spliced.
-        That is sound only if every re-run replays its predicted stream
-        shape, so the restricted run carries a per-miss replay schedule
-        (scope and pipeline ordinal of every predicted reissue); the
-        first divergent miss raises :class:`ReplayDivergence`, the
-        attempt is abandoned mid-run, the flipped indices are marked
-        volatile (future compiles go straight to the conservative set),
-        and the retry is charged the aborted run's pass executions.
-        """
-        self.incremental_attempts += 1
-        base_oraql = baseline.oraql
-        if (base_oraql is None or baseline.config is not config
-                or not baseline.fn_hashes):
-            return None
-        if not (config.lto or len(config.sources) == 1):
-            # per-TU pipelines interleave one shared sequence across
-            # modules; splicing there needs per-TU provenance we do not
-            # keep — take the audited full path
-            return None
-        pipeline = build_pipeline(config.opt_level)
-        if any(isinstance(p, ModulePass) for p in pipeline):
-            return None
-        can_inline = any(isinstance(p, Inliner) for p in pipeline)
-
-        records = base_oraql.records
-        delta = decision_delta(records, sequence.bits)
-
-        narrow = None
-        if delta is not None and not can_inline:
-            # inlining dissolves the per-scope stream argument narrow
-            # mode rests on; the conservative path widens instead
-            narrow = self._narrow_plan(config, records, sequence.bits,
-                                       delta)
-        wasted = 0
-        if narrow is not None:
-            try:
-                return self._splice_compile(
-                    config, sequence, baseline, invalidation,
-                    collect_resume, pipeline, can_inline, records, delta,
-                    narrow=narrow)
-            except ReplayDivergence as e:
-                # one of the flipped answers is load-bearing for its
-                # owner's query stream: remember the indices so future
-                # compiles skip the attempt, and charge the aborted
-                # run's pass executions to the conservative retry
-                self._volatile.setdefault(
-                    config_fingerprint(config), set()).update(narrow.changed)
-                wasted = e.pass_executions
-        prog = self._splice_compile(
-            config, sequence, baseline, invalidation, collect_resume,
-            pipeline, can_inline, records, delta, narrow=None)
-        if prog is not None and wasted:
-            prog.ctx.pass_executions += wasted
-        return prog
-
-    def _narrow_plan(self, config: BenchmarkConfig, records, bits,
-                     delta: int) -> Optional[NarrowPlan]:
-        """The optimistic narrow affected set for this delta, or None
-        when it cannot beat the conservative set (every post-delta
-        scope changed an answer) or a previous aborted attempt marked
-        one of the flipped indices volatile."""
-        changed = [rec for rec in records
-                   if rec.optimistic != effective_bit(bits, rec.index)]
-        scopes = {rec.scope for rec in changed}
-        if "<module>" in scopes:
-            return None
-        if scopes >= affected_functions(records, delta):
-            return None
-        indices = {rec.index for rec in changed}
-        if indices & self._volatile.get(config_fingerprint(config), set()):
-            return None
-        first_changed: Dict[str, int] = {}
-        for rec in changed:
-            if rec.scope not in first_changed:
-                first_changed[rec.scope] = rec.ordinal
-        return NarrowPlan(scopes, first_changed, indices)
-
-    def _splice_compile(self, config: BenchmarkConfig,
-                        sequence: DecisionSequence,
-                        baseline: CompiledProgram,
-                        invalidation: str,
-                        collect_resume: bool,
-                        pipeline,
-                        can_inline: bool,
-                        records,
-                        delta: Optional[int],
-                        narrow: Optional[NarrowPlan]
-                        ) -> Optional[CompiledProgram]:
-        """One splice/resume attempt against ``baseline`` — narrow when
-        a :class:`NarrowPlan` is given, conservative otherwise.  None
-        means "take the full path"; :class:`ReplayDivergence` (narrow
-        only) means "retry me conservatively"."""
-        base_oraql = baseline.oraql
-        if delta is None:
-            affected: set = set()
-        elif narrow is not None:
-            affected = set(narrow.scopes)
-        else:
-            affected = affected_functions(records, delta)
-            if "<module>" in affected:
-                return None
-
-        # frontend + link, exactly as the full path
-        modules: List[Module] = []
-        for src in config.sources:
-            modules.append(compile_source(src.text, src.name,
-                                          options=self.frontend_options))
-        main = modules[0]
-        for other in modules[1:]:
-            main.link(other)
-        verify_module(main)
-
-        widened = False
-        if can_inline and affected:
-            # inlining dissolves function boundaries: widen through the
-            # call graph (both directions, union of the fresh and the
-            # baseline edges) so every body an affected function could
-            # exchange code with is re-derived too — and re-derived from
-            # the top (a snapshot of one function says nothing about the
-            # callee bodies inlining would splice into it)
-            affected = call_graph_closure([main, baseline.module], affected)
-            widened = True
-
-        base_fns = baseline.module.functions
-        if list(main.functions) != list(base_fns):
-            if narrow is None:
-                self.incremental_fallbacks += 1
-            return None
-
-        delta_eff = delta if delta is not None else (
-            records[-1].index + 1 if records else 0)
-
-        # mid-pipeline resume points: an affected function's stream can
-        # first change at the ordinal of its first record at index ≥ d
-        # (per-function record order is execution order, so all earlier
-        # ordinals are sub-d and replay exactly).  The latest baseline
-        # snapshot at or below that ordinal is a valid restart body;
-        # no snapshot means ordinal 0 — re-run from the frontend body.
-        base_resume = baseline.resume
-        resume_at: Dict[str, int] = {}
-        if affected and not widened:
-            if narrow is not None:
-                # resume at the first *changed* record: the unchanged
-                # post-delta prefix replays under the schedule guard
-                first_ord = dict(narrow.first_changed)
-            else:
-                first_ord = {}
-                for rec in records:
-                    if rec.scope in affected and rec.index >= delta_eff \
-                            and rec.scope not in first_ord:
-                        first_ord[rec.scope] = rec.ordinal
-            for name, desired in first_ord.items():
-                st = base_resume.get(name)
-                if st is not None:
-                    j = st.best_ordinal(desired)
-                    if j > 0:
-                        resume_at[name] = j
-
-        # splice every unaffected defined function (a clone of its
-        # baseline-optimized body; dict assignment at the existing key
-        # preserves module order, hence print order) and restore each
-        # resuming function's snapshot body
-        spliced: List[str] = []
-        restore_maps: Dict[str, tuple] = {}
-        for name in list(main.functions):
-            fn = main.functions[name]
-            bfn = base_fns[name]
-            if fn.is_declaration != bfn.is_declaration:
-                if narrow is None:
-                    self.incremental_fallbacks += 1
-                return None
-            if fn.is_declaration:
-                continue
-            if name in affected:
-                j = resume_at.get(name, 0)
-                if j > 0:
-                    st = base_resume[name]
-                    rv: Dict[int, object] = {}
-                    main.functions[name] = clone_function_into(
-                        st.snapshots[j], main, value_map=rv)
-                    # replay the captured use-list order: passes past
-                    # the resume point iterate ``users`` and must see
-                    # exactly what the full compile would have
-                    mirror_use_order(st.snapshots[j], rv)
-                    restore_maps[name] = (st.capture_maps[j], rv)
-                continue
-            main.functions[name] = clone_function_into(bfn, main)
-            spliced.append(name)
-        repoint_functions(main)
-        verify_module(main)
-
-        def reissued(rec) -> bool:
-            """Will the restricted run replay this baseline record?"""
-            return rec.scope in affected and \
-                rec.ordinal >= resume_at.get(rec.scope, 0)
-
-        # restricted pipeline run over the affected set, with the index
-        # space remapped onto the baseline's: the run's n-th miss takes
-        # the n-th sub-d index it actually re-issues, then continues at d
-        if narrow is not None:
-            # narrow mode reissues a non-contiguous index set, so every
-            # reissue is scheduled: the n-th miss must come from the
-            # predicted (scope, ordinal) and lands on that record's
-            # baseline index; the first mismatch aborts the attempt
-            reissue = sorted((rec for rec in records if reissued(rec)),
-                             key=lambda r: r.index)
-            sub = [rec.index for rec in reissue]
-            remapped = RemappedDecisionSequence(
-                sequence.bits, sub, records[-1].index + 1,
-                schedule=[(rec.scope, rec.ordinal) for rec in reissue])
-        else:
-            sub = sorted(rec.index for rec in records
-                         if rec.index < delta_eff and reissued(rec))
-            remapped = RemappedDecisionSequence(sequence.bits, sub,
-                                                delta_eff)
-        oraql = OraqlAAPass(
-            sequence=remapped,
-            target_filter=config.target_filter,
-            probe_functions=config.probe_function_set(),
-            probe_files=config.probe_file_set(),
-        )
-        # seed the never-replayed work's bookkeeping from the baseline —
-        # spliced functions entirely, resumed functions' pre-resume
-        # prefix — so unique_queries (the driver's index-space size) and
-        # the record list match a full compile
-        for rec in records:
-            if reissued(rec):
-                continue
-            if rec.optimistic:
-                oraql.opt_unique += 1
-            else:
-                oraql.pess_unique += 1
-            oraql.unique_by_pass[rec.issuing_pass] = \
-                oraql.unique_by_pass.get(rec.issuing_pass, 0) + 1
-            oraql.records.append(rec)
-        seeded = len(oraql.records)
-        # ...and the cached-query tallies that work would have produced
-        for key, t in base_oraql.cached_by.items():
-            scope, ordinal = key
-            if scope in affected and ordinal >= resume_at.get(scope, 0):
-                continue
-            mine = oraql.cached_by.get(key)
-            if mine is None:
-                mine = [0, 0]
-                oraql.cached_by[key] = mine
-            mine[0] += t[0]
-            mine[1] += t[1]
-            oraql.opt_cached += t[0]
-            oraql.pess_cached += t[1]
-
-        # warm the pointer-pair cache with each resumed function's
-        # pre-resume answers: a post-divergence re-query of such a pair
-        # must hit the cache exactly as it would in a full compile (a
-        # miss would consume a sequence slot the full compile never
-        # consumed).  Keys translate capture ∘ restore into the restored
-        # body's value space; untranslatable keys reference values dead
-        # at the snapshot point, which the full compile — whose body
-        # evolves identically up to there — can never re-query either.
-        for name, j in resume_at.items():
-            st = base_resume[name]
-            cap, rv = restore_maps[name]
-            for rec in records:
-                if rec.scope != name or rec.ordinal >= j:
-                    continue
-                key_sym = st.seed_keys.get(rec.index)
-                if key_sym is None:
-                    continue
-                ta = translate_entry(key_sym[0], main, cap, rv)
-                tb = translate_entry(key_sym[1], main, cap, rv)
-                if ta is None or tb is None:
-                    continue
-                ids = resolve_key((ta, tb), main)
-                if ids is not None:
-                    oraql.cache[ids] = (rec.optimistic, rec.index)
-
-        chain = tuple(config.aa_chain) if config.aa_chain \
-            else DEFAULT_AA_CHAIN
-        ctx = CompilationContext(main, aa_chain=chain, oraql=oraql,
-                                 invalidation=invalidation)
-        # phantom-cache the analyses the full compile would be holding
-        # at each resume point (this run's manager starts cold): their
-        # rebuilds run counter-suppressed, keeping the aggregates exact
-        for name, j in resume_at.items():
-            valid = base_resume[name].valid_at.get(j)
-            fn = main.functions.get(name)
-            if valid and fn is not None:
-                ctx.am.mark_phantom(fn, valid)
-        if collect_resume:
-            ctx.resume_collector = SnapshotCollector(oraql, main, ctx)
-        try:
-            PassManager(ctx).run(
-                pipeline, only={name: resume_at.get(name, 0)
-                                for name in affected})
-        except ReplayDivergence as e:
-            # abort mid-run: carry the wasted work so the retry can
-            # charge it
-            e.pass_executions = ctx.pass_executions
-            raise
-        verify_module(main)
-
-        # seed the chain-query tallies of the never-replayed work (the
-        # run above added its own): no-alias / total counters and their
-        # per-pass attribution now equal a full compile's
-        for key, t in baseline.ctx.aa.scope_counts.items():
-            scope, ordinal = key
-            if scope in affected and ordinal >= resume_at.get(scope, 0):
-                continue
-            ctx.aa.seed_tally(key, t)
-
-        if narrow is not None:
-            # the schedule validated each miss in flight; completeness:
-            # a predicted reissue that never happened (a scope issuing
-            # *fewer* queries than the baseline) invalidates the splice
-            if remapped.misses != len(sub):
-                raise ReplayDivergence(
-                    f"replayed {remapped.misses} of {len(sub)} "
-                    f"predicted misses", ctx.pass_executions)
-        else:
-            # replay guard: every re-run function must have re-issued
-            # exactly the predicted sub-delta index multiset
-            got: Dict[str, List[int]] = {}
-            for rec in oraql.records[seeded:]:
-                if rec.scope not in affected:
-                    self.incremental_fallbacks += 1
-                    return None
-                if rec.index < delta_eff:
-                    got.setdefault(rec.scope, []).append(rec.index)
-            want: Dict[str, List[int]] = {}
-            for rec in records:
-                if rec.index < delta_eff and reissued(rec):
-                    want.setdefault(rec.scope, []).append(rec.index)
-            if {k: sorted(v) for k, v in got.items()} != want:
-                self.incremental_fallbacks += 1
-                return None
-        inherited = oraql.records[:seeded]
-        inherited_ids = set(map(id, inherited))
-        # index-sorted records make this program chainable as the next
-        # baseline (and match a full compile's emission order)
-        oraql.records.sort(key=lambda r: r.index)
-
-        # codegen: spliced bodies reuse the baseline's hashes — they are
-        # print-identical by construction — so neither the text nor the
-        # artifacts are re-derived for them
-        spliced_set = set(spliced)
-        fn_hashes: Dict[str, str] = {}
-        for name, fn in main.functions.items():
-            if name in spliced_set and name in baseline.fn_hashes:
-                fn_hashes[name] = baseline.fn_hashes[name]
-            else:
-                fn_hashes[name] = function_hash(fn)
-        hits0, misses0 = self.codegen_hits, self.codegen_misses
-        codegen = self._codegen_cached(main, ctx.stats, fn_hashes)
-        kernels = self._kernels_cached(main, fn_hashes)
-        for name, ki in kernels.items():
-            ctx.stats.add("asm printer", "# machine instructions generated",
-                          ki.machine_insts)
-        exe_hash = self._hash(main, kernels, fn_hashes)
-
-        # assemble this program's own resume material so it can serve as
-        # the next baseline.  The invariant: per function, records,
-        # snapshots and seed keys all live in ONE value space.
-        resume: Dict[str, ResumeState] = {}
-        if ctx.resume_collector is not None:
-            resume = ctx.resume_collector.states
-            # re-issued records: keys in this program's own value space,
-            # matching the fresh snapshots' capture maps
-            for rec in oraql.records:
-                if id(rec) in inherited_ids:
-                    continue
-                st = resume.setdefault(rec.scope, ResumeState())
-                st.seed_keys[rec.index] = seed_key_for(rec)
-            # a resumed function's inherited pre-resume records:
-            # translate the baseline's keys into this program's space
-            # (an untranslatable key is dropped — the dead-value
-            # argument above says no future compile can re-query it)
-            for name, j in resume_at.items():
-                bst = base_resume[name]
-                cap, rv = restore_maps[name]
-                st = resume.setdefault(name, ResumeState())
-                for rec in inherited:
-                    if rec.scope != name:
-                        continue
-                    key_sym = bst.seed_keys.get(rec.index)
-                    if key_sym is None:
-                        continue
-                    ta = translate_entry(key_sym[0], main, cap, rv)
-                    tb = translate_entry(key_sym[1], main, cap, rv)
-                    if ta is not None and tb is not None:
-                        st.seed_keys[rec.index] = (ta, tb)
-            # spliced functions share the baseline's state wholesale:
-            # their inherited records, snapshots and keys already live
-            # consistently in the baseline's value space
-            for name in spliced:
-                bst = base_resume.get(name)
-                if bst is not None and name not in resume:
-                    resume[name] = bst
-
-        defined = {fn.name for fn in main.defined_functions()}
-        outcome = IncrementalOutcome(
-            delta=delta,
-            reoptimized=len(affected & defined),
-            spliced=len(spliced),
-            total_functions=len(defined),
-            codegen_hits=self.codegen_hits - hits0,
-            codegen_misses=self.codegen_misses - misses0,
-            widened=widened,
-            resumed=len(resume_at),
-            passes_resumed_past=sum(resume_at.values()),
-            narrowed=narrow is not None,
-        )
-        return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
-                               exe_hash, fn_hashes=fn_hashes,
-                               incremental=outcome, resume=resume)

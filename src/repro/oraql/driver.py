@@ -44,7 +44,6 @@ from .compiler import CompiledProgram, Compiler
 from .config import BenchmarkConfig
 from .errors import FlakyConfigError, ProbingError
 from .executor import ExecutorPolicy, TestExecutor, TestOutcome
-from .incremental import BaselineCache
 from .journal import SessionJournal
 from .pass_ import DumpFlags, OraqlAAPass, QueryRecord
 from .sequence import DecisionSequence, sequence_from_pessimistic_set
@@ -110,25 +109,7 @@ class ProbingReport:
     #: that survived an invalidation event)
     analysis_builds: Dict[str, int] = field(default_factory=dict)
     analysis_preserved_hits: Dict[str, int] = field(default_factory=dict)
-    #: incremental recompilation (``--incremental on``): probe compiles
-    #: served from a baseline by the delta-keyed splicing path, probes
-    #: that attempted it but fell back to a full compile, and what the
-    #: incremental compiles reused.  ``pass_executions`` counts pass
-    #: runs across *every* compile of the session (full ones included)
-    #: and is tracked regardless of the switch — it is the differential
-    #: benchmark's headline metric.
-    incremental_enabled: bool = False
-    incremental_compiles: int = 0
-    incremental_fallbacks: int = 0
-    functions_reoptimized: int = 0
-    functions_spliced: int = 0
-    #: of the re-optimized functions, how many resumed mid-pipeline from
-    #: a baseline body snapshot, and the function-pass executions those
-    #: resumes skipped (passes below each resume ordinal)
-    functions_resumed: int = 0
-    passes_resumed_past: int = 0
-    codegen_cache_hits: int = 0
-    codegen_cache_misses: int = 0
+    #: pass runs across every in-process compile of the session
     pass_executions: int = 0
     #: content hash of the final executable — the cross-process identity
     #: the service's bit-identity contract is stated in (the live
@@ -208,29 +189,17 @@ class ProbingDriver:
                  journal: Optional[SessionJournal] = None,
                  injector: Optional[FaultInjector] = None,
                  trace=None,
-                 incremental: str = "off",
-                 baselines: Optional[BaselineCache] = None,
                  strategy_seed: int = 0):
         if strategy not in strategy_names():
             raise ValueError(
                 f"unknown strategy {strategy!r} (known: "
                 f"{', '.join(strategy_names())})")
-        if incremental not in ("on", "off"):
-            raise ValueError(f"unknown incremental mode {incremental!r}")
         self.config = config
         self.compiler = compiler or Compiler()
         self.strategy = strategy
         #: seed for randomized strategies (mcts); a pure function of the
         #: seed + observed verdicts, so resume stays bit-identical
         self.strategy_seed = strategy_seed
-        self.incremental = incremental == "on"
-        #: recent probe programs, candidate baselines for delta-keyed
-        #: incremental recompilation (``--incremental on``).  An
-        #: externally supplied cache outlives this driver: the service's
-        #: workers share one pool per config fingerprint, so concurrent
-        #: sessions on the same workload hash-hit each other's compiles
-        self._baselines = baselines if baselines is not None \
-            else BaselineCache()
         self.max_tests = max_tests
         self.verifier: Optional[VerificationScript] = None
         self.verdict_cache = verdict_cache
@@ -251,7 +220,6 @@ class ProbingDriver:
         self._best_pessimistic: Set[int] = set()
         self._report = ProbingReport(config.name, False, DecisionSequence(),
                                      [], strategy=strategy)
-        self._report.incremental_enabled = self.incremental
         #: the most recent in-process probe compile; provenance source
         #: for learned strategies (StrategyContext.records)
         self._last_program: Optional[CompiledProgram] = None
@@ -277,37 +245,9 @@ class ProbingDriver:
         if self.trace is not None:
             self.trace.begin_compile(
                 label, bits=sequence.bits if sequence is not None else None)
-        # incremental mode: probes AND the final compile run against
-        # the cached baseline whose decision stream agrees with this
-        # sequence the longest.  Only the oraql-off baseline stays full
-        # (its decision universe is disjoint).  The final compile's
-        # report numbers are safe because the incremental path seeds
-        # every counter bit-identical to a full compile; the typical
-        # final is a pure splice of the accepted probe (delta = None).
-        baseline = None
-        eligible = (self.incremental and label in ("probe", "final")
-                    and oraql_enabled and sequence is not None)
-        if eligible:
-            baseline = self._baselines.best_for(sequence.bits)
         prog = self.executor.compile(self.config, sequence=sequence,
-                                     oraql_enabled=oraql_enabled,
-                                     baseline=baseline,
-                                     collect_resume=eligible)
-        r = self._report
-        r.pass_executions += prog.pass_executions
-        if prog.incremental is not None:
-            inc = prog.incremental
-            r.incremental_compiles += 1
-            r.functions_reoptimized += inc.reoptimized
-            r.functions_spliced += inc.spliced
-            r.functions_resumed += inc.resumed
-            r.passes_resumed_past += inc.passes_resumed_past
-            r.codegen_cache_hits += inc.codegen_hits
-            r.codegen_cache_misses += inc.codegen_misses
-        elif baseline is not None:
-            r.incremental_fallbacks += 1
-        if eligible:
-            self._baselines.add(prog)
+                                     oraql_enabled=oraql_enabled)
+        self._report.pass_executions += prog.pass_executions
         counters = prog.analysis_counters
         for name, n in counters["builds"].items():
             self._report.analysis_builds[name] = \

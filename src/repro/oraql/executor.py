@@ -171,10 +171,7 @@ class TestExecutor:
     # -- compilation with retry-on-transient -------------------------------
     def compile(self, config: BenchmarkConfig,
                 sequence: Optional[DecisionSequence],
-                oraql_enabled: bool = True,
-                baseline: Optional[CompiledProgram] = None,
-                collect_resume: bool = False
-                ) -> CompiledProgram:
+                oraql_enabled: bool = True) -> CompiledProgram:
         """Compile, retrying *transient* compiler faults with backoff.
 
         A compiler exception is an *infrastructure* failure, never a
@@ -194,9 +191,7 @@ class TestExecutor:
                             f"injected compiler fault at compile #{spec.at}")
                 return self.compiler.compile(config, sequence=sequence,
                                              oraql_enabled=oraql_enabled,
-                                             trace=self.trace,
-                                             baseline=baseline,
-                                             collect_resume=collect_resume)
+                                             trace=self.trace)
             except (SessionKilled, ProbingError):
                 raise  # not compiler faults: unwind to the session owner
             except Exception as e:

@@ -71,7 +71,6 @@ from .config import BenchmarkConfig
 from .driver import ProbingDriver, ProbingReport
 from .errors import ProbingError
 from .executor import ExecutorPolicy, TestExecutor
-from .incremental import BaselineCache
 from .journal import SessionJournal
 from .sequence import DecisionSequence
 from .verify import TRIAGE_WRONG_OUTPUT, VerificationScript
@@ -157,8 +156,7 @@ class MeasuredCycleOracle:
                  cost_model: Optional[CostModel] = None,
                  journal: Optional[SessionJournal] = None,
                  verdict_cache: Optional[VerdictCache] = None,
-                 max_measurements: int = 2000,
-                 incremental: bool = False):
+                 max_measurements: int = 2000):
         self.config = config
         self.executor = executor
         self.verifier = verifier
@@ -179,14 +177,6 @@ class MeasuredCycleOracle:
         self.compiles = 0
         self.measurements_run = 0
         self.measurements_cached = 0
-        #: incremental recompilation: each measurement compile splices
-        #: from the nearest previous one (bit-identical results, so the
-        #: exe-hash measurement cache is oblivious to the mode)
-        self.incremental = incremental
-        self._baselines = BaselineCache()
-        self.incremental_compiles = 0
-        self.incremental_fallbacks = 0
-        self.pass_executions = 0
 
     def sequence_for(self, kept: FrozenSet[int]) -> DecisionSequence:
         """Bits for "keep exactly ``kept`` optimistic": every other
@@ -199,20 +189,9 @@ class MeasuredCycleOracle:
     def measure(self, kept: FrozenSet[int]) -> Measurement:
         self.executor.begin_test()      # chaos/session-kill fault site
         seq = self.sequence_for(kept)
-        baseline = (self._baselines.best_for(seq.bits)
-                    if self.incremental else None)
         prog = self.executor.compile(self.config, sequence=seq,
-                                     oraql_enabled=True,
-                                     baseline=baseline,
-                                     collect_resume=self.incremental)
+                                     oraql_enabled=True)
         self.compiles += 1
-        self.pass_executions += prog.pass_executions
-        if self.incremental:
-            self._baselines.add(prog)
-            if prog.incremental is not None:
-                self.incremental_compiles += 1
-            elif baseline is not None:
-                self.incremental_fallbacks += 1
         exe = prog.exe_hash
         hit = self._cache.get(exe)
         if hit is not None:
@@ -501,13 +480,6 @@ class ImportanceReport:
     measurements_run: int = 0
     measurements_cached: int = 0
     measurements_replayed: int = 0
-    #: incremental recompilation (``--incremental on``), across both
-    #: phases: phase-1 numbers live in ``probing``; these cover the
-    #: phase-2 measurement compiles
-    incremental_enabled: bool = False
-    incremental_compiles: int = 0
-    incremental_fallbacks: int = 0
-    pass_executions: int = 0
     #: measurement budget ran out — best-known partial result
     partial: bool = False
     # strict cost-model bookkeeping (non-empty = distorted measurements)
@@ -556,14 +528,11 @@ class ImportanceDriver:
                  journal_dir: Optional[str] = None,
                  resume: bool = False,
                  injector=None,
-                 strict_cost: bool = True,
-                 incremental: str = "off"):
+                 strict_cost: bool = True):
         if significant_percent < 0:
             raise ValueError("significant_percent must be >= 0")
         if not 0 < recover_percent <= 100:
             raise ValueError("recover_percent must be in (0, 100]")
-        if incremental not in ("on", "off"):
-            raise ValueError(f"unknown incremental mode {incremental!r}")
         self.config = config
         self.strategy = strategy
         self.significant_percent = significant_percent
@@ -577,7 +546,6 @@ class ImportanceDriver:
         self.resume = resume
         self.injector = injector
         self.cost_model = CostModel(strict=strict_cost)
-        self.incremental = incremental
 
     def _importance_journal(self) -> Optional[SessionJournal]:
         if self.journal_dir is None:
@@ -605,8 +573,7 @@ class ImportanceDriver:
                                verdict_cache=self.verdict_cache,
                                policy=self.policy,
                                journal=probing_journal,
-                               injector=self.injector,
-                               incremental=self.incremental)
+                               injector=self.injector)
         probing = driver.run()
         report.probing = probing
         if probing.budget_exhausted:
@@ -629,8 +596,7 @@ class ImportanceDriver:
             self.config, executor, driver.verifier, n,
             cost_model=self.cost_model, journal=journal,
             verdict_cache=self.verdict_cache,
-            max_measurements=self.max_measurements,
-            incremental=self.incremental == "on")
+            max_measurements=self.max_measurements)
         # the threshold is a fraction of *baseline* cycles, matching the
         # original driver's significant_percentage-of-runtime contract
         baseline = oracle.measure(frozenset()).cycles
@@ -651,10 +617,6 @@ class ImportanceDriver:
         report.measurements_run = oracle.measurements_run
         report.measurements_cached = oracle.measurements_cached
         report.measurements_replayed = oracle.measurements_replayed
-        report.incremental_enabled = self.incremental == "on"
-        report.incremental_compiles = oracle.incremental_compiles
-        report.incremental_fallbacks = oracle.incremental_fallbacks
-        report.pass_executions = oracle.pass_executions
         report.unknown_opcodes = dict(self.cost_model.unknown_opcodes)
         report.unknown_intrinsics = dict(self.cost_model.unknown_intrinsics)
 

@@ -94,7 +94,6 @@ def _probe_config(config_json: str, strategy: str, max_tests: int,
                   fault_plan: Optional[List[dict]] = None,
                   attempt: int = 0,
                   time_passes: bool = False,
-                  incremental: str = "off",
                   strategy_seed: int = 0) -> ProbingReport:
     """Probe one whole configuration in a worker process."""
     from ..trace import QueryTrace
@@ -108,7 +107,6 @@ def _probe_config(config_json: str, strategy: str, max_tests: int,
     report = ProbingDriver(cfg, strategy=strategy, max_tests=max_tests,
                            verdict_cache=cache, journal=journal,
                            injector=injector, trace=trace,
-                           incremental=incremental,
                            strategy_seed=strategy_seed).run()
     # live IR/program objects do not survive (or justify) pickling back
     return report.detach_for_transport()
@@ -267,7 +265,6 @@ class ParallelProbingDriver:
                  policy: Optional[ExecutorPolicy] = None,
                  fault_plan: Optional[List[dict]] = None,
                  trace=None,
-                 incremental: str = "off",
                  strategy_seed: int = 0):
         if isinstance(configs, BenchmarkConfig):
             configs = [configs]
@@ -290,9 +287,6 @@ class ParallelProbingDriver:
         #: and trace fully; fan-out workers ship timer trees back (the
         #: parent merges them), but event streams stay in-process
         self.trace = trace
-        #: incremental recompilation mode, forwarded to every driver
-        #: (in-process and in workers); bit-identical results either way
-        self.incremental = incremental
         #: seed for randomized strategies, forwarded to every driver
         self.strategy_seed = strategy_seed
 
@@ -320,8 +314,7 @@ class ParallelProbingDriver:
                 verdict_cache=self._cache(), policy=self.policy,
                 journal=self._journal(config),
                 injector=FaultInjector.from_json_plan(self.fault_plan),
-                trace=self.trace, incremental=self.incremental,
-                strategy_seed=self.strategy_seed).run()
+                trace=self.trace, strategy_seed=self.strategy_seed).run()
         factory = lambda: ProcessPoolExecutor(max_workers=self.jobs)  # noqa: E731
         with ProcessPoolExecutor(max_workers=self.jobs) as executor:
             driver = SpeculativeProbingDriver(
@@ -330,8 +323,7 @@ class ParallelProbingDriver:
                 max_tests=self.max_tests, verdict_cache=self._cache(),
                 policy=self.policy, journal=self._journal(config),
                 injector=FaultInjector.from_json_plan(self.fault_plan),
-                trace=self.trace, incremental=self.incremental,
-                strategy_seed=self.strategy_seed)
+                trace=self.trace, strategy_seed=self.strategy_seed)
             return driver.run()
 
     # -- many configs: one worker per configuration -------------------------
@@ -343,7 +335,6 @@ class ParallelProbingDriver:
                 cfg, strategy=self.strategy, max_tests=self.max_tests,
                 verdict_cache=cache, policy=self.policy,
                 journal=self._journal(cfg), trace=self.trace,
-                incremental=self.incremental,
                 strategy_seed=self.strategy_seed).run()
                 for cfg in self.configs]
 
@@ -360,7 +351,6 @@ class ParallelProbingDriver:
                         self.journal_dir, self.resume or attempts[i] > 0,
                         self.fault_plan, attempts[i],
                         time_passes=self.trace is not None,
-                        incremental=self.incremental,
                         strategy_seed=self.strategy_seed): i
                     for i in remaining}
                 pending = set(futures)

@@ -59,11 +59,6 @@ class QueryRecord:
     b: MemoryLocation
     scope: str                      # containing function
     issuing_pass: str
-    #: pipeline ordinal of the (top-level) pass executing when the query
-    #: was first issued — the incremental compiler's resume key: a
-    #: baseline snapshot taken before this ordinal replays everything
-    #: up to the record
-    ordinal: int = 0
 
     def render(self) -> List[str]:
         kind = "Optimistic" if self.optimistic else "Pessimistic"
@@ -126,11 +121,6 @@ class OraqlAAPass:
         self.pess_cached = 0
         # per-issuing-pass unique-query attribution (§V-D breakdown)
         self.unique_by_pass: Dict[str, int] = {}
-        #: cache hits attributed to (scope, pipeline ordinal) as
-        #: ``[optimistic, pessimistic]`` — lets an incremental compile
-        #: seed the cached-query counters for work it never replays, so
-        #: a spliced final compile reports bit-identical numbers
-        self.cached_by: Dict[Tuple[str, int], List[int]] = {}
 
     # -- wiring -----------------------------------------------------------
     def attach(self, ctx) -> None:
@@ -171,21 +161,13 @@ class OraqlAAPass:
             return AliasResult.MAY
 
         key = frozenset((a.ptr.id, b.ptr.id))
-        ordinal = self.ctx.pass_index if self.ctx is not None else 0
 
         if self.cache_enabled and key in self.cache:
             optimistic, index = self.cache[key]
-            if self.ctx is None or not self.ctx.aa.suppress_counters:
-                tally = self.cached_by.get((scope, ordinal))
-                if tally is None:
-                    tally = [0, 0]
-                    self.cached_by[(scope, ordinal)] = tally
-                if optimistic:
-                    self.opt_cached += 1
-                    tally[0] += 1
-                else:
-                    self.pess_cached += 1
-                    tally[1] += 1
+            if optimistic:
+                self.opt_cached += 1
+            else:
+                self.pess_cached += 1
             if trace is not None:
                 trace.oraql_query(scope, a, b, optimistic, cached=True,
                                   index=index)
@@ -197,11 +179,6 @@ class OraqlAAPass:
                 self._emit(rec)
             return AliasResult.NO if optimistic else AliasResult.MAY
 
-        # a narrow incremental run carries a predicted replay schedule;
-        # a miss that does not match it aborts the attempt right here
-        observe = getattr(self.sequence, "observe", None)
-        if observe is not None:
-            observe(scope, ordinal)
         index = self.sequence.consumed
         optimistic = self.sequence.next()
         self.cache[key] = (optimistic, index)
@@ -215,7 +192,7 @@ class OraqlAAPass:
         self.unique_by_pass[issuing_pass] = \
             self.unique_by_pass.get(issuing_pass, 0) + 1
         rec = QueryRecord(index, optimistic, False, 0, a, b, scope,
-                          issuing_pass, ordinal=ordinal)
+                          issuing_pass)
         self.records.append(rec)
         if self.dump.first and (
                 (optimistic and self.dump.optimistic)

@@ -60,18 +60,6 @@ def render_report(report: ProbingReport) -> str:
     out.append(f"probing effort     : {r.compiles} compiles, "
                f"{r.tests_run} tests run, {r.tests_cached} served from the "
                f"executable-hash cache, {r.tests_deduced} deduced")
-    if r.incremental_enabled:
-        out.append(f"incremental        : {r.incremental_compiles} of "
-                   f"{r.compiles} compiles spliced from a baseline, "
-                   f"{r.incremental_fallbacks} fell back to full")
-        out.append(f"functions          : {r.functions_reoptimized} "
-                   f"re-optimized ({r.functions_resumed} resumed "
-                   f"mid-pipeline, {r.passes_resumed_past} pass runs "
-                   f"skipped), {r.functions_spliced} spliced from "
-                   f"baseline")
-        out.append(f"codegen cache      : {r.codegen_cache_hits} hits, "
-                   f"{r.codegen_cache_misses} misses")
-        out.append(f"pass executions    : {r.pass_executions}")
     if r.cache_hits or r.cache_misses:
         out.append(f"verdict cache      : {r.cache_hits} hits, "
                    f"{r.cache_misses} misses")
@@ -149,11 +137,6 @@ def render_importance_report(report) -> str:
                f"{r.measurements_run} VM runs, "
                f"{r.measurements_cached} served from the "
                f"executable-hash cache")
-    if r.incremental_enabled:
-        out.append(f"incremental        : {r.incremental_compiles} of "
-                   f"{r.compiles} measurement compiles spliced from a "
-                   f"baseline, {r.incremental_fallbacks} fell back to "
-                   f"full ({r.pass_executions} pass executions)")
     if r.measurements_replayed:
         out.append(f"journal resume     : {r.measurements_replayed} "
                    f"measurements replayed from the session journal")

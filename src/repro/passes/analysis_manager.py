@@ -228,35 +228,12 @@ class AnalysisManager:
         self.builds: Counter = Counter()
         self.cache_hits: Counter = Counter()
         self.preserved_hits: Counter = Counter()
-        #: (fn.id, analysis id) entries a *full* compile would be
-        #: holding in cache right now, which this (resumed incremental)
-        #: run has not built yet.  A phantom build runs with the AA
-        #: chain's counters suppressed — the full compile would have
-        #: served the preserved result without issuing a single query —
-        #: and is accounted as a preserved cache hit, not a build.
-        #: Marks are discarded exactly when the mirrored full compile
-        #: would invalidate the entry (same PreservedAnalyses stream).
-        self._phantom: Set[Tuple[int, type]] = set()
 
     # -- access ----------------------------------------------------------
     def get(self, analysis_id: type, fn: Function):
         key = (fn.id, analysis_id)
         result = self._function.get(key)
         if result is None:
-            if key in self._phantom:
-                self._phantom.discard(key)
-                aa = self.ctx.aa
-                prev = aa.suppress_counters
-                aa.suppress_counters = True
-                try:
-                    result = analysis_id.run(fn, self)
-                finally:
-                    aa.suppress_counters = prev
-                self._function[key] = result
-                self._stamp[key] = self.epoch
-                self.cache_hits[analysis_id.name] += 1
-                self.preserved_hits[analysis_id.name] += 1
-                return result
             result = analysis_id.run(fn, self)
             self._function[key] = result
             self._stamp[key] = self.epoch
@@ -272,24 +249,6 @@ class AnalysisManager:
     def cached(self, analysis_id: type, fn: Function):
         """The cached result, or None — never builds."""
         return self._function.get((fn.id, analysis_id))
-
-    # -- phantom entries (incremental resume) ----------------------------
-    def valid_set(self, fn: Function) -> FrozenSet[str]:
-        """Names of ``fn``'s analyses a full compile holds in cache at
-        this point: really-cached entries plus live phantom marks (the
-        marks stand in for full-compile entries not yet rebuilt)."""
-        return frozenset(
-            a.name for a in FUNCTION_ANALYSES
-            if (fn.id, a) in self._function or (fn.id, a) in self._phantom)
-
-    def mark_phantom(self, fn: Function, names: Iterable[str]) -> None:
-        """Declare that a full compile would currently hold the named
-        analyses for ``fn`` — the resumed run's cache starts cold, so
-        their first (re)build is served phantom-cached instead."""
-        wanted = set(names)
-        for analysis_id in FUNCTION_ANALYSES:
-            if analysis_id.name in wanted:
-                self._phantom.add((fn.id, analysis_id))
 
     # -- invalidation ----------------------------------------------------
     def invalidate_function(self, fn: Function,
@@ -307,14 +266,12 @@ class AnalysisManager:
             if not coarse and pa is not None and pa.preserves(analysis_id):
                 continue
             self._function.pop((fn.id, analysis_id), None)
-            self._phantom.discard((fn.id, analysis_id))
         if coarse:
             # legacy semantics: any change nukes this function's
             # analyses and every AA cache (pre-refactor pass_manager
             # behavior, kept for the differential benchmarks)
             for key in [k for k in self._function if k[0] == fn.id]:
                 self._function.pop(key, None)
-            self._phantom = {k for k in self._phantom if k[0] != fn.id}
             self._invalidate_aa_module()
             return
         self._invalidate_aa_function(fn)
@@ -334,10 +291,6 @@ class AnalysisManager:
                 if key[0] in fn_ids and not (
                         pa is not None and pa.preserves(key[1])):
                     self._function.pop(key, None)
-            for key in list(self._phantom):
-                if key[0] in fn_ids and not (
-                        pa is not None and pa.preserves(key[1])):
-                    self._phantom.discard(key)
             for fn in fns:
                 self._invalidate_aa_function(fn)
             # interprocedural state (GlobalsAA address-taken verdicts)
@@ -348,10 +301,6 @@ class AnalysisManager:
             if not coarse_mode and pa is not None and pa.preserves(key[1]):
                 continue
             self._function.pop(key, None)
-        for key in list(self._phantom):
-            if not coarse_mode and pa is not None and pa.preserves(key[1]):
-                continue
-            self._phantom.discard(key)
         self._invalidate_aa_module()
 
     def invalidate_interprocedural(self) -> None:

@@ -76,13 +76,14 @@ class DSE(Pass):
                     if later.is_terminator:
                         break
                 if dead:
+                    # rendered before erasing drops the store's operands
+                    what = (f"deleted dead store to {inst.pointer.short()}"
+                            if ctx.trace is not None else None)
                     inst.erase_from_parent()
                     ctx.stats.add(self.display_name, "# stores deleted")
                     if ctx.trace is not None:
-                        ctx.trace.remark(
-                            self.display_name, fn.name,
-                            f"deleted dead store to "
-                            f"{inst.pointer.short()}", since=mark)
+                        ctx.trace.remark(self.display_name, fn.name, what,
+                                         since=mark)
                     changed = True
                     # do not advance: insts[i] is now the next instruction
                 else:

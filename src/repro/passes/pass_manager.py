@@ -21,7 +21,7 @@ legacy invalidate-everything behavior remains available as
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis import (
     AAResults,
@@ -101,17 +101,8 @@ class CompilationContext:
         self.invalidation = invalidation
         self.am = AnalysisManager(self)
         #: number of pass executions (per-function runs + module-pass
-        #: runs) this context performed — the incremental compiler's
-        #: headline savings metric
+        #: runs) this context performed
         self.pass_executions = 0
-        #: pipeline ordinal of the pass currently executing (maintained
-        #: by :meth:`PassManager.run`); stamps ORAQL query records so a
-        #: later incremental compile knows where a function's stream
-        #: diverges, hence where its pipeline can resume
-        self.pass_index = 0
-        #: optional :class:`~repro.oraql.incremental.SnapshotCollector`
-        #: capturing pre-pass body snapshots for future resumes
-        self.resume_collector = None
         self._fn_views: Dict[int, FunctionAnalyses] = {}
         #: pass-context stack for query provenance: the top entry is the
         #: pass currently executing; an analysis built on demand inside a
@@ -220,35 +211,12 @@ class PassManager:
     def __init__(self, ctx: CompilationContext):
         self.ctx = ctx
 
-    def run(self, pipeline: Sequence[Pass],
-            only: Optional[Union[Set[str], Dict[str, int]]] = None) -> None:
-        """Run ``pipeline`` over the context's module.
-
-        ``only`` restricts function passes to the named functions — the
-        incremental compiler's entry point: every other function keeps
-        its (spliced) baseline body untouched.  A dict maps each name
-        to the pipeline ordinal its run *resumes* at (passes below it
-        are skipped — the body was restored from a baseline snapshot
-        taken at exactly that point); a set means "from the top" for
-        every member.  Module passes see the whole module by
-        definition, so a restricted run refuses them; the incremental
-        compiler falls back to a full compile instead.
-        """
+    def run(self, pipeline: Sequence[Pass]) -> None:
+        """Run ``pipeline`` over the context's module."""
         ctx = self.ctx
         module = ctx.module
-        starts: Optional[Dict[str, int]] = None
-        if only is not None:
-            starts = (dict(only) if isinstance(only, dict)
-                      else {name: 0 for name in only})
-        collector = ctx.resume_collector
-        for p_idx, p in enumerate(pipeline):
-            ctx.pass_index = p_idx
-            ctx.aa.current_ordinal = p_idx
+        for p in pipeline:
             if isinstance(p, ModulePass):
-                if starts is not None:
-                    raise ValueError(
-                        f"module pass {p.display_name!r} cannot run in a "
-                        f"function-restricted (incremental) pipeline")
                 ctx.announce(p.display_name)
                 ctx.push_pass(p.display_name)
                 ctx.aa.current_function = None
@@ -272,14 +240,8 @@ class PassManager:
                             ctx.am.verify_preserved(fn, p.display_name)
                 continue
             for fn in list(module.defined_functions()):
-                if starts is not None:
-                    start = starts.get(fn.name)
-                    if start is None or p_idx < start:
-                        continue
                 if not p.should_run_on(fn):
                     continue
-                if collector is not None:
-                    collector.before(fn, p_idx)
                 ctx.announce(p.display_name, fn)
                 ctx.push_pass(p.display_name)
                 ctx.aa.current_function = fn
@@ -289,8 +251,6 @@ class PassManager:
                         pa = p.run_on_function(fn, ctx)
                 finally:
                     ctx.pop_pass()
-                if collector is not None:
-                    collector.after(fn, p_idx)
                 if not pa.are_all_preserved():
                     ctx.am.invalidate_function(fn, pa)
                     if ctx.verify_each:

@@ -67,13 +67,15 @@ class SLPVectorize(Pass):
             mark = ctx.trace.mark() if ctx.trace is not None else None
             if not self._legal(bb, stores, tree, ctx):
                 continue
+            # rendered before _emit, which erases the stores (and drops
+            # their operands)
+            what = (f"vectorized store group at "
+                    f"{stores[0].pointer.short()} (lanes={len(stores)})"
+                    if ctx.trace is not None else None)
             self._emit(fn, bb, stores, tree, ctx)
             if ctx.trace is not None:
-                ctx.trace.remark(
-                    self.display_name, fn.name,
-                    f"vectorized store group at "
-                    f"{stores[0].pointer.short()} (lanes={len(stores)})",
-                    since=mark)
+                ctx.trace.remark(self.display_name, fn.name, what,
+                                 since=mark)
             return True
         return False
 

@@ -110,7 +110,6 @@ class JobSpec:
     kind: str = "probe"
     strategy: str = "chunked"
     max_tests: int = 10_000
-    incremental: str = "off"
     #: stream coarse QueryTrace events to an events file
     stream: bool = False
     #: deterministic chaos plan forwarded to the worker's injector

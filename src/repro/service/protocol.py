@@ -61,7 +61,7 @@ ERROR_CODES = (
 #: as ``bad-request`` so client typos fail loudly, not silently)
 SUBMIT_FIELDS = frozenset({
     "t", "id", "tenant", "kind", "workload", "config", "strategy",
-    "max_tests", "incremental", "stream", "fault_plan",
+    "max_tests", "stream", "fault_plan",
     "significant_percent", "recover_percent", "max_measurements",
 })
 

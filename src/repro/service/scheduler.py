@@ -10,22 +10,14 @@ the retry replays the interrupted search instead of re-paying the test
 bill.  An injected :class:`~repro.faults.injector.SessionKilled` is
 treated the same way (it models the session's process dying).
 
-Sharing layers, all keyed by the config fingerprint:
+The **verdict cache** is sharded per config fingerprint
+(:meth:`VerdictCache.shard_for`), so concurrent sessions of one
+workload share verdicts while different workloads never contend.
 
-* the **verdict cache** is sharded per fingerprint
-  (:meth:`VerdictCache.shard_for`), so concurrent sessions of one
-  workload share verdicts while different workloads never contend;
-* each worker process keeps one **baseline pool**
-  (:class:`~repro.oraql.incremental.BaselineCache`) per fingerprint,
-  so incremental jobs batch compile work across the sessions that land
-  on that worker — the n-th session of a workload splices against
-  baselines the first session already paid for.
-
-Determinism: compilation is a pure function of (config, sequence), the
-shard only memoizes verdicts, and the baseline pool only changes *how*
-a bit-identical executable is produced — so concurrent, cached,
-resumed, and requeued jobs all report the same ``pessimistic_indices``
-and ``final_exe_hash`` as a sequential
+Determinism: compilation is a pure function of (config, sequence) and
+the shard only memoizes verdicts, so concurrent, cached, resumed, and
+requeued jobs all report the same ``pessimistic_indices`` and
+``final_exe_hash`` as a sequential
 :class:`~repro.oraql.driver.ProbingDriver` run.
 """
 
@@ -43,24 +35,16 @@ from ..oraql.config import BenchmarkConfig
 from ..oraql.driver import ProbingDriver
 from ..oraql.errors import ProbingError
 from ..oraql.executor import ExecutorPolicy
-from ..oraql.incremental import BaselineCache
 from ..oraql.journal import SessionJournal
+# a job is requeued after its worker died at most this many times before
+# it is reported failed — the parallel engine's contract
+from ..oraql.parallel import MAX_WORKER_RETRIES
 from .jobs import (JobRecord, JobSpec, JobTable, importance_report_to_dict,
                    report_to_dict)
 from .quota import QuotaRegistry
 
-#: how many times a job is requeued after its worker died before it is
-#: reported failed (mirrors the parallel engine's contract)
-MAX_WORKER_RETRIES = 2
-
 
 # -- worker-side entry point (module level so it pickles) ---------------------
-
-#: config fingerprint → shared baseline pool, one per worker *process*.
-#: Jobs run serially within a worker, so no locking; the pool is the
-#: cross-session compile-batching layer for incremental jobs.
-_WORKER_BASELINES: Dict[str, BaselineCache] = {}
-
 
 def _execute_job(spec_dict: dict, paths: dict, attempt: int,
                  resume: bool) -> dict:
@@ -98,7 +82,7 @@ def _execute_job(spec_dict: dict, paths: dict, attempt: int,
             max_measurements=spec.max_measurements,
             policy=policy, verdict_cache=cache,
             journal_dir=journal_dir, resume=resume,
-            injector=injector, incremental=spec.incremental).run()
+            injector=injector).run()
         if trace is not None:
             trace.record_done(report.pessimistic_indices)
         if report.probing is not None:
@@ -107,14 +91,11 @@ def _execute_job(spec_dict: dict, paths: dict, attempt: int,
 
     journal = SessionJournal(paths["journal_path"], fingerprint,
                              spec.strategy, resume=resume)
-    baselines = (_WORKER_BASELINES.setdefault(fingerprint, BaselineCache())
-                 if spec.incremental == "on" else None)
     report = ProbingDriver(cfg, strategy=spec.strategy,
                            max_tests=spec.max_tests,
                            verdict_cache=cache, policy=policy,
                            journal=journal, injector=injector,
-                           trace=trace, incremental=spec.incremental,
-                           baselines=baselines).run()
+                           trace=trace).run()
     return report_to_dict(report.detach_for_transport())
 
 

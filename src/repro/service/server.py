@@ -230,7 +230,7 @@ class ProbingService:
 
         job_id = msg.get("id") or self.scheduler.next_job_id()
         spec_fields = {k: msg[k] for k in
-                       ("kind", "strategy", "max_tests", "incremental",
+                       ("kind", "strategy", "max_tests",
                         "stream", "fault_plan", "significant_percent",
                         "recover_percent", "max_measurements")
                        if k in msg}

@@ -48,10 +48,8 @@ class TestMatrix:
         for key in ("o0",) + MUST_MATCH:
             assert res.outcomes[key] == "match", key
         # 7 matrix compiles (o0, o2, o3, coarse, override, optimistic,
-        # pessimistic) plus 3 incremental-vs-full pairs (all-pessimistic,
-        # flip-first, flip-last — SIMPLE has one unique query)
-        assert res.compiles == 13
-        assert res.incremental_fallbacks == 0
+        # pessimistic)
+        assert res.compiles == 7
 
     def test_optimistic_key_is_not_must_match(self):
         assert "optimistic" not in MUST_MATCH

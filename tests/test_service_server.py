@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.oraql.driver import ProbingDriver
+from repro.oraql.journal import encode_record
 from repro.service import ProbingService, ServiceClient, ServiceError
 from repro.workloads.base import get_config
 
@@ -276,6 +277,28 @@ class TestProtocolErrors:
         assert err.code == "bad-request"
         assert "workolad_typo" in err.detail
 
+    def test_retired_incremental_field_rejected(self, service):
+        start, sock = service
+
+        async def main():
+            svc = await start(jobs=1)
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    with pytest.raises(ServiceError) as err:
+                        await c.submit(workload="MiniGMG-sse",
+                                       incremental="on")
+                    # the connection survives the refusal
+                    job_id = await c.submit(workload="MiniGMG-sse")
+                    return err.value, await c.wait(job_id)
+            finally:
+                await svc.close()
+
+        err, result = run(main())
+        assert err.code == "bad-request"
+        assert "incremental" in err.detail
+        assert result["status"] == "done"
+        assert_matches_sequential(result["report"], "MiniGMG-sse")
+
     def test_duplicate_job_id(self, service):
         start, sock = service
 
@@ -359,3 +382,32 @@ class TestServerState:
         assert shards, "verdict-cache shard should have been written"
         assert (state / "journals").is_dir()
         assert any((state / "journals").iterdir())
+
+
+class TestLegacyJobTable:
+    def test_resume_replays_spec_with_retired_field(self, service, tmp_path):
+        """A job admitted by an older server, whose spec still carries
+        the retired ``incremental`` field, resumes under ``--resume``."""
+        start, sock = service
+        state = tmp_path / "state"
+        state.mkdir()
+        spec = {"id": "job-1",
+                "config_json": get_config("MiniGMG-sse").to_json(),
+                "tenant": "default", "kind": "probe",
+                "strategy": "chunked", "max_tests": 10_000,
+                "incremental": "on", "stream": False, "fault_plan": None,
+                "fuel": None, "wall_clock": None, "retries": 2}
+        (state / "jobs.jsonl").write_text(
+            encode_record({"t": "job", "spec": spec}) + "\n")
+
+        async def main():
+            svc = await start(jobs=1, resume=True)
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    return await c.wait("job-1")
+            finally:
+                await svc.close()
+
+        result = run(main())
+        assert result["status"] == "done"
+        assert_matches_sequential(result["report"], "MiniGMG-sse")

@@ -1,20 +1,24 @@
 """Differential proof that tracing is purely observational.
 
-For three workloads and both probing strategies, a session run with a
-full-event trace sink must reproduce the untraced session exactly:
-same pessimistic set, same final/baseline executable hashes, same
-report counters.  A chaos smoke then shows that a session killed
-mid-probing (via ``repro.faults``) can never tear or duplicate a
-``--trace-out`` file: the exporter is atomic and only runs on session
-completion.
+For three workloads and every registered probing strategy, a session
+run with a full-event trace sink must reproduce the untraced session
+exactly: same pessimistic set, same final/baseline executable hashes,
+same non-timing report counters.  A chaos smoke then shows that a
+session killed mid-probing (via ``repro.faults``) can never tear or
+duplicate a ``--trace-out`` file: the exporter is atomic and only runs
+on session completion.
 """
 
 import pytest
 
 from repro.faults.injector import FaultInjector, FaultSpec, SessionKilled
+from repro.oraql.compiler import Compiler
 from repro.oraql.driver import ProbingDriver
+from repro.oraql.sequence import DecisionSequence
+from repro.oraql.strategies import strategy_names
 from repro.trace import QueryTrace
 from repro.trace import export
+from repro.workloads.base import get_config
 
 from test_oraql_driver import HAZARD_SRC, SAFE_SRC, cfg_of
 
@@ -56,10 +60,15 @@ def _fingerprint(report):
         "compiles": report.compiles,
         "tests": (report.tests_run, report.tests_cached,
                   report.tests_deduced),
+        "triage": dict(report.triage_counts),
+        "unique_by_pass": dict(report.unique_by_pass),
+        "pass_executions": report.pass_executions,
+        "analysis": (dict(report.analysis_builds),
+                     dict(report.analysis_preserved_hits)),
     }
 
 
-@pytest.mark.parametrize("strategy", ["chunked", "frequency"])
+@pytest.mark.parametrize("strategy", strategy_names())
 @pytest.mark.parametrize("name,src", WORKLOADS)
 def test_tracing_is_observational(name, src, strategy):
     plain = ProbingDriver(cfg_of(src, name), strategy=strategy).run()
@@ -72,6 +81,27 @@ def test_tracing_is_observational(name, src, strategy):
     done = [r for r in trace.records if r["t"] == "done"]
     assert len(done) == 1
     assert done[0]["pessimistic"] == list(plain.pessimistic_indices)
+
+
+@pytest.mark.parametrize("row,remark_pass", [
+    ("MiniFE-openmp", "SLP Vectorizer"),
+    ("Quicksilver-openmp", "Dead Store Elimination")])
+def test_traced_compile_matches_untraced(row, remark_pass):
+    """Rows whose remark is rendered for an instruction the pass erased:
+    a traced compile must build the same executable and issue the same
+    ORAQL queries as an untraced one."""
+    cfg = get_config(row)
+
+    def compile_(trace=None):
+        prog = Compiler().compile(cfg, DecisionSequence(),
+                                  oraql_enabled=True, trace=trace)
+        return prog.exe_hash, [(r.index, r.optimistic, r.scope,
+                                r.issuing_pass) for r in prog.oraql.records]
+
+    trace = QueryTrace()
+    assert compile_(trace) == compile_()
+    assert any(r["t"] == "r" and r["pass"] == remark_pass
+               for r in trace.records)
 
 
 @pytest.mark.parametrize("record_events", [True, False])
