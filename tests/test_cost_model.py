@@ -136,3 +136,71 @@ class TestOccupancyFactor:
 
     def test_penalty_saturates(self):
         assert occupancy_factor(10_000) == occupancy_factor(169)
+
+
+class TestCostBinding:
+    """Costs are charged per *executed* instruction from the run's own
+    table: an unpriced opcode is priced (and counted, or refused in
+    strict mode) when it executes, never when the program is loaded."""
+
+    SRC = """
+    int main() {
+      double a = 7.0;
+      int n = %d;
+      for (int i = 0; i < n; i++) { a = a / 3.0; }
+      if (n > 100) { a = a / 5.0; }
+      printf("%%.3f\\n", a);
+      return 0;
+    }
+    """
+
+    @staticmethod
+    def _without(op):
+        costs = dict(DEFAULT_COSTS)
+        del costs[op]
+        return costs
+
+    def _run(self, trips, cost_model):
+        from repro.frontend import compile_source
+        from repro.vm import Machine
+        m = Machine(compile_source(self.SRC % trips), cost_model=cost_model)
+        m.start("main")
+        m.run_to_completion()
+        return m
+
+    def test_unpriced_opcode_in_a_block_never_executed(self):
+        cm = CostModel(costs=self._without("fdiv"), strict=True)
+        m = self._run(0, cm)
+        assert m.state == "done", m.error
+        assert cm.unknown_opcodes == {}
+
+    def test_unpriced_opcode_counted_per_execution(self):
+        cm = CostModel(costs=self._without("fdiv"))
+        m = self._run(2, cm)
+        assert m.state == "done", m.error
+        assert cm.unknown_opcodes == {"fdiv": 2}
+
+    def test_strict_model_raises_when_the_opcode_executes(self):
+        cm = CostModel(costs=self._without("fdiv"), strict=True)
+        with pytest.raises(UnknownCostError, match="fdiv"):
+            self._run(2, cm)
+        assert cm.unknown_opcodes == {"fdiv": 1}
+
+    def test_rerun_with_another_table_charges_that_table(self):
+        # a program run first with the default table and then with a
+        # custom one must be charged the custom costs, exactly as a
+        # fresh program run only with the custom table
+        import repro.workloads  # noqa: F401 — registers all variants
+        from repro.oraql.compiler import Compiler
+        from repro.workloads.base import get_config
+
+        cfg = get_config("TestSNAP-seq")
+        prog = Compiler().compile(cfg)
+        default = prog.run()
+        custom = prog.run(cost_model=CostModel(costs={"load": 2.0}))
+        fresh = Compiler().compile(cfg).run(
+            cost_model=CostModel(costs={"load": 2.0}))
+        assert custom.cycles == fresh.cycles
+        assert custom.cycles != default.cycles
+        assert custom.instructions == default.instructions
+        assert prog.run().cycles == default.cycles
