@@ -7,12 +7,14 @@ time stays flat, MiniGMG's ompif variant gains the most of its family,
 and GridMini's device kernel gets *slower*.
 """
 
+import os
+
 import pytest
 
 from repro.experiments.runtimes import PAPER_NOTES, RuntimeRow, render_runtimes
 from repro.workloads.base import row_names
 
-from conftest import save_result
+from conftest import RESULTS_DIR, save_result
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +36,17 @@ def _row(rows, name):
 
 
 def test_runtime_table(benchmark, runtime_rows, once):
+    """Regenerates the table and requires it byte-identical to the
+    checked-in one: instruction and cycle counts are exact, so any
+    difference is a change in what the programs compute or cost."""
+    with open(os.path.join(RESULTS_DIR, "text_runtimes.txt")) as f:
+        checked_in = f.read()
     table = once(benchmark, render_runtimes, runtime_rows)
     save_result("text_runtimes", table)
     print("\n" + table)
+    assert table + "\n" == checked_in, (
+        "regenerated benchmarks/results/text_runtimes.txt differs from "
+        "the checked-in table (see git diff)")
     # inline shape checks (run under --benchmark-only)
     for r in runtime_rows:
         assert r.insts_oraql <= r.insts_orig * 1.01, r.config
