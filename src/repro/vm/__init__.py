@@ -1,6 +1,7 @@
 """repro.vm — deterministic execution of (optimized) IR.
 
-Provides the byte-addressable memory model, the step-machine interpreter
+Provides the byte-addressable memory model, the decoder that turns each
+function into flat op lists once, the interpreter that executes them
 with instruction/cycle accounting, runtime shims for libc/OpenMP/CUDA,
 and the multi-rank MPI scheduler.
 """
