@@ -5,9 +5,9 @@ configurations and is scored on probes-to-convergence (verdicts the
 search consumed), compiles, pass executions, and wall-clock.  The
 referee rules:
 
-* the chunked-skeleton strategies (``provenance-prior``, ``mcts``) must
-  land on chunked's pessimistic set *bit for bit* — same pinned
-  indices, same final executable hash — on every row;
+* the chunked-skeleton strategy (``provenance-prior``) must land on
+  chunked's pessimistic set *bit for bit* — same pinned indices, same
+  final executable hash — on every row;
 * ``frequency`` explores a different search space and may legally pin a
   different locally-maximal set (it does, on a handful of rows); it is
   held to validity (the driver verified its final sequence) and
@@ -16,7 +16,7 @@ referee rules:
   probes-to-convergence — the lab has to pay for itself.
 
 The ``smoke`` subset (``pytest -k smoke``) is the CI job: two
-workloads across every strategy plus the mcts same-seed determinism
+workloads across every strategy plus a frequency rerun determinism
 check, no full sweep.
 
 Run with::
@@ -38,7 +38,7 @@ from conftest import save_result
 
 #: strategies that share chunked's search skeleton and therefore must
 #: reproduce its exact answer everywhere
-EXACT = ("provenance-prior", "mcts")
+EXACT = ("provenance-prior",)
 
 #: the CI smoke subset: cheap rows with a real (non-trivial) bisection
 SMOKE_ROWS = ("LULESH-seq", "MiniFE-openmp")
@@ -162,19 +162,6 @@ def test_smoke_all_strategies_agree_on_two_rows():
                 chunked.pessimistic_indices, (row, strategy)
             assert reports[strategy].final_exe_hash == \
                 chunked.final_exe_hash, (row, strategy)
-
-
-def test_smoke_mcts_same_seed_is_deterministic():
-    """Same seed, same probe path: the whole report must repeat."""
-    row = SMOKE_ROWS[0]
-    a = ProbingDriver(get_config(row), strategy="mcts",
-                      strategy_seed=7).run()
-    b = ProbingDriver(get_config(row), strategy="mcts",
-                      strategy_seed=7).run()
-    assert a.pessimistic_indices == b.pessimistic_indices
-    assert a.final_exe_hash == b.final_exe_hash
-    assert (a.tests_run, a.tests_cached, a.compiles) == \
-        (b.tests_run, b.tests_cached, b.compiles)
 
 
 def test_smoke_frequency_rerun_is_deterministic():

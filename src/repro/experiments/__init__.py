@@ -4,8 +4,7 @@ paper's evaluation (see DESIGN.md's per-experiment index)."""
 from .fig2_probing import (
     Fig2Row,
     SyntheticOracle,
-    probe_chunked,
-    probe_frequency,
+    probe_synthetic,
     render_fig2,
     run_fig2,
 )

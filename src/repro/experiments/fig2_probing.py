@@ -5,18 +5,19 @@ the "dangerous" queries are clustered, and notes that (a) a test whose
 outcome is implied by its parent and sibling can be skipped, and (b)
 chunked probing beats frequency-space probing exactly when dangerous
 queries cluster.  We regenerate this quantitatively: synthetic oracles
-with clustered vs. scattered dangerous sets, probed by both strategies,
-reporting the number of tests each needs.
+with clustered vs. scattered dangerous sets, probed by the registry's
+chunked and frequency strategies, reporting the number of tests each
+needs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Sequence, Set, Tuple
+from typing import List, Set
 
-from ..oraql.driver import ProbingDriver
+from ..oraql.executor import TestOutcome
 from ..oraql.sequence import DecisionSequence
+from ..oraql.strategies import StrategyContext, create_strategy
 from .tables import render_table
 
 
@@ -25,74 +26,36 @@ class SyntheticOracle:
 
     A "test" passes iff every dangerous index is answered pessimistically.
     The query count is fixed (the simple, independent-queries model of
-    Fig. 2); the driver machinery (hash cache, deduction counters) is
-    exercised for real.
+    Fig. 2), and every test is counted: there is no executable-hash
+    cache to serve a repeated sequence.
     """
 
     def __init__(self, n_queries: int, dangerous: Set[int]):
         self.n = n_queries
         self.dangerous = set(dangerous)
         self.tests = 0
-        self.distinct: Set[tuple] = set()
 
     def test(self, seq: DecisionSequence) -> bool:
         bits = tuple(seq.bits[i] if i < len(seq.bits) else 1
                      for i in range(self.n))
         self.tests += 1
-        self.distinct.add(bits)
         return all(bits[d] == 0 for d in self.dangerous)
 
 
-def probe_chunked(oracle: SyntheticOracle) -> Set[int]:
-    """The driver's chunked strategy against the synthetic oracle."""
-    decided: List[int] = []
-    while True:
-        if oracle.test(DecisionSequence(decided)):
-            return {i for i, b in enumerate(decided) if b == 0}
-        span = oracle.n - len(decided)
-
-        def g(k: int) -> bool:
-            bits = decided + [1] * k + [0] * (span - k)
-            return oracle.test(DecisionSequence(bits))
-
-        if g(span):
-            decided.extend([1] * span)
-            continue
-        lo, hi = 0, span
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if g(mid):
-                lo = mid
-            else:
-                hi = mid
-        decided.extend([1] * lo)
-        decided.append(0)
-
-
-def probe_frequency(oracle: SyntheticOracle) -> Set[int]:
-    accepted: Set[int] = set()
-    dangerous: Set[int] = set()
-    # consumed from the left thousands of times on clustered layouts:
-    # a deque's popleft is O(1) where list.pop(0) made the worklist
-    # O(n²) (the same fix the real driver's _probe_frequency got)
-    work: Deque[Tuple[int, int]] = deque([(1, 0)])
-    while work:
-        mod, res = work.popleft()
-        idxs = [i for i in range(res, oracle.n, mod)
-                if i not in accepted and i not in dangerous]
-        if not idxs:
-            continue
-        opt = accepted | set(idxs)
-        bits = [1 if i in opt else 0 for i in range(oracle.n)]
-        if oracle.test(DecisionSequence(bits)):
-            accepted |= set(idxs)
-            continue
-        if len(idxs) == 1:
-            dangerous.add(idxs[0])
-            continue
-        work.append((mod * 2, res))
-        work.append((mod * 2, res + mod))
-    return dangerous
+def probe_synthetic(name: str, oracle: SyntheticOracle) -> Set[int]:
+    """The driver's workflow against the synthetic oracle: test the
+    all-optimistic sequence, and if it fails, drive the registered
+    strategy ``name`` until it isolates the pessimistic set.  Every
+    proposed probe costs one ``oracle.tests``."""
+    if oracle.test(DecisionSequence()):
+        return set()
+    strat = create_strategy(name)
+    strat.start(StrategyContext(first=TestOutcome(False, oracle.n, "")))
+    while not strat.done():
+        probe = strat.propose()
+        strat.observe(probe, TestOutcome(oracle.test(probe.sequence),
+                                         oracle.n, ""))
+    return strat.result()
 
 
 @dataclass
@@ -109,20 +72,7 @@ class Fig2Row:
                 f"{self.frequency_tests / max(1, self.chunked_tests):.2f}x"]
 
 
-def _probe_layout(item) -> Fig2Row:
-    """One Fig. 2 row: both strategies against one dangerous layout.
-    Module level so the parallel sweep can ship it to worker processes."""
-    name, n, dangerous = item
-    oc = SyntheticOracle(n, set(dangerous))
-    found_c = probe_chunked(oc)
-    assert found_c == set(dangerous), (name, found_c)
-    of = SyntheticOracle(n, set(dangerous))
-    found_f = probe_frequency(of)
-    assert found_f == set(dangerous), (name, found_f)
-    return Fig2Row(name, n, len(dangerous), oc.tests, of.tests)
-
-
-def run_fig2(n: int = 256, jobs: int = 1) -> List[Fig2Row]:
+def run_fig2(n: int = 256) -> List[Fig2Row]:
     layouts = {
         "clustered (8 adjacent)": {n // 2 + i for i in range(8)},
         "two clusters (2 x 4)": {n // 6 + i for i in range(4)}
@@ -131,13 +81,16 @@ def run_fig2(n: int = 256, jobs: int = 1) -> List[Fig2Row]:
         "single": {n // 2 + 9},
         "none": set(),
     }
-    items = [(name, n, frozenset(dangerous))
-             for name, dangerous in layouts.items()]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
-            return list(ex.map(_probe_layout, items))
-    return [_probe_layout(item) for item in items]
+    rows = []
+    for layout, dangerous in layouts.items():
+        tests = []
+        for name in ("chunked", "frequency"):
+            oracle = SyntheticOracle(n, dangerous)
+            found = probe_synthetic(name, oracle)
+            assert found == dangerous, (layout, name, found)
+            tests.append(oracle.tests)
+        rows.append(Fig2Row(layout, n, len(dangerous), *tests))
+    return rows
 
 
 HEADERS = ["dangerous layout", "#queries", "#dangerous",

@@ -230,7 +230,7 @@ class DifferentialOracle:
     #: land on the primary's exact pessimistic set; frequency explores a
     #: different search space and may legally pin a *different*
     #: locally-maximal set, so it is held to validity, not equality
-    EXACT_STRATEGIES = frozenset({"chunked", "provenance-prior", "mcts"})
+    EXACT_STRATEGIES = frozenset({"chunked", "provenance-prior"})
 
     def _cross_check_strategies(self, result: OracleResult,
                                 probe_cfg: BenchmarkConfig,

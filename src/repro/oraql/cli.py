@@ -63,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="list bundled workload configurations")
     _add_strategy_option(p)
-    p.add_argument("--strategy-seed", type=int, default=0, metavar="N",
-                   help="seed for randomized strategies (mcts); the "
-                        "same seed reproduces the same probe sequence")
     p.add_argument("--fig", choices=["2", "3", "4", "5", "5m", "6", "7",
                                      "runtimes"],
                    help="regenerate a paper table/figure ('5m' is the "
@@ -363,15 +360,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cfg, jobs=args.jobs, strategy=args.strategy,
                 max_tests=args.max_tests, cache_dir=args.cache_dir,
                 journal_dir=args.journal, resume=args.resume,
-                policy=policy, trace=trace,
-                strategy_seed=args.strategy_seed).run()
+                policy=policy, trace=trace).run()
             report = reports[0]
         else:
             driver = ProbingDriver(cfg, compiler=compiler,
                                    strategy=args.strategy,
                                    max_tests=args.max_tests,
-                                   policy=policy, trace=trace,
-                                   strategy_seed=args.strategy_seed)
+                                   policy=policy, trace=trace)
             report = driver.run()
     except ProbingError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -405,7 +400,7 @@ def _run_fig(which: str, jobs: int = 1,
     from .. import experiments as ex
 
     if which == "2":
-        print(ex.render_fig2(ex.run_fig2(jobs=jobs)))
+        print(ex.render_fig2(ex.run_fig2()))
     elif which == "3":
         print(ex.run_fig3())
     elif which == "4":

@@ -26,7 +26,7 @@ Workflow (Fig. 1):
      near-singleton classes, which is why chunked usually wins —
 
    plus the strategy lab's **provenance-prior** (learned danger
-   ordering) and **mcts** (seeded tree search over decision subsets);
+   ordering);
 
 4. every candidate executable is hashed; a sequence that produces a
    bit-identical executable reuses the recorded test verdict instead of
@@ -188,8 +188,7 @@ class ProbingDriver:
                  executor: Optional[TestExecutor] = None,
                  journal: Optional[SessionJournal] = None,
                  injector: Optional[FaultInjector] = None,
-                 trace=None,
-                 strategy_seed: int = 0):
+                 trace=None):
         if strategy not in strategy_names():
             raise ValueError(
                 f"unknown strategy {strategy!r} (known: "
@@ -197,9 +196,6 @@ class ProbingDriver:
         self.config = config
         self.compiler = compiler or Compiler()
         self.strategy = strategy
-        #: seed for randomized strategies (mcts); a pure function of the
-        #: seed + observed verdicts, so resume stays bit-identical
-        self.strategy_seed = strategy_seed
         self.max_tests = max_tests
         self.verifier: Optional[VerificationScript] = None
         self.verdict_cache = verdict_cache
@@ -419,7 +415,7 @@ class ProbingDriver:
         """Drive the configured strategy through its propose/observe
         lifecycle.  The strategy owns the search policy; the driver
         owns compilation, verdict caching, journaling, and budgets."""
-        strat = create_strategy(self.strategy, seed=self.strategy_seed)
+        strat = create_strategy(self.strategy)
         records = (list(self._last_program.oraql.records)
                    if self._last_program is not None else [])
         ctx = StrategyContext(first=first, records=records,

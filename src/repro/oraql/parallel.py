@@ -93,8 +93,7 @@ def _probe_config(config_json: str, strategy: str, max_tests: int,
                   resume: bool = False,
                   fault_plan: Optional[List[dict]] = None,
                   attempt: int = 0,
-                  time_passes: bool = False,
-                  strategy_seed: int = 0) -> ProbingReport:
+                  time_passes: bool = False) -> ProbingReport:
     """Probe one whole configuration in a worker process."""
     from ..trace import QueryTrace
     cfg = BenchmarkConfig.from_json(config_json)
@@ -106,8 +105,7 @@ def _probe_config(config_json: str, strategy: str, max_tests: int,
     trace = QueryTrace(record_events=False) if time_passes else None
     report = ProbingDriver(cfg, strategy=strategy, max_tests=max_tests,
                            verdict_cache=cache, journal=journal,
-                           injector=injector, trace=trace,
-                           strategy_seed=strategy_seed).run()
+                           injector=injector, trace=trace).run()
     # live IR/program objects do not survive (or justify) pickling back
     return report.detach_for_transport()
 
@@ -264,8 +262,7 @@ class ParallelProbingDriver:
                  resume: bool = False,
                  policy: Optional[ExecutorPolicy] = None,
                  fault_plan: Optional[List[dict]] = None,
-                 trace=None,
-                 strategy_seed: int = 0):
+                 trace=None):
         if isinstance(configs, BenchmarkConfig):
             configs = [configs]
         self.configs = list(configs)
@@ -287,8 +284,6 @@ class ParallelProbingDriver:
         #: and trace fully; fan-out workers ship timer trees back (the
         #: parent merges them), but event streams stay in-process
         self.trace = trace
-        #: seed for randomized strategies, forwarded to every driver
-        self.strategy_seed = strategy_seed
 
     def _cache(self) -> Optional[VerdictCache]:
         return VerdictCache(self.cache_dir) if self.cache_dir else None
@@ -314,7 +309,7 @@ class ParallelProbingDriver:
                 verdict_cache=self._cache(), policy=self.policy,
                 journal=self._journal(config),
                 injector=FaultInjector.from_json_plan(self.fault_plan),
-                trace=self.trace, strategy_seed=self.strategy_seed).run()
+                trace=self.trace).run()
         factory = lambda: ProcessPoolExecutor(max_workers=self.jobs)  # noqa: E731
         with ProcessPoolExecutor(max_workers=self.jobs) as executor:
             driver = SpeculativeProbingDriver(
@@ -323,7 +318,7 @@ class ParallelProbingDriver:
                 max_tests=self.max_tests, verdict_cache=self._cache(),
                 policy=self.policy, journal=self._journal(config),
                 injector=FaultInjector.from_json_plan(self.fault_plan),
-                trace=self.trace, strategy_seed=self.strategy_seed)
+                trace=self.trace)
             return driver.run()
 
     # -- many configs: one worker per configuration -------------------------
@@ -334,8 +329,7 @@ class ParallelProbingDriver:
             return [ProbingDriver(
                 cfg, strategy=self.strategy, max_tests=self.max_tests,
                 verdict_cache=cache, policy=self.policy,
-                journal=self._journal(cfg), trace=self.trace,
-                strategy_seed=self.strategy_seed).run()
+                journal=self._journal(cfg), trace=self.trace).run()
                 for cfg in self.configs]
 
         results: List[Optional[ProbingReport]] = [None] * len(self.configs)
@@ -350,8 +344,7 @@ class ParallelProbingDriver:
                         self.strategy, self.max_tests, self.cache_dir,
                         self.journal_dir, self.resume or attempts[i] > 0,
                         self.fault_plan, attempts[i],
-                        time_passes=self.trace is not None,
-                        strategy_seed=self.strategy_seed): i
+                        time_passes=self.trace is not None): i
                     for i in remaining}
                 pending = set(futures)
                 while pending:

@@ -1,23 +1,21 @@
 """Strategy registry: every probing strategy, addressable by name.
 
 Adding a strategy is three steps (DESIGN.md §5h): subclass
-:class:`~repro.oraql.strategies.base.Strategy` (usually
-:class:`~repro.oraql.strategies.base.GeneratorStrategy`), give it a
-``name``, and :func:`register` it here.  The CLI ``--strategy``
-choices, the service's submit validation, the fuzz oracle's
-``--strategies all`` cross-check, and the benchmark matrix all derive
-from this registry, so a new strategy shows up everywhere at once.
+:class:`~repro.oraql.strategies.base.Strategy` with a ``_search``
+generator, give it a ``name``, and :func:`register` it here.  The CLI
+``--strategy`` choices, the service's submit validation, the fuzz
+oracle's ``--strategies all`` cross-check, and the benchmark matrix all
+derive from this registry, so a new strategy shows up everywhere at
+once.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Type
 
-from .base import (GeneratorStrategy, Probe, SearchState, Strategy,
-                   StrategyContext)
+from .base import Probe, SearchState, Strategy, StrategyContext
 from .chunked import ChunkedStrategy
 from .frequency import FrequencyStrategy
-from .mcts import MCTSStrategy
 from .prior import PriorModel, PriorStrategy
 
 _REGISTRY: Dict[str, Type[Strategy]] = {}
@@ -37,13 +35,13 @@ def strategy_names() -> List[str]:
     return first + rest
 
 
-def create_strategy(name: str, seed: int = 0) -> Strategy:
+def create_strategy(name: str) -> Strategy:
     cls = _REGISTRY.get(name)
     if cls is None:
         raise ValueError(
             f"unknown strategy {name!r} (known: "
             f"{', '.join(strategy_names())})")
-    return cls(seed=seed)
+    return cls()
 
 
 def strategy_supports_speculation(name: str) -> bool:
@@ -51,12 +49,11 @@ def strategy_supports_speculation(name: str) -> bool:
     return bool(cls is not None and cls.supports_speculation)
 
 
-for _cls in (ChunkedStrategy, FrequencyStrategy, PriorStrategy,
-             MCTSStrategy):
+for _cls in (ChunkedStrategy, FrequencyStrategy, PriorStrategy):
     register(_cls)
 
 __all__ = [
-    "GeneratorStrategy", "Probe", "PriorModel", "SearchState", "Strategy",
-    "StrategyContext", "create_strategy", "register", "strategy_names",
+    "Probe", "PriorModel", "SearchState", "Strategy", "StrategyContext",
+    "create_strategy", "register", "strategy_names",
     "strategy_supports_speculation",
 ]

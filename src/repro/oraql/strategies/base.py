@@ -18,8 +18,8 @@ over decision subsets:
 Contract highlights (tests/test_strategy_properties.py holds every
 registered strategy to these):
 
-* **determinism** — a strategy is a pure function of (seed, observed
-  outcomes); replaying the same verdicts reproduces the same probes
+* **determinism** — a strategy is a pure function of the observed
+  outcomes; replaying the same verdicts reproduces the same probes
   bit for bit (what makes journal ``--resume`` work unchanged);
 * **progress** — :meth:`pinned` grows monotonically and
   :meth:`candidates` shrinks within an :attr:`epoch` (a fallback or
@@ -29,11 +29,11 @@ registered strategy to these):
   answer, so the driver can report progress when the test budget dies
   mid-search.
 
-The imperative strategies are written as generator coroutines
-(``outcome = yield Probe(sequence)``) driven by
-:class:`GeneratorStrategy` — a 1:1 transcription of the pre-refactor
-in-driver search loops, which is what keeps the ported chunked and
-frequency strategies probe-for-probe identical to the originals
+Every strategy is a generator coroutine (``outcome = yield
+Probe(sequence)``) that :class:`Strategy` drives through the lifecycle.
+The chunked and frequency searches are 1:1 transcriptions of the
+pre-refactor in-driver search loops, which is what keeps them
+probe-for-probe identical to the originals
 (``tests/goldens/strategy_probes_*.txt``).
 """
 
@@ -98,8 +98,18 @@ class SearchState:
     epoch: int = 0
 
 
+#: a generator search: yields Probes, receives outcomes, returns the set
+SearchGen = Generator[Probe, object, Set[int]]
+
+
 class Strategy(ABC):
-    """Base class for probing strategies (see module docstring)."""
+    """Base class for probing strategies (see module docstring).
+
+    Subclasses implement :meth:`_search` as a generator that yields
+    :class:`Probe` objects and receives each probe's outcome from the
+    matching ``yield``; its ``return`` value is the pessimistic set.
+    This class drives that generator through the lifecycle.
+    """
 
     #: registry name; subclasses set it and register themselves
     name: ClassVar[str] = "?"
@@ -107,68 +117,7 @@ class Strategy(ABC):
     #: (gates the parallel engine's speculative-bisection path)
     supports_speculation: ClassVar[bool] = False
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    @abstractmethod
-    def start(self, ctx: StrategyContext) -> None:
-        """Begin the search from the failed all-optimistic attempt."""
-
-    @abstractmethod
-    def propose(self) -> Probe:
-        """The next sequence to test.  Only valid while not :meth:`done`;
-        must be followed by :meth:`observe` before the next propose."""
-
-    @abstractmethod
-    def observe(self, probe: Probe, outcome) -> None:
-        """Feed back the verdict for the proposed probe."""
-
-    @abstractmethod
-    def done(self) -> bool:
-        """True once the pessimistic set has been isolated."""
-
-    @abstractmethod
-    def result(self) -> Set[int]:
-        """The final pessimistic set.  Only valid once :meth:`done`."""
-
-    def best_known(self) -> Set[int]:
-        """Best partial answer right now (budget-grace reporting)."""
-        return set()
-
-    def pinned(self) -> Set[int]:
-        """Indices proven pessimistic so far."""
-        return set()
-
-    def candidates(self) -> Set[int]:
-        """Indices still under consideration."""
-        return set()
-
-    @property
-    def epoch(self) -> int:
-        """Fallbacks/restarts bump this; progress invariants hold
-        within one epoch."""
-        return 0
-
-    @property
-    def deduced(self) -> int:
-        """Verdicts implied (not tested) so far — report bookkeeping."""
-        return 0
-
-
-#: a generator search: yields Probes, receives outcomes, returns the set
-SearchGen = Generator[Probe, object, Set[int]]
-
-
-class GeneratorStrategy(Strategy):
-    """Drives a generator-coroutine search through the lifecycle.
-
-    Subclasses implement :meth:`_search` as a generator that yields
-    :class:`Probe` objects and receives each probe's outcome from the
-    matching ``yield``; its ``return`` value is the pessimistic set.
-    """
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self):
         self.state = SearchState()
         self._gen: Optional[SearchGen] = None
         self._pending: Optional[Probe] = None
@@ -190,43 +139,61 @@ class GeneratorStrategy(Strategy):
                                else self.state.best)
 
     def start(self, ctx: StrategyContext) -> None:
+        """Begin the search from the failed all-optimistic attempt."""
         self._gen = self._search(ctx)
         self._advance(None)
 
     def propose(self) -> Probe:
+        """The next sequence to test.  Only valid while not :meth:`done`;
+        must be followed by :meth:`observe` before the next propose."""
         if self._pending is None:
             raise RuntimeError(f"strategy {self.name!r}: propose() after "
                                f"done()")
         return self._pending
 
     def observe(self, probe: Probe, outcome) -> None:
+        """Feed back the verdict for the proposed probe."""
         if probe is not self._pending:
             raise RuntimeError(f"strategy {self.name!r}: observe() for a "
                                f"probe it did not propose")
         self._advance(outcome)
 
     def done(self) -> bool:
+        """True once the pessimistic set has been isolated."""
         return self._pending is None
 
     def result(self) -> Set[int]:
+        """The final pessimistic set.  Only valid once :meth:`done`."""
         if self._result is None:
             raise RuntimeError(f"strategy {self.name!r}: result() before "
                                f"done()")
         return set(self._result)
 
     def best_known(self) -> Set[int]:
+        """Best partial answer right now (budget-grace reporting)."""
         return set(self.state.best) | set(self.state.extra)
 
     def pinned(self) -> Set[int]:
+        """Indices proven pessimistic so far."""
         return set(self.state.pinned)
 
     def candidates(self) -> Set[int]:
+        """Indices still under consideration."""
         return set(self.state.candidates)
 
     @property
     def epoch(self) -> int:
+        """Fallbacks/restarts bump this; progress invariants hold
+        within one epoch."""
         return self.state.epoch
 
     @property
     def deduced(self) -> int:
+        """Verdicts implied (not tested) so far — report bookkeeping."""
         return self.state.deduced
+
+
+#: the former name of :class:`Strategy`, kept because the benchmark's
+#: per-layer instrumentation (``bench/layers.py``) resolves the
+#: lifecycle methods under it
+GeneratorStrategy = Strategy

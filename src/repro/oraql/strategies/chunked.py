@@ -12,8 +12,7 @@ from typing import List
 
 from ..errors import ProbingError
 from ..sequence import DecisionSequence
-from .base import (GeneratorStrategy, Probe, SearchGen, SearchState,
-                   StrategyContext)
+from .base import Probe, SearchGen, SearchState, Strategy, StrategyContext
 
 
 def chunked_search(state: SearchState, ctx: StrategyContext) -> SearchGen:
@@ -89,7 +88,7 @@ def chunked_search(state: SearchState, ctx: StrategyContext) -> SearchGen:
         decided.append(0)
 
 
-class ChunkedStrategy(GeneratorStrategy):
+class ChunkedStrategy(Strategy):
     """The paper's chunked strategy behind the pluggable interface."""
 
     name = "chunked"

@@ -14,11 +14,11 @@ from typing import Deque, List, Set, Tuple
 
 from ..sequence import sequence_from_pessimistic_set
 from ..sequence import DecisionSequence
-from .base import GeneratorStrategy, Probe, SearchGen, StrategyContext
+from .base import Probe, SearchGen, Strategy, StrategyContext
 from .chunked import chunked_search
 
 
-class FrequencyStrategy(GeneratorStrategy):
+class FrequencyStrategy(Strategy):
     """Residue-class bisection (paper's first strategy).
 
     A class is (modulus, residue).  Greedily grow the accepted

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ProbingError
 from ..sequence import DecisionSequence
-from .base import (GeneratorStrategy, Probe, SearchGen, StrategyContext)
+from .base import Probe, SearchGen, Strategy, StrategyContext
 from .features import FP_BUCKETS, feature_indices, vector_width
 
 #: the checked-in artifact, regenerated by ``fit-prior``
@@ -162,15 +162,14 @@ class PriorModel:
         return wins / (len(pos) * len(neg))
 
 
-class PriorStrategy(GeneratorStrategy):
+class PriorStrategy(Strategy):
     """Chunked skeleton with prior-guided interval narrowing."""
 
     name = "provenance-prior"
     supports_speculation = False
 
-    def __init__(self, seed: int = 0,
-                 model: Optional[PriorModel] = None):
-        super().__init__(seed)
+    def __init__(self, model: Optional[PriorModel] = None):
+        super().__init__()
         self.model = model if model is not None \
             else PriorModel.load_default()
 

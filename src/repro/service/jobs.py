@@ -220,11 +220,16 @@ class JobTable:
                 continue
             kind = rec.get("t")
             if kind == "job" and isinstance(rec.get("spec"), dict):
+                spec_dict = dict(rec["spec"])
+                strategy = spec_dict.pop("strategy", "chunked")
                 try:
-                    spec = JobSpec.from_dict(rec["spec"])
+                    spec = JobSpec.from_dict(spec_dict)
                 except (TypeError, ValueError):
                     self.corrupt_records += 1
                     continue
+                # set past validation: a strategy retired since the
+                # job was admitted is not corruption (see below)
+                spec.strategy = strategy
                 self.jobs[spec.id] = JobRecord(spec)
             elif kind == "jobdone":
                 job = self.jobs.get(rec.get("id"))
@@ -235,6 +240,14 @@ class JobTable:
                 job.error = rec.get("error")
                 self.replayed_done.append(job.spec.id)
             # unknown kinds: skipped, not corruption (schema growth)
+        # an unfinished job naming a strategy this server no longer
+        # registers cannot run: it ends failed with the admission
+        # error, so status/wait still see it
+        for job in self.unfinished():
+            try:
+                JobSpec.from_dict(job.spec.to_dict())
+            except ValueError as e:
+                self.finish(job.spec.id, "failed", error=str(e))
 
     def _append(self, rec: dict) -> None:
         try:

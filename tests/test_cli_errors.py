@@ -66,7 +66,7 @@ class TestUnknownStrategy:
             main(["--workload", "XSBench-seq", "--strategy", "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        for name in ("chunked", "frequency", "mcts", "provenance-prior"):
+        for name in ("chunked", "frequency", "provenance-prior"):
             assert name in err
         assert "Traceback" not in err
 
@@ -76,7 +76,7 @@ class TestUnknownStrategy:
                   "--strategy", "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "mcts" in err and "provenance-prior" in err
+        assert "frequency" in err and "provenance-prior" in err
 
     def test_choices_derive_from_registry(self):
         from repro.oraql.cli import build_importance_parser, build_parser

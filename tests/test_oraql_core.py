@@ -276,7 +276,7 @@ class TestDecisionSequenceProperties:
 
     @given(bit_lists, st.data())
     def test_bisection_split_invariants(self, decided, data):
-        # mirror of ProbingDriver._probe_chunked's candidate builder:
+        # mirror of chunked_search's candidate builder (strategies/chunked.py):
         # g(k) keeps the decided prefix, answers the next k queries
         # optimistically, and pads the rest (+ TAIL_PAD) pessimistically
         from repro.oraql.driver import ProbingDriver

@@ -411,3 +411,36 @@ class TestLegacyJobTable:
         result = run(main())
         assert result["status"] == "done"
         assert_matches_sequential(result["report"], "MiniGMG-sse")
+
+    def test_resume_fails_spec_naming_retired_strategy(self, service,
+                                                       tmp_path):
+        """A job admitted by an older server under a strategy this one
+        no longer registers replays and ends failed, naming the
+        strategy; a new submission naming it is still refused."""
+        start, sock = service
+        state = tmp_path / "state"
+        state.mkdir()
+        spec = {"id": "job-1",
+                "config_json": get_config("MiniGMG-sse").to_json(),
+                "tenant": "default", "kind": "probe", "strategy": "retired"}
+        (state / "jobs.jsonl").write_text(
+            encode_record({"t": "job", "spec": spec}) + "\n")
+
+        async def main():
+            svc = await start(jobs=1, resume=True)
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    with pytest.raises(ServiceError) as err:
+                        await c.submit(workload="MiniGMG-sse",
+                                       strategy="retired")
+                    return (await c.wait("job-1"), err.value,
+                            svc.scheduler.table.corrupt_records)
+            finally:
+                await svc.close()
+
+        result, err, corrupt = run(main())
+        assert result["status"] == "failed"
+        assert "unknown strategy 'retired'" in result["error"]
+        assert corrupt == 0
+        assert err.code == "bad-request"
+        assert "retired" in err.detail

@@ -1,5 +1,5 @@
 """Unit tests for the strategy layer: registry, lifecycle contract,
-the provenance-prior model, and the MCTS machinery."""
+and the provenance-prior model."""
 
 import pytest
 
@@ -18,20 +18,13 @@ from repro.oraql.strategies.features import (
     feature_indices,
     vector_width,
 )
-from repro.oraql.strategies.mcts import (
-    ACTION_LIBRARY,
-    MCTSTree,
-    RewardConfig,
-    compute_reward,
-    split_point,
-)
 from repro.oraql.strategies.prior import PriorStrategy
 
 
 class TestRegistry:
     def test_all_strategies_registered(self):
         assert strategy_names() == [
-            "chunked", "frequency", "mcts", "provenance-prior"]
+            "chunked", "frequency", "provenance-prior"]
 
     def test_paper_strategies_first(self):
         assert strategy_names()[:2] == ["chunked", "frequency"]
@@ -46,7 +39,6 @@ class TestRegistry:
         assert strategy_supports_speculation("chunked")
         assert not strategy_supports_speculation("frequency")
         assert not strategy_supports_speculation("provenance-prior")
-        assert not strategy_supports_speculation("mcts")
         assert not strategy_supports_speculation("nope")
 
     def test_duplicate_name_rejected(self):
@@ -214,60 +206,3 @@ class TestPriorPick:
             weights=[0.0] * vector_width()))
         assert strat._pick(0, 2, 0, {1: 0.99}) == 1
         assert strat._pick(4, 6, 0, {4: 0.99}) == 5
-
-
-class TestMCTS:
-    def test_split_points_stay_inside_open_interval(self):
-        for action in ACTION_LIBRARY:
-            for lo, hi in ((0, 2), (0, 16), (3, 5), (7, 100)):
-                k = split_point(action, lo, hi)
-                assert lo < k < hi, (action, lo, hi, k)
-
-    def test_reward_shape(self):
-        cfg = RewardConfig(isolation_reward=10.0, compile_cost=1.0)
-        assert compute_reward(True, 3, cfg) == 7.0
-        assert compute_reward(False, 3, cfg) == -3.0
-        assert compute_reward(True, 0, cfg) > compute_reward(True, 5, cfg)
-
-    def test_tree_search_is_seeded_deterministic(self):
-        import random
-        picks_a = []
-        picks_b = []
-        for picks, seed in ((picks_a, 7), (picks_b, 7)):
-            tree = MCTSTree(0, 64, random.Random(seed))
-            for _ in range(3):
-                action = tree.search(32)
-                picks.append(action)
-                tree.advance(action, False)
-        assert picks_a == picks_b
-
-    def test_tree_advance_narrows(self):
-        import random
-        tree = MCTSTree(0, 64, random.Random(0))
-        action = tree.search(32)
-        k = split_point(action, 0, 64)
-        tree.advance(action, True)
-        assert (tree.root.lo, tree.root.hi) == (k, 64)
-
-    def test_strategy_same_seed_same_probes(self):
-        """Two same-seed MCTS strategies driven by the same scripted
-        oracle propose identical probe sequences (the CI check)."""
-        def run(seed):
-            strat = create_strategy("mcts", seed=seed)
-            strat.start(_failing_first(n=16))
-            dangerous = {3, 11}
-            probes = []
-            while not strat.done():
-                probe = strat.propose()
-                bits = probe.sequence.bits
-                ok = not any(
-                    (bits[i] if i < len(bits) else 1) and i in dangerous
-                    for i in range(16))
-                probes.append(tuple(bits))
-                strat.observe(probe, TestOutcome(ok, 16, f"exe:{bits}"))
-            return probes, strat.result()
-
-        probes_a, found_a = run(seed=5)
-        probes_b, found_b = run(seed=5)
-        assert probes_a == probes_b
-        assert found_a == found_b == {3, 11}

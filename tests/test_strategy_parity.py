@@ -35,19 +35,17 @@ class TestPortParity:
 
 
 class TestNewStrategyAgreement:
-    """The new strategies need no goldens of their own, but they must
+    """The provenance prior needs no goldens of its own, but it must
     land on the chunked answer (same pinned set, same final executable)
     on every parity case."""
 
-    def test_prior_and_mcts_match_chunked(self):
+    def test_prior_matches_chunked(self):
         for title, make_config in parity_cases():
             chunked = probe_logging_driver(make_config(),
                                            strategy="chunked").run()
-            for strategy in ("provenance-prior", "mcts"):
-                rep = probe_logging_driver(make_config(),
-                                           strategy=strategy).run()
-                assert not rep.failed, f"{title}/{strategy}: {rep.error}"
-                assert rep.pessimistic_indices == \
-                    chunked.pessimistic_indices, (title, strategy)
-                assert rep.final_exe_hash == chunked.final_exe_hash, (
-                    title, strategy)
+            rep = probe_logging_driver(make_config(),
+                                       strategy="provenance-prior").run()
+            assert not rep.failed, f"{title}: {rep.error}"
+            assert rep.pessimistic_indices == \
+                chunked.pessimistic_indices, title
+            assert rep.final_exe_hash == chunked.final_exe_hash, title

@@ -1,14 +1,14 @@
 """Property tests for the strategy contract (base.py docstring).
 
-Every registered strategy is driven against a scripted monotone oracle
-— a hidden dangerous set D where a probe passes iff no index of D is
-answered optimistically — and held to the contract:
+Every registered strategy is driven against Fig. 2's monotone
+``SyntheticOracle`` — a hidden dangerous set D where a probe passes iff
+no index of D is answered optimistically — and held to the contract:
 
 * **convergence** — the returned pessimistic set is exactly D (the
   chunked reference answer on a monotone oracle);
-* **determinism** — the same (seed, verdicts) replays the same probe
-  sequence bit for bit, which is what makes journal ``--resume`` work
-  unchanged for every strategy (the real kill-and-resume check lives in
+* **determinism** — the same verdicts replay the same probe sequence
+  bit for bit, which is what makes journal ``--resume`` work unchanged
+  for every strategy (the real kill-and-resume check lives in
   tests/test_journal.py);
 * **progress** — pinned grows and candidates shrinks monotonically
   within one epoch;
@@ -21,38 +21,35 @@ answered optimistically — and held to the contract:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oraql import DecisionSequence, TestOutcome
+from repro.experiments import SyntheticOracle
+from repro.oraql import TestOutcome
 from repro.oraql.strategies import create_strategy, strategy_names
+from repro.oraql.strategies.base import StrategyContext
 
 #: strategies whose probe streams never repeat a bit pattern
 NO_REPEAT = [n for n in strategy_names() if n != "frequency"]
 
 
-def drive(name, n, dangerous, seed=0, trace=None):
-    """Run one strategy against the scripted oracle; returns
+def drive(name, n, dangerous, trace=None):
+    """Run one strategy against the synthetic oracle; returns
     (result set, probe bit-tuples in order)."""
-    strat = create_strategy(name, seed=seed)
+    strat = create_strategy(name)
     # the driver only starts a strategy after the all-optimistic
     # attempt failed, so the oracle needs a non-empty dangerous set
     assert dangerous
-    strat.start(StrategyContextFor(n))
+    oracle = SyntheticOracle(n, dangerous)
+    strat.start(StrategyContext(first=TestOutcome(False, n, "exe:first")))
     probes = []
     while not strat.done():
         probe = strat.propose()
         bits = probe.sequence.bits
-        ok = not any((bits[i] if i < len(bits) else 1) and i in dangerous
-                     for i in range(n))
         probes.append(tuple(bits))
         if trace is not None:
             trace.append((strat.epoch, strat.pinned(),
                           strat.candidates()))
-        strat.observe(probe, TestOutcome(ok, n, f"exe:{bits}"))
+        strat.observe(probe, TestOutcome(oracle.test(probe.sequence), n,
+                                         f"exe:{bits}"))
     return strat.result(), probes
-
-
-def StrategyContextFor(n):
-    from repro.oraql.strategies.base import StrategyContext
-    return StrategyContext(first=TestOutcome(False, n, "exe:first"))
 
 
 def danger_sets(max_n=40):
@@ -74,12 +71,12 @@ class TestConvergence:
 
 class TestDeterminism:
     @settings(max_examples=25, deadline=None)
-    @given(case=danger_sets(), seed=st.integers(0, 1000))
-    def test_same_seed_same_probe_stream(self, case, seed):
+    @given(case=danger_sets())
+    def test_same_verdicts_same_probe_stream(self, case):
         n, dangerous = case
         for name in strategy_names():
-            _, probes_a = drive(name, n, dangerous, seed=seed)
-            _, probes_b = drive(name, n, dangerous, seed=seed)
+            _, probes_a = drive(name, n, dangerous)
+            _, probes_b = drive(name, n, dangerous)
             assert probes_a == probes_b, name
 
 
