@@ -20,10 +20,14 @@ from typing import Dict, List, Optional, Protocol
 from ..ir.function import Function
 from ..ir.instructions import (
     CallInst,
+    CastInst,
+    GEPInst,
     Instruction,
     LoadInst,
     MemCpyInst,
     MemSetInst,
+    PhiInst,
+    SelectInst,
     StoreInst,
 )
 from ..ir.values import Value
@@ -221,8 +225,6 @@ class AAResults:
 def underlying_object(ptr: Value, max_lookup: int = 12) -> Value:
     """Strip GEPs / bitcasts / pointer-select-with-same-base to the base
     object (LLVM's ``getUnderlyingObject``)."""
-    from ..ir.instructions import CastInst, GEPInst, PhiInst, SelectInst
-
     seen = 0
     v = ptr
     while seen < max_lookup:

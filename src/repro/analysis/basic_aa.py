@@ -8,11 +8,13 @@ same-base GEPs are disambiguated by constant-offset arithmetic.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from ..ir.function import Function
 from ..ir.instructions import (
     AllocaInst,
+    BinaryInst,
     CallInst,
     CastInst,
     GEPInst,
@@ -23,7 +25,13 @@ from ..ir.instructions import (
     SelectInst,
     StoreInst,
 )
-from ..ir.values import Argument, ConstantNull, GlobalVariable, Value
+from ..ir.values import (
+    Argument,
+    ConstantInt,
+    ConstantNull,
+    GlobalVariable,
+    Value,
+)
 from .aliasing import AliasAnalysisPass, AliasResult, underlying_object
 from .memloc import LocationSize, MemoryLocation
 
@@ -92,9 +100,6 @@ def _linearize(index: Value, scale: int,
                depth: int = 4) -> Tuple[int, List[Tuple[Value, int]]]:
     """LLVM's GetLinearExpression in miniature: decompose an index into
     constant + sum of scaled variables, looking through add/sub/mul."""
-    from ..ir.instructions import BinaryInst
-    from ..ir.values import ConstantInt
-
     if isinstance(index, ConstantInt):
         return index.value * scale, []
     if depth > 0 and isinstance(index, BinaryInst):
@@ -222,7 +227,6 @@ class BasicAA(AliasAnalysisPass):
             delta = off_a - off_b
             scales = [s for _, s in ra + rb]
             if scales and a.size.has_value and b.size.has_value:
-                import math
                 g = 0
                 for s in scales:
                     g = math.gcd(g, abs(s))

@@ -20,7 +20,7 @@ Responsibilities beyond plain lowering, all of which feed the AA stack:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..ir import (
     AliasScope,
@@ -985,10 +985,17 @@ def _ctype_of_ir(ty: Type) -> CType:
     return CType(base, ptrs, tuple(dims))
 
 
-def compile_source(source: str, filename: str = "<minic>",
+def compile_source(source: Union[str, TranslationUnit],
+                   filename: str = "<minic>",
                    module: Optional[Module] = None,
                    options: Optional[FrontendOptions] = None) -> Module:
-    """Front-end entry: MiniC text → (unoptimized) IR module."""
-    tu = parse(source, filename, unit_name=filename)
+    """Front-end entry: MiniC text → (unoptimized) IR module.
+
+    ``source`` may also be the unit :func:`parse` made of the text (with
+    ``unit_name=filename``).  Lowering only reads the unit, so a caller
+    that compiles one text many times parses it once and lowers the same
+    unit every time."""
+    tu = (parse(source, filename, unit_name=filename)
+          if isinstance(source, str) else source)
     cg = CodeGen(module, options, filename)
     return cg.generate(tu)

@@ -9,6 +9,7 @@ casts, phis, branches, calls, and the memory intrinsics ``memcpy`` /
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metadata import DebugLoc, ScopedAliasMD, TBAANode
@@ -27,7 +28,7 @@ from .types import (
     VOID,
     ptr,
 )
-from .values import Constant, Value
+from .values import Constant, ConstantInt, Value
 
 # Binary opcodes grouped by domain.
 INT_BINOPS = {"add", "sub", "mul", "sdiv", "udiv", "srem", "urem",
@@ -125,7 +126,6 @@ class Instruction(Value):
 
     def clone(self) -> "Instruction":
         """Shallow clone with the same operands, not inserted anywhere."""
-        import copy
         new = copy.copy(self)
         # Re-run value bookkeeping: fresh id, fresh (empty) user set.
         Value.__init__(new, self.type, self.name)
@@ -226,8 +226,6 @@ class GEPInst(Instruction):
 
     @staticmethod
     def result_type(ptr_type: PointerType, indices: Sequence[Value]) -> PointerType:
-        from .values import ConstantInt
-
         ty: Type = ptr_type.pointee
         for idx in list(indices)[1:]:
             if isinstance(ty, ArrayType):
@@ -244,8 +242,6 @@ class GEPInst(Instruction):
 
     def constant_offset(self) -> Optional[int]:
         """Byte offset if all indices are constants, else None."""
-        from .values import ConstantInt
-
         offset = 0
         ty: Type = self.pointer.type.pointee
         for i, idx in enumerate(self.indices):
@@ -269,8 +265,6 @@ class GEPInst(Instruction):
         const part accumulates all constant indices; var part records each
         non-constant index with its byte scale.  Used by BasicAA.
         """
-        from .values import ConstantInt
-
         const_off = 0
         var_parts: List[Tuple[Value, int]] = []
         ty: Type = self.pointer.type.pointee

@@ -6,6 +6,8 @@ import itertools
 from typing import Iterable, List, Optional, Set, Tuple
 
 from .types import (
+    F64,
+    I64,
     ArrayType,
     FloatType,
     IntType,
@@ -14,6 +16,7 @@ from .types import (
     Type,
     VectorType,
 )
+from .uselist import UseList
 
 _value_ids = itertools.count()
 
@@ -29,8 +32,6 @@ class Value:
     __slots__ = ("type", "name", "users", "id", "__weakref__")
 
     def __init__(self, type: Type, name: str = ""):
-        from .uselist import UseList
-
         self.type = type
         self.name = name
         self.users: UseList = UseList()
@@ -164,12 +165,10 @@ class GlobalVariable(Value):
 # -- convenience constructors -------------------------------------------------
 
 def const_int(value: int, type: IntType = None) -> ConstantInt:
-    from .types import I64
     return ConstantInt(type or I64, value)
 
 
 def const_float(value: float, type: FloatType = None) -> ConstantFloat:
-    from .types import F64
     return ConstantFloat(type or F64, value)
 
 

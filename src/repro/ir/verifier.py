@@ -7,8 +7,9 @@ miscompile to be attributed to ORAQL's optimism.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Iterable, Set
 
+from ..analysis.dominators import DominatorTree
 from .basicblock import BasicBlock
 from .function import Function
 from .instructions import (
@@ -20,16 +21,11 @@ from .instructions import (
     StoreInst,
 )
 from .module import Module
-from .values import Argument, Constant, GlobalVariable, Value
+from .printer import format_instruction
 
 
 class VerificationError(Exception):
     """Raised when the IR violates a structural invariant."""
-
-
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise VerificationError(msg)
 
 
 def verify_function(fn: Function, dt=None) -> None:
@@ -38,44 +34,57 @@ def verify_function(fn: Function, dt=None) -> None:
     ``dt`` may supply an up-to-date DominatorTree (e.g. the pass
     manager's cached analysis) to avoid a throwaway rebuild; when None,
     one is constructed locally.
-    """
-    from ..analysis.dominators import DominatorTree
 
-    _check(bool(fn.blocks), f"@{fn.name}: function has no blocks")
+    Messages are built only when a check fails: valid IR, the common
+    case, renders no instruction text.
+    """
+    if not fn.blocks:
+        raise VerificationError(f"@{fn.name}: function has no blocks")
     block_set: Set[BasicBlock] = set(fn.blocks)
 
     for bb in fn.blocks:
-        _check(bb.parent is fn, f"@{fn.name}/{bb.name}: wrong parent")
-        term = bb.terminator
-        _check(term is not None, f"@{fn.name}/{bb.name}: missing terminator")
+        if bb.parent is not fn:
+            raise VerificationError(f"@{fn.name}/{bb.name}: wrong parent")
+        if bb.terminator is None:
+            raise VerificationError(
+                f"@{fn.name}/{bb.name}: missing terminator")
+        last = len(bb.instructions) - 1
+        num_phis = len(bb.phis())
         for i, inst in enumerate(bb.instructions):
-            _check(inst.parent is bb,
-                   f"@{fn.name}/{bb.name}: instruction parent mismatch")
-            if inst.is_terminator:
-                _check(i == len(bb.instructions) - 1,
-                       f"@{fn.name}/{bb.name}: terminator not last")
-            if isinstance(inst, PhiInst):
-                _check(i < len(bb.phis()),
-                       f"@{fn.name}/{bb.name}: phi not at block head")
+            if inst.parent is not bb:
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: instruction parent mismatch")
+            if inst.is_terminator and i != last:
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: terminator not last")
+            if isinstance(inst, PhiInst) and i >= num_phis:
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: phi not at block head")
             if isinstance(inst, BranchInst):
                 for t in inst.targets:
-                    _check(t in block_set,
-                           f"@{fn.name}/{bb.name}: branch to foreign block")
+                    if t not in block_set:
+                        raise VerificationError(
+                            f"@{fn.name}/{bb.name}: branch to foreign block")
             if isinstance(inst, ReturnInst):
                 if fn.return_type.is_void:
-                    _check(inst.value is None,
-                           f"@{fn.name}: returning value from void function")
-                else:
-                    _check(inst.value is not None,
-                           f"@{fn.name}: missing return value")
+                    if inst.value is not None:
+                        raise VerificationError(
+                            f"@{fn.name}: returning value from void function")
+                elif inst.value is None:
+                    raise VerificationError(
+                        f"@{fn.name}: missing return value")
             if isinstance(inst, LoadInst):
-                _check(inst.pointer.type.is_pointer, f"@{fn.name}: load from non-pointer")
-                _check(inst.pointer.type.pointee == inst.type,
-                       f"@{fn.name}: load type mismatch")
+                if not inst.pointer.type.is_pointer:
+                    raise VerificationError(
+                        f"@{fn.name}: load from non-pointer")
+                if inst.pointer.type.pointee != inst.type:
+                    raise VerificationError(
+                        f"@{fn.name}: load type mismatch")
             if isinstance(inst, StoreInst):
-                _check(inst.pointer.type.pointee == inst.value.type,
-                       f"@{fn.name}: store type mismatch "
-                       f"({inst.value.type} into {inst.pointer.type})")
+                if inst.pointer.type.pointee != inst.value.type:
+                    raise VerificationError(
+                        f"@{fn.name}: store type mismatch "
+                        f"({inst.value.type} into {inst.pointer.type})")
 
     # phi incoming blocks must exactly match predecessors
     preds = {bb: [] for bb in fn.blocks}
@@ -86,9 +95,11 @@ def verify_function(fn: Function, dt=None) -> None:
         for phi in bb.phis():
             inc = set(id(b) for b in phi.incoming_blocks)
             actual = set(id(b) for b in preds[bb])
-            _check(inc == actual,
-                   f"@{fn.name}/{bb.name}: phi incoming blocks {sorted(inc)} "
-                   f"!= predecessors {sorted(actual)}")
+            if inc != actual:
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: phi incoming blocks "
+                    f"{_block_names(phi.incoming_blocks)} "
+                    f"!= predecessors {_block_names(preds[bb])}")
 
     # SSA dominance: every use is dominated by its def
     if dt is None:
@@ -113,22 +124,28 @@ def verify_function(fn: Function, dt=None) -> None:
                 if isinstance(inst, PhiInst):
                     # value must dominate the incoming edge's terminator
                     pred = inst.incoming_blocks[oi]
-                    ok = dt.dominates_block(dbb, pred) if dbb is not pred else True
-                    _check(ok, f"@{fn.name}: phi operand does not dominate edge")
-                else:
-                    if dbb is bb:
-                        _check(di < i,
-                               f"@{fn.name}/{bb.name}: use before def of "
-                               f"{format_safe(op)}")
-                    else:
-                        _check(dt.dominates_block(dbb, bb),
-                               f"@{fn.name}: def in {dbb.name} does not "
-                               f"dominate use in {bb.name}")
+                    if dbb is not pred and not dt.dominates_block(dbb, pred):
+                        raise VerificationError(
+                            f"@{fn.name}: phi operand does not dominate edge")
+                elif dbb is bb:
+                    if di >= i:
+                        raise VerificationError(
+                            f"@{fn.name}/{bb.name}: use before def of "
+                            f"{format_safe(op)}")
+                elif not dt.dominates_block(dbb, bb):
+                    raise VerificationError(
+                        f"@{fn.name}: def in {dbb.name} does not "
+                        f"dominate use in {bb.name}")
+
+
+def _block_names(blocks: Iterable[BasicBlock]) -> str:
+    """``[a, b]``: the distinct blocks' names, sorted, for a message that
+    reads the same on every run."""
+    return f"[{', '.join(sorted(b.name for b in dict.fromkeys(blocks)))}]"
 
 
 def format_safe(inst: Instruction) -> str:
     try:
-        from .printer import format_instruction
         return format_instruction(inst)
     except Exception:  # pragma: no cover - printing must not mask errors
         return repr(inst)

@@ -20,7 +20,12 @@ from ..codegen import (
     codegen_function,
     compile_kernel,
 )
-from ..frontend import FrontendOptions, compile_source
+from ..frontend import (
+    FrontendOptions,
+    TranslationUnit,
+    compile_source,
+    parse,
+)
 from ..ir import Module, function_hash, print_module_header, verify_module
 from ..passes import CompilationContext, PassManager, build_pipeline
 from ..vm import DEFAULT_COSTS, Machine, MPIWorld, VMError
@@ -173,6 +178,13 @@ class Compiler:
         self._codegen_cache: Dict[Tuple[str, str], FunctionCodegen] = {}
         self._kernel_cache: Dict[Tuple[str, str],
                                  Tuple[int, int, int]] = {}
+        #: parsed units of the last compiled config's sources, keyed by
+        #: ``(filename, text)``.  A session's probes compile the same
+        #: sources again and again, and lowering leaves a unit
+        #: unchanged, so each compile only lowers.  Replaced per config:
+        #: a Compiler reused across configs (``--fig 4``, the fuzz
+        #: campaign) holds only the current one's units.
+        self._units: Dict[Tuple[str, str], TranslationUnit] = {}
 
     def compile(self, config: BenchmarkConfig,
                 sequence: Optional[DecisionSequence] = None,
@@ -192,11 +204,12 @@ class Compiler:
         def timed(name):
             return trace.phase(name) if trace is not None else nullcontext()
 
-        # 1. frontend: one module per translation unit
+        # 1. frontend: one module per translation unit, lowered from
+        #    the unit parsed once per session
         modules: List[Module] = []
         with timed("frontend"):
-            for src in config.sources:
-                modules.append(compile_source(src.text, src.name,
+            for tu, src in zip(self._parsed(config), config.sources):
+                modules.append(compile_source(tu, src.name,
                                               options=self.frontend_options))
 
         # 2. ORAQL pass appended to the chain when probing; one pass
@@ -294,6 +307,19 @@ class Compiler:
             trace.record_stats(ctx.stats)
         return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
                                exe_hash, fn_hashes=fn_hashes)
+
+    def _parsed(self, config: BenchmarkConfig) -> List[TranslationUnit]:
+        """The parsed unit of each of ``config``'s sources, parsing only
+        the ones the last compiled config did not have."""
+        units: Dict[Tuple[str, str], TranslationUnit] = {}
+        for src in config.sources:
+            key = (src.name, src.text)
+            tu = units.get(key) or self._units.get(key)
+            if tu is None:
+                tu = parse(src.text, src.name, unit_name=src.name)
+            units[key] = tu
+        self._units = units
+        return [units[src.name, src.text] for src in config.sources]
 
     # -- codegen through the content-addressed cache -----------------------
     def _codegen_cached(self, module: Module, stats, fn_hashes:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.aliasing import AliasResult
+from ..analysis.cfg import predecessor_map
 from ..analysis.memloc import MemoryLocation
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -28,7 +29,7 @@ from ..ir.instructions import (
     SelectInst,
     StoreInst,
 )
-from ..ir.values import Value
+from ..ir.values import ConstantFloat, ConstantInt, ConstantNull, Value
 from ..ir.instructions import COMMUTATIVE_BINOPS
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass
@@ -37,7 +38,6 @@ from .pass_manager import CompilationContext, Pass
 def _op_key(v: Value):
     """Operand key: constants by value (distinct ConstantInt instances
     with the same value must CSE), everything else by identity."""
-    from ..ir.values import ConstantFloat, ConstantInt, ConstantNull
     if isinstance(v, ConstantInt):
         return ("ci", v.type.bits, v.value)
     if isinstance(v, ConstantFloat):
@@ -80,7 +80,6 @@ class EarlyCSE(Pass):
             if dt.is_reachable(bb):
                 children.setdefault(dt.idom.get(bb), []).append(bb)
 
-        from ..analysis.cfg import predecessor_map
         preds = predecessor_map(fn)
 
         changed = [False]
