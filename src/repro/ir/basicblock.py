@@ -46,8 +46,9 @@ class BasicBlock(Value):
 
     @property
     def terminator(self) -> Optional[Instruction]:
-        if self.instructions and self.instructions[-1].is_terminator:
-            return self.instructions[-1]
+        insts = self.instructions
+        if insts and insts[-1].is_terminator:
+            return insts[-1]
         return None
 
     def phis(self) -> List[PhiInst]:
@@ -64,9 +65,9 @@ class BasicBlock(Value):
     # -- CFG --------------------------------------------------------------
     @property
     def successors(self) -> List["BasicBlock"]:
-        term = self.terminator
-        if isinstance(term, BranchInst):
-            return list(term.targets)
+        insts = self.instructions
+        if insts and isinstance(insts[-1], BranchInst):  # a terminator
+            return list(insts[-1].targets)
         return []
 
     @property

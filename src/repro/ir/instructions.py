@@ -110,9 +110,8 @@ class Instruction(Value):
         return fn.parent if fn is not None else None
 
     # -- behaviour classification -----------------------------------------
-    @property
-    def is_terminator(self) -> bool:
-        return False
+    #: a class attribute, not a property: read on every CFG walk
+    is_terminator = False
 
     def may_read_memory(self) -> bool:
         return False
@@ -235,6 +234,9 @@ class GEPInst(Instruction):
             elif isinstance(ty, StructType):
                 if not isinstance(idx, ConstantInt):
                     raise TypeError("struct GEP index must be constant")
+                if not 0 <= idx.value < len(ty.fields):
+                    raise TypeError(
+                        f"struct GEP index {idx.value} out of range for {ty}")
                 ty = ty.fields[idx.value]
             else:
                 raise TypeError(f"cannot index into {ty}")
@@ -413,9 +415,7 @@ class BranchInst(Instruction):
     def condition(self) -> Optional[Value]:
         return self.operands[0] if self.operands else None
 
-    @property
-    def is_terminator(self) -> bool:
-        return True
+    is_terminator = True
 
     def has_side_effects(self) -> bool:
         return True
@@ -431,9 +431,7 @@ class ReturnInst(Instruction):
     def value(self) -> Optional[Value]:
         return self.operands[0] if self.operands else None
 
-    @property
-    def is_terminator(self) -> bool:
-        return True
+    is_terminator = True
 
     def has_side_effects(self) -> bool:
         return True
@@ -445,9 +443,7 @@ class UnreachableInst(Instruction):
     def __init__(self):
         super().__init__(VOID, [])
 
-    @property
-    def is_terminator(self) -> bool:
-        return True
+    is_terminator = True
 
     def has_side_effects(self) -> bool:
         return True

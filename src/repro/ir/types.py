@@ -221,9 +221,13 @@ class StructType(Type):
     Field offsets follow natural alignment (no packing).  Structs are
     compared by name when named (nominal typing, like LLVM's identified
     structs) and structurally when anonymous.
+
+    The body is fixed at construction (``fields`` is read-only), so the
+    layout -- size, alignment and field offsets -- is computed once, on
+    first use, and kept on the type, like LLVM's ``StructLayout``.
     """
 
-    __slots__ = ("name", "fields", "field_names", "_ptr")
+    __slots__ = ("name", "_fields", "field_names", "_ptr", "_layout")
 
     def __init__(
         self,
@@ -232,21 +236,40 @@ class StructType(Type):
         field_names: Optional[Sequence[str]] = None,
     ):
         self.name = name
-        self.fields: Tuple[Type, ...] = tuple(fields)
+        self._fields: Tuple[Type, ...] = tuple(fields)
         if field_names is None:
-            field_names = tuple(f"f{i}" for i in range(len(self.fields)))
-        if len(field_names) != len(self.fields):
+            field_names = tuple(f"f{i}" for i in range(len(self._fields)))
+        if len(field_names) != len(self._fields):
             raise ValueError("field name count mismatch")
         self.field_names: Tuple[str, ...] = tuple(field_names)
+        self._layout: Optional[Tuple[int, int, Tuple[int, ...]]] = None
+
+    @property
+    def fields(self) -> Tuple[Type, ...]:
+        return self._fields
+
+    def layout(self) -> Tuple[int, int, Tuple[int, ...]]:
+        """``(size, align, field offsets)``, computed on first use."""
+        layout = self._layout
+        if layout is None:
+            offset = 0
+            align = 1
+            offsets = []
+            for f in self._fields:
+                fa = f.align()
+                offset = _align_up(offset, fa)
+                offsets.append(offset)
+                offset += f.size()
+                align = max(align, fa)
+            layout = self._layout = (_align_up(offset, align), align,
+                                     tuple(offsets))
+        return layout
 
     def field_offset(self, index: int) -> int:
-        offset = 0
-        for i, f in enumerate(self.fields):
-            offset = _align_up(offset, f.align())
-            if i == index:
-                return offset
-            offset += f.size()
-        raise IndexError(index)
+        offsets = self.layout()[2]
+        if not 0 <= index < len(offsets):
+            raise IndexError(index)
+        return offsets[index]
 
     def field_index(self, name: str) -> int:
         try:
@@ -255,19 +278,15 @@ class StructType(Type):
             raise KeyError(f"struct {self.name} has no field {name!r}") from None
 
     def size(self) -> int:
-        offset = 0
-        for f in self.fields:
-            offset = _align_up(offset, f.align())
-            offset += f.size()
-        return _align_up(offset, self.align())
+        return self.layout()[0]
 
     def align(self) -> int:
-        return max([1] + [f.align() for f in self.fields])
+        return self.layout()[1]
 
     def __str__(self) -> str:
         if self.name:
             return f"%struct.{self.name}"
-        inner = ", ".join(str(f) for f in self.fields)
+        inner = ", ".join(str(f) for f in self._fields)
         return f"{{ {inner} }}"
 
     def __eq__(self, other) -> bool:
@@ -275,12 +294,12 @@ class StructType(Type):
             return False
         if self.name or other.name:
             return self.name == other.name
-        return self.fields == other.fields
+        return self._fields == other._fields
 
     def __hash__(self) -> int:
         if self.name:
             return hash(("struct", self.name))
-        return hash(("struct",) + self.fields)
+        return hash(("struct",) + self._fields)
 
 
 class FunctionType(Type):

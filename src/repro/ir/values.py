@@ -26,7 +26,8 @@ class Value:
 
     Each value tracks its users so transformation passes can rewrite uses
     (``replace_all_uses_with``).  Identity (not structural equality) is
-    what SSA cares about, so values hash by id.
+    what SSA cares about, so values compare by identity (``object``'s
+    ``==``) and hash by id.
     """
 
     __slots__ = ("type", "name", "users", "id", "__weakref__")
@@ -56,10 +57,9 @@ class Value:
         return f"<{self.__class__.__name__} {self.short()}: {self.type}>"
 
     def __hash__(self) -> int:
+        # the creation counter, not the address: set iteration order,
+        # and so every pass that walks a set of values, is reproducible
         return self.id
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
 
 class Constant(Value):

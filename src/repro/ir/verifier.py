@@ -7,7 +7,7 @@ miscompile to be attributed to ORAQL's optimism.
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ..analysis.dominators import DominatorTree
 from .basicblock import BasicBlock
@@ -41,6 +41,8 @@ def verify_function(fn: Function, dt=None) -> None:
     if not fn.blocks:
         raise VerificationError(f"@{fn.name}: function has no blocks")
     block_set: Set[BasicBlock] = set(fn.blocks)
+    #: instruction id -> (block, index), for the dominance checks
+    position: Dict[int, Tuple[BasicBlock, int]] = {}
 
     for bb in fn.blocks:
         if bb.parent is not fn:
@@ -51,21 +53,24 @@ def verify_function(fn: Function, dt=None) -> None:
         last = len(bb.instructions) - 1
         num_phis = len(bb.phis())
         for i, inst in enumerate(bb.instructions):
+            position[inst.id] = (bb, i)
             if inst.parent is not bb:
                 raise VerificationError(
                     f"@{fn.name}/{bb.name}: instruction parent mismatch")
             if inst.is_terminator and i != last:
                 raise VerificationError(
                     f"@{fn.name}/{bb.name}: terminator not last")
-            if isinstance(inst, PhiInst) and i >= num_phis:
-                raise VerificationError(
-                    f"@{fn.name}/{bb.name}: phi not at block head")
-            if isinstance(inst, BranchInst):
+            # the classes below are disjoint: one branch per instruction
+            if isinstance(inst, PhiInst):
+                if i >= num_phis:
+                    raise VerificationError(
+                        f"@{fn.name}/{bb.name}: phi not at block head")
+            elif isinstance(inst, BranchInst):
                 for t in inst.targets:
                     if t not in block_set:
                         raise VerificationError(
                             f"@{fn.name}/{bb.name}: branch to foreign block")
-            if isinstance(inst, ReturnInst):
+            elif isinstance(inst, ReturnInst):
                 if fn.return_type.is_void:
                     if inst.value is not None:
                         raise VerificationError(
@@ -73,14 +78,14 @@ def verify_function(fn: Function, dt=None) -> None:
                 elif inst.value is None:
                     raise VerificationError(
                         f"@{fn.name}: missing return value")
-            if isinstance(inst, LoadInst):
+            elif isinstance(inst, LoadInst):
                 if not inst.pointer.type.is_pointer:
                     raise VerificationError(
                         f"@{fn.name}: load from non-pointer")
                 if inst.pointer.type.pointee != inst.type:
                     raise VerificationError(
                         f"@{fn.name}: load type mismatch")
-            if isinstance(inst, StoreInst):
+            elif isinstance(inst, StoreInst):
                 if inst.pointer.type.pointee != inst.value.type:
                     raise VerificationError(
                         f"@{fn.name}: store type mismatch "
@@ -104,24 +109,21 @@ def verify_function(fn: Function, dt=None) -> None:
     # SSA dominance: every use is dominated by its def
     if dt is None:
         dt = DominatorTree(fn)
-    position = {}
-    for bb in fn.blocks:
-        for i, inst in enumerate(bb.instructions):
-            position[inst] = (bb, i)
     for bb in fn.blocks:
         if not dt.is_reachable(bb):
             continue
         for i, inst in enumerate(bb.instructions):
-            operands = inst.operands
-            for oi, op in enumerate(operands):
+            is_phi = isinstance(inst, PhiInst)
+            for oi, op in enumerate(inst.operands):
                 if not isinstance(op, Instruction):
                     continue
-                if op not in position:
+                where = position.get(op.id)
+                if where is None:
                     raise VerificationError(
                         f"@{fn.name}: use of erased instruction "
                         f"{op.opcode} in {format_safe(inst)}")
-                dbb, di = position[op]
-                if isinstance(inst, PhiInst):
+                dbb, di = where
+                if is_phi:
                     # value must dominate the incoming edge's terminator
                     pred = inst.incoming_blocks[oi]
                     if dbb is not pred and not dt.dominates_block(dbb, pred):
@@ -151,6 +153,15 @@ def format_safe(inst: Instruction) -> str:
         return repr(inst)
 
 
-def verify_module(mod: Module) -> None:
+def verify_module(mod: Module,
+                  cached_dt: Optional[Callable[[Function],
+                                               Optional[DominatorTree]]]
+                  = None) -> None:
+    """Verify every defined function of ``mod``.
+
+    ``cached_dt(fn)`` may return an up-to-date DominatorTree of ``fn``
+    or None, e.g. the analysis manager that just ran a pipeline over
+    ``mod``; a function without one gets a locally built tree.
+    """
     for fn in mod.defined_functions():
-        verify_function(fn)
+        verify_function(fn, dt=None if cached_dt is None else cached_dt(fn))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import DEFAULT_AA_CHAIN
@@ -27,7 +28,12 @@ from ..frontend import (
     parse,
 )
 from ..ir import Module, function_hash, print_module_header, verify_module
-from ..passes import CompilationContext, PassManager, build_pipeline
+from ..passes import (
+    CompilationContext,
+    DominatorTreeAnalysis,
+    PassManager,
+    build_pipeline,
+)
 from ..vm import DEFAULT_COSTS, Machine, MPIWorld, VMError
 from ..vm.decode import DecodedModule
 from .config import BenchmarkConfig
@@ -256,7 +262,7 @@ class Compiler:
                 trace=trace)
             with timed("passes"):
                 PassManager(ctx).run(pipeline)
-            verify_module(main)
+            verify_module(main, partial(ctx.am.cached, DominatorTreeAnalysis))
         else:
             # 3b. non-LTO: optimize each translation unit in isolation
             #     (no cross-TU inlining or analysis), then link the
@@ -272,7 +278,8 @@ class Compiler:
                 # a fresh pipeline per TU: passes may keep per-run state
                 with timed("passes"):
                     PassManager(mctx).run(build_pipeline(config.opt_level))
-                verify_module(module)
+                verify_module(module,
+                              partial(mctx.am.cached, DominatorTreeAnalysis))
                 contexts.append(mctx)
             main = modules[0]
             for other in modules[1:]:

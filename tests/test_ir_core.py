@@ -106,6 +106,27 @@ class TestGEP:
         with pytest.raises(TypeError):
             GEPInst(base, [ConstantInt(I64, 0), UndefValue(I64)])
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_struct_gep_index_outside_struct(self, index):
+        # -1 used to wrap to the last field (a ``double*`` GEP whose
+        # offset then raised IndexError); 2 raised IndexError here
+        s = StructType("", [I32, F64])
+        base = UndefValue(ptr(s))
+        with pytest.raises(TypeError, match="out of range"):
+            GEPInst(base, [ConstantInt(I64, 0), ConstantInt(I64, index)])
+
+    def test_struct_gep_index_outside_nested_struct(self):
+        inner = StructType("in", [I32, F64])
+        outer = StructType("out", [I64, ArrayType(inner, 4)])
+        base = UndefValue(ptr(outer))
+        ok = GEPInst(base, [ConstantInt(I64, 0), ConstantInt(I64, 1),
+                            ConstantInt(I64, 3), ConstantInt(I64, 1)])
+        assert ok.type == ptr(F64)
+        assert ok.constant_offset() == 8 + 3 * 16 + 8
+        with pytest.raises(TypeError, match="out of range"):
+            GEPInst(base, [ConstantInt(I64, 0), ConstantInt(I64, 1),
+                           ConstantInt(I64, 3), ConstantInt(I64, -1)])
+
 
 class TestBlocksAndCFG:
     def test_successors(self, module):

@@ -107,6 +107,123 @@ class TestAggregates:
         assert a != c
 
 
+def _ref_size(ty):
+    """The layout formulas as they were before layouts were cached:
+    every call re-aligns every field, recursively."""
+    if isinstance(ty, StructType):
+        offset = 0
+        for f in ty.fields:
+            offset = _align_up(offset, _ref_align(f))
+            offset += _ref_size(f)
+        return _align_up(offset, _ref_align(ty))
+    if isinstance(ty, (ArrayType, VectorType)):
+        return _ref_size(ty.element) * ty.count
+    return ty.size()
+
+
+def _ref_align(ty):
+    if isinstance(ty, StructType):
+        return max([1] + [_ref_align(f) for f in ty.fields])
+    if isinstance(ty, ArrayType):
+        return _ref_align(ty.element)
+    return max(1, min(_ref_size(ty), 8))
+
+
+def _ref_offset(st_, index):
+    offset = 0
+    for i, f in enumerate(st_.fields):
+        offset = _align_up(offset, _ref_align(f))
+        if i == index:
+            return offset
+        offset += _ref_size(f)
+    raise IndexError(index)
+
+
+def _align_up(offset, align):
+    return (offset + align - 1) & ~(align - 1)
+
+
+def _layout_cases():
+    inner = StructType("inner", [I1, F64, I8])
+    anon = StructType("", [I8, VectorType(F32, 4), I16])
+    mid = StructType("mid", [I32, ArrayType(inner, 3), anon])
+    return {
+        "empty": StructType("empty", []),
+        "empty-anon": StructType("", []),
+        "scalars": StructType("sc", [I1, I8, I64, F32, I8]),
+        "vector": StructType("v", [I8, VectorType(F64, 2), VectorType(I8, 3)]),
+        "pointer": StructType("p", [I8, ptr(F64), I32]),
+        "anonymous": anon,
+        "struct-in-array-in-struct": mid,
+        "deep": StructType("", [I8, ArrayType(mid, 2), I1,
+                                StructType("", [])]),
+    }
+
+
+class TestStructLayoutCache:
+    @pytest.mark.parametrize("case", sorted(_layout_cases()))
+    def test_matches_reference(self, case):
+        st_ = _layout_cases()[case]
+        for _ in range(2):  # computing, then cached
+            assert st_.size() == _ref_size(st_)
+            assert st_.align() == _ref_align(st_)
+            for i in range(len(st_.fields)):
+                assert st_.field_offset(i) == _ref_offset(st_, i)
+
+    def test_arrays_and_vectors_of_structs(self):
+        mid = _layout_cases()["struct-in-array-in-struct"]
+        for ty in (ArrayType(mid, 5), ArrayType(ArrayType(mid, 2), 3)):
+            assert ty.size() == _ref_size(ty)
+            assert ty.align() == _ref_align(ty)
+
+    def test_layout_is_computed_once(self):
+        st_ = StructType("once", [I8, I64])
+        first = st_.layout()
+        assert first == (16, 8, (0, 8))
+        assert st_.layout() is first
+
+    def test_fields_cannot_be_assigned(self):
+        st_ = StructType("s", [I8, I64])
+        st_.size()
+        with pytest.raises(AttributeError):
+            st_.fields = (I64,)
+        assert st_.fields == (I8, I64)
+        assert st_.size() == 16
+
+    @pytest.mark.parametrize("index", [-1, -2, 2, 3])
+    def test_field_offset_out_of_range(self, index):
+        st_ = StructType("s", [I8, I64])
+        assert st_.field_offset(1) == 8  # layout cached
+        with pytest.raises(IndexError):
+            st_.field_offset(index)
+
+    def test_empty_struct_has_no_field_offsets(self):
+        st_ = StructType("", [])
+        assert (st_.size(), st_.align()) == (0, 1)
+        with pytest.raises(IndexError):
+            st_.field_offset(0)
+
+
+_scalars = st.sampled_from([I1, I8, I16, I32, I64, F32, F64, ptr(I8),
+                            VectorType(F32, 4), VectorType(I8, 3)])
+_layout_types = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.builds(ArrayType, inner, st.integers(0, 4)),
+        st.builds(lambda fs, named: StructType("n" if named else "", fs),
+                  st.lists(inner, max_size=5), st.booleans())),
+    max_leaves=12)
+
+
+@given(st.lists(_layout_types, max_size=6))
+def test_struct_layout_matches_reference(fields):
+    st_ = StructType("", fields)
+    assert st_.size() == _ref_size(st_)
+    assert st_.align() == _ref_align(st_)
+    for i in range(len(fields)):
+        assert st_.field_offset(i) == _ref_offset(st_, i)
+
+
 class TestPointerInterning:
     def test_scalar_pointers_interned(self):
         assert ptr(F64) is ptr(F64)
