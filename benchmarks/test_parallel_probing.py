@@ -96,14 +96,3 @@ def test_parallel_wall_clock(benchmark, probed_reports, parallel_sweeps,
         assert cold_wall < seq_wall, \
             f"parallel sweep ({cold_wall:.1f}s) slower than sequential " \
             f"({seq_wall:.1f}s)"
-
-
-def test_speculative_single_config_matches(probed_reports):
-    """The speculative chunked driver (single config, branch-parallel)
-    agrees bit-exactly with the sequential driver."""
-    name = next((n for n in row_names()
-                 if probed_reports[n].pessimistic_indices), row_names()[0])
-    seq_rep = probed_reports[name]
-    spec_rep = ParallelProbingDriver(get_config(name), jobs=JOBS).run()[0]
-    assert spec_rep.pessimistic_indices == seq_rep.pessimistic_indices
-    assert spec_rep.fully_optimistic == seq_rep.fully_optimistic

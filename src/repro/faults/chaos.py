@@ -37,7 +37,6 @@ import os
 import random
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -47,6 +46,7 @@ from ..oraql.driver import ProbingDriver, ProbingReport
 from ..oraql.errors import FlakyConfigError, ProbingError
 from ..oraql.executor import ExecutorPolicy
 from ..oraql.journal import SessionJournal
+from ..oraql.pool import run_seeds
 from .injector import SITE_OF, FaultInjector, FaultSpec, SessionKilled
 
 #: fault kinds a chaos campaign cycles through (``worker-kill`` is
@@ -316,53 +316,12 @@ def run_injection(seed: int, opts: ChaosOptions) -> InjectionResult:
     return result
 
 
-def _chaos_worker(seed: int, opts: ChaosOptions) -> InjectionResult:
-    return run_injection(seed, opts)
-
-
 def run_chaos(opts: ChaosOptions, progress=None) -> ChaosReport:
     """Run the campaign, optionally fanning injections out to workers."""
     t0 = time.monotonic()
     report = ChaosReport(options=opts)
-    seeds = list(range(opts.seed_start, opts.seed_start + opts.injections))
-    deadline = (t0 + opts.time_budget) if opts.time_budget else None
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
-
-    if opts.jobs <= 1:
-        for seed in seeds:
-            if out_of_time():
-                report.budget_exhausted = True
-                break
-            r = run_injection(seed, opts)
-            report.results.append(r)
-            if progress:
-                progress(r)
-    else:
-        jobs = min(opts.jobs, len(seeds), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            pending = {executor.submit(_chaos_worker, s, opts)
-                       for s in seeds}
-            try:
-                while pending:
-                    timeout = None if deadline is None \
-                        else max(0.0, deadline - time.monotonic())
-                    done, pending = wait(pending, timeout=timeout,
-                                         return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        r = fut.result()
-                        report.results.append(r)
-                        if progress:
-                            progress(r)
-                    if out_of_time() and pending:
-                        report.budget_exhausted = True
-                        for fut in pending:
-                            fut.cancel()
-                        break
-            finally:
-                for fut in pending:
-                    fut.cancel()
-        report.results.sort(key=lambda r: r.seed)
+    seeds = range(opts.seed_start, opts.seed_start + opts.injections)
+    report.results, report.budget_exhausted = run_seeds(
+        run_injection, seeds, opts, opts.jobs, opts.time_budget, progress)
     report.elapsed = time.monotonic() - t0
     return report

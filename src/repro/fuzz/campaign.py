@@ -1,14 +1,13 @@
 """Campaign runner: seed fan-out, time budget, self-test, reporting.
 
-A campaign runs the differential oracle over a seed range.  Like the
-PR-1 parallel probing engine, seeds fan out to a
-:class:`~concurrent.futures.ProcessPoolExecutor` (each worker opens the
+A campaign runs the differential oracle over a seed range.  Seeds fan
+out to a :class:`~repro.oraql.pool.WorkerPool` (each worker opens the
 shared persistent :class:`~repro.oraql.cache.VerdictCache` when
 ``cache_dir`` is given, so bisections triggered by optimistic
 divergences reuse verdicts across workers and campaigns), and like the
-PR-1 driver the time budget degrades gracefully: when ``time_budget``
-runs out, pending seeds are cancelled and the report is flagged
-``budget_exhausted`` instead of losing the finished work.
+probing driver's test budget the time budget degrades gracefully: when
+``time_budget`` runs out, pending seeds are cancelled and the report is
+flagged ``budget_exhausted`` instead of losing the finished work.
 
 Self-test mode (``--self-test``) is the harness testing *itself*: every
 seed is generated in hazard mode, which injects a call from a template
@@ -26,13 +25,13 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional
 
 from ..frontend.ast_nodes import TranslationUnit
 from ..oraql.cache import VerdictCache
 from ..oraql.compiler import Compiler
+from ..oraql.pool import run_seeds
 from ..oraql.sequence import DecisionSequence
 from .corpus import CorpusEntry, entry_name, write_entry
 from .generator import GeneratorOptions, generate_program
@@ -287,10 +286,6 @@ def run_seed(seed: int, opts: CampaignOptions) -> SeedResult:
     return result
 
 
-def _campaign_worker(seed: int, opts: CampaignOptions) -> SeedResult:
-    return run_seed(seed, opts)
-
-
 # -- the campaign ------------------------------------------------------------
 
 def run_campaign(opts: CampaignOptions,
@@ -298,46 +293,9 @@ def run_campaign(opts: CampaignOptions,
                  ) -> CampaignReport:
     t0 = time.monotonic()
     report = CampaignReport(options=opts)
-    seeds = list(range(opts.seed_start, opts.seed_start + opts.seeds))
-    deadline = (t0 + opts.time_budget) if opts.time_budget else None
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
-
-    if opts.jobs <= 1:
-        for seed in seeds:
-            if out_of_time():
-                report.budget_exhausted = True
-                break
-            r = run_seed(seed, opts)
-            report.results.append(r)
-            if progress:
-                progress(r)
-    else:
-        jobs = min(opts.jobs, len(seeds), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            pending = {executor.submit(_campaign_worker, s, opts)
-                       for s in seeds}
-            try:
-                while pending:
-                    timeout = None if deadline is None \
-                        else max(0.0, deadline - time.monotonic())
-                    done, pending = wait(pending, timeout=timeout,
-                                         return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        r = fut.result()
-                        report.results.append(r)
-                        if progress:
-                            progress(r)
-                    if out_of_time() and pending:
-                        report.budget_exhausted = True
-                        for fut in pending:
-                            fut.cancel()
-                        break
-            finally:
-                for fut in pending:
-                    fut.cancel()
-        report.results.sort(key=lambda r: r.seed)
+    seeds = range(opts.seed_start, opts.seed_start + opts.seeds)
+    report.results, report.budget_exhausted = run_seeds(
+        run_seed, seeds, opts, opts.jobs, opts.time_budget, progress)
 
     # the parent process writes the corpus (workers only carry entries
     # back), so concurrent campaigns never interleave partial files

@@ -24,6 +24,7 @@ import os
 import sys
 from typing import List, Optional
 
+from ..oraql.pool import WorkerLost
 from .campaign import CampaignOptions, SeedResult, run_campaign
 
 
@@ -123,7 +124,11 @@ def _run_chaos(args: argparse.Namespace,
               f"{r.kind}@{r.at} on {r.workload}/{r.strategy}: {tag} "
               f"({r.elapsed:.2f}s)", file=sys.stderr)
 
-    report = run_chaos(opts, progress=progress)
+    try:
+        report = run_chaos(opts, progress=progress)
+    except WorkerLost as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(report.render())
     return 0 if report.ok else 1
 
@@ -189,7 +194,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"seed {r.seed:>6}: {done}/{args.seeds}"
               f" ({r.elapsed:.2f}s){tag}", file=sys.stderr)
 
-    report = run_campaign(opts, progress=progress)
+    try:
+        report = run_campaign(opts, progress=progress)
+    except WorkerLost as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(report.render())
     return 0 if report.ok else 1
 

@@ -32,7 +32,7 @@ from .importance import (
 )
 from .journal import JOURNAL_SCHEMA_VERSION, SessionJournal
 from .override import ChainValueReport, OraqlOverridePass, measure_chain_value
-from .parallel import ParallelProbingDriver, SpeculativeProbingDriver
+from .parallel import ParallelProbingDriver
 from .pass_ import DumpFlags, OraqlAAPass, QueryRecord
 from .report import (
     render_importance_report,

@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "'coarse' replicates the legacy invalidate-"
                         "everything behavior (for differential runs)")
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="worker processes for the parallel probing "
-                        "engine (1 = sequential driver)")
+                   help="worker processes for probing several "
+                        "configurations at once (--fig 4); one "
+                        "configuration is always probed sequentially")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="directory for the persistent verdict cache, "
                         "shared across configs, strategies, and runs")
@@ -337,9 +338,11 @@ def main(argv: Optional[List[str]] = None) -> int:
               "is required", file=sys.stderr)
         return 2
 
+    from .cache import VerdictCache
     from .compiler import Compiler
     from .errors import ProbingError
     from .executor import ExecutorPolicy
+    from .journal import SessionJournal
     compiler = Compiler(verify_analyses=args.verify_analyses,
                         invalidation=args.invalidation)
     policy = ExecutorPolicy(fuel=args.test_fuel,
@@ -354,20 +357,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace = QueryTrace(record_events=wants_events)
 
     try:
-        if args.jobs > 1 or args.cache_dir or args.journal:
-            from .parallel import ParallelProbingDriver
-            reports = ParallelProbingDriver(
-                cfg, jobs=args.jobs, strategy=args.strategy,
-                max_tests=args.max_tests, cache_dir=args.cache_dir,
-                journal_dir=args.journal, resume=args.resume,
-                policy=policy, trace=trace).run()
-            report = reports[0]
-        else:
-            driver = ProbingDriver(cfg, compiler=compiler,
-                                   strategy=args.strategy,
-                                   max_tests=args.max_tests,
-                                   policy=policy, trace=trace)
-            report = driver.run()
+        # one configuration is bisected sequentially, in this process
+        # (--jobs fans out only across configurations, e.g. --fig 4)
+        report = ProbingDriver(
+            cfg, compiler=compiler, strategy=args.strategy,
+            max_tests=args.max_tests, policy=policy, trace=trace,
+            verdict_cache=(VerdictCache(args.cache_dir)
+                           if args.cache_dir else None),
+            journal=(SessionJournal.for_config(args.journal, cfg,
+                                               args.strategy,
+                                               resume=args.resume)
+                     if args.journal else None)).run()
     except ProbingError as e:
         print(f"error: {e}", file=sys.stderr)
         if e.explain:
@@ -375,8 +375,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     if trace is not None:
-        if report.phase_timers is None:
-            report.phase_timers = trace.timer.to_dict()
         if not args.time_passes:
             report.phase_timers = None
         if not args.remarks:

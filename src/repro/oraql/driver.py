@@ -78,7 +78,6 @@ class ProbingReport:
     tests_run: int = 0
     tests_cached: int = 0
     tests_deduced: int = 0
-    tests_speculated: int = 0
     #: persistent verdict-cache traffic (0/0 when no cache is attached)
     cache_hits: int = 0
     cache_misses: int = 0
@@ -91,8 +90,8 @@ class ProbingReport:
     nondet_reruns: int = 0
     #: verdicts replayed from a session journal on ``--resume``
     tests_replayed: int = 0
-    #: worker-side failures the parallel engine survived (speculative
-    #: probes lost, workers respawned, configs requeued)
+    #: worker losses the session survived (each requeue, see
+    #: :mod:`repro.oraql.pool`)
     worker_errors: List[str] = field(default_factory=list)
     #: the probing session itself failed; ``error`` says how.  Only the
     #: parallel fan-out produces failed reports (a sequential session
@@ -122,8 +121,7 @@ class ProbingReport:
     #: detached for cross-process transport
     pessimistic_dump: Optional[str] = None
     #: serialized phase-timer tree (``-time-passes``), present when the
-    #: session ran with tracing; merged across workers by the parallel
-    #: engine
+    #: session ran with tracing
     phase_timers: Optional[dict] = None
     #: rendered ``-Rpass``-style remarks from the *final* compile,
     #: present when the session ran with tracing
@@ -325,13 +323,6 @@ class ProbingDriver:
             return self.verifier.explain(outcome.run)
         return None
 
-    def _speculate(self, sequences: List[DecisionSequence]) -> None:
-        """Hint that these sequences are likely to be tested next.
-
-        The sequential driver ignores the hint; the parallel engine
-        overrides this to launch the compilations+tests in worker
-        processes ahead of need (speculative bisection)."""
-
     # -- main entry ----------------------------------------------------------
     def run(self) -> ProbingReport:
         report = self._report
@@ -428,8 +419,6 @@ class ProbingDriver:
             # best_known() before the probe: a budget exhausted inside
             # _test still reports every index learned so far
             self._best_pessimistic = set(strat.best_known())
-            if probe.speculations:
-                self._speculate(probe.speculations)
             outcome = self._test(probe.sequence)
             strat.observe(probe, outcome)
             self._report.tests_deduced = base_deduced + strat.deduced

@@ -78,9 +78,6 @@ def render_report(report: ProbingReport) -> str:
         out.append(f"worker failures    : {len(r.worker_errors)} survived")
         for err in r.worker_errors:
             out.append(f"  {err}")
-    if r.tests_speculated:
-        out.append(f"speculation        : {r.tests_speculated} probes "
-                   f"launched ahead of need")
     if r.analysis_builds:
         built = ", ".join(f"{name} {n}" for name, n in
                           sorted(r.analysis_builds.items()))

@@ -44,16 +44,10 @@ def create_strategy(name: str) -> Strategy:
     return cls()
 
 
-def strategy_supports_speculation(name: str) -> bool:
-    cls = _REGISTRY.get(name)
-    return bool(cls is not None and cls.supports_speculation)
-
-
 for _cls in (ChunkedStrategy, FrequencyStrategy, PriorStrategy):
     register(_cls)
 
 __all__ = [
     "Probe", "PriorModel", "SearchState", "Strategy", "StrategyContext",
     "create_strategy", "register", "strategy_names",
-    "strategy_supports_speculation",
 ]

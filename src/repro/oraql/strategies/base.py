@@ -41,8 +41,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import (Callable, ClassVar, Generator, List, Optional, Sequence,
-                    Set)
+from typing import Callable, ClassVar, Generator, Optional, Sequence, Set
 
 from ..sequence import DecisionSequence
 
@@ -53,12 +52,9 @@ TAIL_PAD = 4
 
 @dataclass
 class Probe:
-    """One proposed test: the sequence to try, plus optional speculation
-    hints (sequences likely to be tested next, for the parallel
-    engine's look-ahead workers)."""
+    """One proposed test: the sequence to try."""
 
     sequence: DecisionSequence
-    speculations: List[DecisionSequence] = field(default_factory=list)
 
 
 @dataclass
@@ -113,9 +109,6 @@ class Strategy(ABC):
 
     #: registry name; subclasses set it and register themselves
     name: ClassVar[str] = "?"
-    #: whether the strategy emits useful :attr:`Probe.speculations`
-    #: (gates the parallel engine's speculative-bisection path)
-    supports_speculation: ClassVar[bool] = False
 
     def __init__(self):
         self.state = SearchState()

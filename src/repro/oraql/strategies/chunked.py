@@ -67,14 +67,7 @@ def chunked_search(state: SearchState, ctx: StrategyContext) -> SearchGen:
         lo, hi = 0, span  # g(lo)=True (invariant), g(hi)=False
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            # both continuations of g(mid) are known in advance:
-            # ok ⇒ next probe is the midpoint of [mid, hi), not ok ⇒
-            # the midpoint of [lo, mid) — offer them for speculation
-            spec = [DecisionSequence(g_bits((nlo + nhi) // 2))
-                    for nlo, nhi in ((mid, hi), (lo, mid))
-                    if nhi - nlo > 1]
-            t = yield Probe(DecisionSequence(g_bits(mid)),
-                            speculations=spec)
+            t = yield Probe(DecisionSequence(g_bits(mid)))
             if t.ok:
                 lo = mid
             else:
@@ -92,7 +85,6 @@ class ChunkedStrategy(Strategy):
     """The paper's chunked strategy behind the pluggable interface."""
 
     name = "chunked"
-    supports_speculation = True
 
     def _search(self, ctx: StrategyContext) -> SearchGen:
         return (yield from chunked_search(self.state, ctx))

@@ -27,7 +27,6 @@ class FrequencyStrategy(Strategy):
     dangerous query, answered pessimistically."""
 
     name = "frequency"
-    supports_speculation = False
 
     def _search(self, ctx: StrategyContext) -> SearchGen:
         state = self.state

@@ -166,7 +166,6 @@ class PriorStrategy(Strategy):
     """Chunked skeleton with prior-guided interval narrowing."""
 
     name = "provenance-prior"
-    supports_speculation = False
 
     def __init__(self, model: Optional[PriorModel] = None):
         super().__init__()

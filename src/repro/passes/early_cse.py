@@ -48,7 +48,7 @@ def _op_key(v: Value):
 
 
 def _expr_key(inst: Instruction) -> Optional[Tuple]:
-    """Hash key for pure, speculatable expressions."""
+    """Hash key for pure, trap-free expressions."""
     if isinstance(inst, BinaryInst):
         ops = [_op_key(o) for o in inst.operands]
         if inst.op in COMMUTATIVE_BINOPS:

@@ -37,8 +37,8 @@ from ..ir.values import Value
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass
 
-_SPECULATABLE_BINOPS = {"add", "sub", "mul", "and", "or", "xor", "shl",
-                        "ashr", "lshr", "fadd", "fsub", "fmul", "fdiv"}
+_TRAP_FREE_BINOPS = {"add", "sub", "mul", "and", "or", "xor", "shl",
+                     "ashr", "lshr", "fadd", "fsub", "fmul", "fdiv"}
 
 
 def _is_invariant(v: Value, loop: Loop, hoisted: Set[Value]) -> bool:
@@ -145,9 +145,9 @@ class LICM(Pass):
         if isinstance(inst, CallInst):
             return inst.is_pure()
         if isinstance(inst, BinaryInst):
-            if inst.op in _SPECULATABLE_BINOPS:
+            if inst.op in _TRAP_FREE_BINOPS:
                 return True
-            return dominates_exits(bb)  # div/rem must not be speculated
+            return dominates_exits(bb)  # div/rem may trap off its path
         if isinstance(inst, (GEPInst, CastInst, ICmpInst, FCmpInst,
                              SelectInst, ShuffleSplatInst)):
             return True

@@ -160,14 +160,19 @@ class JobRecord:
     status: str = "pending"   # pending | running | done | failed | cancelled
     report: Optional[dict] = None
     error: Optional[str] = None
-    #: worker attempts consumed (> 0 after a requeue)
-    attempts: int = 0
-    #: worker-side failures survived (mirrors ProbingReport.worker_errors)
+    #: worker losses, appended by the worker pool as they happen
+    #: (mirrors ProbingReport.worker_errors)
     worker_errors: List[str] = field(default_factory=list)
 
     @property
     def finished(self) -> bool:
         return self.status in DONE_STATES
+
+    @property
+    def attempts(self) -> int:
+        """Worker attempts consumed so far (> 0 after a requeue): the
+        pool records one loss per attempt it gives up on."""
+        return len(self.worker_errors)
 
     def public_view(self) -> dict:
         """What ``status`` queries see."""

@@ -1,14 +1,12 @@
-"""The job scheduler: asyncio front, process-pool back.
+"""The job scheduler: asyncio front, :class:`~repro.oraql.pool.WorkerPool`
+back.
 
-Jobs admitted by the server are executed on a shared
-:class:`~concurrent.futures.ProcessPoolExecutor` — the same worker
-substrate as the parallel probing engine, with the same resilience
-contract: a worker dying (``os._exit``, OOM, ``kill -9``) breaks the
-pool; the scheduler respawns it and requeues the affected jobs with
-bounded retries, **resuming each from its per-job session journal** so
-the retry replays the interrupted search instead of re-paying the test
-bill.  An injected :class:`~repro.faults.injector.SessionKilled` is
-treated the same way (it models the session's process dying).
+Jobs admitted by the server run on the worker pool every parallel
+caller shares, under its worker-loss contract: a job whose worker died
+(``os._exit``, OOM, ``kill -9``, an injected
+:class:`~repro.faults.injector.SessionKilled`) is requeued with bounded
+retries, **resuming from its per-job session journal** so the retry
+replays the interrupted search instead of re-paying the test bill.
 
 The **verdict cache** is sharded per config fingerprint
 (:meth:`VerdictCache.shard_for`), so concurrent sessions of one
@@ -25,20 +23,16 @@ from __future__ import annotations
 
 import asyncio
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
-from ..faults.injector import FaultInjector, SessionKilled
+from ..faults.injector import FaultInjector
 from ..oraql.cache import VerdictCache, config_fingerprint
 from ..oraql.config import BenchmarkConfig
 from ..oraql.driver import ProbingDriver
 from ..oraql.errors import ProbingError
 from ..oraql.executor import ExecutorPolicy
 from ..oraql.journal import SessionJournal
-# a job is requeued after its worker died at most this many times before
-# it is reported failed — the parallel engine's contract
-from ..oraql.parallel import MAX_WORKER_RETRIES
+from ..oraql.pool import WorkerPool
 from .jobs import (JobRecord, JobSpec, JobTable, importance_report_to_dict,
                    report_to_dict)
 from .quota import QuotaRegistry
@@ -117,12 +111,9 @@ class ProbingScheduler:
 
     def __init__(self, state_dir: str, jobs: int = 2,
                  quotas: Optional[QuotaRegistry] = None,
-                 resume: bool = False,
-                 max_worker_retries: int = MAX_WORKER_RETRIES):
+                 resume: bool = False):
         self.state_dir = state_dir
-        self.worker_count = max(1, jobs)
         self.quotas = quotas or QuotaRegistry()
-        self.max_worker_retries = max_worker_retries
         os.makedirs(state_dir, exist_ok=True)
         self.cache_root = os.path.join(state_dir, "cache")
         self.journal_dir = os.path.join(state_dir, "journals")
@@ -131,22 +122,20 @@ class ProbingScheduler:
             os.makedirs(d, exist_ok=True)
         self.table = JobTable(os.path.join(state_dir, "jobs.jsonl"),
                               resume=resume)
-        self._resume = resume
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_generation = 0
-        self._pool_lock: Optional[asyncio.Lock] = None
+        self._pool = WorkerPool(max(1, jobs))
         self._tasks: Dict[str, asyncio.Task] = {}
         self._done_events: Dict[str, asyncio.Event] = {}
         self._active_per_tenant: Dict[str, int] = {}
-        #: pool respawns performed (observability)
-        self.pool_respawns = 0
         self._job_counter = self.table.next_job_number()
+
+    @property
+    def pool_respawns(self) -> int:
+        """Pool respawns performed (observability)."""
+        return self._pool.respawns
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Create the pool and resubmit unfinished jobs (``--resume``)."""
-        self._pool_lock = asyncio.Lock()
-        self._pool = ProcessPoolExecutor(max_workers=self.worker_count)
+        """Resubmit unfinished jobs (``--resume``)."""
         for job in self.table.unfinished():
             self._launch(job, resume=True)
 
@@ -158,9 +147,7 @@ class ProbingScheduler:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._pool.shutdown(wait=False)
 
     # -- admission ---------------------------------------------------------
     def next_job_id(self) -> str:
@@ -207,38 +194,21 @@ class ProbingScheduler:
         paths = {"cache_root": self.cache_root,
                  "journal_path": self._journal_path(spec),
                  "events_path": self.events_path(spec.id)}
+        spec_dict = spec.to_dict()
         try:
             job.status = "running"
-            attempt = job.attempts
-            while True:
-                generation = self._pool_generation
-                try:
-                    report = await asyncio.get_event_loop() \
-                        .run_in_executor(self._pool, _execute_job,
-                                         spec.to_dict(), paths, attempt,
-                                         resume or attempt > 0)
-                    break
-                except (BrokenProcessPool, SessionKilled) as e:
-                    attempt += 1
-                    job.attempts = attempt
-                    job.worker_errors.append(
-                        f"worker lost on attempt {attempt}: "
-                        f"{type(e).__name__}: {e}")
-                    if attempt > self.max_worker_retries:
-                        self.table.finish(
-                            spec.id, "failed",
-                            error=f"worker lost {attempt} time(s): "
-                                  f"{type(e).__name__}: {e}")
-                        return
-                    if isinstance(e, BrokenProcessPool):
-                        await self._respawn_pool(generation)
-                    # else: SessionKilled left the pool healthy — the
-                    # retry resumes from the journal either way
+            # _execute_job is looked up now, not at import: a host that
+            # wraps it (the benchmark's job hook) reaches the workers
+            task = self._pool.submit(
+                _execute_job,
+                lambda attempt: (spec_dict, paths, attempt,
+                                 resume or attempt > 0),
+                name=spec.id, worker_errors=job.worker_errors)
+            report = await asyncio.wrap_future(task.future)
             if job.worker_errors:
-                report.setdefault("worker_errors", [])
                 report["worker_errors"] = (list(job.worker_errors)
-                                           + list(report.get(
-                                               "worker_errors") or []))
+                                           + (report.get("worker_errors")
+                                              or []))
             self.table.finish(spec.id, "done", report=report)
         except asyncio.CancelledError:
             self.table.finish(spec.id, "cancelled",
@@ -256,20 +226,6 @@ class ProbingScheduler:
             event = self._done_events.get(spec.id)
             if event is not None:
                 event.set()
-
-    async def _respawn_pool(self, seen_generation: int) -> None:
-        """Replace a broken pool exactly once per break: concurrent
-        jobs all observe the break, only the first respawns."""
-        async with self._pool_lock:
-            if self._pool_generation != seen_generation:
-                return  # someone else already respawned
-            old = self._pool
-            self._pool_generation += 1
-            self.pool_respawns += 1
-            if old is not None:
-                old.shutdown(wait=False, cancel_futures=True)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.worker_count)
 
     # -- queries -----------------------------------------------------------
     def get(self, job_id: str) -> Optional[JobRecord]:

@@ -190,3 +190,19 @@ class TestCLI:
         assert main(["--workload", "MiniGMG-ompif"]) == 0
         out = capsys.readouterr().out
         assert "fully optimistic" in out
+
+    def test_cache_and_journal_keep_the_compiler_options(self, tmp_path,
+                                                         capsys):
+        # one workload runs in-process with the CLI's Compiler whatever
+        # --cache-dir / --journal / --jobs say, so --invalidation holds
+        def rebuilds(*extra):
+            assert main(["--workload", "MiniGMG-sse", *extra]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("analysis rebuilds")]
+
+        coarse = rebuilds("--invalidation", "coarse")
+        assert coarse and coarse != rebuilds()
+        assert rebuilds("--invalidation", "coarse",
+                        "--cache-dir", str(tmp_path / "cache")) == coarse
+        assert rebuilds("--invalidation", "coarse", "--jobs", "2",
+                        "--journal", str(tmp_path / "journal")) == coarse

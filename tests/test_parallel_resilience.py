@@ -1,11 +1,6 @@
-"""Tests for the parallel engine's resilience contract: dying workers
-are detected and their configurations requeued; failed speculations are
-recorded into the report (never silently dropped) and recomputed
-in-process; results under worker loss stay bit-identical to fault-free
-runs."""
-
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+"""Tests for the configuration fan-out's resilience contract: dying
+workers are detected and their configurations requeued; results under
+worker loss stay bit-identical to fault-free runs."""
 
 from repro.faults.injector import FaultInjector, FaultSpec
 from repro.oraql import (
@@ -13,11 +8,10 @@ from repro.oraql import (
     ParallelProbingDriver,
     ProbingDriver,
     SourceFile,
-    SpeculativeProbingDriver,
 )
 
-# wide enough that the chunked binary search actually offers
-# speculative branches (mirrors tests/test_oraql_parallel.py)
+# wide enough that the chunked binary search probes several times
+# (mirrors tests/test_oraql_parallel.py)
 WIDE_HAZARD_SRC = """
 void sweep(double* a, double* b, double* c, double* d, double* e,
            double* f, int n) {
@@ -62,75 +56,6 @@ int main() {
 
 def cfg_of(src, name="t"):
     return BenchmarkConfig(name=name, sources=[SourceFile("t.c", src)])
-
-
-class RaisingPool:
-    """A fake worker pool whose speculations fail in a scripted way."""
-
-    def __init__(self, exc_factory):
-        self.exc_factory = exc_factory
-        self.submits = 0
-
-    def submit(self, fn, *args, **kwargs):
-        self.submits += 1
-        f = Future()
-        f.set_exception(self.exc_factory())
-        return f
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class TestSpeculativeResilience:
-    def test_worker_exception_recorded_and_recomputed(self):
-        # the satellite fix: a speculation that raises must land in the
-        # report, and the probe must be recomputed in-process
-        cfg = cfg_of(WIDE_HAZARD_SRC)
-        ref = ProbingDriver(cfg).run()
-        pool = RaisingPool(lambda: RuntimeError("worker blew up"))
-        rep = SpeculativeProbingDriver(cfg, pool).run()
-        assert rep.pessimistic_indices == ref.pessimistic_indices
-        assert pool.submits > 0
-        assert any("worker blew up" in e for e in rep.worker_errors)
-        assert rep.triage_counts.get("worker-lost", 0) >= 1
-
-    def test_broken_pool_disables_speculation(self):
-        cfg = cfg_of(WIDE_HAZARD_SRC)
-        ref = ProbingDriver(cfg).run()
-        pool = RaisingPool(lambda: BrokenProcessPool("pool died"))
-        rep = SpeculativeProbingDriver(cfg, pool).run()
-        assert rep.pessimistic_indices == ref.pessimistic_indices
-        assert any("speculation disabled" in e for e in rep.worker_errors)
-
-    def test_broken_pool_respawned_via_factory(self):
-        cfg = cfg_of(WIDE_HAZARD_SRC)
-        ref = ProbingDriver(cfg).run()
-        pool = RaisingPool(lambda: BrokenProcessPool("pool died"))
-        respawned = []
-
-        def factory():
-            p = RaisingPool(lambda: BrokenProcessPool("pool died again"))
-            respawned.append(p)
-            return p
-
-        rep = SpeculativeProbingDriver(cfg, pool,
-                                       pool_factory=factory).run()
-        assert rep.pessimistic_indices == ref.pessimistic_indices
-        assert respawned  # the factory was actually used
-        assert any("respawned" in e for e in rep.worker_errors)
-
-    def test_submit_failure_recorded(self):
-        class SubmitBomb(RaisingPool):
-            def submit(self, fn, *a, **k):
-                self.submits += 1
-                raise BrokenProcessPool("cannot even submit")
-
-        cfg = cfg_of(WIDE_HAZARD_SRC)
-        ref = ProbingDriver(cfg).run()
-        rep = SpeculativeProbingDriver(
-            cfg, SubmitBomb(lambda: None)).run()
-        assert rep.pessimistic_indices == ref.pessimistic_indices
-        assert any("submit failed" in e for e in rep.worker_errors)
 
 
 class TestFanoutResilience:

@@ -64,10 +64,6 @@ class TestRenderReport:
         assert "verdict cache      : 4 hits, 2 misses" in render_report(
             _report(cache_hits=4, cache_misses=2))
 
-    def test_speculation_line_only_when_speculating(self):
-        assert "speculation" not in render_report(_report())
-        assert "3 probes" in render_report(_report(tests_speculated=3))
-
     def test_analysis_rebuilds_and_preserved_hits(self):
         text = render_report(_report(
             analysis_builds={"AliasAnalysis": 7, "LoopInfo": 2},

@@ -11,6 +11,7 @@ import time
 
 from repro.oraql.driver import ProbingDriver
 from repro.service import ProbingService, ServiceClient
+from repro.service import scheduler as scheduler_module
 from repro.workloads.base import get_config
 
 _SEQUENTIAL = {}
@@ -26,6 +27,18 @@ def assert_matches_sequential(report_dict, name):
     ref = sequential_reference(name)
     assert report_dict["pessimistic_indices"] == ref.pessimistic_indices
     assert report_dict["final_exe_hash"] == ref.final_exe_hash
+
+
+def _held_job(spec_dict, paths, attempt, resume):
+    """A job worker that dies on attempt 0; attempt 1 runs until the
+    test creates ``<state_dir>/release``."""
+    if attempt == 0:
+        os._exit(1)
+    release = os.path.join(os.path.dirname(paths["cache_root"]), "release")
+    deadline = time.monotonic() + 60
+    while not os.path.exists(release) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return {"config_name": "held", "worker_errors": []}
 
 
 #: kills the worker at its first probe on the first attempt only — the
@@ -60,6 +73,37 @@ class TestWorkerKill:
         assert_matches_sequential(result["report"], "TestSNAP-seq")
         # the survived fault is surfaced in the report, like the
         # parallel engine's worker_errors
+        assert result["report"]["worker_errors"]
+
+    def test_status_mid_run_counts_the_requeue(self, tmp_path,
+                                               monkeypatch):
+        # a status query on a requeued job that is still running sees
+        # the loss in both attempts and worker_errors
+        monkeypatch.setattr(scheduler_module, "_execute_job", _held_job)
+        state = str(tmp_path / "state")
+        sock = str(tmp_path / "s.sock")
+
+        async def main():
+            svc = ProbingService(state, jobs=1, socket_path=sock)
+            await svc.start()
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    job_id = await c.submit(workload="TestSNAP-seq")
+                    deadline = time.monotonic() + 60
+                    status = await c.status(job_id)
+                    while (not status["worker_errors"]
+                           and time.monotonic() < deadline):
+                        await asyncio.sleep(0.02)
+                        status = await c.status(job_id)
+                    open(os.path.join(state, "release"), "w").close()
+                    return status, await c.wait(job_id)
+            finally:
+                await svc.close()
+
+        status, result = asyncio.run(main())
+        assert status["status"] == "running"
+        assert status["attempts"] == 1 == len(status["worker_errors"])
+        assert result["status"] == "done"
         assert result["report"]["worker_errors"]
 
     def test_bystander_jobs_survive_the_kill(self, tmp_path):

@@ -8,7 +8,6 @@ from repro.oraql.strategies import (
     PriorModel,
     create_strategy,
     strategy_names,
-    strategy_supports_speculation,
 )
 from repro.oraql.strategies.base import StrategyContext
 from repro.oraql.strategies.features import (
@@ -34,12 +33,6 @@ class TestRegistry:
             create_strategy("nope")
         with pytest.raises(ValueError, match="chunked"):
             create_strategy("nope")
-
-    def test_speculation_support(self):
-        assert strategy_supports_speculation("chunked")
-        assert not strategy_supports_speculation("frequency")
-        assert not strategy_supports_speculation("provenance-prior")
-        assert not strategy_supports_speculation("nope")
 
     def test_duplicate_name_rejected(self):
         from repro.oraql.strategies import register
