@@ -94,6 +94,14 @@ class CompiledProgram:
             decoded = self._decoded[key] = DecodedModule(self.module, costs)
         return decoded
 
+    def release_vm(self) -> None:
+        """Free the decoded VM code now rather than at the next cyclic
+        collection (its loop edges and calls make it cyclic); a later
+        :meth:`run` decodes again."""
+        for decoded in self._decoded.values():
+            decoded.release()
+        self._decoded.clear()
+
     def _run(self, cfg: BenchmarkConfig, max_steps: int,
              wall_clock: Optional[float], cost_model=None) -> RunResult:
         decoded = self.decoded(cost_model)

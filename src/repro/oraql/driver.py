@@ -256,9 +256,12 @@ class ProbingDriver:
         prog = self._compile(sequence)
         self._last_program = prog
         n = prog.oraql.unique_queries
-        return self._verdict_for(
-            prog.exe_hash, n,
-            lambda: self.executor.run_and_verify(prog, self.verifier))
+        try:
+            return self._verdict_for(
+                prog.exe_hash, n,
+                lambda: self.executor.run_and_verify(prog, self.verifier))
+        finally:
+            prog.release_vm()  # the verdict is booked: free the VM code
 
     def _verdict_for(self, exe_hash: str, unique_queries: int,
                      run_test: Callable[[], TestOutcome]) -> TestOutcome:

@@ -147,7 +147,8 @@ class ProbingScheduler:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        self._pool.shutdown(wait=False)
+        # join the workers, so that none outlives the server
+        await asyncio.to_thread(self._pool.shutdown)
 
     # -- admission ---------------------------------------------------------
     def next_job_id(self) -> str:

@@ -9,17 +9,30 @@ called, across every run and MPI rank that shares the
   list.  A frame is a copy of the function's *template*, in which
   constants, global addresses and functions are pre-filled and every
   other slot holds :data:`UNSET`.
-* **Ops.**  Each block becomes a list of op tuples, one per
-  instruction; each op carries its operand slots, a handler specialised
-  by opcode, op/predicate and type, and its cost pre-bound from the
-  cost table.  Branches carry one *edge* per target, with the target's
-  phi moves resolved for that CFG edge.
+* **Ops.**  Each block becomes a list of ops, one index per
+  instruction.  An instruction that touches the frame stack, the
+  runtime or the cycle counter is a SLOW op: a handler specialised by
+  opcode and type.  Every other instruction is a statement written
+  from one source template per op kind, with its operand slots and its
+  cost (bound from the cost table) as literals.  Branches carry one
+  *edge* per target, with the target's phi moves resolved for that
+  CFG edge.
+* **Runs.**  Each straight-line stretch of statements that can be
+  entered (a block's first non-phi op, or the op after a SLOW or
+  PRICED op), up to and including the block's BR or JUMP, is one
+  generated function, compiled once per distinct source
+  (:func:`generate`).  It charges each op's cost in order, runs it and
+  returns the edge it takes.  Memory ops read the image's buffer and
+  break once per run: only SLOW ops allocate.
 * **Exactness.**  Decoding changes no observable result: a read that
   SSA dominance does not guarantee to find a value (a def that does not
   dominate the use, an entry-block phi, a missing argument) is checked
   and raises the interpreter's ``use of unevaluated value`` error at
   the same point; an opcode missing from the cost table is priced
-  through :meth:`CostModel.of` when it executes.
+  through :meth:`CostModel.of` when it executes.  A trap inside a run
+  is traced to its op (:func:`trap_point`), and a run that a budget
+  check cuts goes op by op (:func:`steps`), so instruction counts,
+  cycles and trap texts are those of one op at a time.
 
 Decoded code never refers to a Machine or its Memory: handlers take
 them as arguments, so code is shared and every run's image is freed by
@@ -28,26 +41,31 @@ reference counting as soon as the run ends.
 Op layouts (``cost`` is the cycles charged per execution, before the
 op runs):
 
-=========================================  ==================================
-``(PLAIN, cost, h)``                       ``h(regs, mem)``, then next op
-``(JUMP, cost, edge)``                     take ``edge``
-``(BR, cost, cond_slot, edge_t, edge_f)``  take ``edge_t`` if cond else
-                                           ``edge_f``
-``(SLOW, cost, h, dest)``                  ``h(machine, frame)`` with the
-                                           machine state synced; ``dest``
-                                           receives a blocked call's result
-``(PRICED, 0.0, key, op)``                 charge ``CostModel.of(key)``,
-                                           then run ``op``
-=========================================  ==================================
+=============================================  ==============================
+``(FUSED, length, run, statements, steps)``    ``run(regs, mem, gpu,
+                                               cycles) -> (cycles, edge or
+                                               None)``: ``length`` ops,
+                                               then the edge, or the next
+                                               op if None
+``(SLOW, cost, h, dest)``                      ``h(machine, frame)`` with
+                                               the machine state synced;
+                                               ``dest`` receives a blocked
+                                               call's result
+``(PRICED, 0.0, key, op)``                     charge ``CostModel.of(key)``,
+                                               then run ``op``: a SLOW op,
+                                               or ``(PLAIN, 0.0, run)`` for
+                                               one op charging nothing
+=============================================  ==============================
 
-An edge is ``(target ops, start index, moves)``; ``moves(regs)`` (or
-None) assigns the target's phis in parallel.
+The indices inside a run hold None: they are never dispatched.  An edge
+is ``(target ops, start index)``.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
-import operator
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -88,9 +106,9 @@ from ..ir.values import (
     Value,
 )
 from .errors import UndefinedBehavior, VMError
-from .memory import _BASE, place, typed_loader, typed_storer
+from .memory import _BASE, _trap, load_code, place, store_code
 
-PLAIN, JUMP, BR, SLOW, PRICED = range(5)
+PLAIN, JUMP, BR, SLOW, PRICED, FUSED = range(6)
 
 
 class _Unset:
@@ -111,6 +129,11 @@ Fail = Optional[Callable[[], BaseException]]
 
 
 # -- scalar semantics ---------------------------------------------------------
+#
+# Each operation is one expression template over its operands (``{a}``,
+# ``{b}``, or ``{v}`` for a cast).  Generated runs inline it on register
+# reads; ``binop_fn``, ``icmp_fn`` and ``cast_fn`` compile it into a
+# function for vector lanes and constant folding.
 
 def _wrap_int(v: int, bits: int) -> int:
     mask = (1 << bits) - 1
@@ -134,143 +157,230 @@ def _frem(a, b):
     return math.fmod(a, b) if b != 0.0 else math.nan
 
 
-def binop_fn(op: str, ty: Type) -> Callable:
-    """``(a, b) -> result`` of binary ``op`` on scalars of type ``ty``.
-
-    Integer results wrap to ``ty``'s width in signed canonical form
-    (``i1`` stays 0/1); division by zero is undefined behaviour."""
-    if op == "fadd":
-        return operator.add
-    if op == "fsub":
-        return operator.sub
-    if op == "fmul":
-        return operator.mul
-    if op == "fdiv":
-        return _fdiv
-    if op == "frem":
-        return _frem
-    bits = ty.bits if isinstance(ty, IntType) else 64
-    mask = (1 << bits) - 1
-    # ((v + half) & mask) - half == _wrap_int(v, bits), half 0 for i1
-    half = 1 << (bits - 1) if bits > 1 else 0
-    if op == "add":
-        return lambda a, b: ((a + b + half) & mask) - half
-    if op == "sub":
-        return lambda a, b: ((a - b + half) & mask) - half
-    if op == "mul":
-        return lambda a, b: ((a * b + half) & mask) - half
-    if op == "and":
-        return lambda a, b: (((a & b) + half) & mask) - half
-    if op == "or":
-        return lambda a, b: (((a | b) + half) & mask) - half
-    if op == "xor":
-        return lambda a, b: (((a ^ b) + half) & mask) - half
-    if op == "shl":
-        return lambda a, b: (((a << (b % bits)) + half) & mask) - half
-    if op == "ashr":
-        return lambda a, b: (((a >> (b % bits)) + half) & mask) - half
-    if op == "lshr":
-        return lambda a, b: ((((a & mask) >> (b % bits)) + half) & mask) \
-            - half
-
-    if op == "sdiv":
-        def sdiv(a, b):
-            if b == 0:
-                raise UndefinedBehavior("sdiv by zero")
-            q = abs(a) // abs(b)
-            return _wrap_int(-q if (a < 0) != (b < 0) else q, bits)
-        return sdiv
-    if op == "srem":
-        def srem(a, b):
-            if b == 0:
-                raise UndefinedBehavior("srem by zero")
-            q = abs(a) // abs(b)
-            q = -q if (a < 0) != (b < 0) else q
-            return _wrap_int(a - q * b, bits)
-        return srem
-    if op == "udiv":
-        def udiv(a, b):
-            if b == 0:
-                raise UndefinedBehavior("udiv by zero")
-            return _wrap_int(_unsigned(a, bits) // _unsigned(b, bits), bits)
-        return udiv
-    if op == "urem":
-        def urem(a, b):
-            if b == 0:
-                raise UndefinedBehavior("urem by zero")
-            return _wrap_int(_unsigned(a, bits) % _unsigned(b, bits), bits)
-        return urem
-
-    def bad(a, b):
-        raise VMError(f"bad binop {op}")
-    return bad
+def _sdiv(a, b, bits):
+    if b == 0:
+        raise UndefinedBehavior("sdiv by zero")
+    q = abs(a) // abs(b)
+    return _wrap_int(-q if (a < 0) != (b < 0) else q, bits)
 
 
-_ICMP = {"eq": operator.eq, "ne": operator.ne,
-         "slt": operator.lt, "ult": operator.lt,
-         "sle": operator.le, "ule": operator.le,
-         "sgt": operator.gt, "ugt": operator.gt,
-         "sge": operator.ge, "uge": operator.ge}
-
-_FCMP = {"oeq": operator.eq, "one": operator.ne, "olt": operator.lt,
-         "ole": operator.le, "ogt": operator.gt, "oge": operator.ge}
+def _srem(a, b, bits):
+    if b == 0:
+        raise UndefinedBehavior("srem by zero")
+    q = abs(a) // abs(b)
+    q = -q if (a < 0) != (b < 0) else q
+    return _wrap_int(a - q * b, bits)
 
 
-def icmp_fn(pred: str, bits: int) -> Callable:
-    """``(a, b) -> 0/1`` for integer predicate ``pred`` on ``bits``-wide
-    operands (``u*`` predicates compare the unsigned values)."""
-    cmp = _ICMP.get(pred)
-    if cmp is None:
-        def bad(a, b):
-            raise VMError(f"bad icmp pred {pred}")
-        return bad
-    if pred[0] == "u":
-        mask = (1 << bits) - 1
-        return lambda a, b: int(cmp(a & mask, b & mask))
-    return lambda a, b: int(cmp(a, b))
+def _udiv(a, b, bits):
+    if b == 0:
+        raise UndefinedBehavior("udiv by zero")
+    return _wrap_int(_unsigned(a, bits) // _unsigned(b, bits), bits)
 
 
-def fcmp_fn(pred: str) -> Callable:
-    """``(a, b) -> 0/1`` for ordered float predicate ``pred``; every
-    ordered comparison is false on NaN."""
-    cmp = _FCMP.get(pred)
-    isnan = math.isnan
+def _urem(a, b, bits):
+    if b == 0:
+        raise UndefinedBehavior("urem by zero")
+    return _wrap_int(_unsigned(a, bits) % _unsigned(b, bits), bits)
 
-    def fcmp(a, b):
-        if isnan(a) or isnan(b):
-            return 0
-        if cmp is None:
-            raise KeyError(pred)
-        return 1 if cmp(a, b) else 0
-    return fcmp
+
+def _fptosi(v, bits):
+    if math.isnan(v) or math.isinf(v):
+        raise UndefinedBehavior("fptosi of NaN/Inf")
+    return _wrap_int(int(v), bits)
 
 
 def _fptrunc(v):
     return struct.unpack("<f", struct.pack("<f", v))[0]
 
 
-def cast_fn(op: str, to: Type, from_ty: Type) -> Callable:
-    """``v -> result`` of scalar cast ``op`` from ``from_ty`` to ``to``."""
-    if op in ("bitcast", "inttoptr", "ptrtoint", "sext"):
-        return lambda v: v  # sext: values are already sign-canonical
-    if op == "trunc":
-        return lambda v: _wrap_int(v, to.bits)
-    if op == "zext":
-        return lambda v: _unsigned(v, from_ty.bits)
-    if op == "fptosi":
-        def fptosi(v):
-            if math.isnan(v) or math.isinf(v):
-                raise UndefinedBehavior("fptosi of NaN/Inf")
-            return _wrap_int(int(v), to.bits)
-        return fptosi
-    if op in ("sitofp", "fpext"):
-        return float
-    if op == "fptrunc":
-        return _fptrunc
+def _raise(exc: BaseException):
+    raise exc
 
-    def bad(v):
-        raise VMError(f"bad cast {op}")
-    return bad
+
+def _wrap(expr: str, bits: int) -> str:
+    """``expr`` wrapped to ``bits`` in signed canonical form (i1 stays
+    0/1): ``((v + half) & mask) - half`` equals ``_wrap_int(v, bits)``,
+    and is ``v`` itself when ``v`` is in range."""
+    mask = (1 << bits) - 1
+    if bits == 1:
+        return f"({expr}) & 1"
+    half = 1 << (bits - 1)
+    return (f"w if {-half} <= (w := {expr}) < {half} "
+            f"else ((w + {half}) & {mask}) - {half}")
+
+
+#: integer binops over ``{a}``/``{b}``, before wrapping; ``{bits}`` and
+#: ``{m}`` are the width and its mask
+_INT_BINOPS = {
+    "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
+    "and": "{a} & {b}", "or": "{a} | {b}", "xor": "{a} ^ {b}",
+    "shl": "{a} << ({b} % {bits})", "ashr": "{a} >> ({b} % {bits})",
+    "lshr": "({a} & {m}) >> ({b} % {bits})",
+}
+_FLOAT_BINOPS = {"fadd": "{a} + {b}", "fsub": "{a} - {b}",
+                 "fmul": "{a} * {b}", "fdiv": "_fdiv({a}, {b})",
+                 "frem": "_frem({a}, {b})"}
+#: division by zero is undefined behaviour
+_DIVISIONS = {"sdiv": "_sdiv", "srem": "_srem", "udiv": "_udiv",
+              "urem": "_urem"}
+
+_ICMP = {"eq": "==", "ne": "!=", "slt": "<", "ult": "<", "sle": "<=",
+         "ule": "<=", "sgt": ">", "ugt": ">", "sge": ">=", "uge": ">="}
+_FCMP = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
+         "oge": ">="}
+
+
+def binop_expr(op: str, ty: Type) -> str:
+    """Binary ``op`` on scalars of type ``ty``.  Integer results wrap to
+    ``ty``'s width in signed canonical form (``i1`` stays 0/1)."""
+    if op in _FLOAT_BINOPS:
+        return _FLOAT_BINOPS[op]
+    bits = ty.bits if isinstance(ty, IntType) else 64
+    expr = _INT_BINOPS.get(op)
+    if expr is not None:
+        return _wrap(expr.format(a="{a}", b="{b}", bits=bits,
+                                 m=(1 << bits) - 1), bits)
+    if op in _DIVISIONS:
+        return f"{_DIVISIONS[op]}({{a}}, {{b}}, {bits})"
+    return f"_raise(VMError({f'bad binop {op}'!r}))"
+
+
+def icmp_expr(pred: str, bits: int) -> str:
+    """0/1 for integer predicate ``pred`` on ``bits``-wide operands
+    (``u*`` predicates compare the unsigned values)."""
+    cmp = _ICMP.get(pred)
+    if cmp is None:
+        return f"_raise(VMError({f'bad icmp pred {pred}'!r}))"
+    if pred[0] == "u":
+        mask = (1 << bits) - 1
+        return f"1 if ({{a}} & {mask}) {cmp} ({{b}} & {mask}) else 0"
+    return f"1 if {{a}} {cmp} {{b}} else 0"
+
+
+def fcmp_expr(pred: str) -> str:
+    """0/1 for ordered float predicate ``pred``; every ordered
+    comparison is false on NaN."""
+    cmp = _FCMP.get(pred)
+    then = (f"(1 if {{a}} {cmp} {{b}} else 0)" if cmp is not None
+            else f"_raise(KeyError({pred!r}))")
+    return "0 if isnan({a}) or isnan({b}) else " + then
+
+
+def cast_expr(op: str, to: Type, from_ty: Type) -> str:
+    """Scalar cast ``op`` of ``{v}`` from ``from_ty`` to ``to``."""
+    if op in ("bitcast", "inttoptr", "ptrtoint", "sext"):
+        return "{v}"  # sext: values are already sign-canonical
+    if op == "trunc":
+        return _wrap("{v}", to.bits)
+    if op == "zext":
+        return f"{{v}} & {(1 << from_ty.bits) - 1}"
+    if op == "fptosi":
+        return f"_fptosi({{v}}, {to.bits})"
+    if op in ("sitofp", "fpext"):
+        return "float({v})"
+    if op == "fptrunc":
+        return "_fptrunc({v})"
+    return f"_raise(VMError({f'bad cast {op}'!r}))"
+
+
+def binop_fn(op: str, ty: Type) -> Callable:
+    """``(a, b) -> result`` of :func:`binop_expr`."""
+    return _function("a, b", binop_expr(op, ty).format(a="a", b="b"))
+
+
+def icmp_fn(pred: str, bits: int) -> Callable:
+    """``(a, b) -> 0/1`` of :func:`icmp_expr`."""
+    return _function("a, b", icmp_expr(pred, bits).format(a="a", b="b"))
+
+
+def cast_fn(op: str, to: Type, from_ty: Type) -> Callable:
+    """``v -> result`` of :func:`cast_expr`."""
+    return _function("v", cast_expr(op, to, from_ty).format(v="v"))
+
+
+# -- generated code -------------------------------------------------------------
+
+#: the globals of all generated code
+_NAMESPACE = {
+    "UNSET": UNSET, "_trap": _trap, "isnan": math.isnan, "_fdiv": _fdiv,
+    "_frem": _frem, "_sdiv": _sdiv, "_srem": _srem, "_udiv": _udiv,
+    "_urem": _urem, "_fptosi": _fptosi, "_fptrunc": _fptrunc,
+    "_raise": _raise, "VMError": VMError,
+    "UndefinedBehavior": UndefinedBehavior,
+}
+#: the file name of generated runs, which is how a trap is traced to one
+_RUN_FILE = "<vm run>"
+#: distinct sources kept compiled; programs of one session share most
+#: of their runs, so a bounded cache serves every probe
+CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _function(params: str, expr: str) -> Callable:
+    return eval(f"lambda {params}: {expr}", _NAMESPACE)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _factory(text: str) -> Callable:
+    ns: dict = {}
+    exec(compile(text, _RUN_FILE, "exec"), _NAMESPACE, ns)
+    return ns["make"]
+
+
+def generate(stmts) -> Callable:
+    """One function ``run(regs, mem, gpu, cycles) -> (cycles, edge or
+    None)`` that runs ``stmts`` in order.  A statement is ``(kind, cost,
+    source, constants)``: the run charges ``gpu * cost`` (unless cost is
+    None), then runs the source, in which ``$i`` names constant ``i``.
+    Only a BR or JUMP, the last statement, returns an edge.
+
+    The source is compiled once per distinct text; this program's
+    constants are bound through the cached factory's parameters.
+    ``lines``, a parameter left at its default, holds the first line of
+    each statement, so a trap can be traced to one (:func:`trap_point`).
+    """
+    consts: list = []
+    body: List[str] = []
+    starts: List[int] = []
+    if any("brk" in stmt[2] for stmt in stmts):  # only SLOW ops allocate
+        body += ["data = mem.data", "brk = mem.brk"]
+    for kind, cost, src, cs in stmts:
+        starts.append(len(body) + 3)  # after the two def lines
+        if cost is not None:
+            body.append(f"cycles += gpu * {cost!r}")
+        for i in reversed(range(len(cs))):  # $12 before $1
+            src = src.replace(f"${i}", f"k{len(consts) + i}")
+        consts += cs
+        if src:
+            body += src.split("\n")
+    if stmts[-1][0] == PLAIN:
+        body.append("return cycles, None")
+    text = (f"def make({', '.join(f'k{i}' for i in range(len(consts)))}):\n"
+            f"    def run(regs, mem, gpu, cycles, lines={tuple(starts)}):\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    return run\n")
+    return _factory(text)(*consts)
+
+
+def trap_point(tb) -> Optional[Tuple[int, float]]:
+    """Where a generated run called from traceback entry ``tb``'s frame
+    trapped, if it did: ``(offset, cycles)``, the statement holding the
+    raising line and the cycles charged up to and including it."""
+    tb = tb.tb_next
+    if tb is None or tb.tb_frame.f_code.co_filename != _RUN_FILE:
+        return None
+    f = tb.tb_frame.f_locals
+    return bisect.bisect_right(f["lines"], tb.tb_lineno) - 1, f["cycles"]
+
+
+def steps(op: tuple) -> list:
+    """A FUSED op's statements as one-op runs, generated on first use:
+    the path for a run that a budget check cuts."""
+    out = op[4]
+    if not out:
+        out.extend(generate((stmt,)) for stmt in op[3])
+    return out
 
 
 # -- decoded code ---------------------------------------------------------------
@@ -302,12 +412,22 @@ class DecodedModule:
             code = self._functions[key] = DecodedFunction(self, fn, nargs)
         return code
 
+    def release(self) -> None:
+        """Empty every op list and forget every function, so that the
+        decoded code (cyclic through loop edges and calls) is freed by
+        reference counting.  No machine may be running it."""
+        for code in self._functions.values():
+            for ops in code.blocks:
+                ops.clear()
+        self._functions.clear()
+
 
 class DecodedFunction:
     """One function's template and op lists; ``entry`` is None until
     the first frame enters it."""
 
-    __slots__ = ("owner", "fn", "nargs", "template", "arg_slots", "entry")
+    __slots__ = ("owner", "fn", "nargs", "template", "arg_slots", "entry",
+                 "blocks")
 
     def __init__(self, owner: DecodedModule, fn: Function, nargs: int):
         self.owner = owner
@@ -316,28 +436,10 @@ class DecodedFunction:
         self.template: List[object] = []
         self.arg_slots: Tuple[int, ...] = ()
         self.entry: Optional[list] = None
+        self.blocks: List[list] = []
 
     def decode(self) -> None:
         _Decoder(self).run()
-
-
-def _nop(regs, mem):
-    pass
-
-
-def _raiser(exc: Callable[[], BaseException]):
-    def fail(regs, mem):
-        raise exc()
-    return fail
-
-
-def _checked_plain(h, checks):
-    def op(regs, mem):
-        for slot, fail in checks:
-            if regs[slot] is UNSET:
-                raise fail()
-        h(regs, mem)
-    return op
 
 
 def _checked_slow(h, checks):
@@ -456,23 +558,35 @@ class _Decoder:
         while done < len(pending):  # edges may add blocks
             bb = pending[done]
             done += 1
-            ops = self.ops[bb]
-            for pos, inst in enumerate(bb.instructions):
-                ops.append(self.bind_cost(inst, self.decode(inst, bb, pos)))
+            decoded = [self.bind_cost(inst, self.decode(inst, bb, pos))
+                       for pos, inst in enumerate(bb.instructions)]
+            starts = {self.nphis[bb]}  # where edges enter
+            if bb is self.entry_block:
+                starts.add(0)
+            self.ops[bb].extend(_fuse(decoded, starts))
         code.arg_slots = tuple(self.slot(a)
                                for a in self.fn.args[:code.nargs])
         code.template = self.template
+        code.blocks = list(self.ops.values())
         code.entry = entry
 
     def bind_cost(self, inst: Instruction, op: tuple) -> tuple:
+        """``op`` (SLOW) or the statement ``(kind, cost, source,
+        constants)`` with the cost table's cost; an opcode the table
+        lacks becomes a PRICED op."""
         key = inst.op if isinstance(inst, BinaryInst) else inst.opcode
         cost = self.owner.costs.get(key)
         if cost is None:
-            return (PRICED, 0.0, key, (op[0], 0.0) + op[2:])
+            if op[0] == SLOW:
+                return (PRICED, 0.0, key, (SLOW, 0.0) + op[2:])
+            step = generate(((op[0], None) + op[2:],))
+            return (PRICED, 0.0, key, (PLAIN, 0.0, step))
         return (op[0], cost) + op[2:]
 
     # -- edges ---------------------------------------------------------------
-    def edge(self, source: BasicBlock, target: BasicBlock) -> tuple:
+    def edge(self, source: BasicBlock, target: BasicBlock, k) -> str:
+        """Taking the CFG edge: the target's phi moves, then the return
+        of ``(target ops, start index)``."""
         ops = self.block_ops(target)
         phis = target.phis()
         end = len(source.instructions)
@@ -486,43 +600,15 @@ class _Decoder:
             else:
                 reads.append(self.read(v, source, end))
             dests.append(self.slot(phi))
-        return (ops, len(phis), self._moves(reads, dests))
-
-    @staticmethod
-    def _moves(reads, dests):
-        if not dests:
-            return None
-        srcs = [s for s, _ in reads]
-        if all(f is None for _, f in reads) and not set(srcs) & set(dests):
-            # no phi reads another phi of the block: assign in order
-            if len(dests) == 1:
-                (d,), (s,) = dests, srcs
-
-                def move(regs):
-                    regs[d] = regs[s]
-                return move
-            pairs = tuple(zip(dests, srcs))
-
-            def moves(regs):
-                for d, s in pairs:
-                    regs[d] = regs[s]
-            return moves
-
-        def parallel(regs):
-            vals = []
-            for s, fail in reads:
-                v = regs[s]
-                if v is UNSET and fail is not None:
-                    raise fail()
-                vals.append(v)
-            for d, v in zip(dests, vals):
-                regs[d] = v
-        return parallel
+        return _moves(reads, dests, k) + f"return cycles, {k((ops, len(phis)))}"
 
     # -- instructions ----------------------------------------------------------
     def decode(self, inst: Instruction, bb: BasicBlock, pos: int) -> tuple:
-        """The op for ``inst`` (cost not yet bound)."""
+        """The op for ``inst``: ``(SLOW, None, h, dest)``, or the
+        statement ``(PLAIN | BR | JUMP, None, source, constants)`` (cost
+        not yet bound)."""
         reads: List[Tuple[int, Fail]] = []
+        consts: list = []
 
         def rd(v: Value) -> int:
             s, fail = self.read(v, bb, pos)
@@ -530,130 +616,154 @@ class _Decoder:
                 reads.append((s, fail))
             return s
 
+        def k(value) -> str:
+            consts.append(value)
+            return f"${len(consts) - 1}"
+
         cls = inst.__class__
-        if cls is BranchInst:
-            if not inst.is_conditional:
-                return (JUMP, None, self.edge(bb, inst.targets[0]))
-            c = rd(inst.condition)
-            taken = self.edge(bb, inst.targets[0])
-            other = self.edge(bb, inst.targets[1])
-            if not reads:
-                return (BR, None, c, taken, other)
-            return (SLOW, None, _checked_slow(_branch(c, taken, other),
-                                              reads), SINK)
         if cls in _SLOW_DECODERS:
             h, dest = _SLOW_DECODERS[cls](self, inst, rd)
             if reads:
                 h = _checked_slow(h, reads)
             return (SLOW, None, h, dest)
-        if cls is SelectInst:
-            return (PLAIN, None, self._select(inst, bb, pos))
-        decoder = _PLAIN_DECODERS.get(cls)
-        if decoder is None:
-            if cls is PhiInst:
-                h = _nop  # block-head phis are assigned by edges
-            elif cls is UnreachableInst:
-                h = _raiser(lambda: UndefinedBehavior("executed unreachable"))
-            else:
-                h = _raiser(lambda: VMError(
-                    f"cannot interpret {inst.opcode}"))
+        kind = PLAIN
+        if cls is BranchInst:
+            if not inst.is_conditional:
+                return (JUMP, None, self.edge(bb, inst.targets[0], k),
+                        tuple(consts))
+            kind = BR
+            c = rd(inst.condition)
+            taken = self.edge(bb, inst.targets[0], k)
+            src = (f"if regs[{c}]:\n" + _indent(taken) + "\n"
+                   + self.edge(bb, inst.targets[1], k))
+        elif cls is SelectInst:
+            return (PLAIN, None, self._select(inst, bb, pos, k),
+                    tuple(consts))
+        elif cls in _PLAIN_DECODERS:
+            src = _PLAIN_DECODERS[cls](inst, rd, self.dest(inst), k)
+        elif cls is PhiInst:
+            src = ""  # block-head phis are assigned by edges
+        elif cls is UnreachableInst:
+            src = "raise UndefinedBehavior('executed unreachable')"
         else:
-            h = decoder(inst, rd, self.dest(inst))
-        if reads:
-            h = _checked_plain(h, reads)
-        return (PLAIN, None, h)
+            src = f"raise VMError({f'cannot interpret {inst.opcode}'!r})"
+        checks = "".join(f"if regs[{s}] is UNSET:\n    raise {k(fail)}()\n"
+                         for s, fail in reads)
+        return (kind, None, checks + src, tuple(consts))
 
-    def _select(self, inst: SelectInst, bb: BasicBlock, pos: int):
+    def _select(self, inst: SelectInst, bb: BasicBlock, pos: int, k) -> str:
         (c, cf), (t, tf), (f, ff) = (self.read(v, bb, pos)
                                      for v in inst.operands)
         d = self.dest(inst)
         if cf is None and tf is None and ff is None:
-            def select(regs, mem):
-                regs[d] = regs[t] if regs[c] else regs[f]
-            return select
+            return f"regs[{d}] = regs[{t}] if regs[{c}] else regs[{f}]"
 
-        def checked_select(regs, mem):  # only the chosen value is read
-            if cf is not None and regs[c] is UNSET:
-                raise cf()
-            s, fail = (t, tf) if regs[c] else (f, ff)
-            if fail is not None and regs[s] is UNSET:
-                raise fail()
-            regs[d] = regs[s]
-        return checked_select
+        def check(s, fail):  # only the chosen value is read
+            if fail is None:
+                return ""
+            return f"if regs[{s}] is UNSET:\n    raise {k(fail)}()\n"
+        return (check(c, cf) + f"if regs[{c}]:\n"
+                + _indent(check(t, tf) + f"regs[{d}] = regs[{t}]")
+                + "\nelse:\n"
+                + _indent(check(f, ff) + f"regs[{d}] = regs[{f}]"))
+
+
+def _indent(src: str) -> str:
+    return "    " + src.replace("\n", "\n    ")
+
+
+def _moves(reads, dests, k) -> str:
+    """Statements assigning phi slots ``dests`` from ``reads`` in
+    parallel."""
+    srcs = [s for s, _ in reads]
+    if all(f is None for _, f in reads) and not set(srcs) & set(dests):
+        # no phi reads another phi of the block: assign in order
+        return "".join(f"regs[{d}] = regs[{s}]\n"
+                       for d, s in zip(dests, srcs))
+    out = []
+    for i, (s, fail) in enumerate(reads):
+        out.append(f"m{i} = regs[{s}]\n")
+        if fail is not None:
+            out.append(f"if m{i} is UNSET:\n    raise {k(fail)}()\n")
+    out += [f"regs[{d}] = m{i}\n" for i, d in enumerate(dests)]
+    return "".join(out)
+
+
+def _fuse(decoded: list, starts: set) -> list:
+    """A block's op list from its decoded ops and statements: each run
+    of statements that can be entered (at ``starts``, or right after a
+    SLOW or PRICED op) becomes one FUSED op at its first index, ending
+    at the next SLOW or PRICED op or after a BR or JUMP.  Indices inside
+    a run are never dispatched and hold None."""
+    ops: list = [None] * len(decoded)
+    for i, op in enumerate(decoded):
+        if op[0] == SLOW or op[0] == PRICED:
+            ops[i] = op
+            starts.add(i + 1)
+    for start in sorted(starts, reverse=True):  # runs end at later starts
+        if start >= len(ops) or ops[start] is not None:
+            continue
+        end = start
+        while end < len(ops) and ops[end] is None:
+            end += 1
+            if decoded[end - 1][0] != PLAIN:
+                break
+        stmts = tuple(decoded[start:end])
+        ops[start] = (FUSED, len(stmts), generate(stmts), stmts, [])
+    return ops
 
 
 # -- plain ops ------------------------------------------------------------------
 #
 # Each decoder reads its operands through ``rd`` in the interpreter's
-# evaluation order and returns ``h(regs, mem)``.
+# evaluation order and returns the statements of its op, which name
+# constants through ``k``.
 
-def _decode_binop(inst, rd, d):
+def _decode_binop(inst, rd, d, k):
     a, b = rd(inst.operands[0]), rd(inst.operands[1])
     ty = inst.type
     if isinstance(ty, VectorType):
-        f = binop_fn(inst.op, ty.element)
-
-        def vbinop(regs, mem):
-            regs[d] = tuple(map(f, regs[a], regs[b]))
-        return vbinop
-    f = binop_fn(inst.op, ty)
-
-    def binop(regs, mem):
-        regs[d] = f(regs[a], regs[b])
-    return binop
+        f = k(binop_fn(inst.op, ty.element))
+        return f"regs[{d}] = tuple(map({f}, regs[{a}], regs[{b}]))"
+    return f"regs[{d}] = " + binop_expr(inst.op, ty).format(
+        a=f"regs[{a}]", b=f"regs[{b}]")
 
 
-def _decode_cmp(inst, rd, d):
+def _decode_cmp(inst, rd, d, k):
     a, b = rd(inst.operands[0]), rd(inst.operands[1])
     ty = inst.operands[0].type
     vector = isinstance(ty, VectorType)
     if inst.__class__ is FCmpInst:
-        f = fcmp_fn(inst.pred)
+        expr = fcmp_expr(inst.pred)
     else:
         bits = ty.element.bits if vector else getattr(ty, "bits", 64)
-        f = icmp_fn(inst.pred, bits)
+        expr = icmp_expr(inst.pred, bits)
     if vector:
-        def vcmp(regs, mem):
-            regs[d] = tuple(map(f, regs[a], regs[b]))
-        return vcmp
-
-    def cmp(regs, mem):
-        regs[d] = f(regs[a], regs[b])
-    return cmp
+        f = k(_function("a, b", expr.format(a="a", b="b")))
+        return f"regs[{d}] = tuple(map({f}, regs[{a}], regs[{b}]))"
+    return f"regs[{d}] = " + expr.format(a=f"regs[{a}]", b=f"regs[{b}]")
 
 
-def _decode_load(inst, rd, d):
+def _decode_load(inst, rd, d, k):
     p = rd(inst.pointer)
-    load = typed_loader(inst.type)
-
-    def op(regs, mem):
-        regs[d] = load(mem, regs[p])
-    return op
+    check, value = load_code(inst.type, k)
+    return f"a = regs[{p}]\n{check}regs[{d}] = {value}"
 
 
-def _decode_store(inst, rd, d):
+def _decode_store(inst, rd, d, k):
     p = rd(inst.pointer)
     v = rd(inst.value)
-    store = typed_storer(inst.value.type)
-
-    def op(regs, mem):
-        store(mem, regs[p], regs[v])
-    return op
+    return f"a = regs[{p}]\nv = regs[{v}]\n" + store_code(inst.value.type, k)
 
 
-def _decode_gep(inst, rd, d):
+def _decode_gep(inst, rd, d, k):
     p = rd(inst.pointer)
-    indices = inst.indices
-    if not indices:
-        def same(regs, mem):
-            regs[d] = regs[p]
-        return same
     # fold constant indices and struct fields into one byte offset;
     # each variable index contributes slot value * scale
     ty: Type = inst.pointer.type.pointee
     const = 0
     terms: List[Tuple[int, int]] = []
-    for i, idx in enumerate(indices):
+    for i, idx in enumerate(inst.indices):
         if i == 0:
             scale = ty.size()
         elif isinstance(ty, (ArrayType, VectorType)):
@@ -664,38 +774,28 @@ def _decode_gep(inst, rd, d):
             ty = ty.fields[idx.value]
             continue
         else:
-            return _generic_gep(inst, rd, d, p)
+            return f"regs[{d}] = {k(_generic_gep(inst, rd, p))}(regs)"
         if isinstance(idx, ConstantInt):
             const += idx.value * scale
         else:
             terms.append((rd(idx), scale))
-    if not terms:
-        def gep0(regs, mem):
-            regs[d] = regs[p] + const
-        return gep0
+    if not inst.indices:
+        return f"regs[{d}] = regs[{p}]"
     if len(terms) == 1:
         ((x, s),) = terms
-
-        def gep1(regs, mem):
-            regs[d] = regs[p] + regs[x] * s + const
-        return gep1
-    terms = tuple(terms)
-
-    def gep(regs, mem):
-        addr = regs[p] + const
-        for x, s in terms:
-            addr += regs[x] * s
-        regs[d] = addr
-    return gep
+        return f"regs[{d}] = regs[{p}] + regs[{x}] * {s}" + (
+            f" + {const}" if const else "")
+    return f"regs[{d}] = regs[{p}] + {const}" + "".join(
+        f" + regs[{x}] * {s}" for x, s in terms)
 
 
-def _generic_gep(inst, rd, d, p):
+def _generic_gep(inst, rd, p):
     """A GEP whose structure is only known at run time (a struct index
     that is not a constant): walk the types as each index is read."""
     idx = tuple(rd(v) for v in inst.indices)
     pointee = inst.pointer.type.pointee
 
-    def gep(regs, mem):
+    def gep(regs):
         addr = regs[p]
         ty = pointee
         for i, x in enumerate(idx):
@@ -710,54 +810,38 @@ def _generic_gep(inst, rd, d, p):
                 ty = ty.fields[iv]
             else:
                 raise VMError(f"gep into {ty}")
-        regs[d] = addr
+        return addr
     return gep
 
 
-def _decode_cast(inst, rd, d):
+def _decode_cast(inst, rd, d, k):
     s = rd(inst.value)
-    to, from_ty = inst.type, inst.value.type
-    f = cast_fn(inst.op, to, from_ty)
+    op, to, from_ty = inst.op, inst.type, inst.value.type
     if not isinstance(to, VectorType):
-        def cast(regs, mem):
-            regs[d] = f(regs[s])
-        return cast
+        return f"regs[{d}] = " + cast_expr(op, to, from_ty).format(
+            v=f"regs[{s}]")
 
-    def vcast(regs, mem):  # lane-wise when the value is a vector
-        v = regs[s]
+    def vcast(v):  # lane-wise when the value is a vector
         if isinstance(v, tuple):
-            lane = cast_fn(inst.op, to.element, from_ty.element)
-            regs[d] = tuple(map(lane, v))
-        else:
-            regs[d] = f(v)
-    return vcast
+            return tuple(map(cast_fn(op, to.element, from_ty.element), v))
+        return cast_fn(op, to, from_ty)(v)
+    return f"regs[{d}] = {k(vcast)}(regs[{s}])"
 
 
-def _decode_splat(inst, rd, d):
+def _decode_splat(inst, rd, d, k):
     s = rd(inst.operands[0])
-    lanes = inst.lanes
-
-    def splat(regs, mem):
-        regs[d] = (regs[s],) * lanes
-    return splat
+    return f"regs[{d}] = (regs[{s}],) * {inst.lanes}"
 
 
-def _decode_extract(inst, rd, d):
+def _decode_extract(inst, rd, d, k):
     v, i = rd(inst.operands[0]), rd(inst.operands[1])
-
-    def extract(regs, mem):
-        regs[d] = regs[v][regs[i]]
-    return extract
+    return f"regs[{d}] = regs[{v}][regs[{i}]]"
 
 
-def _decode_insert(inst, rd, d):
+def _decode_insert(inst, rd, d, k):
     v, e, i = (rd(x) for x in inst.operands[:3])
-
-    def insert(regs, mem):
-        lanes = list(regs[v])
-        lanes[regs[i]] = regs[e]
-        regs[d] = tuple(lanes)
-    return insert
+    return (f"v = list(regs[{v}])\nv[regs[{i}]] = regs[{e}]\n"
+            f"regs[{d}] = tuple(v)")
 
 
 _PLAIN_DECODERS = {
@@ -780,16 +864,6 @@ _PLAIN_DECODERS = {
 # as ``h(machine, frame)`` with the machine's counters synced; each
 # advances ``frame.index`` itself (or pushes / pops a frame).  A decoder
 # returns ``(h, dest)``.
-
-def _branch(c, taken, other):
-    def branch(m, frame):
-        ops, start, moves = taken if frame.regs[c] else other
-        if moves is not None:
-            moves(frame.regs)
-        frame.ops = ops
-        frame.index = start
-    return branch
-
 
 def _decode_ret(dec, inst, rd):
     if inst.value is None:

@@ -11,9 +11,11 @@ that:
 * multiple ranks can be interleaved by the MPI scheduler,
 * runaway miscompiles hit a step budget instead of hanging the driver.
 
-It executes functions decoded once by :mod:`repro.vm.decode` (operand
-slots, specialised handlers, pre-bound costs, per-edge phi moves); the
-loop in :meth:`Machine._execute` only counts, charges and dispatches.
+It executes functions decoded once by :mod:`repro.vm.decode`: each
+straight-line run of ops, with its branch, is one generated function,
+and every other op a specialised handler.  The loop in
+:meth:`Machine._execute` dispatches once per run or handler, and
+counts and charges in between.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ from ..ir.values import (
 )
 from .cost_model import CostModel
 from .decode import (
-    BR,
-    JUMP,
+    FUSED,
     PLAIN,
     PRICED,
-    SLOW,
     DecodedFunction,
     DecodedModule,
     binop_fn,
     icmp_fn,
+    steps,
+    trap_point,
 )
 # re-exported: constant folding and tests use them
 from .decode import _unsigned, _wrap_int  # noqa: F401
@@ -291,7 +293,10 @@ class Machine:
         Counters live in locals and are written back around every slow
         op (which sees, and may change, the machine's state) and on
         exit.  Per instruction, in order: count it, charge its cost,
-        run it, then check the step and wall-clock budgets."""
+        run it, then check the step and wall-clock budgets.  A FUSED
+        run does all of that for its ops at once when no check can
+        fire inside it, and op by op otherwise; a trap inside it is
+        traced back to its op (:func:`~repro.vm.decode.trap_point`)."""
         frames = self.frames
         mem = self.memory
         price = self.cost.of
@@ -304,22 +309,31 @@ class Machine:
         try:
             while True:
                 op = ops[i]
-                n += 1
-                cycles += gpu * op[1]
-                while True:  # once, or twice for a PRICED op
-                    code = op[0]
-                    if code == PLAIN:
-                        op[2](regs, mem)
-                        i += 1
-                    elif code == BR:
-                        ops, i, moves = op[3] if regs[op[2]] else op[4]
-                        if moves is not None:
-                            moves(regs)
-                    elif code == JUMP:
-                        ops, i, moves = op[2]
-                        if moves is not None:
-                            moves(regs)
-                    elif code == SLOW:
+                if op[0] == FUSED:
+                    length = op[1]
+                    if n + length < check_at:
+                        cycles, edge = op[2](regs, mem, gpu, cycles)
+                        n += length
+                    else:  # so that the check lands on its instruction
+                        for step in steps(op):
+                            cycles, edge = step(regs, mem, gpu, cycles)
+                            n += 1
+                            if n >= check_at:
+                                self._check_budget(n)
+                                check_at = self._next_check(n)
+                else:
+                    n += 1
+                    cycles += gpu * op[1]
+                    if op[0] == PRICED:  # an opcode the cost table lacks
+                        cycles += gpu * price(op[2])
+                        op = op[3]
+                    if op[0] == PLAIN:  # one generated op, charging nothing
+                        length = 1
+                        cycles, edge = op[2](regs, mem, gpu, cycles)
+                        if n >= check_at:
+                            self._check_budget(n)
+                            check_at = self._next_check(n)
+                    else:  # SLOW
                         frame.ops = ops
                         frame.index = i
                         self.instructions = n
@@ -341,14 +355,17 @@ class Machine:
                             return
                         frame = frames[-1]
                         ops, i, regs = frame.ops, frame.index, frame.regs
-                    else:  # PRICED: an opcode the cost table lacks
-                        cycles += gpu * price(op[2])
-                        op = op[3]
                         continue
-                    break
-                if n >= check_at:
-                    self._check_budget(n)
-                    check_at = self._next_check(n)
+                if edge is None:
+                    i += length
+                else:
+                    ops, i = edge
+        except BaseException as e:
+            point = trap_point(e.__traceback__)
+            if point is not None and op[0] == FUSED:
+                n += point[0] + 1
+                cycles = point[1]
+            raise
         finally:
             self.instructions = n
             self.cycles = cycles

@@ -101,11 +101,15 @@ class Memory:
         self.write_bytes(addr, payload)
 
 
-# -- typed access, bound once per type ------------------------------------------
+# -- typed access, one source template per type --------------------------------
 #
-# ``typed_loader(ty)`` / ``typed_storer(ty)`` return plain functions of a
-# Memory (never bound to one), so decoded code can hold them and be
-# shared by every image.  Each access checks bounds exactly as
+# ``load_code(ty, const)`` / ``store_code(ty, const)`` are the source
+# that accesses a ``ty`` at address ``a`` against the image's buffer
+# ``data`` and break ``brk``; ``const(value)`` names each constant the
+# source uses.  Decoded code inlines them into its generated runs, and
+# ``typed_loader(ty)`` / ``typed_storer(ty)`` compile them into plain
+# functions of a Memory (never bound to one) for the runtime and
+# :meth:`Memory.load`.  Each access checks bounds exactly as
 # :meth:`Memory.check` does; a vector checks lane by lane, in order.
 
 #: little-endian struct codes for the scalar widths struct can do
@@ -114,6 +118,72 @@ _UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 _LOADERS: Dict[Type, Callable] = {}
 _STORERS: Dict[Type, Callable] = {}
+
+
+def _check(size: int) -> str:
+    return f"if a < {_BASE} or a + {size} > brk:\n    raise _trap(a, {size})\n"
+
+
+def load_code(ty: Type, const: Callable[[object], str]) -> Tuple[str, str]:
+    """``(check, value)``: statements that trap unless a ``ty`` lies at
+    ``a``, and the expression that then reads it."""
+    if isinstance(ty, (IntType, FloatType, PointerType)):
+        size = ty.size()
+        if isinstance(ty, FloatType):
+            code = "f" if ty.bits == 32 else "d"
+        elif isinstance(ty, PointerType):
+            code = _UNSIGNED[size]
+        else:
+            code = _SIGNED.get(size)
+        if code is None:  # an integer width struct has no code for
+            return _check(size), (f"int.from_bytes(data[a:a + {size}], "
+                                  f"'little', signed=True)")
+        unpack = const(struct.Struct("<" + code).unpack_from)
+        i1 = isinstance(ty, IntType) and ty.bits == 1
+        return _check(size), f"{unpack}(data, a)[0]" + (" & 1" if i1 else "")
+    return "", f"{const(typed_loader(ty))}(mem, a)"
+
+
+def store_code(ty: Type, const: Callable[[object], str]) -> str:
+    """Statements that store ``v`` as a ``ty`` at ``a``, or trap."""
+    if isinstance(ty, (IntType, PointerType)):
+        size = ty.size() if isinstance(ty, IntType) else 8
+        mask = (1 << (size * 8)) - 1
+        code = _UNSIGNED.get(size)
+        if code is None:
+            return (f"v = (int(v) & {mask}).to_bytes({size}, 'little')\n"
+                    + _check(size) + f"data[a:a + {size}] = v")
+        pack_into = const(struct.Struct("<" + code).pack_into)
+        return (f"v = int(v) & {mask}\n" + _check(size)
+                + f"{pack_into}(data, a, v)")
+    if isinstance(ty, FloatType) and ty.bits == 32:
+        # packing may overflow, which it must do before the check
+        pack = const(struct.Struct("<f").pack)
+        return f"v = {pack}(float(v))\n" + _check(4) + "data[a:a + 4] = v"
+    if isinstance(ty, FloatType):
+        pack_into = const(struct.Struct("<d").pack_into)
+        return f"v = float(v)\n" + _check(8) + f"{pack_into}(data, a, v)"
+    return f"{const(typed_storer(ty))}(mem, a, v)"
+
+
+def _compile(params: str, body: Callable[[Callable], str]) -> Callable:
+    """``def access(params)`` with ``body(const)`` for its statements,
+    reading the image's buffer and break first."""
+    consts: list = []
+
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+    src = body(const).replace("\n", "\n        ")
+    names = ", ".join(f"k{i}" for i in range(len(consts)))
+    ns: dict = {}
+    exec(f"def make({names}):\n"
+         f"    def access({params}):\n"
+         f"        data = mem.data\n"
+         f"        brk = mem.brk\n"
+         f"        {src}\n"
+         f"    return access\n", {"_trap": _trap}, ns)
+    return ns["make"](*consts)
 
 
 def typed_loader(ty: Type) -> Callable[[Memory, int], object]:
@@ -132,33 +202,10 @@ def typed_storer(ty: Type) -> Callable[[Memory, int, object], None]:
 
 def _make_loader(ty: Type) -> Callable:
     if isinstance(ty, (IntType, FloatType, PointerType)):
-        size = ty.size()
-        if isinstance(ty, FloatType):
-            code = "f" if ty.bits == 32 else "d"
-        elif isinstance(ty, PointerType):
-            code = _UNSIGNED[size]
-        else:
-            code = _SIGNED.get(size)
-        if code is None:  # an integer width struct has no code for
-            def load(mem, addr):
-                if addr < _BASE or addr + size > mem.brk:
-                    raise _trap(addr, size)
-                return int.from_bytes(mem.data[addr:addr + size], "little",
-                                      signed=True)
-            return load
-        unpack = struct.Struct("<" + code).unpack_from
-        if isinstance(ty, IntType) and ty.bits == 1:
-            def load(mem, addr):
-                if addr < _BASE or addr + size > mem.brk:
-                    raise _trap(addr, size)
-                return unpack(mem.data, addr)[0] & 1
-            return load
-
-        def load(mem, addr):
-            if addr < _BASE or addr + size > mem.brk:
-                raise _trap(addr, size)
-            return unpack(mem.data, addr)[0]
-        return load
+        def body(const):
+            check, value = load_code(ty, const)
+            return f"{check}return {value}"
+        return _compile("mem, a", body)
     if isinstance(ty, VectorType):
         lane = typed_loader(ty.element)
         step = ty.element.size()
@@ -174,35 +221,8 @@ def _make_loader(ty: Type) -> Callable:
 
 
 def _make_storer(ty: Type) -> Callable:
-    if isinstance(ty, (IntType, PointerType)):
-        size = ty.size() if isinstance(ty, IntType) else 8
-        mask = (1 << (size * 8)) - 1
-        code = _UNSIGNED.get(size)
-        if code is None:
-            def store(mem, addr, value):
-                payload = (int(value) & mask).to_bytes(size, "little")
-                if addr < _BASE or addr + size > mem.brk:
-                    raise _trap(addr, size)
-                mem.data[addr:addr + size] = payload
-            return store
-        pack_into = struct.Struct("<" + code).pack_into
-
-        def store(mem, addr, value):
-            v = int(value) & mask
-            if addr < _BASE or addr + size > mem.brk:
-                raise _trap(addr, size)
-            pack_into(mem.data, addr, v)
-        return store
-    if isinstance(ty, FloatType):
-        size = ty.size()
-        pack = struct.Struct("<f" if ty.bits == 32 else "<d").pack
-
-        def store(mem, addr, value):
-            payload = pack(float(value))
-            if addr < _BASE or addr + size > mem.brk:
-                raise _trap(addr, size)
-            mem.data[addr:addr + size] = payload
-        return store
+    if isinstance(ty, (IntType, FloatType, PointerType)):
+        return _compile("mem, a, v", lambda const: store_code(ty, const))
     if isinstance(ty, VectorType):
         lane = typed_storer(ty.element)
         step = ty.element.size()

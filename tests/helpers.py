@@ -1,6 +1,14 @@
-"""IR-building and execution helpers shared by the test suite."""
+"""IR-building, execution and service-process helpers shared by the
+test suite."""
 
 from __future__ import annotations
+
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -138,3 +146,71 @@ def simple_fn(module):
     bb = fn.add_block("entry")
     b = IRBuilder(bb)
     return fn, b
+
+
+def spawn_server(state_dir, sock, resume=False, jobs=2, timeout=30.0):
+    """Start ``python -m repro.service`` on unix socket ``sock`` and
+    return once it prints that it is listening.  The socket file alone
+    does not say so: the server binds it before it listens."""
+    cmd = [sys.executable, "-m", "repro.service", "--socket", sock,
+           "--jobs", str(jobs), "--state-dir", state_dir]
+    if resume:
+        cmd.append("--resume")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..",
+                                       "src"))
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    fd, out = proc.stdout.fileno(), b""
+    deadline = time.monotonic() + timeout
+    while b"repro.service listening on" not in out:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            proc.kill()
+            proc.wait()
+            raise AssertionError("server never said it was listening")
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            proc.wait()
+            raise AssertionError(
+                f"server died on startup: {proc.stderr.read()}")
+        out += chunk
+    return proc
+
+
+def child_pids(pid):
+    """The live (not zombie) child processes of ``pid``, from /proc."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited meanwhile
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def alive(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def kill_server(proc):
+    """SIGKILL a server and then the pool workers it leaves behind
+    (orphans that nothing else would reap)."""
+    workers = child_pids(proc.pid)
+    proc.kill()
+    proc.wait()
+    for pid in workers:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

@@ -4,11 +4,9 @@ servers, and the resume paths that make both invisible in the reports.
 
 import asyncio
 import os
-import subprocess
-import sys
 import time
 
-
+from helpers import alive, child_pids, kill_server, spawn_server
 from repro.oraql.driver import ProbingDriver
 from repro.service import ProbingService, ServiceClient
 from repro.service import scheduler as scheduler_module
@@ -160,32 +158,6 @@ class TestWorkerKill:
         assert ok["status"] == "done"
 
 
-def wait_for_socket(path, proc, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if os.path.exists(path):
-            return
-        if proc.poll() is not None:
-            raise AssertionError(
-                f"server died on startup: {proc.stderr.read()}")
-        time.sleep(0.05)
-    raise AssertionError("server socket never appeared")
-
-
-def spawn_server(state_dir, sock, resume=False, jobs=2):
-    cmd = [sys.executable, "-m", "repro.service", "--socket", sock,
-           "--jobs", str(jobs), "--state-dir", state_dir]
-    if resume:
-        cmd.append("--resume")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..",
-                                     "src")
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
-    wait_for_socket(sock, proc)
-    return proc
-
-
 class TestServerKillResume:
     def test_sigkilled_server_resumes_bit_identically(self, tmp_path):
         state = str(tmp_path / "state")
@@ -207,8 +179,7 @@ class TestServerKillResume:
 
             done_id, slow_id = asyncio.run(phase1())
         finally:
-            server.kill()   # SIGKILL: no cleanup, no goodbye
-            server.wait()
+            kill_server(server)   # SIGKILL: no cleanup, no goodbye
 
         sock2 = str(tmp_path / "s2.sock")
         server2 = spawn_server(state, sock2, resume=True)
@@ -220,8 +191,7 @@ class TestServerKillResume:
 
             done_result, slow_result = asyncio.run(phase2())
         finally:
-            server2.kill()
-            server2.wait()
+            kill_server(server2)
 
         # the finished job is served from the replayed table
         assert done_result["status"] == "done"
@@ -244,6 +214,30 @@ class TestServerKillResume:
 
             result = asyncio.run(main())
         finally:
-            server.kill()
-            server.wait()
+            kill_server(server)
         assert result["status"] == "done"
+
+
+class TestCleanShutdown:
+    def test_close_joins_the_pool_workers(self, tmp_path):
+        """A server that shuts down cleanly leaves no worker behind."""
+        sock = str(tmp_path / "s.sock")
+        before = set(child_pids(os.getpid()))
+
+        async def main():
+            svc = ProbingService(str(tmp_path / "state"), jobs=2,
+                                 socket_path=sock)
+            await svc.start()
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    result = await c.wait(
+                        await c.submit(workload="MiniGMG-sse"))
+                return result, set(child_pids(os.getpid())) - before
+            finally:
+                await svc.close()
+
+        result, workers = asyncio.run(main())
+        assert result["status"] == "done"
+        assert workers  # the job ran in a pool worker
+        assert [pid for pid in workers if alive(pid)] == []
+

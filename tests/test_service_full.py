@@ -16,13 +16,10 @@ marker (``addopts = -m 'not service'``) and run explicitly with::
 """
 
 import asyncio
-import os
-import subprocess
-import sys
-import time
 
 import pytest
 
+from helpers import kill_server, spawn_server
 from repro.oraql.driver import ProbingDriver
 from repro.service import ProbingService, ServiceClient
 from repro.workloads.base import get_config, row_names
@@ -97,32 +94,6 @@ class TestAcceptanceMatrix:
         assert killed["report"]["worker_errors"]
 
 
-def wait_for_socket(path, proc, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if os.path.exists(path):
-            return
-        if proc.poll() is not None:
-            raise AssertionError(
-                f"server died on startup: {proc.stderr.read()}")
-        time.sleep(0.05)
-    raise AssertionError("server socket never appeared")
-
-
-def spawn_server(state_dir, sock, resume=False, jobs=2):
-    cmd = [sys.executable, "-m", "repro.service", "--socket", sock,
-           "--jobs", str(jobs), "--state-dir", state_dir]
-    if resume:
-        cmd.append("--resume")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..",
-                                     "src")
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
-    wait_for_socket(sock, proc)
-    return proc
-
-
 class TestAcceptanceServerKill:
     def test_server_kill_and_resume_across_workloads(self, tmp_path):
         """SIGKILL the server with several jobs in flight; the resumed
@@ -144,8 +115,7 @@ class TestAcceptanceServerKill:
 
             quick_id, ids = asyncio.run(phase1())
         finally:
-            server.kill()
-            server.wait()
+            kill_server(server)
 
         sock2 = str(tmp_path / "s2.sock")
         server2 = spawn_server(state, sock2, resume=True, jobs=2)
@@ -158,8 +128,7 @@ class TestAcceptanceServerKill:
 
             done, rest = asyncio.run(phase2())
         finally:
-            server2.kill()
-            server2.wait()
+            kill_server(server2)
 
         assert done["status"] == "done"
         assert_matches_sequential(done["report"], "MiniGMG-sse")
@@ -192,8 +161,7 @@ class TestSmoke:
 
             results = asyncio.run(main())
         finally:
-            server.kill()
-            server.wait()
+            kill_server(server)
 
         killed = results[0][1]
         assert killed["status"] == "done"

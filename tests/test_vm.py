@@ -17,6 +17,7 @@ from repro.vm import (
     StepLimitExceeded,
     occupancy_factor,
 )
+from repro.vm.decode import FUSED
 from repro.vm.interpreter import _unsigned, _wrap_int
 
 from helpers import run_main
@@ -268,6 +269,59 @@ class TestFailureModes:
         assert m.cycles > m.instructions * 0.5
 
 
+class TestFusedRuns:
+    """Each straight-line run of ops executes as one generated function;
+    a budget check that falls inside a run makes it go op by op, so
+    every count, cycle sum and trap stays exact."""
+
+    @pytest.mark.parametrize("row", ["XSBench-seq", "LULESH-mpi"])
+    def test_polled_deadline_changes_nothing(self, row):
+        # the deadline never fires, but its poll every WALL_CLOCK_POLL
+        # instructions cuts runs at many offsets
+        from repro.oraql.compiler import Compiler
+        from repro.workloads.base import get_config
+
+        prog = Compiler().compile(get_config(row))
+        plain, polled = prog.run(), prog.run(wall_clock=1e9)
+        assert plain.ok
+        assert (polled.instructions, polled.cycles.hex(), polled.stdout) \
+            == (plain.instructions, plain.cycles.hex(), plain.stdout)
+        assert polled == plain
+
+    def test_step_limit_lands_on_each_op_of_a_run(self):
+        src = """
+        int main() {
+          long a = 7;
+          long b = a * 3 + 1;
+          long c = b ^ a;
+          long d = c * b - a;
+          printf("%ld\\n", d + c);
+          return 0;
+        }
+        """
+        module = compile_source(src)
+        first = run_main(module)
+        main = first.decoded.function(module.get_function("main"), 0)
+        # main's entry block runs straight through: an op's index is
+        # the number of instructions executed before it
+        start, run = next((i, op) for i, op in enumerate(main.entry)
+                          if op is not None and op[0] == FUSED
+                          and op[1] >= 8)
+
+        def trapped(max_steps):
+            m = Machine(module, max_steps=max_steps, decoded=first.decoded)
+            m.start("main")
+            m.run_to_completion()
+            assert isinstance(m.error, StepLimitExceeded)
+            assert m.instructions == max_steps + 1
+            return m.cycles
+
+        cycles = trapped(start - 1) if start else 0.0
+        for offset in range(8):
+            cycles += 1.0 * run[3][offset][1]
+            assert trapped(start + offset).hex() == cycles.hex()
+
+
 class TestRelease:
     """A finished run's Machines and their Memory are freed by reference
     counting alone: nothing the run leaves behind (decoded code shared
@@ -309,3 +363,41 @@ class TestRelease:
                 assert [r for r in refs if r() is not None] == []
         finally:
             gc.enable()
+
+    def test_probe_code_freed_once_its_verdict_is_booked(self, monkeypatch):
+        """A probe's decoded code (cyclic through loop edges and calls)
+        is released after its verdict, so the previous probe's is gone
+        when the next one compiles; the baseline's stays."""
+        import gc
+        import weakref
+
+        from repro.oraql.driver import ProbingDriver
+        from repro.vm import decode
+        from repro.workloads.base import get_config
+
+        made = []
+        real_init = decode.DecodedModule.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        live_at_compile = []
+        real_compile = ProbingDriver._compile
+
+        def compile_(self, *args, **kwargs):
+            live_at_compile.append(sum(r() is not None for r in made))
+            return real_compile(self, *args, **kwargs)
+
+        monkeypatch.setattr(decode.DecodedModule, "__init__", init)
+        monkeypatch.setattr(ProbingDriver, "_compile", compile_)
+        gc.collect()
+        gc.disable()
+        try:
+            report = ProbingDriver(get_config("LULESH-mpi")).run()
+        finally:
+            gc.enable()
+        assert report.tests_run >= 3
+        # baseline, then each probe: only the baseline's code is live
+        assert live_at_compile == [0] + [1] * (len(live_at_compile) - 1)
+
