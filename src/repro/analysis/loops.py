@@ -126,6 +126,13 @@ class LoopInfo:
     def innermost(self) -> List[Loop]:
         return [l for l in self.loops if not l.subloops]
 
+    def release(self) -> None:
+        """Break the parent/sub-loop cycles so the forest is freed by
+        reference counting.  Each loop keeps its header and blocks."""
+        for loop in self.loops:
+            loop.parent = None
+            loop.subloops.clear()
+
 
 def loop_trip_count(loop: Loop) -> Optional[int]:
     """Constant trip count for canonical ``for (i = c0; i < c1; i += c2)``

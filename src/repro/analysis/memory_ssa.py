@@ -121,6 +121,13 @@ class MemorySSA:
         if optimize_uses:
             self._optimize_uses()
 
+    def release(self) -> None:
+        """Break the cycles loops make through the phis (a latch's
+        defining chain leads back to its header's phi), so the graph
+        is freed by reference counting; it is unusable afterwards."""
+        for phi in self.phis.values():
+            phi.incoming.clear()
+
     # -- construction ---------------------------------------------------------
     def _build(self) -> None:
         fn = self.function

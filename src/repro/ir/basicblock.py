@@ -88,6 +88,16 @@ class BasicBlock(Value):
             self.parent.blocks.remove(self)
             self.parent = None
 
+    def drop_all_references(self) -> None:
+        """Every instruction drops its operands and its parent, and the
+        block forgets its instructions and its function (see
+        :meth:`Module.drop_all_references`)."""
+        for inst in self.instructions:
+            inst.drop_all_references()
+            inst.parent = None
+        self.instructions.clear()
+        self.parent = None
+
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 

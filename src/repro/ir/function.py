@@ -71,6 +71,16 @@ class Function(Value):
             self.blocks.insert(self.blocks.index(after) + 1, bb)
         return bb
 
+    def drop_all_references(self) -> None:
+        """Drop every block's references, then forget the blocks, the
+        arguments and the module (see
+        :meth:`Module.drop_all_references`)."""
+        for bb in self.blocks:
+            bb.drop_all_references()
+        self.blocks.clear()
+        self.args.clear()
+        self.parent = None
+
     def instructions(self) -> Iterator[Instruction]:
         for bb in self.blocks:
             yield from bb.instructions

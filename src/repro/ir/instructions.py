@@ -89,7 +89,7 @@ class Instruction(Value):
         old.users.discard(self)
 
     def drop_all_references(self) -> None:
-        for op in set(self.operands):
+        for op in self.operands:  # discard is idempotent: no dedup
             op.users.discard(self)
         self.operands.clear()
 

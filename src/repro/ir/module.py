@@ -82,7 +82,9 @@ class Module:
         """Link ``other`` into this module (manual LTO, paper §V-A-d).
 
         Declarations are resolved against definitions; duplicate
-        definitions are an error, duplicate declarations merge.
+        definitions are an error, duplicate declarations merge.  Like
+        LLVM's linker, this consumes ``other``: it is left empty, and
+        the declarations no module keeps drop their references.
         """
         for name, st in other.struct_types.items():
             if name not in self.struct_types:
@@ -96,6 +98,7 @@ class Module:
                     raise KeyError(f"duplicate global definition @{name}")
             else:
                 self.globals[name] = gv
+        dropped: List[Function] = []
         for name, fn in other.functions.items():
             mine = self.functions.get(name)
             if mine is None:
@@ -105,11 +108,18 @@ class Module:
                 fn.parent = self
                 mine.replace_all_uses_with(fn)
                 self.functions[name] = fn
+                dropped.append(mine)
             elif not mine.is_declaration and not fn.is_declaration:
                 raise KeyError(f"duplicate function definition @{name}")
             else:
                 fn.replace_all_uses_with(mine)
+                dropped.append(fn)
         self._fixup_callees()
+        for fn in dropped:
+            fn.drop_all_references()
+        other.functions.clear()
+        other.globals.clear()
+        other.struct_types.clear()
 
     def _fixup_callees(self) -> None:
         """Point every direct call at the canonical (linked) function.
@@ -123,6 +133,19 @@ class Module:
                     canonical = self.functions.get(inst.callee.name)
                     if canonical is not None and canonical is not inst.callee:
                         inst.callee = canonical
+
+    def drop_all_references(self) -> None:
+        """LLVM's ``Module::dropAllReferences``: every instruction drops
+        its operands and its parent, and the functions, blocks and
+        global tables are emptied.  That breaks every reference cycle
+        in the IR (values know their users, blocks their function), so
+        the module's IR is freed by reference counting alone.  The
+        module is empty afterwards."""
+        for fn in self.functions.values():
+            fn.drop_all_references()
+        self.functions.clear()
+        self.globals.clear()
+        self.struct_types.clear()
 
     def num_instructions(self) -> int:
         return sum(f.num_instructions() for f in self.defined_functions())

@@ -11,6 +11,7 @@ Sizes and alignments follow a conventional LP64 data layout: pointers are
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -360,10 +361,14 @@ def ptr(pointee: Type) -> PointerType:
     hand out a pointer to the wrong one.
     """
     if isinstance(pointee, StructType):
-        cached = getattr(pointee, "_ptr", None)
+        # held weakly: the struct and its pointer would otherwise be a
+        # cycle, and every dead module's structs would wait for the
+        # cyclic collector.  A pointer type nothing uses may be remade.
+        ref = getattr(pointee, "_ptr", None)
+        cached = ref() if ref is not None else None
         if cached is None:
             cached = PointerType(pointee)
-            pointee._ptr = cached
+            pointee._ptr = weakref.ref(cached)
         return cached
     if _embeds_struct(pointee):
         # named structs compare by name, so equality-keyed interning

@@ -37,6 +37,7 @@ from ..passes import (
 from ..vm import DEFAULT_COSTS, Machine, MPIWorld, VMError
 from ..vm.decode import DecodedModule
 from .config import BenchmarkConfig
+from .errors import ReleasedProgramError
 from .pass_ import DumpFlags, OraqlAAPass
 from .sequence import DecisionSequence
 from .verify import RunResult
@@ -61,6 +62,8 @@ class CompiledProgram:
     #: decoded VM code per cost table (see :meth:`decoded`)
     _decoded: Dict[tuple, DecodedModule] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    #: set by :meth:`release`
+    released: bool = field(default=False, init=False, compare=False)
 
     # -- execution ---------------------------------------------------------
     def run(self, fuel: Optional[int] = None,
@@ -76,6 +79,7 @@ class CompiledProgram:
         default :class:`~repro.vm.CostModel` — measurement sessions pass
         a strict model so unpriced operations crash loudly instead of
         silently distorting cycle deltas."""
+        self._check_live("run")
         cfg = self.config
         max_steps = cfg.max_steps if fuel is None else fuel
         trace = self.ctx.trace
@@ -87,6 +91,7 @@ class CompiledProgram:
         """The module decoded for the VM against ``cost_model``'s table
         (default: the default table), decoded once per table and shared
         by every run and MPI rank of this program."""
+        self._check_live("decode")
         costs = cost_model.costs if cost_model is not None else DEFAULT_COSTS
         key = tuple(sorted(costs.items()))
         decoded = self._decoded.get(key)
@@ -94,13 +99,30 @@ class CompiledProgram:
             decoded = self._decoded[key] = DecodedModule(self.module, costs)
         return decoded
 
-    def release_vm(self) -> None:
-        """Free the decoded VM code now rather than at the next cyclic
-        collection (its loop edges and calls make it cyclic); a later
-        :meth:`run` decodes again."""
+    def release(self) -> None:
+        """Free the program's IR, its compilation context and its
+        decoded VM code by reference counting, now rather than at the
+        next full collection: each of them is cyclic, so this breaks
+        their cycles at their owners.  ``exe_hash``, ``fn_hashes``,
+        statistics and counters stay readable; :meth:`run` and
+        :meth:`decoded` raise :class:`ReleasedProgramError`."""
+        if self.released:
+            return
         for decoded in self._decoded.values():
             decoded.release()
         self._decoded.clear()
+        self.ctx.release()
+        if self.oraql is not None:
+            self.oraql.records.clear()  # they point into the IR
+        self.module.drop_all_references()
+        self.released = True
+
+    def _check_live(self, what: str) -> None:
+        if self.released:
+            raise ReleasedProgramError(
+                f"cannot {what} the {self.config.name} program "
+                f"{self.exe_hash[:12]}: it was released after its "
+                f"verdict was booked")
 
     def _run(self, cfg: BenchmarkConfig, max_steps: int,
              wall_clock: Optional[float], cost_model=None) -> RunResult:
@@ -298,6 +320,7 @@ class Compiler:
             ctx = contexts[0]
             for other_ctx in contexts[1:]:
                 ctx.merge(other_ctx)
+                other_ctx.release()
             if oraql is not None:
                 oraql.attach(ctx)
 

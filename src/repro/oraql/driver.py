@@ -214,9 +214,11 @@ class ProbingDriver:
         self._best_pessimistic: Set[int] = set()
         self._report = ProbingReport(config.name, False, DecisionSequence(),
                                      [], strategy=strategy)
-        #: the most recent in-process probe compile; provenance source
-        #: for learned strategies (StrategyContext.records)
-        self._last_program: Optional[CompiledProgram] = None
+        #: the all-optimistic attempt, the session's first probe.  Every
+        #: other probe is released once its verdict is booked; this one
+        #: once the strategy has read its query records, which point
+        #: into its IR (StrategyContext.records)
+        self._first_program: Optional[CompiledProgram] = None
         if injector is not None:
             # durability faults need the file paths to tear
             if verdict_cache is not None:
@@ -254,14 +256,16 @@ class ProbingDriver:
     def _test(self, sequence: DecisionSequence) -> TestOutcome:
         self.executor.begin_test()
         prog = self._compile(sequence)
-        self._last_program = prog
+        if self._report.tests_run + self._report.tests_cached == 0:
+            self._first_program = prog  # no verdict booked yet
         n = prog.oraql.unique_queries
         try:
             return self._verdict_for(
                 prog.exe_hash, n,
                 lambda: self.executor.run_and_verify(prog, self.verifier))
         finally:
-            prog.release_vm()  # the verdict is booked: free the VM code
+            if prog is not self._first_program:
+                prog.release()  # the verdict is booked: free the probe
 
     def _verdict_for(self, exe_hash: str, unique_queries: int,
                      run_test: Callable[[], TestOutcome]) -> TestOutcome:
@@ -370,6 +374,8 @@ class ProbingDriver:
             # far instead of losing the whole run
             report.budget_exhausted = True
             pess = set(self._best_pessimistic)
+        finally:
+            self._release_first()
 
         # 4. final compile with the discovered sequence, full bookkeeping
         final_seq = sequence_from_pessimistic_set(pess)
@@ -404,19 +410,27 @@ class ProbingDriver:
             report.remarks = self.trace.remark_lines("final")
         return report
 
+    def _release_first(self) -> None:
+        """Free the all-optimistic probe (its release empties its query
+        records too)."""
+        if self._first_program is not None:
+            self._first_program.release()
+            self._first_program = None
+
     # -- the strategy lifecycle loop --------------------------------------
     def _probe(self, first: TestOutcome) -> Set[int]:
         """Drive the configured strategy through its propose/observe
         lifecycle.  The strategy owns the search policy; the driver
         owns compilation, verdict caching, journaling, and budgets."""
         strat = create_strategy(self.strategy)
-        records = (list(self._last_program.oraql.records)
-                   if self._last_program is not None else [])
+        records = (self._first_program.oraql.records
+                   if self._first_program is not None else [])
         ctx = StrategyContext(first=first, records=records,
                               tail_pad=self.TAIL_PAD,
                               explain=self._explain)
         base_deduced = self._report.tests_deduced
         strat.start(ctx)
+        self._release_first()  # the strategy has read the records
         while not strat.done():
             probe = strat.propose()
             # best_known() before the probe: a budget exhausted inside

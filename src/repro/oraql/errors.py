@@ -43,3 +43,8 @@ class FlakyConfigError(ProbingError):
 class JournalError(ProbingError):
     """The session journal cannot be used (header mismatch: the journal
     on disk belongs to a different config, strategy, or schema)."""
+
+
+class ReleasedProgramError(ProbingError):
+    """A program was run or decoded after :meth:`~repro.oraql.compiler.
+    CompiledProgram.release` freed its IR and VM code."""

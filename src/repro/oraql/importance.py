@@ -193,17 +193,20 @@ class MeasuredCycleOracle:
                                      oraql_enabled=True)
         self.compiles += 1
         exe = prog.exe_hash
-        hit = self._cache.get(exe)
-        if hit is not None:
-            self.measurements_cached += 1
-            return Measurement(hit[0], hit[1], exe, from_cache=True)
-        if self.measurements_run >= self.max_measurements:
-            raise MeasurementBudgetExhausted(
-                "importance mining exceeded the measurement budget")
-        self.measurements_run += 1
-        policy = self.executor.policy
-        r = prog.run(fuel=policy.fuel, wall_clock=policy.wall_clock,
-                     cost_model=self.cost_model)
+        try:
+            hit = self._cache.get(exe)
+            if hit is not None:
+                self.measurements_cached += 1
+                return Measurement(hit[0], hit[1], exe, from_cache=True)
+            if self.measurements_run >= self.max_measurements:
+                raise MeasurementBudgetExhausted(
+                    "importance mining exceeded the measurement budget")
+            self.measurements_run += 1
+            policy = self.executor.policy
+            r = prog.run(fuel=policy.fuel, wall_clock=policy.wall_clock,
+                         cost_model=self.cost_model)
+        finally:
+            prog.release()  # measured or cached: free the probe
         ok = self.verifier.check(r)
         self._cache[exe] = (r.cycles, ok)
         if self.journal is not None:
@@ -424,7 +427,7 @@ def attribute_queries(config: BenchmarkConfig, compiler: Compiler,
 
     trace = QueryTrace()
     compiler.compile(config, sequence=full_sequence, oraql_enabled=True,
-                     trace=trace)
+                     trace=trace).release()  # the trace is what we read
     unique: Dict[int, dict] = {}
     enabling: Dict[int, List[str]] = {}
     from ..trace import events as ev

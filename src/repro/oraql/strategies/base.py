@@ -65,7 +65,9 @@ class StrategyContext:
     first: object
     #: per-query provenance from the all-optimistic compile — the
     #: feature source for learned strategies (may be empty when the
-    #: compile happened in another process)
+    #: compile happened in another process).  Read them in
+    #: :meth:`Strategy.start`: the driver frees that compile's IR, which
+    #: the records point into, once ``start`` returns.
     records: Sequence[object] = ()
     tail_pad: int = TAIL_PAD
     #: driver callback rendering a human explanation of a failing

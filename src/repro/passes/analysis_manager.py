@@ -265,13 +265,13 @@ class AnalysisManager:
         for analysis_id in FUNCTION_ANALYSES:
             if not coarse and pa is not None and pa.preserves(analysis_id):
                 continue
-            self._function.pop((fn.id, analysis_id), None)
+            self._drop((fn.id, analysis_id))
         if coarse:
             # legacy semantics: any change nukes this function's
             # analyses and every AA cache (pre-refactor pass_manager
             # behavior, kept for the differential benchmarks)
             for key in [k for k in self._function if k[0] == fn.id]:
-                self._function.pop(key, None)
+                self._drop(key)
             self._invalidate_aa_module()
             return
         self._invalidate_aa_function(fn)
@@ -290,7 +290,7 @@ class AnalysisManager:
             for key in list(self._function):
                 if key[0] in fn_ids and not (
                         pa is not None and pa.preserves(key[1])):
-                    self._function.pop(key, None)
+                    self._drop(key)
             for fn in fns:
                 self._invalidate_aa_function(fn)
             # interprocedural state (GlobalsAA address-taken verdicts)
@@ -300,7 +300,7 @@ class AnalysisManager:
         for key in list(self._function):
             if not coarse_mode and pa is not None and pa.preserves(key[1]):
                 continue
-            self._function.pop(key, None)
+            self._drop(key)
         self._invalidate_aa_module()
 
     def invalidate_interprocedural(self) -> None:
@@ -329,6 +329,26 @@ class AnalysisManager:
                 inv = getattr(analysis, "invalidate", None)
                 if inv is not None:
                     inv()
+
+    def _drop(self, key: Tuple[int, type]) -> None:
+        """Forget a cached result, releasing the ones with internal
+        cycles (MemorySSA through its phis, LoopInfo through its
+        nesting) so that they are freed by reference counting.  A pass
+        may still walk a loop's blocks after invalidating its LoopInfo
+        (the loop vectorizer does); those stay."""
+        result = self._function.pop(key, None)
+        release = getattr(result, "release", None)
+        if release is not None:
+            release()
+
+    def release(self) -> None:
+        """Drop every cached result and forget the context (see
+        :meth:`CompilationContext.release`); the counters stay
+        readable."""
+        for key in list(self._function):
+            self._drop(key)
+        self._stamp.clear()
+        self.ctx = None
 
     # -- verification ----------------------------------------------------
     def verify_preserved(self, fn: Function, pass_name: str) -> None:

@@ -147,6 +147,16 @@ class CompilationContext:
         self.debug_log.extend(other.debug_log)
         self.pass_executions += other.pass_executions
 
+    def release(self) -> None:
+        """Break this context's reference cycles once its compile is
+        done with: empty the analysis caches and per-function views,
+        and unlink the ORAQL pass.  Statistics and counters stay
+        readable."""
+        self.am.release()
+        self._fn_views.clear()
+        if self.oraql is not None:
+            self.oraql.attach(None)
+
     # -- pass-context stack ------------------------------------------------
     def push_pass(self, name: str) -> None:
         self.pass_stack.append(name)

@@ -234,6 +234,7 @@ class SLPVectorize(Pass):
             return v
 
         vec_value = emit_tree(tree)
+        del emit_tree  # a recursive closure is a reference cycle
         vty = VectorType(stores[0].value.type, LANES)
         from ..ir.instructions import CastInst
         cast = insert(CastInst("bitcast", stores[0].pointer, ptr(vty),

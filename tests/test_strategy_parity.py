@@ -49,3 +49,29 @@ class TestNewStrategyAgreement:
             assert rep.pessimistic_indices == \
                 chunked.pessimistic_indices, title
             assert rep.final_exe_hash == chunked.final_exe_hash, title
+
+
+class TestPriorReadsTheFirstProbe:
+    """The provenance prior scores queries from the all-optimistic
+    probe's records, walking each recorded pointer's operands.  Freeing
+    that probe's IR before the strategy is done silently changes its
+    scores, and so its probes, on these rows (every other test stays
+    green).  ``tests/goldens/strategy_probes_prior.txt`` pins each
+    row's probes, pessimistic set, totals and final executable."""
+
+    ROWS = ("XSBench-seq", "LULESH-mpi", "LULESH-openmp")
+
+    def test_prior_probe_log_pinned(self, golden):
+        import repro.workloads  # noqa: F401 — registers all variants
+        from repro.workloads.base import get_config
+
+        sections = []
+        for row in self.ROWS:
+            driver = probe_logging_driver(get_config(row),
+                                          strategy="provenance-prior")
+            report = driver.run()
+            sections.append(
+                render_probe_log(f"{row} / provenance-prior", driver,
+                                 report)
+                + f"\nfinal_exe_hash: {report.final_exe_hash}")
+        golden("strategy_probes_prior.txt", "\n\n".join(sections) + "\n")

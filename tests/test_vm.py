@@ -323,10 +323,9 @@ class TestFusedRuns:
 
 
 class TestRelease:
-    """A finished run's Machines and their Memory are freed by reference
-    counting alone: nothing the run leaves behind (decoded code shared
-    by the program, the MPI world, the result) points back at them, so
-    no run's image waits for the cyclic collector."""
+    """A finished run's Machines and their Memory, and a finished
+    probe's IR, analyses and decoded code, are freed by reference
+    counting alone, so none of them waits for the cyclic collector."""
 
     @pytest.mark.parametrize("row,fuel", [("TestSNAP-seq", None),
                                           ("LULESH-mpi", None),
@@ -400,4 +399,129 @@ class TestRelease:
         assert report.tests_run >= 3
         # baseline, then each probe: only the baseline's code is live
         assert live_at_compile == [0] + [1] * (len(live_at_compile) - 1)
+
+    @staticmethod
+    def _track_modules(monkeypatch):
+        """Record a weakref to every compiled module; returns, per
+        compile, the indices of the earlier modules alive as it starts."""
+        import weakref
+
+        from repro.oraql.compiler import Compiler
+
+        made, live_at_compile = [], []
+        real = Compiler.compile
+
+        def compile_(self, *args, **kwargs):
+            live_at_compile.append(
+                [i for i, ref in enumerate(made) if ref() is not None])
+            prog = real(self, *args, **kwargs)
+            made.append(weakref.ref(prog.module))
+            return prog
+
+        monkeypatch.setattr(Compiler, "compile", compile_)
+        return live_at_compile
+
+    @pytest.mark.parametrize("row,strategy", [
+        ("LULESH-mpi", "chunked"),
+        # the prior reads the first probe's IR through its query records
+        ("XSBench-seq", "provenance-prior"),
+    ])
+    def test_probe_ir_freed_by_refcount(self, monkeypatch, row, strategy):
+        """A probe's module, with its analyses and VM code, is freed by
+        reference counting once its verdict is booked: with the
+        collector off, only the baseline's module (compile 0) is alive
+        when each later compile starts."""
+        import gc
+
+        from repro.oraql.driver import ProbingDriver
+        from repro.workloads.base import get_config
+
+        live = self._track_modules(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            report = ProbingDriver(get_config(row), strategy=strategy).run()
+        finally:
+            gc.enable()
+        assert report.tests_run >= 3
+        assert live == [[]] + [[0]] * (len(live) - 1)
+
+    def test_importance_measurements_freed_by_refcount(self, monkeypatch):
+        """The importance driver's measurement compiles are freed the
+        same way; the probing phase's baseline and final programs stay,
+        because its report hands them on."""
+        import gc
+
+        from repro.oraql.importance import ImportanceDriver
+        from repro.workloads.base import get_config
+
+        live = self._track_modules(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            report = ImportanceDriver(get_config("TestSNAP-seq")).run()
+        finally:
+            gc.enable()
+        probing = report.probing.compiles
+        assert report.compiles >= 3
+        assert live[:probing] == [[]] + [[0]] * (probing - 1)
+        assert live[probing:] == [[0, probing - 1]] * (len(live) - probing)
+
+    @pytest.mark.parametrize("row", [
+        "LULESH-mpi",
+        "Quicksilver-openmp",  # links several units (dropped declarations)
+        "MiniFE-openmp",       # SLP-vectorizes
+    ])
+    def test_session_leaves_no_instruction_for_the_collector(self, row):
+        """Census: everything a session frees goes by reference
+        counting, so a full collection with DEBUG_SAVEALL finds no
+        instruction (the report keeps the baseline and final programs
+        alive, so theirs are not garbage either)."""
+        import gc
+
+        from repro.ir.instructions import Instruction
+        from repro.oraql.driver import ProbingDriver
+        from repro.workloads.base import get_config
+
+        gc.collect()
+        gc.disable()
+        try:
+            report = ProbingDriver(get_config(row)).run()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = sum(isinstance(o, Instruction) for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not report.failed
+        assert found == 0
+
+    def test_released_program_fails_loudly(self):
+        """A released program keeps what was computed at compile time,
+        and refuses to run or decode with an error naming it."""
+        from repro.oraql.compiler import Compiler
+        from repro.oraql.errors import ReleasedProgramError
+        from repro.oraql.sequence import DecisionSequence
+        from repro.workloads.base import get_config
+
+        prog = Compiler().compile(get_config("TestSNAP-seq"),
+                                  sequence=DecisionSequence(),
+                                  oraql_enabled=True)
+
+        def readable():
+            return (prog.exe_hash, dict(prog.fn_hashes), prog.stats.rows(),
+                    prog.analysis_counters, prog.pass_executions,
+                    prog.no_alias_count, prog.oraql.unique_queries)
+
+        before = readable()
+        prog.release()
+        prog.release()  # a second release is a no-op
+        assert readable() == before
+        assert prog.module.functions == {}
+        for call in (prog.run, prog.decoded):
+            with pytest.raises(ReleasedProgramError,
+                               match=f"{prog.config.name} program") as err:
+                call()
+            assert prog.exe_hash[:12] in str(err.value)
 
