@@ -24,8 +24,10 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..ir import (
     AliasScope,
+    AllocaInst,
     ArrayType,
     BasicBlock,
+    CastInst,
     ConstantData,
     ConstantFloat,
     ConstantInt,
@@ -319,8 +321,6 @@ class FnEmitter:
     def create_alloca(self, ty: Type, name: str):
         """Create a stack slot in the *entry* block (clang's behaviour),
         regardless of where the builder currently is, so mem2reg sees it."""
-        from ..ir import AllocaInst
-
         entry = self.fn.entry
         inst = AllocaInst(ty, 1, name)
         idx = 0
@@ -521,7 +521,6 @@ class FnEmitter:
 
     # -- conditions & conversions -----------------------------------------
     def eval_condition(self, e: Expr) -> Value:
-        from ..ir import CastInst
         v, cty = self.eval_expr(e)
         if v.type == I1:
             return v

@@ -59,6 +59,11 @@ class CompiledProgram:
     #: declarations); ``exe_hash`` is assembled from these, and they
     #: key the content-addressed codegen cache
     fn_hashes: Dict[str, str] = field(default_factory=dict)
+    #: the compiling session's decoded VM code, shared by body hash
+    #: (see :class:`~repro.vm.decode.DecodedModule`); None decodes
+    #: every function for this program alone
+    shared_code: Optional[dict] = field(default=None, repr=False,
+                                        compare=False)
     #: decoded VM code per cost table (see :meth:`decoded`)
     _decoded: Dict[tuple, DecodedModule] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -96,7 +101,8 @@ class CompiledProgram:
         key = tuple(sorted(costs.items()))
         decoded = self._decoded.get(key)
         if decoded is None:
-            decoded = self._decoded[key] = DecodedModule(self.module, costs)
+            decoded = self._decoded[key] = DecodedModule(
+                self.module, costs, self.shared_code, self.fn_hashes)
         return decoded
 
     def release(self) -> None:
@@ -221,6 +227,12 @@ class Compiler:
         #: a Compiler reused across configs (``--fig 4``, the fuzz
         #: campaign) holds only the current one's units.
         self._units: Dict[Tuple[str, str], TranslationUnit] = {}
+        #: decoded VM code shared by the programs this Compiler makes,
+        #: keyed by (function name, body hash, nargs, cost table).  A
+        #: body hash does not cover the struct layouts a body names, so
+        #: the cache is replaced when the sources change, like _units.
+        self._code: dict = {}
+        self._code_sources: Tuple[Tuple[str, str], ...] = ()
 
     def compile(self, config: BenchmarkConfig,
                 sequence: Optional[DecisionSequence] = None,
@@ -343,8 +355,12 @@ class Compiler:
                 ctx.log(f"[fn-hash] {name} {fh}")
         if trace is not None:
             trace.record_stats(ctx.stats)
+        sources = tuple((src.name, src.text) for src in config.sources)
+        if sources != self._code_sources:
+            self._code, self._code_sources = {}, sources
         return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
-                               exe_hash, fn_hashes=fn_hashes)
+                               exe_hash, fn_hashes=fn_hashes,
+                               shared_code=self._code)
 
     def _parsed(self, config: BenchmarkConfig) -> List[TranslationUnit]:
         """The parsed unit of each of ``config``'s sources, parsing only

@@ -20,17 +20,18 @@ from ..ir.instructions import (
     PhiInst,
     SelectInst,
 )
+from ..analysis.cfg import reachable_blocks
 from ..ir.values import ConstantFloat, ConstantInt, UndefValue, Value
-from ..ir.types import FloatType, IntType
+from ..ir.types import I1, FloatType, IntType
+from ..vm.decode import _unsigned, _wrap_int, binop_fn, icmp_fn
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass
 
 
 def _fold_binop(op: str, a: ConstantInt, b: ConstantInt,
                 ty: IntType) -> Optional[ConstantInt]:
-    from ..vm.interpreter import Machine
     try:
-        v = Machine._scalar_binop(op, a.value, b.value, ty)
+        v = binop_fn(op, ty)(a.value, b.value)
     except Exception:
         return None
     return ConstantInt(ty, v)
@@ -103,11 +104,8 @@ class InstCombine(Pass):
                     and a.op == "zext" and a.value.type == IntType(1):
                 return a.value
             if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
-                from ..vm.interpreter import Machine
-                bits = a.type.bits
-                from ..ir.types import I1
-                return ConstantInt(I1, Machine._icmp(inst.pred, a.value,
-                                                     b.value, bits))
+                return ConstantInt(I1, icmp_fn(inst.pred, a.type.bits)(
+                    a.value, b.value))
         elif isinstance(inst, SelectInst):
             c = inst.operands[0]
             if isinstance(c, ConstantInt):
@@ -128,7 +126,6 @@ class InstCombine(Pass):
                 return v
             if isinstance(v, ConstantInt):
                 if inst.op in ("sext", "zext", "trunc"):
-                    from ..vm.interpreter import _unsigned, _wrap_int
                     if inst.op == "zext":
                         return ConstantInt(inst.type, _unsigned(v.value, v.type.bits))
                     if inst.op == "sext":
@@ -227,7 +224,6 @@ class SimplifyCFG(Pass):
         return changed
 
     def _remove_unreachable(self, fn: Function, ctx: CompilationContext) -> bool:
-        from ..analysis.cfg import reachable_blocks
         reach = reachable_blocks(fn)
         dead = [bb for bb in fn.blocks if bb not in reach]
         if not dead:

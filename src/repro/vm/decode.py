@@ -1,14 +1,23 @@
 """Decoding: IR functions turned into flat op lists for the interpreter.
 
-A function is decoded once per (module, cost table) and then executed
-by :class:`~repro.vm.interpreter.Machine` as many times as it is
-called, across every run and MPI rank that shares the
-:class:`DecodedModule`.
+A function body is decoded once per session and cost table into a
+:class:`Code`, which every program of the session with the same
+function (name, printed body hash, argument count) runs; each program
+binds its own template from it, and then executes it on
+:class:`~repro.vm.interpreter.Machine` as many times as it is called,
+across every run and MPI rank that shares its :class:`DecodedModule`.
 
 * **Slots.**  Every SSA value gets an index into a frame's register
-  list.  A frame is a copy of the function's *template*, in which
-  constants, global addresses and functions are pre-filled and every
-  other slot holds :data:`UNSET`.
+  list.  A frame is a copy of the program's *template* for the
+  function, in which constants, global addresses, functions and callee
+  code are pre-filled and every other slot holds :data:`UNSET`.
+* **Shared code.**  A :class:`Code` holds no program's IR: the slots
+  the printed body does not fix (global addresses, function values,
+  callee code) are *links*, filled per program by name
+  (:meth:`Code.bind`); a call op reads its callee's code from one, and
+  error texts are formatted at decode time.  Code whose error texts
+  name IR values, or whose names resolve elsewhere, is decoded for its
+  program alone.
 * **Ops.**  Each block becomes a list of ops, one index per
   instruction.  An instruction that touches the frame stack, the
   runtime or the cycle counter is a SLOW op: a handler specialised by
@@ -22,8 +31,11 @@ called, across every run and MPI rank that shares the
   PRICED op), up to and including the block's BR or JUMP, is one
   generated function, compiled once per distinct source
   (:func:`generate`).  It charges each op's cost in order, runs it and
-  returns the edge it takes.  Memory ops read the image's buffer and
-  break once per run: only SLOW ops allocate.
+  returns the edge it takes.  A run ending in a JUMP carries on into
+  the run its target enters, when that one reaches its block's BR or
+  JUMP (one level).  Memory ops read the image's buffer and break once
+  per run: only SLOW ops allocate.  A vector inside the break moves
+  with one ``struct`` call, otherwise lane by lane.
 * **Exactness.**  Decoding changes no observable result: a read that
   SSA dominance does not guarantee to find a value (a def that does not
   dominate the use, an entry-block phi, a missing argument) is checked
@@ -46,11 +58,16 @@ op runs):
                                                cycles) -> (cycles, edge or
                                                None)``: ``length`` ops,
                                                then the edge, or the next
-                                               op if None
+                                               op if None; a threaded
+                                               JUMP is a PLAIN statement
+                                               (its phi moves) followed
+                                               by its target's run
 ``(SLOW, cost, h, dest)``                      ``h(machine, frame)`` with
                                                the machine state synced;
                                                ``dest`` receives a blocked
-                                               call's result
+                                               call's result; a call's
+                                               ``h`` reads its callee's
+                                               code from the frame
 ``(PRICED, 0.0, key, op)``                     charge ``CostModel.of(key)``,
                                                then run ``op``: a SLOW op,
                                                or ``(PLAIN, 0.0, run)`` for
@@ -385,15 +402,82 @@ def steps(op: tuple) -> list:
 
 # -- decoded code ---------------------------------------------------------------
 
+#: link kinds: per-program template slots, filled by name (:meth:`Code.bind`)
+_GLOBAL, _FUNCTION, _CALL, _RUNTIME = range(4)
+
+
+class Code:
+    """One function body decoded against one cost table: the slot
+    layout, the op lists and their runs.  It holds no program's IR, so
+    every program of a session whose function has the same name, printed
+    body, argument count and cost table runs the same code.
+
+    ``template`` holds what the printed body fixes (constants, UNSET);
+    ``links`` name what each program supplies: ``(slot, kind, name,
+    nargs)`` for a global's address, a function value or a callee's
+    code, and ``(None, _RUNTIME, name, 0)`` for a callee that must not
+    be defined, because its calls go to the runtime."""
+
+    __slots__ = ("template", "links", "arg_slots", "entry", "blocks")
+
+    def __init__(self, template: list, links: tuple,
+                 arg_slots: Tuple[int, ...], entry: list,
+                 blocks: List[list]):
+        self.template = template
+        self.links = links
+        self.arg_slots = arg_slots
+        self.entry = entry
+        self.blocks = blocks
+
+    def bind(self, owner: "DecodedModule") -> Optional[list]:
+        """The template of a frame of this code in ``owner``'s program,
+        or None when one of its names means something else there."""
+        template = self.template.copy()
+        module = owner.module
+        for slot, kind, name, nargs in self.links:
+            if kind == _GLOBAL:
+                value = owner.globals.get(module.globals.get(name))
+            else:
+                value = module.functions.get(name)
+                if kind == _RUNTIME:
+                    if value is not None and not value.is_declaration:
+                        return None
+                    continue
+                if kind == _CALL and value is not None:
+                    if value.is_declaration:
+                        return None
+                    value = owner.function(value,
+                                           min(nargs, len(value.args)))
+            if value is None:
+                return None
+            template[slot] = value
+        return template
+
+    def release(self) -> None:
+        """Empty the op lists (cyclic through loop edges): for code no
+        other program shares."""
+        for ops in self.blocks:
+            ops.clear()
+
+
 class DecodedModule:
     """A module's functions decoded against one cost table.
 
     Functions are decoded lazily, on their first call; one instance is
     shared by every Machine that runs the module with that table.
     ``globals`` holds the address each global gets in a fresh image
-    (the Machine allocates them in the same order)."""
+    (the Machine allocates them in the same order).
 
-    def __init__(self, module: Module, costs: Dict[str, float]):
+    ``shared`` (a dict owned by the caller, e.g. the session's
+    :class:`~repro.oraql.compiler.Compiler`) and ``hashes`` (each
+    function's printed body hash) let programs share :class:`Code`: it
+    is keyed by ``(name, body hash, nargs, cost table)``, so a body is
+    decoded once per session, and each program only binds its own
+    template (:meth:`Code.bind`)."""
+
+    def __init__(self, module: Module, costs: Dict[str, float],
+                 shared: Optional[dict] = None,
+                 hashes: Optional[Dict[str, str]] = None):
         self.module = module
         self.costs = dict(costs)
         self.globals: Dict[GlobalVariable, int] = {}
@@ -402,6 +486,11 @@ class DecodedModule:
             ty = gv.value_type
             self.globals[gv], brk = place(brk, ty.size(), ty.align())
         self._functions: Dict[Tuple[Function, int], DecodedFunction] = {}
+        self._shared = shared
+        self._hashes = hashes or {}
+        self._table = tuple(sorted(self.costs.items()))
+        #: code decoded for this program alone, emptied on release
+        self._private: List[Code] = []
 
     def function(self, fn: Function, nargs: int) -> "DecodedFunction":
         """``fn`` as entered with ``nargs`` arguments (frames that get
@@ -412,34 +501,60 @@ class DecodedModule:
             code = self._functions[key] = DecodedFunction(self, fn, nargs)
         return code
 
+    def code(self, fn: Function, nargs: int) -> Tuple[Code, list]:
+        """``fn``'s code and this program's template for it: the shared
+        code when its key was decoded before and binds here, otherwise
+        freshly decoded (and shared from then on if it may be)."""
+        body = self._hashes.get(fn.name)
+        key = None
+        if self._shared is not None and body is not None:
+            key = (fn.name, body, nargs, self._table)
+            code = self._shared.get(key)
+            if code is not None:
+                template = code.bind(self)
+                if template is not None:
+                    return code, template
+        decoder = _Decoder(self, fn, nargs)
+        code, template = decoder.run()
+        if key is not None and decoder.shareable \
+                and key not in self._shared:
+            self._shared[key] = code
+        else:
+            self._private.append(code)
+        return code, template
+
     def release(self) -> None:
-        """Empty every op list and forget every function, so that the
+        """Forget every function and its template, and empty the op
+        lists of code no other program shares, so that this program's
         decoded code (cyclic through loop edges and calls) is freed by
         reference counting.  No machine may be running it."""
         for code in self._functions.values():
-            for ops in code.blocks:
-                ops.clear()
+            code.template = None
         self._functions.clear()
+        for code in self._private:
+            code.release()
+        self._private.clear()
 
 
 class DecodedFunction:
-    """One function's template and op lists; ``entry`` is None until
-    the first frame enters it."""
+    """One function of one program: the entry ops and argument slots
+    of its :class:`Code`, and this program's template; ``entry`` is
+    None until the first frame enters it."""
 
-    __slots__ = ("owner", "fn", "nargs", "template", "arg_slots", "entry",
-                 "blocks")
+    __slots__ = ("owner", "fn", "nargs", "template", "arg_slots", "entry")
 
     def __init__(self, owner: DecodedModule, fn: Function, nargs: int):
         self.owner = owner
         self.fn = fn
         self.nargs = nargs
-        self.template: List[object] = []
+        self.template: Optional[list] = None
         self.arg_slots: Tuple[int, ...] = ()
         self.entry: Optional[list] = None
-        self.blocks: List[list] = []
 
     def decode(self) -> None:
-        _Decoder(self).run()
+        code, self.template = self.owner.code(self.fn, self.nargs)
+        self.arg_slots = code.arg_slots
+        self.entry = code.entry
 
 
 def _checked_slow(h, checks):
@@ -453,16 +568,19 @@ def _checked_slow(h, checks):
 
 
 class _Decoder:
-    """Builds one :class:`DecodedFunction`: slots, template, op lists."""
+    """Decodes one function: slots, template, links, op lists, runs."""
 
-    def __init__(self, code: DecodedFunction):
-        fn = code.fn
-        self.code = code
+    def __init__(self, owner: DecodedModule, fn: Function, nargs: int):
+        self.owner = owner
         self.fn = fn
-        self.owner = code.owner
+        self.nargs = nargs
         self.entry_block = fn.entry
         self.template: List[object] = [None, UNSET]  # SINK, HOLE
-        self.slots: Dict[Value, int] = {}
+        self.slots: Dict[object, int] = {}
+        self.links: List[tuple] = []
+        #: False when the code depends on more than the printed body:
+        #: then it is decoded for each program
+        self.shareable = True
         self.args = {a: i for i, a in enumerate(fn.args)}
         self.position: Dict[Instruction, Tuple[BasicBlock, int]] = {}
         self.nphis: Dict[BasicBlock, int] = {}
@@ -473,6 +591,11 @@ class _Decoder:
         self.dt = DominatorTree(fn)
         self.ops: Dict[BasicBlock, list] = {}
         self._pending: List[BasicBlock] = []
+        #: each block's runs: start index -> (statements, end index)
+        self.runs: Dict[BasicBlock, Dict[int, tuple]] = {}
+        #: each JUMP at (block, index): (phi moves, their constants,
+        #: target block)
+        self.jumps: Dict[Tuple[BasicBlock, int], tuple] = {}
 
     # -- slots -------------------------------------------------------------
     def slot(self, v: Value) -> int:
@@ -482,12 +605,33 @@ class _Decoder:
             self.template.append(UNSET)
         return s
 
-    def _constant(self, v: Value, value) -> int:
+    def _constant(self, v, value) -> int:
         s = self.slots.get(v)
         if s is None:
             s = self.slots[v] = len(self.template)
             self.template.append(value)
         return s
+
+    def _link(self, kind: int, v: Value, value, nargs: int = 0) -> int:
+        """A slot this program fills with ``value``; other programs fill
+        it by ``v``'s name, which must name ``v`` here too."""
+        key = (kind, v, nargs)
+        s = self.slots.get(key)
+        if s is None:
+            module = self.owner.module
+            table = module.globals if kind == _GLOBAL else module.functions
+            if table.get(v.name) is not v:
+                self.shareable = False
+            s = self._constant(key, value)
+            self.links.append((s, kind, v.name, nargs))
+        return s
+
+    def _message(self, text: str) -> Callable[[], BaseException]:
+        """The error a failed check raises.  Its text names IR values,
+        whose names the printed body may not fix: such code is not
+        shared."""
+        self.shareable = False
+        return functools.partial(VMError, text)
 
     def dest(self, inst: Instruction) -> int:
         return SINK if inst.type.is_void else self.slot(inst)
@@ -502,20 +646,20 @@ class _Decoder:
                 return self._constant(v, v.value), None
             if isinstance(v, (ConstantNull, UndefValue)):
                 return self._constant(v, 0), None
-            return HOLE, lambda: VMError(f"cannot evaluate constant {v!r}")
+            return HOLE, self._message(f"cannot evaluate constant {v!r}")
         if isinstance(v, GlobalVariable):
             addr = self.owner.globals.get(v)
             if addr is None:
+                self.shareable = False
                 return HOLE, lambda: KeyError(v)
-            return self._constant(v, addr), None
+            return self._link(_GLOBAL, v, addr), None
         if isinstance(v, Function):
-            return self._constant(v, v), None
+            return self._link(_FUNCTION, v, v), None
         slot = self.slot(v)
         if self._defined(v, block, pos):
             return slot, None
-        fn = self.fn
-        return slot, lambda: VMError(
-            f"use of unevaluated value {v.short()} in @{fn.name}")
+        return slot, self._message(
+            f"use of unevaluated value {v.short()} in @{self.fn.name}")
 
     def _defined(self, v: Value, block: BasicBlock, pos: int) -> bool:
         """Is ``v`` written in every frame that reaches ``pos`` of
@@ -525,7 +669,7 @@ class _Decoder:
             return False  # never runs; stay exact anyway
         index = self.args.get(v)
         if index is not None:
-            return index < self.code.nargs
+            return index < self.nargs
         where = self.position.get(v)
         if where is None or v.type.is_void:
             return False
@@ -548,8 +692,9 @@ class _Decoder:
             self._pending.append(bb)
         return ops
 
-    def run(self) -> None:
-        code = self.code
+    def run(self) -> Tuple[Code, list]:
+        """Decode every block, then generate its runs: the code, and
+        this program's template."""
         entry = self.block_ops(self.entry_block)
         for bb in self.fn.blocks:
             self.block_ops(bb)
@@ -560,15 +705,37 @@ class _Decoder:
             done += 1
             decoded = [self.bind_cost(inst, self.decode(inst, bb, pos))
                        for pos, inst in enumerate(bb.instructions)]
-            starts = {self.nphis[bb]}  # where edges enter
+            starts = {self.nphis.get(bb, 0)}  # where edges enter
             if bb is self.entry_block:
                 starts.add(0)
-            self.ops[bb].extend(_fuse(decoded, starts))
-        code.arg_slots = tuple(self.slot(a)
-                               for a in self.fn.args[:code.nargs])
-        code.template = self.template
-        code.blocks = list(self.ops.values())
-        code.entry = entry
+            self.runs[bb] = _split(decoded, starts, self.ops[bb])
+        for bb, runs in self.runs.items():
+            ops = self.ops[bb]
+            for start, (stmts, end) in runs.items():
+                stmts = self.thread(bb, stmts, end)
+                ops[start] = (FUSED, len(stmts), generate(stmts), stmts, [])
+        arg_slots = tuple(self.slot(a) for a in self.fn.args[:self.nargs])
+        base = list(self.template)
+        for slot, *_ in self.links:
+            if slot is not None:
+                base[slot] = None  # each program binds its own
+        code = Code(base, tuple(self.links), arg_slots, entry,
+                    list(self.ops.values()))
+        return code, self.template
+
+    def thread(self, bb: BasicBlock, stmts: tuple, end: int) -> tuple:
+        """A run ending in a JUMP, followed by the run the JUMP enters
+        when that one runs to its block's BR or JUMP: the JUMP keeps its
+        cost and phi moves, and the target's ops follow in the same
+        dispatch.  One level only: the target's own JUMP returns."""
+        if stmts[-1][0] != JUMP:
+            return stmts
+        moves, consts, target = self.jumps[bb, end - 1]
+        entered = self.runs.get(target, {}).get(self.nphis.get(target, 0))
+        if entered is None or entered[0][-1][0] == PLAIN:
+            return stmts
+        return (stmts[:-1] + ((PLAIN, stmts[-1][1], moves, consts),)
+                + entered[0])
 
     def bind_cost(self, inst: Instruction, op: tuple) -> tuple:
         """``op`` (SLOW) or the statement ``(kind, cost, source,
@@ -584,23 +751,26 @@ class _Decoder:
         return (op[0], cost) + op[2:]
 
     # -- edges ---------------------------------------------------------------
-    def edge(self, source: BasicBlock, target: BasicBlock, k) -> str:
-        """Taking the CFG edge: the target's phi moves, then the return
-        of ``(target ops, start index)``."""
-        ops = self.block_ops(target)
-        phis = target.phis()
+    def moves(self, source: BasicBlock, target: BasicBlock, k) -> str:
+        """The target's phi moves on taking the CFG edge."""
         end = len(source.instructions)
         reads: List[Tuple[int, Fail]] = []
         dests: List[int] = []
-        for phi in phis:
+        for phi in target.phis():
             v = phi.incoming_for_block(source)
             if v is None:
-                reads.append((HOLE, lambda phi=phi: VMError(
+                reads.append((HOLE, self._message(
                     f"phi {phi.short()} has no incoming for {source.name}")))
             else:
                 reads.append(self.read(v, source, end))
             dests.append(self.slot(phi))
-        return _moves(reads, dests, k) + f"return cycles, {k((ops, len(phis)))}"
+        return _moves(reads, dests, k)
+
+    def edge(self, source: BasicBlock, target: BasicBlock, k) -> str:
+        """Taking the CFG edge: the target's phi moves, then the return
+        of ``(target ops, start index)``."""
+        return (self.moves(source, target, k) + "return cycles, "
+                + k((self.block_ops(target), len(target.phis()))))
 
     # -- instructions ----------------------------------------------------------
     def decode(self, inst: Instruction, bb: BasicBlock, pos: int) -> tuple:
@@ -629,7 +799,11 @@ class _Decoder:
         kind = PLAIN
         if cls is BranchInst:
             if not inst.is_conditional:
-                return (JUMP, None, self.edge(bb, inst.targets[0], k),
+                target = inst.targets[0]
+                moves = self.moves(bb, target, k)
+                self.jumps[bb, pos] = (moves, tuple(consts), target)
+                edge = k((self.block_ops(target), len(target.phis())))
+                return (JUMP, None, f"{moves}return cycles, {edge}",
                         tuple(consts))
             kind = BR
             c = rd(inst.condition)
@@ -689,28 +863,31 @@ def _moves(reads, dests, k) -> str:
     return "".join(out)
 
 
-def _fuse(decoded: list, starts: set) -> list:
-    """A block's op list from its decoded ops and statements: each run
-    of statements that can be entered (at ``starts``, or right after a
-    SLOW or PRICED op) becomes one FUSED op at its first index, ending
-    at the next SLOW or PRICED op or after a BR or JUMP.  Indices inside
-    a run are never dispatched and hold None."""
-    ops: list = [None] * len(decoded)
+def _split(decoded: list, starts: set, ops: list) -> Dict[int, tuple]:
+    """Lay out a block's op list ``ops`` from its decoded ops and
+    statements: SLOW and PRICED ops at their index, and each run of
+    statements that can be entered (at ``starts``, or right after a SLOW
+    or PRICED op), ending at the next SLOW or PRICED op or after a BR or
+    JUMP.  Returns the runs, ``start -> (statements, end)``; the caller
+    puts each one's FUSED op at its start.  Indices inside a run are
+    never dispatched and hold None."""
+    ops.extend([None] * len(decoded))
     for i, op in enumerate(decoded):
         if op[0] == SLOW or op[0] == PRICED:
             ops[i] = op
             starts.add(i + 1)
+    runs: Dict[int, tuple] = {}
     for start in sorted(starts, reverse=True):  # runs end at later starts
-        if start >= len(ops) or ops[start] is not None:
+        if start >= len(ops) or ops[start] is not None or start in runs:
             continue
         end = start
-        while end < len(ops) and ops[end] is None:
+        while end < len(ops) and ops[end] is None \
+                and (end == start or end not in runs):
             end += 1
             if decoded[end - 1][0] != PLAIN:
                 break
-        stmts = tuple(decoded[start:end])
-        ops[start] = (FUSED, len(stmts), generate(stmts), stmts, [])
-    return ops
+        runs[start] = (tuple(decoded[start:end]), end)
+    return runs
 
 
 # -- plain ops ------------------------------------------------------------------
@@ -719,12 +896,22 @@ def _fuse(decoded: list, starts: set) -> list:
 # evaluation order and returns the statements of its op, which name
 # constants through ``k``.
 
+def _lanewise(expr: str, count: int, a: int, b: int, d: int) -> str:
+    """A vector op: ``expr`` over ``{a}``/``{b}`` once per lane of the
+    vectors in slots ``a`` and ``b``, lanes in order."""
+    xs = [f"x{i}" for i in range(count)]
+    ys = [f"y{i}" for i in range(count)]
+    return (f"{', '.join(xs)}, = regs[{a}]\n{', '.join(ys)}, = regs[{b}]\n"
+            f"regs[{d}] = ("
+            + "".join(expr.format(a=x, b=y) + ", " for x, y in zip(xs, ys))
+            + ")")
+
+
 def _decode_binop(inst, rd, d, k):
     a, b = rd(inst.operands[0]), rd(inst.operands[1])
     ty = inst.type
     if isinstance(ty, VectorType):
-        f = k(binop_fn(inst.op, ty.element))
-        return f"regs[{d}] = tuple(map({f}, regs[{a}], regs[{b}]))"
+        return _lanewise(binop_expr(inst.op, ty.element), ty.count, a, b, d)
     return f"regs[{d}] = " + binop_expr(inst.op, ty).format(
         a=f"regs[{a}]", b=f"regs[{b}]")
 
@@ -739,8 +926,7 @@ def _decode_cmp(inst, rd, d, k):
         bits = ty.element.bits if vector else getattr(ty, "bits", 64)
         expr = icmp_expr(inst.pred, bits)
     if vector:
-        f = k(_function("a, b", expr.format(a="a", b="b")))
-        return f"regs[{d}] = tuple(map({f}, regs[{a}], regs[{b}]))"
+        return _lanewise(expr, ty.count, a, b, d)
     return f"regs[{d}] = " + expr.format(a=f"regs[{a}]", b=f"regs[{b}]")
 
 
@@ -821,11 +1007,17 @@ def _decode_cast(inst, rd, d, k):
         return f"regs[{d}] = " + cast_expr(op, to, from_ty).format(
             v=f"regs[{s}]")
 
-    def vcast(v):  # lane-wise when the value is a vector
-        if isinstance(v, tuple):
-            return tuple(map(cast_fn(op, to.element, from_ty.element), v))
+    def scalar(v):  # not a tuple: a scalar source, or an undef vector
         return cast_fn(op, to, from_ty)(v)
-    return f"regs[{d}] = {k(vcast)}(regs[{s}])"
+    if not isinstance(from_ty, VectorType):
+        return f"regs[{d}] = {k(scalar)}(regs[{s}])"
+    expr = cast_expr(op, to.element, from_ty.element)
+    xs = [f"x{i}" for i in range(from_ty.count)]
+    return (f"v = regs[{s}]\nif isinstance(v, tuple):\n"
+            f"    {', '.join(xs)}, = v\n"
+            f"    regs[{d}] = ("
+            + "".join(expr.format(v=x) + ", " for x in xs)
+            + f")\nelse:\n    regs[{d}] = {k(scalar)}(v)")
 
 
 def _decode_splat(inst, rd, d, k):
@@ -833,15 +1025,22 @@ def _decode_splat(inst, rd, d, k):
     return f"regs[{d}] = (regs[{s}],) * {inst.lanes}"
 
 
+def _lane_check(inst, x: str) -> str:
+    """A trap unless lane index ``x`` is one of the vector's lanes."""
+    return (f"if not 0 <= {x} < {inst.operands[0].type.count}:\n    raise UndefinedBehavior("
+            f"{f'{inst.opcode} index out of range'!r})\n")
+
+
 def _decode_extract(inst, rd, d, k):
     v, i = rd(inst.operands[0]), rd(inst.operands[1])
-    return f"regs[{d}] = regs[{v}][regs[{i}]]"
+    return (f"x = regs[{i}]\n" + _lane_check(inst, "x")
+            + f"regs[{d}] = regs[{v}][x]")
 
 
 def _decode_insert(inst, rd, d, k):
     v, e, i = (rd(x) for x in inst.operands[:3])
-    return (f"v = list(regs[{v}])\nv[regs[{i}]] = regs[{e}]\n"
-            f"regs[{d}] = tuple(v)")
+    return (f"v = list(regs[{v}])\nx = regs[{i}]\n" + _lane_check(inst, "x")
+            + f"v[x] = regs[{e}]\nregs[{d}] = tuple(v)")
 
 
 _PLAIN_DECODERS = {
@@ -882,17 +1081,23 @@ def _decode_call(dec, inst, rd):
     d = dec.dest(inst)
     callee = inst.callee
     if isinstance(callee, Function) and not callee.is_declaration:
-        code = dec.owner.function(callee, min(len(args), len(callee.args)))
+        # the callee's code is in this program's template
+        c = dec._link(_CALL, callee, dec.owner.function(
+            callee, min(len(args), len(callee.args))), len(args))
 
         def call(m, frame):
             regs = frame.regs
-            m._enter(code, tuple([regs[s] for s in args]), d)
+            m._enter(regs[c], tuple([regs[s] for s in args]), d)
         return call, d
-    name = callee if isinstance(callee, str) else callee.name
+    if isinstance(callee, str):
+        name = callee
+    else:
+        name = callee.name
+        dec.links.append((None, _RUNTIME, name, 0))
 
     def call_runtime(m, frame):
         regs = frame.regs
-        m._call_runtime(frame, name, tuple([regs[s] for s in args]), inst, d)
+        m._call_runtime(frame, name, tuple([regs[s] for s in args]), d)
     return call_runtime, d
 
 

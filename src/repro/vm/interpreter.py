@@ -42,11 +42,10 @@ from .decode import (
     DecodedFunction,
     DecodedModule,
     binop_fn,
-    icmp_fn,
     steps,
     trap_point,
 )
-# re-exported: constant folding and tests use them
+# re-exported: tests use them
 from .decode import _unsigned, _wrap_int  # noqa: F401
 from .errors import (
     DeadlockError,
@@ -254,9 +253,9 @@ class Machine:
         caller.regs[frame.ret] = val
         caller.index += 1
 
-    def _call_runtime(self, frame: Frame, name: str, args: Tuple, inst,
+    def _call_runtime(self, frame: Frame, name: str, args: Tuple,
                       dest: int) -> None:
-        result = self.runtime.call(self, name, args, inst)
+        result = self.runtime.call(self, name, args)
         if isinstance(result, Blocked):
             self.state = "blocked"
             self.blocked = result
@@ -344,8 +343,9 @@ class Machine:
                             n = self.instructions
                             cycles = self.cycles
                         gpu = self._gpu_factor
-                        self._check_budget(n)
-                        check_at = self._next_check(n)
+                        if n >= check_at:  # it cannot fire below
+                            self._check_budget(n)
+                            check_at = self._next_check(n)
                         if len(frames) <= depth:
                             return
                         if self.state != "ready":
@@ -370,14 +370,10 @@ class Machine:
             self.instructions = n
             self.cycles = cycles
 
-    # -- scalar semantics (shared with constant folding) ------------------
+    # -- scalar semantics (constant folding uses the same templates) -----
     @staticmethod
     def _scalar_binop(op: str, a, b, ty: Type):
         return binop_fn(op, ty)(a, b)
-
-    @staticmethod
-    def _icmp(pred: str, a: int, b: int, bits: int) -> int:
-        return icmp_fn(pred, bits)(a, b)
 
     # -- output ------------------------------------------------------------
     def write_stdout(self, text: str) -> None:

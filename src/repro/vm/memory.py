@@ -107,10 +107,14 @@ class Memory:
 # that accesses a ``ty`` at address ``a`` against the image's buffer
 # ``data`` and break ``brk``; ``const(value)`` names each constant the
 # source uses.  Decoded code inlines them into its generated runs, and
-# ``typed_loader(ty)`` / ``typed_storer(ty)`` compile them into plain
-# functions of a Memory (never bound to one) for the runtime and
-# :meth:`Memory.load`.  Each access checks bounds exactly as
-# :meth:`Memory.check` does; a vector checks lane by lane, in order.
+# ``typed_loader(ty)`` / ``typed_storer(ty)`` compile the scalar ones
+# into plain functions of a Memory (never bound to one) for the runtime
+# and :meth:`Memory.load`.  Each access checks bounds exactly as
+# :meth:`Memory.check` does.  A vector that lies wholly inside
+# ``[_BASE, brk)`` moves with one ``struct`` call over all its lanes;
+# otherwise it goes lane by lane, in order (``typed_loader`` /
+# ``typed_storer`` of the vector type), so the lane that traps, and the
+# lanes stored before it, are those of one lane at a time.
 
 #: little-endian struct codes for the scalar widths struct can do
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -122,6 +126,30 @@ _STORERS: Dict[Type, Callable] = {}
 
 def _check(size: int) -> str:
     return f"if a < {_BASE} or a + {size} > brk:\n    raise _trap(a, {size})\n"
+
+
+def _lanes(ty: VectorType, store: bool):
+    """``(struct code, int mask or None)`` of one lane of ``ty`` when
+    one ``struct`` call over all lanes is exact, else None: i1 lanes
+    (loads mask them), widths struct cannot pack, and f32 stores
+    (packing may overflow after earlier lanes are stored) go lane by
+    lane."""
+    el = ty.element
+    if isinstance(el, PointerType):
+        return "Q", (1 << 64) - 1
+    if isinstance(el, FloatType):
+        if el.bits == 32:
+            return None if store else ("f", None)
+        return "d", None
+    if isinstance(el, IntType) and el.bits > 1:
+        size = el.size()
+        code = (_UNSIGNED if store else _SIGNED).get(size)
+        return None if code is None else (code, (1 << (size * 8)) - 1)
+    return None
+
+
+def _inside(size: int) -> str:
+    return f"{_BASE} <= a and a + {size} <= brk"
 
 
 def load_code(ty: Type, const: Callable[[object], str]) -> Tuple[str, str]:
@@ -141,7 +169,13 @@ def load_code(ty: Type, const: Callable[[object], str]) -> Tuple[str, str]:
         unpack = const(struct.Struct("<" + code).unpack_from)
         i1 = isinstance(ty, IntType) and ty.bits == 1
         return _check(size), f"{unpack}(data, a)[0]" + (" & 1" if i1 else "")
-    return "", f"{const(typed_loader(ty))}(mem, a)"
+    lanes = f"{const(typed_loader(ty))}(mem, a)"
+    if isinstance(ty, VectorType) and _lanes(ty, False) is not None:
+        code, _ = _lanes(ty, False)
+        unpack = const(struct.Struct(f"<{ty.count}{code}").unpack_from)
+        return "", (f"{unpack}(data, a) if {_inside(ty.size())} "
+                    f"else {lanes}")
+    return "", lanes
 
 
 def store_code(ty: Type, const: Callable[[object], str]) -> str:
@@ -163,7 +197,25 @@ def store_code(ty: Type, const: Callable[[object], str]) -> str:
     if isinstance(ty, FloatType):
         pack_into = const(struct.Struct("<d").pack_into)
         return f"v = float(v)\n" + _check(8) + f"{pack_into}(data, a, v)"
-    return f"{const(typed_storer(ty))}(mem, a, v)"
+    lanes = f"{const(typed_storer(ty))}(mem, a, v)"
+    spec = _lanes(ty, True) if isinstance(ty, VectorType) else None
+    if spec is None:
+        return lanes
+    code, mask = spec
+    pack_into = const(struct.Struct(f"<{ty.count}{code}").pack_into)
+    inside = _inside(ty.size())
+    if mask is None:  # f64: every lane value converts
+        return (f"if {inside}:\n    {pack_into}(data, a, *v)\n"
+                f"else:\n    {lanes}")
+    # int(x) raises on a NaN or infinite lane (a bitcast float vector),
+    # which the lane path raises after storing the lanes before it
+    x = ", ".join(f"int(v[{i}]) & {mask}" for i in range(ty.count))
+    return (f"x = None\nif {inside}:\n"
+            f"    try:\n        x = ({x},)\n"
+            f"    except (ValueError, OverflowError, TypeError):\n"
+            f"        pass\n"
+            f"if x is None:\n    {lanes}\n"
+            f"else:\n    {pack_into}(data, a, *x)")
 
 
 def _compile(params: str, body: Callable[[Callable], str]) -> Callable:

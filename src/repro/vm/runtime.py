@@ -37,7 +37,7 @@ class Runtime:
     def register(self, name: str, fn: Callable) -> None:
         self.handlers[name] = fn
 
-    def call(self, machine, name: str, args: Tuple, inst):
+    def call(self, machine, name: str, args: Tuple):
         handler = self.handlers.get(name)
         if handler is None:
             raise VMError(f"call to unknown runtime function '{name}'")

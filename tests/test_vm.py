@@ -322,6 +322,130 @@ class TestFusedRuns:
             assert trapped(start + offset).hex() == cycles.hex()
 
 
+    def test_step_limit_lands_on_each_op_of_a_threaded_run(self):
+        """A run ending in a JUMP carries on into the run its target
+        enters (with the JUMP's phi moves and cost): a budget check
+        still lands on every op, on both sides of the edge."""
+        from repro.ir import FunctionType, IRBuilder
+
+        module = Module("t")
+        fn = module.add_function(FunctionType(I64, []), "main")
+        entry, body = fn.add_block("entry"), fn.add_block("body")
+        done, other = fn.add_block("done"), fn.add_block("other")
+        b = IRBuilder(entry)
+        x = b.mul(b.add(b.i64(5), b.i64(2), "x"), b.i64(3), "y")
+        b.br(body)
+        b.position_at_end(body)
+        p = b.phi(I64, "p")
+        p.add_incoming(x, entry)
+        z = b.sub(b.mul(p, p, "q"), b.i64(1), "z")
+        b.cond_br(b.icmp("sgt", z, b.i64(0)), done, other)
+        b.position_at_end(done)
+        b.ret(z)
+        b.position_at_end(other)
+        b.ret(b.i64(0))
+
+        first = run_main(module)
+        assert first.retval == 440
+        run = first.decoded.function(fn, 0).entry[0]
+        # entry's 3 ops and body's 4 (the phi runs on the edge)
+        assert run[0] == FUSED and run[1] == 7
+
+        def trapped(max_steps):
+            m = Machine(module, max_steps=max_steps, decoded=first.decoded)
+            m.start("main")
+            m.run_to_completion()
+            assert isinstance(m.error, StepLimitExceeded)
+            assert m.instructions == max_steps + 1
+            return m.cycles
+
+        cycles = 0.0
+        for offset in range(7):
+            cycles += 1.0 * run[3][offset][1]
+            assert trapped(offset).hex() == cycles.hex()
+
+
+class TestSharedCode:
+    """A session decodes each function body once: programs whose
+    function has the same name, printed body, argument count and cost
+    table run one :class:`~repro.vm.decode.Code`, binding only their
+    own template (global addresses, function values, callee code)."""
+
+    @pytest.mark.parametrize("row,decodes", [("XSBench-seq", 21),
+                                             ("LULESH-mpi", 14)])
+    def test_session_decodes_each_key_once(self, monkeypatch, row, decodes):
+        from repro.oraql.driver import ProbingDriver
+        from repro.vm import decode
+        from repro.workloads.base import get_config
+
+        made = []
+        real = decode._Decoder.run
+
+        def run(self):
+            made.append((self.fn.name, self.nargs))
+            return real(self)
+
+        monkeypatch.setattr(decode._Decoder, "run", run)
+        report = ProbingDriver(get_config(row)).run()
+        assert report.tests_run >= 3
+        assert len(made) == decodes
+
+    def test_shared_code_holds_no_value(self):
+        """Nothing the shared code reaches is IR: a probe's release
+        frees its IR whatever the session keeps."""
+        import gc
+        import sys
+
+        from repro.ir.values import Value
+        from repro.oraql.compiler import Compiler
+        from repro.oraql.driver import ProbingDriver
+        from repro.workloads.base import get_config
+
+        compiler = Compiler()
+        ProbingDriver(get_config("LULESH-mpi"), compiler=compiler).run()
+        assert compiler._code
+        skip = {id(vars(m)) for m in list(sys.modules.values())}
+        seen, todo, found = set(), list(compiler._code.values()), []
+        while todo:
+            o = todo.pop()
+            if id(o) in seen or id(o) in skip \
+                    or isinstance(o, (type, type(sys))):
+                continue
+            seen.add(id(o))
+            if isinstance(o, Value):
+                found.append(o)
+            todo.extend(gc.get_referents(o))
+        assert len(seen) > 1000
+        assert found == []
+
+    def test_programs_share_code_per_cost_table(self):
+        from repro.oraql.compiler import Compiler
+        from repro.oraql.sequence import DecisionSequence
+        from repro.vm import CostModel
+        from repro.workloads.base import get_config
+
+        compiler = Compiler()
+        cfg = get_config("TestSNAP-seq")
+        base = compiler.compile(cfg)
+        probe = compiler.compile(cfg, sequence=DecisionSequence(),
+                                 oraql_enabled=True)
+        assert base.run().ok and probe.run().ok
+
+        def code(prog, model=None):
+            main = prog.module.get_function(cfg.entry)
+            fn = prog.decoded(model).function(main, 0)
+            assert fn.entry is not None  # the run entered it
+            return fn
+
+        a, b = code(base), code(probe)
+        assert a is not b and a.entry is b.entry
+        assert a.template is not b.template
+        costs = CostModel()
+        costs.costs["add"] += 1.0
+        assert probe.run(cost_model=costs).cycles > probe.run().cycles
+        assert code(probe, costs).entry is not b.entry
+
+
 class TestRelease:
     """A finished run's Machines and their Memory, and a finished
     probe's IR, analyses and decoded code, are freed by reference

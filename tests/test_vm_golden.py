@@ -8,7 +8,8 @@ shows) and the SHA-256 of its stdout.  Trap cases pin their exact
 counts and error messages: the step limit, a wild pointer,
 ``unreachable``, ``sdiv`` by zero, ``abort``, mismatched MPI
 collectives, a blocking MPI call inside an OpenMP region, a use of an
-unevaluated value and a phi without an incoming value.
+unevaluated value, a phi without an incoming value, vector loads and
+stores that straddle the break, and vector lane indices out of range.
 
 Any interpreter change must leave ``tests/goldens/vm_runs.json``
 unchanged.  Regenerate it only for a change that is meant to alter VM
@@ -27,6 +28,8 @@ import pytest
 import repro.workloads  # noqa: F401 — registers all variants
 from repro.frontend import compile_source
 from repro.ir import FunctionType, I64, IRBuilder, Module
+from repro.ir.types import F32, F64, I32, ArrayType, VectorType, ptr
+from repro.ir.values import ConstantFloat
 from repro.oraql.compiler import Compiler
 from repro.oraql.sequence import sequence_from_pessimistic_set
 from repro.vm import Machine, MPIWorld, VMError
@@ -244,7 +247,25 @@ def _entry_phi(fn, b):
     b.ret(x)
 
 
+def _lane_index(op, index):
+    # a lane index outside [0, 4) is undefined behaviour, never Python's
+    # IndexError or a negative index counting from the end
+    def build(fn, b):
+        v = b.splat(b.i64(3), 4, "v")
+        x = b.add(b.i64(1), b.i64(2), "x")
+        if op == "extractelement":
+            e = b.extractelement(v, index, "e")
+        else:
+            e = b.extractelement(b.insertelement(v, x, index, "w"), 0, "e")
+        b.ret(b.add(e, x))
+    return build
+
+
 IR_CASES = {
+    "extractelement-index-4": _lane_index("extractelement", 4),
+    "extractelement-index-minus-1": _lane_index("extractelement", -1),
+    "insertelement-index-4": _lane_index("insertelement", 4),
+    "insertelement-index-minus-1": _lane_index("insertelement", -1),
     "unreachable": _unreachable,
     "unevaluated-value": _unevaluated,
     "phi-no-incoming": _phi_no_incoming,
@@ -280,6 +301,59 @@ def test_unevaluated_and_missing_phi_messages():
     m = _ir_main(_phi_no_incoming)
     assert str(m.error) == "phi %i has no incoming for loop"
     assert _ir_main(_phi_swap).retval == 12  # swapped an even number of times
+
+
+# -- vectors -------------------------------------------------------------------
+#
+# ``main`` accesses a vector at ``@g``, the only allocation, so the
+# image's break is the end of ``@g``: a ``<4 x T>`` over a ``[3 x T]``
+# has its last lane past the break.
+
+
+def _vector_main(lane, array_lanes, body) -> Machine:
+    mod = Module("t")
+    g = mod.add_global(ArrayType(lane, array_lanes), "g")
+    fn = mod.add_function(FunctionType(I64, []), "main")
+    b = IRBuilder(fn.add_block("entry"))
+    p = b.cast("bitcast", g, ptr(VectorType(lane, 4)), "p")
+    body(b, p)
+    b.ret(b.i64(0))
+    m = Machine(mod)
+    m.start("main")
+    try:
+        m.run_to_completion()
+        raised = None
+    except Exception as e:  # not a VMError: it escapes Machine.run
+        raised = f"{type(e).__name__}: {e}"
+    m.raised = raised
+    m.image = m.memory.data[m.globals[g]:m.memory.brk].hex()
+    return m
+
+
+def _splat(b, value):
+    return b.splat(value, 4, "v")
+
+
+VECTOR_CASES = {
+    "vector-load-straddles-brk": (F64, 3, lambda b, p: b.load(p, "x")),
+    "vector-store-straddles-brk": (
+        F64, 3, lambda b, p: b.store(_splat(b, b.f64(1.5)), p)),
+    "vector-i32-store-straddles-brk": (
+        I32, 3, lambda b, p: b.store(_splat(b, b.i32(-7)), p)),
+    # lane 0 is stored before lane 1 fails to pack
+    "vector-f32-store-overflows": (F32, 4, lambda b, p: b.store(
+        b.insertelement(_splat(b, ConstantFloat(F32, 2.5)),
+                        ConstantFloat(F32, 1e300), 1, "w"), p)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+def test_vector_case_matches_golden(request, case):
+    m = _vector_main(*VECTOR_CASES[case])
+    fields = _machine_fields(m)
+    fields["raised"] = m.raised
+    fields["image"] = m.image
+    _check(request, "traps", case, fields)
 
 
 # -- MPI -----------------------------------------------------------------------
