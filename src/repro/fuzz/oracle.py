@@ -98,8 +98,8 @@ class DifferentialOracle:
 
     A :class:`~repro.oraql.cache.VerdictCache` may be shared with the
     probing drivers this oracle spawns: the oracle seeds it with the
-    optimistic run's verdict, so the driver's step 2 (the empty-sequence
-    attempt) is a cache hit instead of a recompile."""
+    optimistic run's verdict and answer log, so the driver's step 2 (the
+    empty-sequence attempt) is replayed instead of recompiled."""
 
     def __init__(self, compiler: Optional[Compiler] = None,
                  verdict_cache: Optional[VerdictCache] = None,
@@ -196,10 +196,14 @@ class DifferentialOracle:
         probe_cfg = dataclasses.replace(
             cfg, reference_outputs=[result.reference_output])
         if self.verdict_cache is not None:
-            # seed the cache with the verdict we already know so the
-            # driver's empty-sequence attempt does not recompile
+            # seed the cache with the verdict and the answer log we
+            # already know, so the driver's empty-sequence attempt is
+            # replayed instead of recompiled
             fp = config_fingerprint(probe_cfg)
             self.verdict_cache.put(VerdictCache.key(fp, opt.exe_hash), False)
+            self.verdict_cache.put_answers(
+                VerdictCache.answer_key(fp, self.compiler.replay_digest),
+                (opt.oraql.unique_queries, frozenset()), opt.exe_hash)
         driver = ProbingDriver(probe_cfg, compiler=self.compiler,
                                strategy=self.strategies[0],
                                max_tests=self.max_tests,

@@ -26,6 +26,18 @@ atomic enough for concurrent writers on POSIX (each worker of the
 parallel engine opens the file in append mode and writes one line per
 verdict).
 
+Answer records
+--------------
+Beside the verdicts the file holds **answer records** (``"t":
+"answers"``, see :mod:`repro.oraql.replay`): a probe's answer log —
+the number of unique queries it asked and the ones it answered
+may-alias — and the exe hash it built.  Their key is
+``<config fingerprint>:<setup digest>``, because an answer log, unlike
+an exe hash, does not prove itself once the compiler's code or settings
+change.  Each record also carries the code digest it was written
+under; on load, a record with another code digest is ignored (not
+corrupt), and compaction drops it like a foreign-schema record.
+
 Robustness: a shared mutable file on a fleet *will* get torn appends,
 truncated tails, and bit rot.  New records therefore carry a CRC-32 of
 their canonical serialization; on load, undecodable lines, CRC
@@ -43,9 +55,10 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .config import BenchmarkConfig
+from .replay import AnswerLog, code_digest
 
 #: bump when the key scheme or record layout changes; old records are
 #: ignored rather than misinterpreted
@@ -81,6 +94,8 @@ class VerdictCache:
         self.path = os.path.join(cache_dir, filename)
         #: key -> (ok, triage or None)
         self._mem: Dict[str, Tuple[bool, Optional[str]]] = {}
+        #: answer key -> {answer log: exe hash}
+        self._answers: Dict[str, Dict[AnswerLog, str]] = {}
         self.hits = 0
         self.misses = 0
         #: undecodable / CRC-failed / malformed lines skipped on load
@@ -139,6 +154,9 @@ class VerdictCache:
         if crc is not None and crc != _record_crc(rec):
             self.corrupt_records += 1
             return
+        if rec.get("t") == "answers":
+            self._ingest_answers(rec, crc)
+            return
         key, ok = rec.get("key"), rec.get("ok")
         if isinstance(key, str) and isinstance(ok, bool):
             triage = rec.get("triage")
@@ -147,6 +165,21 @@ class VerdictCache:
         else:
             self.corrupt_records += 1
 
+    def _ingest_answers(self, rec: dict, crc: Optional[int]) -> None:
+        key, n, pess, exe = (rec.get("key"), rec.get("n"), rec.get("pess"),
+                             rec.get("exe"))
+        if crc is None or not isinstance(key, str) \
+                or not isinstance(rec.get("code"), str) \
+                or not isinstance(n, int) or not isinstance(exe, str) \
+                or not isinstance(pess, list) \
+                or not all(isinstance(i, int) and 0 <= i < n for i in pess):
+            # an answer log is never trusted without its checksum
+            self.corrupt_records += 1
+            return
+        if rec["code"] != code_digest():
+            return  # written by other code: ignored, not corrupt
+        self._answers.setdefault(key, {})[(n, frozenset(pess))] = exe
+
     def refresh(self) -> None:
         """Re-read records other processes appended since the load."""
         self._load()
@@ -154,10 +187,12 @@ class VerdictCache:
     def compact(self) -> Tuple[int, int]:
         """Rewrite the append log to one valid record per key.
 
-        Drops superseded duplicates, corrupt lines, and foreign-schema
-        records; the replacement is atomic (write-temp + rename), so
-        concurrent readers see either the old or the new file, never a
-        partial one.  Returns ``(lines_before, lines_after)``.
+        Drops superseded duplicates, corrupt lines, foreign-schema
+        records and answer records of other code, and keeps every
+        answer record of this code; the replacement is atomic
+        (write-temp + rename), so concurrent readers see either the old
+        or the new file, never a partial one.  Returns
+        ``(lines_before, lines_after)``.
 
         Concurrent-reader guarantee: compaction never makes a verdict
         another process could already observe disappear or change.  A
@@ -188,6 +223,9 @@ class VerdictCache:
                 for key in sorted(self._mem):
                     ok, triage = self._mem[key]
                     f.write(self._encode(key, ok, triage) + "\n")
+                for key in sorted(self._answers):
+                    for log, exe in self._answers[key].items():
+                        f.write(self._encode_answers(key, log, exe) + "\n")
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, self.path)
@@ -196,7 +234,7 @@ class VerdictCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         self.corrupt_records = 0
-        return before, len(self._mem)
+        return before, len(self._mem) + self.answer_records
 
     # -- the cache interface ---------------------------------------------
     @staticmethod
@@ -210,6 +248,43 @@ class VerdictCache:
             rec["triage"] = triage
         rec["crc"] = _record_crc(rec)
         return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+    @staticmethod
+    def _encode_answers(key: str, log: AnswerLog, exe_hash: str) -> str:
+        n, pess = log
+        rec = {"v": CACHE_SCHEMA_VERSION, "t": "answers", "key": key,
+               "code": code_digest(), "n": n, "pess": sorted(pess),
+               "exe": exe_hash}
+        rec["crc"] = _record_crc(rec)
+        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+    @staticmethod
+    def answer_key(fingerprint: str, setup: str) -> str:
+        """Answer records' key: config fingerprint and the compiler's
+        :func:`~repro.oraql.replay.setup_digest`."""
+        return f"{fingerprint}:{setup}"
+
+    def answers(self, key: str) -> List[Tuple[int, FrozenSet[int], str]]:
+        """Every ``(n, may-alias indices, exe hash)`` stored under
+        ``key`` (not counted as verdict lookups)."""
+        return [(n, pess, exe) for (n, pess), exe
+                in self._answers.get(key, {}).items()]
+
+    def put_answers(self, key: str, log: AnswerLog, exe_hash: str) -> None:
+        """Store one answer log and the exe hash it built."""
+        table = self._answers.setdefault(key, {})
+        if table.get(log) == exe_hash:
+            return
+        table[log] = exe_hash
+        try:
+            with open(self.path, "a") as f:
+                f.write(self._encode_answers(key, log, exe_hash) + "\n")
+        except OSError:
+            self.dropped_writes += 1
+
+    @property
+    def answer_records(self) -> int:
+        return sum(len(t) for t in self._answers.values())
 
     def get(self, key: str) -> Optional[bool]:
         entry = self._mem.get(key)
@@ -246,6 +321,7 @@ class VerdictCache:
         return {
             "path": self.path,
             "records": len(self._mem),
+            "answer_records": self.answer_records,
             "hits": self.hits,
             "misses": self.misses,
             "corrupt_records": self.corrupt_records,

@@ -364,9 +364,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_tests=args.max_tests, policy=policy, trace=trace,
             verdict_cache=(VerdictCache(args.cache_dir)
                            if args.cache_dir else None),
-            journal=(SessionJournal.for_config(args.journal, cfg,
-                                               args.strategy,
-                                               resume=args.resume)
+            journal=(SessionJournal.for_config(
+                args.journal, cfg, args.strategy, resume=args.resume,
+                setup=compiler.replay_digest)
                      if args.journal else None)).run()
     except ProbingError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,6 +9,7 @@ pipeline with the ORAQL pass appended to the AA chain → "executable"
 from __future__ import annotations
 
 import hashlib
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,6 +40,7 @@ from ..vm.decode import DecodedModule
 from .config import BenchmarkConfig
 from .errors import ReleasedProgramError
 from .pass_ import DumpFlags, OraqlAAPass
+from .replay import setup_digest
 from .sequence import DecisionSequence
 from .verify import RunResult
 
@@ -122,6 +124,37 @@ class CompiledProgram:
             self.oraql.records.clear()  # they point into the IR
         self.module.drop_all_references()
         self.released = True
+
+    def __del__(self):
+        """The last reference dropped: release the program now rather
+        than leave its IR to the cyclic collector — unless its module or
+        decoded code is still held from outside, or the program never
+        finished construction."""
+        if "_decoded" not in vars(self) or self.released \
+                or self._held_elsewhere():
+            return  # half-built (the last field is unset), or in use
+        self.release()
+
+    def _held_elsewhere(self) -> bool:
+        """Whether anything besides the program's own IR, context and
+        decoded code references its module or its decoded code."""
+        module = self.module
+        decoded = list(self._decoded.values())
+        # this program's field, the local above and getrefcount's argument
+        ours = 3 + sum(fn.parent is module
+                       for fn in module.functions.values())
+        ours += self.ctx.module is module
+        ours += sum(getattr(a, "module", None) is module
+                    for a in self.ctx.aa.analyses)
+        ours += sum(d.module is module for d in decoded)
+        if sys.getrefcount(module) > ours:
+            return True
+        for d in decoded:
+            # the program's table, the list above, the loop variable,
+            # getrefcount's argument and the code's functions
+            if sys.getrefcount(d) > 4 + len(d._functions):
+                return True
+        return False
 
     def _check_live(self, what: str) -> None:
         if self.released:
@@ -233,6 +266,13 @@ class Compiler:
         #: the cache is replaced when the sources change, like _units.
         self._code: dict = {}
         self._code_sources: Tuple[Tuple[str, str], ...] = ()
+
+    @property
+    def replay_digest(self) -> str:
+        """The setup this compiler's answer logs are valid for (see
+        :func:`~repro.oraql.replay.setup_digest`)."""
+        return setup_digest(self.frontend_options, self.invalidation,
+                            self.verify_analyses)
 
     def compile(self, config: BenchmarkConfig,
                 sequence: Optional[DecisionSequence] = None,

@@ -30,7 +30,12 @@ Workflow (Fig. 1):
 
 4. every candidate executable is hashed; a sequence that produces a
    bit-identical executable reuses the recorded test verdict instead of
-   re-running the tests.
+   re-running the tests;
+
+5. every probe's answer log is remembered (:mod:`repro.oraql.replay`):
+   a sequence that repeats the first ``n`` answers of an earlier
+   compile builds that compile's executable, so when its verdict is
+   known the probe skips the compile too (``compiles_skipped``).
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .errors import FlakyConfigError, ProbingError
 from .executor import ExecutorPolicy, TestExecutor, TestOutcome
 from .journal import SessionJournal
 from .pass_ import DumpFlags, OraqlAAPass, QueryRecord
+from .replay import AnswerLog, AnswerMemo, AnswerReplayError, answer_log
 from .sequence import DecisionSequence, sequence_from_pessimistic_set
 from .strategies import StrategyContext, create_strategy, strategy_names
 from .verify import RunResult, VerificationScript, triage_run
@@ -75,6 +81,9 @@ class ProbingReport:
     no_alias_oraql: int = 0
     # probing effort
     compiles: int = 0
+    #: probes whose compile answer replay skipped: an earlier compile
+    #: with the same answers fixed their executable and its verdict
+    compiles_skipped: int = 0
     tests_run: int = 0
     tests_cached: int = 0
     tests_deduced: int = 0
@@ -153,7 +162,8 @@ class ProbingReport:
             f"pess {self.pess_unique}/{self.pess_cached} "
             f"no-alias {self.no_alias_original} -> {self.no_alias_oraql} "
             f"({self.no_alias_delta_percent:+.1f}%) "
-            f"[{self.compiles} compiles, {self.tests_run} tests, "
+            f"[{self.compiles} compiles, {self.compiles_skipped} skipped, "
+            f"{self.tests_run} tests, "
             f"{self.tests_cached} cached, {self.tests_deduced} deduced"
             f"{extra}]")
 
@@ -194,6 +204,7 @@ class ProbingDriver:
         self.config = config
         self.compiler = compiler or Compiler()
         self.strategy = strategy
+        self._strategy = create_strategy(strategy)
         self.max_tests = max_tests
         self.verifier: Optional[VerificationScript] = None
         self.verdict_cache = verdict_cache
@@ -232,6 +243,22 @@ class ProbingDriver:
             for exe, (ok, _n, triage) in journal.replayed.items():
                 self._hash_cache[exe] = (ok, triage)
             self._report.tests_replayed = len(journal.replayed)
+        #: answer log -> exe hash, seeded from the verdict cache's answer
+        #: records and from a journal written under this compiler setup
+        self._memo = AnswerMemo()
+        setup = self.compiler.replay_digest
+        self._answer_key = None
+        if verdict_cache is not None:
+            self._answer_key = VerdictCache.answer_key(self._fingerprint,
+                                                       setup)
+            self._memo.update(verdict_cache.answers(self._answer_key))
+        #: answer logs the journal holds (None: it takes none, because
+        #: its header is lost or names another compiler setup)
+        self._journaled: Optional[Set[AnswerLog]] = None
+        if journal is not None and journal.setup == setup:
+            self._memo.update(journal.answer_logs)
+            self._journaled = {(n, pess)
+                               for n, pess, _exe in journal.answer_logs}
 
     # -- the test oracle -----------------------------------------------------
     def _compile(self, sequence: Optional[DecisionSequence],
@@ -255,20 +282,58 @@ class ProbingDriver:
 
     def _test(self, sequence: DecisionSequence) -> TestOutcome:
         self.executor.begin_test()
+        first = self._report.tests_run + self._report.tests_cached == 0
+        hit = self._memo.lookup(sequence.bits)
+        if hit is not None and self._verdict_known(hit[0]) \
+                and not (first and self._strategy.reads_first_records):
+            return self._replay(sequence, *hit)
         prog = self._compile(sequence)
-        if self._report.tests_run + self._report.tests_cached == 0:
+        if first:
             self._first_program = prog  # no verdict booked yet
         n = prog.oraql.unique_queries
+        log = answer_log(sequence.bits, n)
+        self._memo.add(log, prog.exe_hash)
         try:
-            return self._verdict_for(
+            outcome = self._verdict_for(
                 prog.exe_hash, n,
-                lambda: self.executor.run_and_verify(prog, self.verifier))
+                lambda: self.executor.run_and_verify(prog, self.verifier),
+                log)
         finally:
             if prog is not self._first_program:
                 prog.release()  # the verdict is booked: free the probe
+        self._remember(log, prog.exe_hash)
+        return outcome
+
+    def _replay(self, sequence: DecisionSequence, exe_hash: str,
+                unique_queries: int) -> TestOutcome:
+        """A probe whose executable earlier answers decide and whose
+        verdict is known: book it without compiling."""
+        self._report.compiles_skipped += 1
+        if self.trace is not None:
+            self.trace.replay(sequence.bits, exe_hash)
+        log = answer_log(sequence.bits, unique_queries)
+        outcome = self._verdict_for(exe_hash, unique_queries,
+                                    _never_run, log)
+        self._remember(log, exe_hash)
+        return outcome
+
+    def _verdict_known(self, exe_hash: str) -> bool:
+        return exe_hash in self._hash_cache or (
+            self.verdict_cache is not None and VerdictCache.key(
+                self._fingerprint, exe_hash) in self.verdict_cache)
+
+    def _remember(self, log: AnswerLog, exe_hash: str) -> None:
+        """Persist an answer log beside its verdict: in the verdict
+        cache, and in the journal when it holds this compiler's logs."""
+        if self._answer_key is not None:
+            self.verdict_cache.put_answers(self._answer_key, log, exe_hash)
+        if self._journaled is not None and log not in self._journaled:
+            self._journaled.add(log)
+            self.journal.record_answers(exe_hash, *log)
 
     def _verdict_for(self, exe_hash: str, unique_queries: int,
-                     run_test: Callable[[], TestOutcome]) -> TestOutcome:
+                     run_test: Callable[[], TestOutcome],
+                     log: AnswerLog) -> TestOutcome:
         """Verdict lookup chain: in-memory hash cache (pre-seeded from
         the session journal on resume), then the persistent verdict
         cache, then actually running the tests (charged against the
@@ -291,7 +356,7 @@ class ProbingDriver:
                     verdict,
                     triage or ("ok" if verdict else "wrong-output"))
                 self._journal_probe(exe_hash, verdict, unique_queries,
-                                    self._hash_cache[exe_hash][1])
+                                    self._hash_cache[exe_hash][1], log)
                 return TestOutcome(verdict, unique_queries, exe_hash,
                                    from_cache=True, triage=triage)
             self._report.cache_misses += 1
@@ -308,7 +373,7 @@ class ProbingDriver:
                 outcome=outcome, explain=self._explain(outcome))
         self._hash_cache[exe_hash] = (outcome.ok, outcome.triage)
         self._journal_probe(exe_hash, outcome.ok, unique_queries,
-                            outcome.triage)
+                            outcome.triage, log)
         if key is not None:
             self.verdict_cache.put(key, outcome.ok, triage=outcome.triage)
         return outcome
@@ -321,9 +386,14 @@ class ProbingDriver:
         r.nondet_reruns = self.executor.nondet_reruns
 
     def _journal_probe(self, exe_hash: str, ok: bool, n: int,
-                       triage: str) -> None:
-        if self.journal is not None:
+                       triage: str, log: AnswerLog) -> None:
+        if self.journal is None:
+            return
+        if self._journaled is None or log in self._journaled:
             self.journal.record_probe(exe_hash, ok, n, triage)
+        else:
+            self._journaled.add(log)
+            self.journal.record_probe(exe_hash, ok, n, triage, log[1])
 
     def _explain(self, outcome: TestOutcome) -> Optional[str]:
         if outcome.run is not None and self.verifier is not None:
@@ -422,7 +492,7 @@ class ProbingDriver:
         """Drive the configured strategy through its propose/observe
         lifecycle.  The strategy owns the search policy; the driver
         owns compilation, verdict caching, journaling, and budgets."""
-        strat = create_strategy(self.strategy)
+        strat = self._strategy
         records = (self._first_program.oraql.records
                    if self._first_program is not None else [])
         ctx = StrategyContext(first=first, records=records,
@@ -441,3 +511,8 @@ class ProbingDriver:
             self._report.tests_deduced = base_deduced + strat.deduced
         self._best_pessimistic = set(strat.best_known())
         return strat.result()
+
+
+def _never_run() -> TestOutcome:
+    raise AnswerReplayError(
+        "a replayed probe's verdict went missing before it was read")

@@ -569,7 +569,8 @@ class ImportanceDriver:
         # -- phase 1: the probing driver finds the safe optimistic set
         probing_journal = (SessionJournal.for_config(
             self.journal_dir, self.config, self.strategy,
-            resume=self.resume) if self.journal_dir else None)
+            resume=self.resume, setup=self.compiler.replay_digest)
+            if self.journal_dir else None)
         driver = ProbingDriver(self.config, compiler=self.compiler,
                                strategy=self.strategy,
                                max_tests=self.max_tests,

@@ -17,7 +17,8 @@ canonical serialization (sorted keys, no whitespace, ``crc`` field
 excluded), so torn appends and bit rot are *detected and skipped*, not
 misread:
 
-* ``{"t": "header", "v": 1, "fp": ..., "strategy": ...}`` — first line;
+* ``{"t": "header", "v": 1, "fp": ..., "strategy": ..., "setup": ...}``
+  — first line;
   a resume refuses to replay a journal whose *valid* header names a
   different fingerprint, strategy, or schema version
   (:class:`~repro.oraql.errors.JournalError` — that is a wrong-config
@@ -25,10 +26,16 @@ misread:
   it is counted, :attr:`SessionJournal.header_lost` is set, and any
   CRC-valid probe records that follow are still replayed — verdicts are
   keyed by executable hash, so foreign records are inert;
-* ``{"t": "probe", "exe": ..., "ok": ..., "n": ..., "triage": ...}`` —
-  one per newly learned verdict, appended *before* the verdict is acted
-  on, flushed + fsync'd so a kill at any instruction loses at most the
-  probe in flight;
+* ``{"t": "probe", "exe": ..., "ok": ..., "n": ..., "triage": ...,
+  "pess": [...]}`` — one per newly learned verdict, appended *before*
+  the verdict is acted on, flushed + fsync'd so a kill at any
+  instruction loses at most the probe in flight.  ``n`` and ``pess``
+  are the probe's answer log (:mod:`repro.oraql.replay`);
+* ``{"t": "answers", "exe": ..., "n": ..., "pess": [...]}`` — an answer
+  log whose executable's verdict is already journaled.  Answer logs
+  seed a resumed session's answer memo only when the header is intact
+  and its ``setup`` digest is the resuming compiler's: an exe hash
+  proves itself, an answer log does not once the compiler changes;
 * ``{"t": "measure", "exe": ..., "cycles": ..., "ok": ...}`` — one per
   cycle measurement of the importance driver (same durability contract
   as probes; replayed into :attr:`SessionJournal.measured`);
@@ -43,11 +50,12 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cache import config_fingerprint
 from .config import BenchmarkConfig
 from .errors import JournalError
+from .replay import setup_digest
 
 JOURNAL_SCHEMA_VERSION = 1
 
@@ -100,12 +108,19 @@ class SessionJournal:
     """
 
     def __init__(self, path: str, fingerprint: str, strategy: str,
-                 resume: bool = False):
+                 resume: bool = False, setup: Optional[str] = None):
         self.path = path
         self.fingerprint = fingerprint
         self.strategy = strategy
+        #: the compiler setup (:func:`~repro.oraql.replay.setup_digest`)
+        #: the journal's answer logs hold for: ``setup`` (default: a
+        #: default Compiler's) for a fresh journal, the header's on
+        #: resume (None when the header lacks one or is lost)
+        self.setup: Optional[str] = setup or setup_digest()
         #: exe hash -> (ok, unique_queries, triage) replayed on resume
         self.replayed: Dict[str, Tuple[bool, int, str]] = {}
+        #: (n, may-alias indices, exe hash) answer logs replayed on resume
+        self.answer_logs: List[Tuple[int, FrozenSet[int], str]] = []
         #: exe hash -> (cycles, ok) cycle measurements replayed on
         #: resume (importance sessions)
         self.measured: Dict[str, Tuple[float, bool]] = {}
@@ -131,19 +146,21 @@ class SessionJournal:
                 f.write(_encode({"t": "header",
                                  "v": JOURNAL_SCHEMA_VERSION,
                                  "fp": fingerprint,
-                                 "strategy": strategy}) + "\n")
+                                 "strategy": strategy,
+                                 "setup": self.setup}) + "\n")
                 f.flush()
                 os.fsync(f.fileno())
 
     @classmethod
     def for_config(cls, journal_dir: str, config: BenchmarkConfig,
-                   strategy: str, resume: bool = False) -> "SessionJournal":
+                   strategy: str, resume: bool = False,
+                   setup: Optional[str] = None) -> "SessionJournal":
         """The canonical per-(config, strategy) journal file inside a
         journal directory — what ``oraql --journal DIR`` uses."""
         fp = config_fingerprint(config)
         name = f"{config.name}-{fp}-{strategy}.journal.jsonl"
         return cls(os.path.join(journal_dir, name), fp, strategy,
-                   resume=resume)
+                   resume=resume, setup=setup)
 
     # -- replay ------------------------------------------------------------
     def _replay(self) -> None:
@@ -153,6 +170,7 @@ class SessionJournal:
         except OSError as e:
             raise JournalError(f"cannot read journal {self.path}: {e}")
         header_seen = False
+        self.setup = None
         for line in lines:
             line = line.strip()
             if not line:
@@ -173,14 +191,19 @@ class SessionJournal:
                         f"expected fp {self.fingerprint!r} strategy "
                         f"{self.strategy!r} v{JOURNAL_SCHEMA_VERSION})")
                 header_seen = True
+                self.setup = rec.get("setup")
             elif kind == "probe":
                 exe, ok, n = rec.get("exe"), rec.get("ok"), rec.get("n")
                 if isinstance(exe, str) and isinstance(ok, bool) \
-                        and isinstance(n, int):
+                        and isinstance(n, int) \
+                        and ("pess" not in rec or self._take_log(rec)):
                     self.replayed[exe] = (ok, n,
                                           rec.get("triage") or
                                           ("ok" if ok else "wrong-output"))
                 else:
+                    self.corrupt_records += 1
+            elif kind == "answers":
+                if not self._take_log(rec):
                     self.corrupt_records += 1
             elif kind == "measure":
                 exe, cycles, ok = rec.get("exe"), rec.get("cycles"), \
@@ -202,6 +225,16 @@ class SessionJournal:
             if not lines:
                 self.corrupt_records += 1
 
+    def _take_log(self, rec: dict) -> bool:
+        """Collect a record's answer log; False when it is malformed."""
+        exe, n, pess = rec.get("exe"), rec.get("n"), rec.get("pess")
+        if not isinstance(exe, str) or not isinstance(n, int) \
+                or not isinstance(pess, list) or not all(
+                    isinstance(i, int) and 0 <= i < n for i in pess):
+            return False
+        self.answer_logs.append((n, frozenset(pess), exe))
+        return True
+
     # -- appends -----------------------------------------------------------
     def _append(self, rec: dict) -> None:
         try:
@@ -215,9 +248,18 @@ class SessionJournal:
             self.dropped_appends += 1
 
     def record_probe(self, exe_hash: str, ok: bool, unique_queries: int,
-                     triage: str) -> None:
-        self._append({"t": "probe", "exe": exe_hash, "ok": ok,
-                      "n": unique_queries, "triage": triage})
+                     triage: str,
+                     pessimistic: Optional[Iterable[int]] = None) -> None:
+        rec = {"t": "probe", "exe": exe_hash, "ok": ok,
+               "n": unique_queries, "triage": triage}
+        if pessimistic is not None:
+            rec["pess"] = sorted(pessimistic)
+        self._append(rec)
+
+    def record_answers(self, exe_hash: str, unique_queries: int,
+                       pessimistic: Iterable[int]) -> None:
+        self._append({"t": "answers", "exe": exe_hash, "n": unique_queries,
+                      "pess": sorted(pessimistic)})
 
     def record_measure(self, exe_hash: str, cycles: float,
                        ok: bool) -> None:

@@ -58,6 +58,7 @@ def render_report(report: ProbingReport) -> str:
                    "below is the best known, not verified locally-maximal")
     out.append(f"probing strategy   : {r.strategy}")
     out.append(f"probing effort     : {r.compiles} compiles, "
+               f"{r.compiles_skipped} skipped by answer replay, "
                f"{r.tests_run} tests run, {r.tests_cached} served from the "
                f"executable-hash cache, {r.tests_deduced} deduced")
     if r.cache_hits or r.cache_misses:

@@ -111,6 +111,10 @@ class Strategy(ABC):
 
     #: registry name; subclasses set it and register themselves
     name: ClassVar[str] = "?"
+    #: True when :meth:`start` reads ``ctx.records``: the driver then
+    #: compiles the session's first probe even when answer replay
+    #: already knows its executable and verdict
+    reads_first_records: ClassVar[bool] = False
 
     def __init__(self):
         self.state = SearchState()

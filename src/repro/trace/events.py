@@ -9,6 +9,8 @@ log is greppable and the round-trip through any exporter is lossless:
 ``meta``   session header (config name, strategy, format version)
 ``compile`` compile boundary: label (baseline/probe/final), decision
            bits, monotonically increasing compile number
+``replay`` a probe whose compile answer replay skipped: its decision
+           bits and the exe hash earlier answers fixed
 ``q``      one alias query (provenance-tagged)
 ``r``      one optimization remark, linked to ORAQL query indices
 ``s``      one pass statistic of the enclosing compile
@@ -77,6 +79,11 @@ def compile_record(n: int, label: str,
     if bits is not None:
         rec["bits"] = "".join(str(b) for b in bits)
     return rec
+
+
+def replay_record(bits: Sequence[int], exe_hash: str) -> dict:
+    return {"t": "replay", "bits": "".join(str(b) for b in bits),
+            "exe": exe_hash}
 
 
 def query_record(issuer: str, stack: Sequence[str], function: str,

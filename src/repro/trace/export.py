@@ -137,7 +137,8 @@ def chrome_document(records: List[dict],
 
     ts = 0.0
     for rec in records:
-        name = {"meta": "session", "compile": "compile", "q": "query",
+        name = {"meta": "session", "compile": "compile",
+                "replay": "replay", "q": "query",
                 "r": "remark", "s": "stat", "done": "done"}.get(
                     rec.get("t", "?"), rec.get("t", "?"))
         events.append({"ph": "i", "pid": _PID, "tid": 1, "name": name,

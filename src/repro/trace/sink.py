@@ -75,6 +75,11 @@ class QueryTrace:
             self._emit(
                 ev.compile_record(self._compile_count, label, bits))
 
+    def replay(self, bits: Sequence[int], exe_hash: str) -> None:
+        """A probe answer replay booked without compiling."""
+        if self.record_events:
+            self._emit(ev.replay_record(bits, exe_hash))
+
     # -- query events ------------------------------------------------------
     def _issuer(self) -> str:
         return self._stack[-1] if self._stack else "<none>"

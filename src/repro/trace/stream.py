@@ -28,7 +28,7 @@ from .sink import QueryTrace
 
 #: record kinds streamed (and retained) by a non-verbose streaming
 #: trace — the per-session skeleton, without the per-query firehose
-COARSE_KINDS = frozenset({"meta", "compile", "done"})
+COARSE_KINDS = frozenset({"meta", "compile", "replay", "done"})
 
 
 class JsonlStreamingTrace(QueryTrace):

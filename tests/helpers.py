@@ -87,6 +87,153 @@ def probe_logging_driver(config, strategy="chunked", **kwargs):
     return _LoggingDriver(config, strategy=strategy, **kwargs)
 
 
+def replay_checking_driver(config, **kwargs):
+    """A :class:`~repro.oraql.driver.ProbingDriver` that compiles every
+    probe answer replay skips anyway, and asserts that the compile
+    builds the executable (and asks the queries) the memo named.  The
+    checking compiles bypass the driver's books, so its report is the
+    plain driver's; ``checked`` counts them."""
+    from repro.oraql.driver import ProbingDriver
+
+    class _ReplayCheckingDriver(ProbingDriver):
+        checked = 0
+
+        def _replay(self, sequence, exe_hash, unique_queries):
+            prog = self.compiler.compile(self.config, sequence=sequence,
+                                         oraql_enabled=True)
+            bits = "".join(map(str, sequence.bits)) or "(empty)"
+            assert prog.exe_hash == exe_hash, \
+                f"replayed probe {bits} builds {prog.exe_hash[:12]}, " \
+                f"the memo said {exe_hash[:12]}"
+            assert prog.oraql.unique_queries == unique_queries, bits
+            prog.release()
+            self.checked += 1
+            return super()._replay(sequence, exe_hash, unique_queries)
+
+    return _ReplayCheckingDriver(config, **kwargs)
+
+
+def replay_case_id(case):
+    """Test id of an answer-replay combination ``(row, strategy, traced,
+    cache, journal)``."""
+    row, strategy, traced, cache, journal = case
+    return (f"{row}-{strategy}-{'traced' if traced else 'untraced'}-"
+            f"cache_{cache}-journal_{journal}")
+
+
+#: the answer-replay combinations run with the compile-anyway referee:
+#: every probe answer replay skips is compiled and checked
+REPLAY_CHECKED = (False, "cold", "fresh"), (False, "warm", "fresh")
+
+
+class ReplaySessions:
+    """Runs each answer-replay combination's session once, under
+    ``root``.  The plain combination (untraced, no cache, fresh journal)
+    is every other one's reference, and the untraced cold one fills the
+    verdict cache the warm ones start from, so both are kept per
+    (row, strategy)."""
+
+    SHARED = (False, "none", "fresh"), REPLAY_CHECKED[0]
+
+    def __init__(self, root):
+        self.root = root
+        self._done = {}
+
+    def run(self, case):
+        """``(report, driver, kills)`` of one combination's session."""
+        if case[2:] not in self.SHARED:
+            return self._session(case)
+        if case not in self._done:
+            self._done[case] = self._session(case)
+        return self._done[case]
+
+    def reference(self, row, strategy):
+        return self.run((row, strategy) + self.SHARED[0])[0]
+
+    def filled_cache(self, row, strategy):
+        case = (row, strategy) + self.SHARED[1]
+        self.run(case)
+        return os.path.join(self.root, replay_case_id(case), "cache")
+
+    def _session(self, case):
+        import shutil
+
+        from repro.faults.injector import (
+            FaultInjector,
+            FaultSpec,
+            SessionKilled,
+        )
+        from repro.oraql.cache import VerdictCache
+        from repro.oraql.driver import ProbingDriver
+        from repro.oraql.journal import SessionJournal
+        from repro.trace import QueryTrace
+        from repro.workloads.base import get_config
+
+        row, strategy, traced, cache, journal = case
+        cfg = get_config(row)
+        workdir = os.path.join(self.root, replay_case_id(case))
+        os.makedirs(workdir)
+        verdict_cache = None
+        if cache != "none":
+            path = os.path.join(workdir, "cache")
+            if cache == "warm":
+                shutil.copytree(self.filled_cache(row, strategy), path)
+            verdict_cache = VerdictCache(path)
+        injector = None
+        if journal == "resumed":
+            # kill the session at its second probe (a fully optimistic
+            # row has only one): the resumed one replays the first from
+            # the journal
+            injector = FaultInjector([FaultSpec("session-kill", 1)])
+        make = replay_checking_driver if case[2:] in REPLAY_CHECKED \
+            else ProbingDriver
+        kills = 0
+        while True:
+            driver = make(
+                cfg, strategy=strategy, verdict_cache=verdict_cache,
+                journal=SessionJournal.for_config(
+                    os.path.join(workdir, "journal"), cfg, strategy,
+                    resume=kills > 0),
+                injector=injector, trace=QueryTrace() if traced else None)
+            try:
+                return driver.run(), driver, kills
+            except SessionKilled:
+                kills += 1
+                assert kills == 1
+
+
+def replay_answers(report):
+    return (sorted(report.pessimistic_indices), report.final_exe_hash,
+            report.baseline_program.exe_hash)
+
+
+def check_replay_combination(sessions, case):
+    """One answer-replay combination finds the plain session's answers,
+    and books its probes consistently."""
+    row, strategy, traced, cache, journal = case
+    report, driver, kills = sessions.run(case)
+    assert replay_answers(report) == \
+        replay_answers(sessions.reference(row, strategy))
+    assert kills == (journal == "resumed" and not report.fully_optimistic)
+    if case[2:] in REPLAY_CHECKED:
+        # the compile-anyway referee checked every replayed probe
+        assert driver.checked == report.compiles_skipped
+    if cache == "warm":
+        # only the baseline and final compiles (and the prior's first
+        # probe, whose query records it reads) are left
+        assert report.compiles == 2 + (strategy == "provenance-prior")
+        assert report.tests_run == 0
+    # a probe either compiles or is replayed
+    assert report.compiles + report.compiles_skipped == \
+        report.tests_run + report.tests_cached + 2
+    if traced:
+        # one trace record per replayed probe of the (last) session
+        replays = [r for r in driver.trace.records if r["t"] == "replay"]
+        assert len(replays) == report.compiles_skipped
+        assert all(r["exe"] and set(r["bits"]) <= {"0", "1"}
+                   for r in replays)
+
+
 def render_probe_log(title, driver, report):
     """One golden section: every probe in order plus the totals."""
     lines = [f"== {title} =="]

@@ -133,3 +133,94 @@ class TestCompaction:
         assert s["dropped_writes"] == 0
         assert s["load_errors"] == 0
         assert s["path"] == c.path
+
+
+class TestAnswerRecords:
+    """Answer logs (repro.oraql.replay) stored beside the verdicts."""
+
+    LOG = (5, frozenset({1, 3}))
+
+    def _answers(self, cache):
+        return cache.answers("fp:setup")
+
+    def test_round_trip(self, tmp_path):
+        c = cache_at(tmp_path)
+        c.put_answers("fp:setup", self.LOG, "exe1")
+        c.put_answers("fp:setup", self.LOG, "exe1")  # not rewritten
+        with open(c.path) as f:
+            assert len(f.readlines()) == 1
+        r = cache_at(tmp_path)
+        assert self._answers(r) == [(5, frozenset({1, 3}), "exe1")]
+        assert r.answers("fp:other") == []
+        # answer records are not verdicts, nor verdict lookups
+        assert len(r) == 0 and r.hits == r.misses == 0
+        assert r.stats()["answer_records"] == 1
+
+    def test_torn_answer_record_is_corrupt(self, tmp_path):
+        c = cache_at(tmp_path)
+        c.put_answers("fp:setup", self.LOG, "exe1")
+        c.put_answers("fp:setup", (7, frozenset()), "exe2")
+        with open(c.path, "rb+") as f:
+            f.truncate(f.seek(0, 2) - 9)
+        r = cache_at(tmp_path)
+        assert self._answers(r) == [(5, frozenset({1, 3}), "exe1")]
+        assert r.corrupt_records == 1
+
+    def test_crc_bad_answer_record_is_never_trusted(self, tmp_path):
+        c = cache_at(tmp_path)
+        c.put_answers("fp:setup", self.LOG, "exe1")
+        with open(c.path) as f:
+            rec = json.loads(f.read())
+        rec["pess"] = [1]  # bit rot that still parses
+        with open(c.path, "w") as f:
+            f.write(json.dumps(rec) + "\n")
+        r = cache_at(tmp_path)
+        assert self._answers(r) == []
+        assert r.corrupt_records == 1
+
+    def test_answer_record_without_crc_is_never_trusted(self, tmp_path):
+        c = cache_at(tmp_path)
+        c.put_answers("fp:setup", self.LOG, "exe1")
+        with open(c.path) as f:
+            rec = json.loads(f.read())
+        del rec["crc"]
+        with open(c.path, "w") as f:
+            f.write(json.dumps(rec) + "\n")
+        r = cache_at(tmp_path)
+        assert self._answers(r) == []
+        assert r.corrupt_records == 1
+
+    def test_foreign_code_digest_is_ignored_not_corrupt(self, tmp_path):
+        c = cache_at(tmp_path)
+        c.put_answers("fp:setup", self.LOG, "exe1")
+        with open(c.path) as f:
+            rec = json.loads(f.read())
+        rec.pop("crc")
+        rec["code"] = "0" * 16
+        with open(c.path, "w") as f:
+            f.write(VerdictCache._encode("fp:h1", True) + "\n")
+            f.write(json.dumps({**rec, "crc": _crc(rec)}) + "\n")
+        r = cache_at(tmp_path)
+        assert self._answers(r) == []
+        assert r.corrupt_records == 0
+        # compaction drops it, like a foreign-schema record
+        assert r.compact() == (2, 1)
+
+    def test_compact_keeps_answer_records(self, tmp_path):
+        c = cache_at(tmp_path)
+        c.put("fp:h1", True, triage="ok")
+        c.put_answers("fp:setup", self.LOG, "exe1")
+        c.put_answers("fp:setup", (7, frozenset()), "exe2")
+        with open(c.path, "a") as f:
+            f.write("torn garbage\n")
+        assert c.compact() == (4, 3)
+        r = cache_at(tmp_path)
+        assert r.corrupt_records == 0
+        assert r.get_record("fp:h1") == (True, "ok")
+        assert sorted(self._answers(r), key=lambda a: a[0]) == [
+            (5, frozenset({1, 3}), "exe1"), (7, frozenset(), "exe2")]
+
+
+def _crc(rec):
+    from repro.oraql.cache import _record_crc
+    return _record_crc(rec)

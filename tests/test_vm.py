@@ -649,3 +649,64 @@ class TestRelease:
                 call()
             assert prog.exe_hash[:12] in str(err.value)
 
+
+    @pytest.mark.parametrize("row", ["LULESH-mpi", "XSBench-seq"])
+    def test_dropped_report_leaves_no_ir_for_the_collector(self, row):
+        """A program is released when its last reference drops: a
+        finished report, dropped, leaves no IR value, block or use list
+        for the cyclic collector (its baseline and final programs held
+        all of them)."""
+        import gc
+
+        from repro.ir.basicblock import BasicBlock
+        from repro.ir.uselist import UseList
+        from repro.ir.values import Value
+        from repro.oraql.driver import ProbingDriver
+        from repro.workloads.base import get_config
+
+        gc.collect()
+        gc.disable()
+        try:
+            report = ProbingDriver(get_config(row)).run()
+            assert report.final_program.run().ok
+            del report
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = [type(o).__name__ for o in gc.garbage
+                     if isinstance(o, (Value, BasicBlock, UseList))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == []
+
+    def test_dropped_program_spares_what_is_held_elsewhere(self):
+        """Dropping a program frees nothing that is still in use: a
+        module or decoded code held from outside keeps working."""
+        from repro.oraql.compiler import Compiler
+        from repro.workloads.base import get_config
+
+        cfg = get_config("TestSNAP-seq")
+        compiler = Compiler()
+        module = compiler.compile(cfg).module
+        assert module.get_function(cfg.entry).blocks
+        prog = compiler.compile(cfg)
+        decoded = prog.decoded()
+        del prog
+        assert decoded.module.get_function(cfg.entry).blocks
+        assert decoded.function(decoded.module.get_function(cfg.entry), 0)
+
+    def test_half_built_program_drops_quietly(self):
+        """A program whose construction failed has nothing to release."""
+        import sys
+
+        from repro.oraql.compiler import CompiledProgram
+
+        hook, seen = sys.unraisablehook, []
+        sys.unraisablehook = seen.append
+        try:
+            with pytest.raises(TypeError):
+                CompiledProgram(None)
+        finally:
+            sys.unraisablehook = hook
+        assert seen == []
