@@ -230,19 +230,14 @@ class DifferentialOracle:
         result.pessimistic_indices = list(report.pessimistic_indices)
         self._cross_check_strategies(result, probe_cfg, report)
 
-    #: strategies that share the chunked skeleton and must therefore
-    #: land on the primary's exact pessimistic set; frequency explores a
-    #: different search space and may legally pin a *different*
-    #: locally-maximal set, so it is held to validity, not equality
-    EXACT_STRATEGIES = frozenset({"chunked", "provenance-prior"})
-
     def _cross_check_strategies(self, result: OracleResult,
                                 probe_cfg: BenchmarkConfig,
                                 primary: ProbingReport) -> None:
         """Re-bisect the divergence with every extra registered
         strategy: each must terminate on a verified non-empty
-        pessimistic set, and the chunked-skeleton strategies must
-        reproduce the primary's set bit for bit."""
+        pessimistic set.  Another strategy may legally pin a different
+        locally-maximal set, so a differing set is ``valid``, not a
+        finding."""
         for strategy in self.strategies[1:]:
             key = f"strategy-{strategy}"
             try:
@@ -265,16 +260,6 @@ class DifferentialOracle:
                     f"fully_optimistic={rep.fully_optimistic} "
                     f"pessimistic={rep.pessimistic_indices} "
                     f"budget_exhausted={rep.budget_exhausted}"))
-                continue
-            exact = (strategy in self.EXACT_STRATEGIES
-                     and self.strategies[0] in self.EXACT_STRATEGIES)
-            if exact and rep.pessimistic_indices \
-                    != primary.pessimistic_indices:
-                result.findings.append(OracleFinding(
-                    "strategy-mismatch", key,
-                    f"{strategy} pinned {rep.pessimistic_indices}, "
-                    f"{self.strategies[0]} pinned "
-                    f"{primary.pessimistic_indices}"))
                 continue
             result.outcomes[key] = (
                 "match" if rep.pessimistic_indices

@@ -40,12 +40,7 @@ from .report import (
     render_query,
     render_report,
 )
-from .sequence import (
-    ARG_MAX,
-    DecisionSequence,
-    all_optimistic,
-    sequence_from_pessimistic_set,
-)
+from .sequence import DecisionSequence, sequence_from_pessimistic_set
 from .verify import (
     TRIAGE_CLASSES,
     RunResult,

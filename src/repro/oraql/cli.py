@@ -25,7 +25,7 @@ from typing import List, Optional
 #: subcommand name -> entry point taking the remaining argv; a bare
 #: first argument that is none of these is refused with exit status 2
 #: and a usage message naming them (never an attribute traceback)
-SUBCOMMANDS = ("importance", "fit-prior")
+SUBCOMMANDS = ("importance",)
 
 
 def _resolve_workload(parser: argparse.ArgumentParser, name: str):
@@ -229,62 +229,12 @@ def importance_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def build_fit_prior_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="oraql fit-prior",
-        description="Fit the provenance-prior danger model on "
-                    "fuzz-campaign traces and write the versioned "
-                    "coefficient artifact the 'provenance-prior' "
-                    "strategy loads.")
-    p.add_argument("--seeds", type=int, default=200, metavar="N",
-                   help="how many fuzz seeds to mine (default 200)")
-    p.add_argument("--start", type=int, default=0, metavar="N",
-                   help="first seed (default 0)")
-    p.add_argument("--opt-level", type=int, default=3, choices=[1, 2, 3])
-    p.add_argument("--epochs", type=int, default=300,
-                   help="gradient-descent epochs (default 300)")
-    p.add_argument("--max-tests", type=int, default=2000,
-                   help="probing budget per divergent seed")
-    p.add_argument("--out", metavar="FILE",
-                   help="artifact path (default: the checked-in "
-                        "strategies/prior_model.json)")
-    p.add_argument("--quiet", action="store_true")
-    return p
-
-
-def fit_prior_main(argv: Optional[List[str]] = None) -> int:
-    parser = build_fit_prior_parser()
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error(f"--seeds must be >= 1 (got {args.seeds})")
-    from .strategies.fit import fit_prior
-    model, stats = fit_prior(seeds=range(args.start,
-                                         args.start + args.seeds),
-                             opt_level=args.opt_level,
-                             epochs=args.epochs,
-                             max_tests=args.max_tests,
-                             log=(None if args.quiet
-                                  else lambda s: print(s,
-                                                       file=sys.stderr)))
-    from .strategies.prior import DEFAULT_MODEL_PATH
-    out = args.out or DEFAULT_MODEL_PATH
-    model.save(out)
-    print(f"prior model written to {out}: "
-          f"{stats['samples']} samples ({stats['positives']} dangerous) "
-          f"from {stats['programs']} programs "
-          f"({stats['divergent']} divergent), "
-          f"train AUC {stats['auc']:.3f}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] and not argv[0].startswith("-"):
         if argv[0] == "importance":
             return importance_main(argv[1:])
-        if argv[0] == "fit-prior":
-            return fit_prior_main(argv[1:])
         print(f"error: unknown subcommand {argv[0]!r} "
               f"(known: {', '.join(SUBCOMMANDS)})", file=sys.stderr)
         print("usage: oraql [SUBCOMMAND] [OPTIONS]; "

@@ -123,6 +123,7 @@ class CompiledProgram:
         if self.oraql is not None:
             self.oraql.records.clear()  # they point into the IR
         self.module.drop_all_references()
+        self.shared_code = None  # lets the Compiler retire the table
         self.released = True
 
     def __del__(self):
@@ -266,6 +267,9 @@ class Compiler:
         #: the cache is replaced when the sources change, like _units.
         self._code: dict = {}
         self._code_sources: Tuple[Tuple[str, str], ...] = ()
+        #: replaced code tables some program may still run
+        #: (see :meth:`_retire_code`)
+        self._retired: List[dict] = []
 
     @property
     def replay_digest(self) -> str:
@@ -397,10 +401,28 @@ class Compiler:
             trace.record_stats(ctx.stats)
         sources = tuple((src.name, src.text) for src in config.sources)
         if sources != self._code_sources:
+            self._retired.append(self._code)
             self._code, self._code_sources = {}, sources
+            self._retire_code()
         return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
                                exe_hash, fn_hashes=fn_hashes,
                                shared_code=self._code)
+
+    def _retire_code(self) -> None:
+        """Free every replaced code table that no program, decoded
+        module or machine still holds: its op lists are cyclic through
+        loop edges, so emptying them lets reference counting free the
+        code instead of the cyclic collector.  A table still in use
+        waits for the next replacement."""
+        held = []
+        for table in self._retired:
+            # the list, the loop variable and getrefcount's argument
+            if sys.getrefcount(table) > 3:
+                held.append(table)
+                continue
+            for code in table.values():
+                code.release()
+        self._retired = held
 
     def _parsed(self, config: BenchmarkConfig) -> List[TranslationUnit]:
         """The parsed unit of each of ``config``'s sources, parsing only

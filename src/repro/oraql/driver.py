@@ -11,7 +11,7 @@ Workflow (Fig. 1):
    pessimistically.  The search policy is a pluggable
    :class:`~repro.oraql.strategies.Strategy` (propose/observe/done
    lifecycle, ``repro.oraql.strategies``); the registry ships the
-   paper's two —
+   paper's two:
 
    * **chunked** — exploit that the query stream up to index k depends
      only on the answers to queries < k: repeatedly re-try "prefix +
@@ -23,10 +23,7 @@ Workflow (Fig. 1):
    * **frequency** — split the index space by residue classes
      (even/odd, then mod 4, ...), descriptors independent of the
      sequence length; clustered dangerous queries force descent to
-     near-singleton classes, which is why chunked usually wins —
-
-   plus the strategy lab's **provenance-prior** (learned danger
-   ordering);
+     near-singleton classes, which is why chunked usually wins;
 
 4. every candidate executable is hashed; a sequence that produces a
    bit-identical executable reuses the recorded test verdict instead of
@@ -225,11 +222,6 @@ class ProbingDriver:
         self._best_pessimistic: Set[int] = set()
         self._report = ProbingReport(config.name, False, DecisionSequence(),
                                      [], strategy=strategy)
-        #: the all-optimistic attempt, the session's first probe.  Every
-        #: other probe is released once its verdict is booked; this one
-        #: once the strategy has read its query records, which point
-        #: into its IR (StrategyContext.records)
-        self._first_program: Optional[CompiledProgram] = None
         if injector is not None:
             # durability faults need the file paths to tear
             if verdict_cache is not None:
@@ -282,14 +274,10 @@ class ProbingDriver:
 
     def _test(self, sequence: DecisionSequence) -> TestOutcome:
         self.executor.begin_test()
-        first = self._report.tests_run + self._report.tests_cached == 0
         hit = self._memo.lookup(sequence.bits)
-        if hit is not None and self._verdict_known(hit[0]) \
-                and not (first and self._strategy.reads_first_records):
+        if hit is not None and self._verdict_known(hit[0]):
             return self._replay(sequence, *hit)
         prog = self._compile(sequence)
-        if first:
-            self._first_program = prog  # no verdict booked yet
         n = prog.oraql.unique_queries
         log = answer_log(sequence.bits, n)
         self._memo.add(log, prog.exe_hash)
@@ -299,8 +287,7 @@ class ProbingDriver:
                 lambda: self.executor.run_and_verify(prog, self.verifier),
                 log)
         finally:
-            if prog is not self._first_program:
-                prog.release()  # the verdict is booked: free the probe
+            prog.release()  # the verdict is booked: free the probe
         self._remember(log, prog.exe_hash)
         return outcome
 
@@ -444,8 +431,6 @@ class ProbingDriver:
             # far instead of losing the whole run
             report.budget_exhausted = True
             pess = set(self._best_pessimistic)
-        finally:
-            self._release_first()
 
         # 4. final compile with the discovered sequence, full bookkeeping
         final_seq = sequence_from_pessimistic_set(pess)
@@ -480,27 +465,16 @@ class ProbingDriver:
             report.remarks = self.trace.remark_lines("final")
         return report
 
-    def _release_first(self) -> None:
-        """Free the all-optimistic probe (its release empties its query
-        records too)."""
-        if self._first_program is not None:
-            self._first_program.release()
-            self._first_program = None
-
     # -- the strategy lifecycle loop --------------------------------------
     def _probe(self, first: TestOutcome) -> Set[int]:
         """Drive the configured strategy through its propose/observe
         lifecycle.  The strategy owns the search policy; the driver
         owns compilation, verdict caching, journaling, and budgets."""
         strat = self._strategy
-        records = (self._first_program.oraql.records
-                   if self._first_program is not None else [])
-        ctx = StrategyContext(first=first, records=records,
-                              tail_pad=self.TAIL_PAD,
+        ctx = StrategyContext(first=first, tail_pad=self.TAIL_PAD,
                               explain=self._explain)
         base_deduced = self._report.tests_deduced
         strat.start(ctx)
-        self._release_first()  # the strategy has read the records
         while not strat.done():
             probe = strat.propose()
             # best_known() before the probe: a budget exhausted inside

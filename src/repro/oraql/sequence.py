@@ -1,20 +1,16 @@
 """Decision sequences: the 0/1 response stream fed to the ORAQL pass.
 
-The driver communicates the probing sequence as space-separated ``1``
-(optimistic, no-alias) and ``0`` (not optimistic, may-alias) characters
-via ``-opt-aa-seq=<sequence>`` (paper §IV-A).  Sequences longer than the
-command-line length limit are passed through a response file using the
-LLVM ``@<filename>`` convention.
+The paper's driver passes the probing sequence to ``opt`` on the command
+line (``-opt-aa-seq=<sequence>``, §IV-A).  Here the compiler runs in the
+driver's process, so the :class:`DecisionSequence` object is handed to
+the pass directly.  :meth:`DecisionSequence.to_text` and
+:meth:`~DecisionSequence.from_text` keep the paper's space-separated
+text form: ``1`` (optimistic, no-alias) and ``0`` (may-alias).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import Iterable, List, Optional, Sequence
-
-#: conservative command-line length limit that triggers @file transport
-ARG_MAX = 4096
 
 
 class DecisionSequence:
@@ -27,10 +23,6 @@ class DecisionSequence:
     def __init__(self, bits: Sequence[int] = ()):
         self.bits: List[int] = [1 if b else 0 for b in bits]
         self.consumed = 0
-        #: response files spilled by :meth:`to_argument`; owned by this
-        #: sequence and deleted by :meth:`cleanup` (or the context
-        #: manager / finalizer)
-        self._response_files: List[str] = []
 
     # -- pass-side ----------------------------------------------------------
     def next(self) -> bool:
@@ -65,64 +57,6 @@ class DecisionSequence:
                 raise ValueError(f"bad decision token {tok!r}")
             bits.append(int(tok))
         return DecisionSequence(bits)
-
-    # -- command-line transport -----------------------------------------------
-    def to_argument(self, workdir: Optional[str] = None,
-                    arg_max: int = ARG_MAX) -> str:
-        """Render as ``-opt-aa-seq=...``, spilling to ``@file`` when the
-        rendered argument would exceed the command-line limit.
-
-        Spilled response files belong to this sequence: they live until
-        :meth:`cleanup` runs (directly, via the context-manager exit, or
-        via the finalizer), so a long bisection no longer leaks one temp
-        file per compile."""
-        text = self.to_text()
-        arg = f"-opt-aa-seq={text}"
-        if len(arg) <= arg_max:
-            return arg
-        fd, path = tempfile.mkstemp(prefix="oraql-seq-", suffix=".rsp",
-                                    dir=workdir)
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        self._response_files.append(path)
-        return f"-opt-aa-seq=@{path}"
-
-    def cleanup(self) -> None:
-        """Delete every response file this sequence spilled."""
-        for path in self._response_files:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._response_files.clear()
-
-    def __enter__(self) -> "DecisionSequence":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.cleanup()
-
-    def __del__(self):  # best-effort; cleanup() is the reliable path
-        try:
-            self.cleanup()
-        except Exception:
-            pass
-
-    @staticmethod
-    def from_argument(arg: str) -> "DecisionSequence":
-        prefix = "-opt-aa-seq="
-        if not arg.startswith(prefix):
-            raise ValueError(f"not an ORAQL sequence argument: {arg!r}")
-        payload = arg[len(prefix):]
-        if payload.startswith("@"):
-            with open(payload[1:], "r") as f:
-                payload = f.read()
-        return DecisionSequence.from_text(payload)
-
-
-def all_optimistic() -> DecisionSequence:
-    """The empty sequence: every query answered no-alias (§IV-B)."""
-    return DecisionSequence()
 
 
 def sequence_from_pessimistic_set(pess: Iterable[int],

@@ -16,7 +16,6 @@ from typing import Dict, List, Type
 from .base import Probe, SearchState, Strategy, StrategyContext
 from .chunked import ChunkedStrategy
 from .frequency import FrequencyStrategy
-from .prior import PriorModel, PriorStrategy
 
 _REGISTRY: Dict[str, Type[Strategy]] = {}
 
@@ -29,10 +28,9 @@ def register(cls: Type[Strategy]) -> Type[Strategy]:
 
 
 def strategy_names() -> List[str]:
-    """Registered strategy names, stable order (paper's two first)."""
-    first = [n for n in ("chunked", "frequency") if n in _REGISTRY]
-    rest = sorted(n for n in _REGISTRY if n not in first)
-    return first + rest
+    """Registered strategy names, in registration order (the default,
+    chunked, first)."""
+    return list(_REGISTRY)
 
 
 def create_strategy(name: str) -> Strategy:
@@ -44,10 +42,10 @@ def create_strategy(name: str) -> Strategy:
     return cls()
 
 
-for _cls in (ChunkedStrategy, FrequencyStrategy, PriorStrategy):
+for _cls in (ChunkedStrategy, FrequencyStrategy):
     register(_cls)
 
 __all__ = [
-    "Probe", "PriorModel", "SearchState", "Strategy", "StrategyContext",
+    "Probe", "SearchState", "Strategy", "StrategyContext",
     "create_strategy", "register", "strategy_names",
 ]

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Generator, Optional, Sequence, Set
+from typing import Callable, ClassVar, Generator, Optional, Set
 
 from ..sequence import DecisionSequence
 
@@ -63,12 +63,6 @@ class StrategyContext:
 
     #: the failed all-optimistic attempt (``.ok``/``.unique_queries``)
     first: object
-    #: per-query provenance from the all-optimistic compile — the
-    #: feature source for learned strategies (may be empty when the
-    #: compile happened in another process).  Read them in
-    #: :meth:`Strategy.start`: the driver frees that compile's IR, which
-    #: the records point into, once ``start`` returns.
-    records: Sequence[object] = ()
     tail_pad: int = TAIL_PAD
     #: driver callback rendering a human explanation of a failing
     #: outcome (used in raised ProbingErrors)
@@ -111,10 +105,6 @@ class Strategy(ABC):
 
     #: registry name; subclasses set it and register themselves
     name: ClassVar[str] = "?"
-    #: True when :meth:`start` reads ``ctx.records``: the driver then
-    #: compiles the session's first probe even when answer replay
-    #: already knows its executable and verdict
-    reads_first_records: ClassVar[bool] = False
 
     def __init__(self):
         self.state = SearchState()

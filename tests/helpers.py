@@ -219,9 +219,8 @@ def check_replay_combination(sessions, case):
         # the compile-anyway referee checked every replayed probe
         assert driver.checked == report.compiles_skipped
     if cache == "warm":
-        # only the baseline and final compiles (and the prior's first
-        # probe, whose query records it reads) are left
-        assert report.compiles == 2 + (strategy == "provenance-prior")
+        # only the baseline and final compiles are left
+        assert report.compiles == 2
         assert report.tests_run == 0
     # a probe either compiles or is replayed
     assert report.compiles + report.compiles_skipped == \

@@ -66,7 +66,7 @@ class TestUnknownStrategy:
             main(["--workload", "XSBench-seq", "--strategy", "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        for name in ("chunked", "frequency", "provenance-prior"):
+        for name in ("chunked", "frequency"):
             assert name in err
         assert "Traceback" not in err
 
@@ -76,7 +76,7 @@ class TestUnknownStrategy:
                   "--strategy", "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "frequency" in err and "provenance-prior" in err
+        assert "chunked" in err and "frequency" in err
 
     def test_choices_derive_from_registry(self):
         from repro.oraql.cli import build_importance_parser, build_parser
@@ -95,15 +95,22 @@ class TestUnknownStrategy:
             assert p.parse_args(["--strategy", name]).strategy == name
 
 
-class TestFitPriorArgs:
-    def test_dispatches_from_main(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fit-prior", "--seeds", "0"])
-        assert exc.value.code == 2
-        assert "--seeds must be >= 1" in capsys.readouterr().err
+class TestRemovedProvenancePrior:
+    """The learned ``provenance-prior`` strategy and its ``fit-prior``
+    subcommand are gone; both names are refused like any unknown one."""
 
-    def test_bad_opt_level_exits_2(self, capsys):
+    def test_strategy_is_an_invalid_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["fit-prior", "--opt-level", "7"])
+            main(["--workload", "XSBench-seq",
+                  "--strategy", "provenance-prior"])
         assert exc.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice: 'provenance-prior'" in err
+        assert "'chunked', 'frequency'" in err
+        assert "Traceback" not in err
+
+    def test_fit_prior_is_an_unknown_subcommand(self, capsys):
+        assert main(["fit-prior", "--seeds", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown subcommand 'fit-prior'" in err
+        assert "(known: importance)" in err

@@ -1,10 +1,8 @@
 """Regression tests for driver/compiler bugfixes: the honored LTO flag,
-response-file lifetime, closest-reference mismatch reports, and the
-frequency strategy's worklist."""
+closest-reference mismatch reports, and the frequency strategy's
+worklist."""
 
-import gc
 import inspect
-import os
 
 from repro.oraql import (
     BenchmarkConfig,
@@ -106,49 +104,6 @@ int main() {
         cfg.lto = True
         h_lto = Compiler().compile(cfg).exe_hash
         assert h_default == h_lto
-
-
-class TestResponseFileLifetime:
-    """`to_argument` used to leak one mkstemp file per long-sequence
-    compile; response files now die with the sequence."""
-
-    def test_cleanup_removes_spilled_files(self, tmp_path):
-        seq = DecisionSequence([1] * 5000)
-        arg = seq.to_argument(workdir=str(tmp_path))
-        path = arg.split("@", 1)[1]
-        assert os.path.exists(path)
-        seq.cleanup()
-        assert not os.path.exists(path)
-        assert os.listdir(str(tmp_path)) == []
-
-    def test_context_manager_cleans_up(self, tmp_path):
-        with DecisionSequence([0, 1] * 3000) as seq:
-            arg = seq.to_argument(workdir=str(tmp_path))
-            path = arg.split("@", 1)[1]
-            assert os.path.exists(path)
-        assert not os.path.exists(path)
-
-    def test_repeated_spills_all_cleaned(self, tmp_path):
-        seq = DecisionSequence([1] * 5000)
-        for _ in range(4):
-            seq.to_argument(workdir=str(tmp_path))
-        assert len(os.listdir(str(tmp_path))) == 4
-        seq.cleanup()
-        assert os.listdir(str(tmp_path)) == []
-
-    def test_finalizer_cleans_up(self, tmp_path):
-        seq = DecisionSequence([1] * 5000)
-        arg = seq.to_argument(workdir=str(tmp_path))
-        path = arg.split("@", 1)[1]
-        del seq
-        gc.collect()
-        assert not os.path.exists(path)
-
-    def test_short_sequences_spill_nothing(self, tmp_path):
-        seq = DecisionSequence([1, 0, 1])
-        assert seq.to_argument(workdir=str(tmp_path)) == "-opt-aa-seq=1 0 1"
-        seq.cleanup()
-        assert os.listdir(str(tmp_path)) == []
 
 
 class TestExplainClosestReference:

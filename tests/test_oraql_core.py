@@ -1,8 +1,6 @@
 """Tests for the ORAQL core: decision sequences, the pass (cache, dumps,
 scoping), and the verification script."""
 
-import os
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,12 +12,10 @@ from repro.analysis import (
 )
 from repro.ir import F64, FunctionType, IRBuilder, Module, VOID, ptr
 from repro.oraql import (
-    ARG_MAX,
     DecisionSequence,
     DumpFlags,
     OraqlAAPass,
     VerificationScript,
-    all_optimistic,
     sequence_from_pessimistic_set,
 )
 from repro.oraql.verify import RunResult
@@ -43,22 +39,8 @@ class TestDecisionSequence:
         assert s.consumed == 3
 
     def test_empty_sequence_all_optimistic(self):
-        s = all_optimistic()
+        s = DecisionSequence()
         assert all(s.next() for _ in range(10))
-
-    def test_argument_inline(self):
-        s = DecisionSequence([1, 0])
-        arg = s.to_argument()
-        assert arg == "-opt-aa-seq=1 0"
-        assert DecisionSequence.from_argument(arg) == s
-
-    def test_argument_spills_to_file(self, tmp_path):
-        s = DecisionSequence([1] * 5000)
-        arg = s.to_argument(workdir=str(tmp_path))
-        assert arg.startswith("-opt-aa-seq=@")
-        assert DecisionSequence.from_argument(arg) == s
-        path = arg.split("@", 1)[1]
-        assert os.path.exists(path)
 
     def test_from_pessimistic_set(self):
         s = sequence_from_pessimistic_set({1, 3})
@@ -228,26 +210,6 @@ class TestDecisionSequenceProperties:
     def test_text_roundtrip(self, bits):
         s = DecisionSequence(bits)
         assert DecisionSequence.from_text(s.to_text()) == s
-
-    @given(bit_lists)
-    def test_argument_roundtrip_inline(self, bits):
-        with DecisionSequence(bits) as s:
-            arg = s.to_argument(arg_max=10 ** 9)
-            assert not arg.startswith("-opt-aa-seq=@")
-            assert DecisionSequence.from_argument(arg) == s
-
-    @given(st.lists(st.integers(min_value=0, max_value=1),
-                    min_size=1, max_size=200))
-    def test_argument_roundtrip_response_file(self, tmp_path_factory, bits):
-        # arg_max=0 forces @file transport regardless of length
-        tmp = str(tmp_path_factory.mktemp("seq"))
-        with DecisionSequence(bits) as s:
-            arg = s.to_argument(workdir=tmp, arg_max=0)
-            assert arg.startswith("-opt-aa-seq=@")
-            assert DecisionSequence.from_argument(arg) == s
-            path = arg[len("-opt-aa-seq=@"):]
-            assert os.path.exists(path)
-        assert not os.path.exists(path)  # context exit cleans up
 
     @given(bit_lists, st.integers(min_value=0, max_value=20))
     def test_next_replays_bits_then_goes_optimistic(self, bits, extra):

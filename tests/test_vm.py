@@ -547,8 +547,7 @@ class TestRelease:
 
     @pytest.mark.parametrize("row,strategy", [
         ("LULESH-mpi", "chunked"),
-        # the prior reads the first probe's IR through its query records
-        ("XSBench-seq", "provenance-prior"),
+        ("MiniFE-openmp", "frequency"),
     ])
     def test_probe_ir_freed_by_refcount(self, monkeypatch, row, strategy):
         """A probe's module, with its analyses and VM code, is freed by
@@ -679,6 +678,58 @@ class TestRelease:
             gc.garbage.clear()
             gc.enable()
         assert found == []
+
+    def test_replaced_code_leaves_nothing_for_the_collector(self):
+        """A Compiler reused across configs frees the first config's
+        shared decoded code (cyclic through loop edges) by reference
+        counting once that config's programs are dropped: a census
+        after the second config's session finds no garbage at all."""
+        import gc
+        from collections import Counter
+
+        from repro.oraql.compiler import Compiler
+        from repro.oraql.driver import ProbingDriver
+        from repro.workloads.base import get_config
+
+        compiler = Compiler()
+        gc.collect()
+        gc.disable()
+        try:
+            first = ProbingDriver(get_config("MiniGMG-sse"),
+                                  compiler=compiler).run()
+            assert compiler._code
+            del first
+            second = ProbingDriver(get_config("TestSNAP-seq"),
+                                   compiler=compiler).run()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not second.failed
+        assert compiler._retired == []
+        assert found == Counter()
+
+    def test_replaced_code_spares_a_live_program(self):
+        """A program of the first config that is still held keeps its
+        shared code whole across the second config's compiles, and its
+        table is freed at a later replacement once it is dropped."""
+        from repro.oraql.compiler import Compiler
+        from repro.workloads.base import get_config
+
+        compiler = Compiler()
+        first = get_config("MiniGMG-sse")
+        prog = compiler.compile(first)
+        expected = prog.run()
+        assert expected.ok and compiler._code
+        compiler.compile(get_config("TestSNAP-seq"))
+        assert len(compiler._retired) == 1
+        assert prog.run().stdout == expected.stdout
+        del prog
+        compiler.compile(first)
+        assert compiler._retired == []
 
     def test_dropped_program_spares_what_is_held_elsewhere(self):
         """Dropping a program frees nothing that is still in use: a
