@@ -6,9 +6,9 @@ Two referees hold it to exactness:
 * one parametrized test over strategy × trace × verdict cache {none,
   cold, warm} × journal {fresh, resumed after a session kill}: every
   combination finds the same pessimistic set, final executable and
-  baseline executable (the full product on one fully optimistic row and
-  on LULESH-mpi, except frequency there; cache × journal on
-  XSBench-seq);
+  baseline executable (the full product on one fully optimistic row, on
+  MiniFE-openmp and on LULESH-mpi, except frequency there; cache ×
+  journal on XSBench-seq);
 * a driver that compiles every replayed probe anyway
   (``helpers.replay_checking_driver``) and asserts it builds the
   executable the memo named, in the cold and warm combinations of the
@@ -46,7 +46,8 @@ from repro.oraql.replay import (
 from repro.oraql.strategies import strategy_names
 from repro.workloads.base import get_config
 
-FULL_ROWS = ("LULESH-mpi", "TestSNAP-seq")
+#: MiniFE-openmp is the cheapest bisecting row (3 to 4 tests a session)
+FULL_ROWS = ("LULESH-mpi", "MiniFE-openmp", "TestSNAP-seq")
 CACHES = ("none", "cold", "warm")
 JOURNALS = ("fresh", "resumed")
 #: frequency's LULESH-mpi sessions take 4-8 s each (53 s for its twelve

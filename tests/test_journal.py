@@ -17,6 +17,8 @@ from repro.oraql import (
 from repro.oraql.journal import _decode, _encode
 from repro.oraql.strategies import strategy_names
 
+from test_oraql_parallel import WIDE_HAZARD_SRC
+
 HAZARD_SRC = """
 void scale_shift(double* dst, double* src, int n) {
   for (int i = 0; i < n; i++) { dst[i] = src[i] * 0.5 + 1.0; }
@@ -153,7 +155,13 @@ class TestKillAndResume:
     final executable, same total verdict count (run + cached)."""
 
     @pytest.mark.parametrize("src,kill_at", [(HAZARD_SRC, 1),
-                                             (CELL_SRC, 3)])
+                                             (CELL_SRC, 3),
+                                             # killed before and after
+                                             # the first pinned query
+                                             (CELL_SRC, 1),
+                                             (CELL_SRC, 2),
+                                             (WIDE_HAZARD_SRC, 1),
+                                             (WIDE_HAZARD_SRC, 3)])
     # every registered strategy must resume bit-identically — a
     # strategy is a pure function of (seed, observed outcomes)
     @pytest.mark.parametrize("strategy", strategy_names())

@@ -48,6 +48,27 @@ class TestDecisionSequence:
         assert sequence_from_pessimistic_set(set()).bits == []
         assert sequence_from_pessimistic_set({0}, length=3).bits == [0, 1, 1]
 
+    def test_bits_are_normalised(self):
+        assert DecisionSequence([2, 0, True, False]).bits == [1, 0, 1, 0]
+
+    def test_equality_and_hash_follow_the_bits(self):
+        a, b = DecisionSequence([1, 0]), DecisionSequence((True, False))
+        assert a == b and hash(a) == hash(b)
+        assert a != DecisionSequence([1, 0, 1])
+        assert a != [1, 0]
+        b.next()  # consumption is pass-side state, not identity
+        assert a == b
+
+    def test_reset_replays_from_the_start(self):
+        s = DecisionSequence([0, 1])
+        first = [s.next() for _ in range(3)]
+        s.reset()
+        assert [s.next() for _ in range(3)] == first == [False, True, True]
+
+    def test_text_accepts_any_whitespace(self):
+        assert DecisionSequence.from_text(" 1\t0\n 1 ").bits == [1, 0, 1]
+        assert DecisionSequence.from_text("").bits == []
+
     @given(st.lists(st.integers(0, 1), max_size=200))
     def test_roundtrip_property(self, bits):
         s = DecisionSequence(bits)

@@ -68,3 +68,68 @@ class TestLifecycle:
         strat = create_strategy(name)
         strat.start(_failing_first())
         assert strat.best_known() == set()
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_propose_is_stable_until_observed(self, name):
+        strat = create_strategy(name)
+        strat.start(_failing_first())
+        assert strat.propose() is strat.propose()
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_observe_twice_rejected(self, name):
+        strat = create_strategy(name)
+        strat.start(_failing_first())
+        probe = strat.propose()
+        strat.observe(probe, TestOutcome(False, 8, "exe:x"))
+        with pytest.raises(RuntimeError):
+            strat.observe(probe, TestOutcome(False, 8, "exe:x"))
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_propose_after_done_rejected(self, name):
+        strat = _drive_to_done(name, 8, {2, 5})
+        with pytest.raises(RuntimeError, match="after done"):
+            strat.propose()
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_best_known_is_the_result_once_done(self, name):
+        strat = _drive_to_done(name, 16, {0, 9, 15})
+        assert strat.result() == strat.best_known() == {0, 9, 15}
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_answers_are_copies(self, name):
+        strat = _drive_to_done(name, 8, {3})
+        for answer in (strat.result, strat.best_known, strat.pinned,
+                       strat.candidates):
+            answer().add(7)
+            assert 7 not in answer(), answer.__name__
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_bookkeeping_starts_clean(self, name):
+        strat = create_strategy(name)
+        strat.start(_failing_first())
+        assert strat.epoch == 0
+        assert strat.deduced == 0
+        assert strat.pinned() == set()
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_fresh_instances_propose_the_same_first_probe(self, name):
+        first = []
+        for _ in range(2):
+            strat = create_strategy(name)
+            strat.start(_failing_first(12))
+            first.append(strat.propose().sequence)
+        assert first[0] == first[1]
+
+
+def _drive_to_done(name, n, dangerous):
+    """A strategy run to completion against Fig. 2's synthetic oracle."""
+    from repro.experiments import SyntheticOracle
+
+    oracle = SyntheticOracle(n, dangerous)
+    strat = create_strategy(name)
+    strat.start(_failing_first(n))
+    while not strat.done():
+        probe = strat.propose()
+        strat.observe(probe, TestOutcome(oracle.test(probe.sequence), n,
+                                         f"exe:{probe.sequence.bits}"))
+    return strat

@@ -1,6 +1,6 @@
 """Differential proof that tracing is purely observational.
 
-For three workloads and every registered probing strategy, a session
+For five workloads and every registered probing strategy, a session
 run with a full-event trace sink must reproduce the untraced session
 exactly: same pessimistic set, same final/baseline executable hashes,
 same non-timing report counters.  A chaos smoke then shows that a
@@ -20,7 +20,9 @@ from repro.trace import QueryTrace
 from repro.trace import export
 from repro.workloads.base import get_config
 
+from test_journal import CELL_SRC
 from test_oraql_driver import HAZARD_SRC, SAFE_SRC, cfg_of
+from test_oraql_parallel import WIDE_HAZARD_SRC
 
 # third workload: a store/load hazard in a single loop body plus an
 # independent reduction, so DSE and GVN issue queries that SAFE/HAZARD
@@ -44,7 +46,11 @@ int main() {
 """
 
 WORKLOADS = [("safe", SAFE_SRC), ("hazard", HAZARD_SRC),
-             ("partial", PARTIAL_SRC)]
+             ("partial", PARTIAL_SRC),
+             # two pinned queries
+             ("cell", CELL_SRC),
+             # one pinned query among many (several bisection rounds)
+             ("wide", WIDE_HAZARD_SRC)]
 
 
 def _fingerprint(report):

@@ -548,6 +548,8 @@ class TestRelease:
     @pytest.mark.parametrize("row,strategy", [
         ("LULESH-mpi", "chunked"),
         ("MiniFE-openmp", "frequency"),
+        ("XSBench-seq", "chunked"),
+        ("TestSNAP-openmp", "frequency"),
     ])
     def test_probe_ir_freed_by_refcount(self, monkeypatch, row, strategy):
         """A probe's module, with its analyses and VM code, is freed by
@@ -594,6 +596,8 @@ class TestRelease:
         "LULESH-mpi",
         "Quicksilver-openmp",  # links several units (dropped declarations)
         "MiniFE-openmp",       # SLP-vectorizes
+        "XSBench-seq",         # 18 probing tests
+        "TestSNAP-fortran",    # the Fortran front end
     ])
     def test_session_leaves_no_instruction_for_the_collector(self, row):
         """Census: everything a session frees goes by reference
@@ -730,6 +734,21 @@ class TestRelease:
         del prog
         compiler.compile(first)
         assert compiler._retired == []
+
+    def test_same_sources_keep_their_code(self):
+        """Recompiling a config with unchanged sources retires nothing:
+        every program of it shares the one decoded-code table."""
+        from repro.oraql.compiler import Compiler
+        from repro.workloads.base import get_config
+
+        compiler = Compiler()
+        cfg = get_config("MiniGMG-sse")
+        first = compiler.compile(cfg)
+        table = compiler._code
+        second = compiler.compile(cfg)
+        assert compiler._code is table
+        assert compiler._retired == []
+        assert first.run().stdout == second.run().stdout
 
     def test_dropped_program_spares_what_is_held_elsewhere(self):
         """Dropping a program frees nothing that is still in use: a
