@@ -350,6 +350,7 @@ class CastInst(Instruction):
 
 
 class SelectInst(Instruction):
+    __slots__ = ()
     opcode = "select"
 
     def __init__(self, cond: Value, tval: Value, fval: Value, name: str = ""):
@@ -422,6 +423,7 @@ class BranchInst(Instruction):
 
 
 class ReturnInst(Instruction):
+    __slots__ = ()
     opcode = "ret"
 
     def __init__(self, value: Optional[Value] = None):
@@ -438,6 +440,7 @@ class ReturnInst(Instruction):
 
 
 class UnreachableInst(Instruction):
+    __slots__ = ()
     opcode = "unreachable"
 
     def __init__(self):
@@ -494,6 +497,7 @@ class CallInst(Instruction):
 class MemCpyInst(Instruction):
     """memcpy(dst, src, nbytes); dst and src must not overlap."""
 
+    __slots__ = ()
     opcode = "memcpy"
 
     def __init__(self, dst: Value, src: Value, size: Value):
@@ -521,6 +525,7 @@ class MemCpyInst(Instruction):
 class MemSetInst(Instruction):
     """memset(dst, byte, nbytes)."""
 
+    __slots__ = ()
     opcode = "memset"
 
     def __init__(self, dst: Value, byte: Value, size: Value):
@@ -543,6 +548,7 @@ class MemSetInst(Instruction):
 
 
 class ExtractElementInst(Instruction):
+    __slots__ = ()
     opcode = "extractelement"
 
     def __init__(self, vector: Value, index: Value, name: str = ""):
@@ -551,6 +557,7 @@ class ExtractElementInst(Instruction):
 
 
 class InsertElementInst(Instruction):
+    __slots__ = ()
     opcode = "insertelement"
 
     def __init__(self, vector: Value, element: Value, index: Value, name: str = ""):

@@ -9,7 +9,7 @@ executables" in the paper's sense).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from .basicblock import BasicBlock
 from .function import Function
@@ -48,13 +48,30 @@ from .values import (
 )
 
 
+#: how each literal-like value class (the exact class) renders in
+#: operand position; every other value gets a %name from the namer
+_LITERALS: Dict[type, Callable[[Value], str]] = {
+    ConstantInt: lambda v: str(v.value),
+    ConstantFloat: lambda v: f"{v.value!r}",
+    ConstantNull: lambda v: "null",
+    UndefValue: lambda v: "undef",
+    ConstantData: lambda v: v.short(),
+    GlobalVariable: lambda v: f"@{v.name}",
+    Function: lambda v: f"@{v.name}",
+}
+
+
 class _Namer:
     """Assigns stable %N names to anonymous values within a function and
     per-print metadata numbers (so printed text — and the executable
     hash derived from it — is deterministic across compilations)."""
 
     def __init__(self):
+        #: value id -> operand text (literals included: a value's text
+        #: never changes within one print)
         self.names: Dict[int, str] = {}
+        #: value id -> "type operand" text
+        self.typed_names: Dict[int, str] = {}
         self.counter = 0
         self.used: Dict[str, int] = {}
         self.md: Dict[int, int] = {}
@@ -66,102 +83,166 @@ class _Namer:
         return self.md[key]
 
     def of(self, v: Value) -> str:
-        if isinstance(v, ConstantInt):
-            return str(v.value)
-        if isinstance(v, ConstantFloat):
-            return f"{v.value!r}"
-        if isinstance(v, ConstantNull):
-            return "null"
-        if isinstance(v, UndefValue):
-            return "undef"
-        if isinstance(v, ConstantData):
-            return v.short()
-        if isinstance(v, (GlobalVariable, Function)):
-            return f"@{v.name}"
         key = v.id
-        if key not in self.names:
-            if v.name:
-                n = self.used.get(v.name, 0)
-                self.used[v.name] = n + 1
-                self.names[key] = f"%{v.name}" if n == 0 else f"%{v.name}.{n}"
-            else:
-                self.names[key] = f"%{self.counter}"
-                self.counter += 1
-        return self.names[key]
+        name = self.names.get(key)
+        if name is not None:
+            return name
+        literal = _LITERALS.get(v.__class__)
+        if literal is not None:
+            name = literal(v)
+        elif v.name:
+            n = self.used.get(v.name, 0)
+            self.used[v.name] = n + 1
+            name = f"%{v.name}" if n == 0 else f"%{v.name}.{n}"
+        else:
+            name = f"%{self.counter}"
+            self.counter += 1
+        self.names[key] = name
+        return name
 
     def typed(self, v: Value) -> str:
-        return f"{v.type} {self.of(v)}"
+        key = v.id
+        text = self.typed_names.get(key)
+        if text is None:
+            text = self.typed_names[key] = f"{v.type} {self.of(v)}"
+        return text
+
+
+def _alloca(inst, n, o, suffix):
+    cnt = f", {inst.count}" if inst.count != 1 else ""
+    return f"{o(inst)} = alloca {inst.allocated_type}{cnt}"
+
+
+def _load(inst, n, o, suffix):
+    vol = "volatile " if inst.is_volatile else ""
+    return (f"{o(inst)} = load {vol}{inst.type}, "
+            f"{n.typed(inst.pointer)}, align {inst.type.align()}{suffix}")
+
+
+def _store(inst, n, o, suffix):
+    vol = "volatile " if inst.is_volatile else ""
+    return (f"store {vol}{n.typed(inst.value)}, {n.typed(inst.pointer)}, "
+            f"align {inst.value.type.align()}{suffix}")
+
+
+def _gep(inst, n, o, suffix):
+    ib = "inbounds " if inst.inbounds else ""
+    idx = ", ".join(n.typed(i) for i in inst.indices)
+    return (f"{o(inst)} = getelementptr {ib}{inst.pointer.type.pointee}, "
+            f"{n.typed(inst.pointer)}, {idx}{suffix}")
+
+
+def _binop(inst, n, o, suffix):
+    return f"{o(inst)} = {inst.op} {n.typed(inst.lhs)}, {o(inst.rhs)}"
+
+
+def _icmp(inst, n, o, suffix):
+    return f"{o(inst)} = icmp {inst.pred} {n.typed(inst.operands[0])}, {o(inst.operands[1])}"
+
+
+def _fcmp(inst, n, o, suffix):
+    return f"{o(inst)} = fcmp {inst.pred} {n.typed(inst.operands[0])}, {o(inst.operands[1])}"
+
+
+def _cast(inst, n, o, suffix):
+    return f"{o(inst)} = {inst.op} {n.typed(inst.value)} to {inst.type}"
+
+
+def _select(inst, n, o, suffix):
+    c, t, f = inst.operands
+    return f"{o(inst)} = select {n.typed(c)}, {n.typed(t)}, {n.typed(f)}"
+
+
+def _phi(inst, n, o, suffix):
+    inc = ", ".join(f"[ {o(v)}, {o(b)} ]" for v, b in inst.incoming)
+    return f"{o(inst)} = phi {inst.type} {inc}"
+
+
+def _br(inst, n, o, suffix):
+    if inst.is_conditional:
+        t, f = inst.targets
+        return f"br {n.typed(inst.condition)}, label {o(t)}, label {o(f)}"
+    return f"br label {o(inst.targets[0])}"
+
+
+def _ret(inst, n, o, suffix):
+    return f"ret {n.typed(inst.value)}" if inst.value is not None else "ret void"
+
+
+def _unreachable(inst, n, o, suffix):
+    return "unreachable"
+
+
+def _call(inst, n, o, suffix):
+    args = ", ".join(n.typed(a) for a in inst.args)
+    callee = inst.callee if isinstance(inst.callee, str) else f"@{inst.callee.name}"
+    if inst.type.is_void:
+        return f"call void {callee}({args})"
+    return f"{o(inst)} = call {inst.type} {callee}({args})"
+
+
+def _memcpy(inst, n, o, suffix):
+    return (f"call void @llvm.memcpy({n.typed(inst.dst)}, "
+            f"{n.typed(inst.src)}, {n.typed(inst.size)})")
+
+
+def _memset(inst, n, o, suffix):
+    return (f"call void @llvm.memset({n.typed(inst.dst)}, "
+            f"{n.typed(inst.byte)}, {n.typed(inst.size)})")
+
+
+def _splat(inst, n, o, suffix):
+    return f"{o(inst)} = splat {n.typed(inst.operands[0])} x {inst.lanes}"
+
+
+def _extractelement(inst, n, o, suffix):
+    v, i = inst.operands
+    return f"{o(inst)} = extractelement {n.typed(v)}, {n.typed(i)}"
+
+
+def _insertelement(inst, n, o, suffix):
+    v, e, i = inst.operands
+    return f"{o(inst)} = insertelement {n.typed(v)}, {n.typed(e)}, {n.typed(i)}"
+
+
+def _generic(inst, n, o, suffix):
+    return f"{o(inst)} = {inst.opcode} " + ", ".join(o(x) for x in inst.operands)
+
+
+#: the formatter of each instruction class, keyed by the exact class
+#: (a dict lookup instead of an isinstance chain per instruction)
+_FORMATTERS: Dict[type, Callable] = {
+    AllocaInst: _alloca,
+    LoadInst: _load,
+    StoreInst: _store,
+    GEPInst: _gep,
+    BinaryInst: _binop,
+    ICmpInst: _icmp,
+    FCmpInst: _fcmp,
+    CastInst: _cast,
+    SelectInst: _select,
+    PhiInst: _phi,
+    BranchInst: _br,
+    ReturnInst: _ret,
+    UnreachableInst: _unreachable,
+    CallInst: _call,
+    MemCpyInst: _memcpy,
+    MemSetInst: _memset,
+    ShuffleSplatInst: _splat,
+    ExtractElementInst: _extractelement,
+    InsertElementInst: _insertelement,
+}
 
 
 def format_instruction(inst: Instruction, namer: _Namer = None) -> str:
     n = namer or _Namer()
-    o = n.of
     suffix = ""
     if inst.tbaa is not None:
         suffix += f", !tbaa !{n.md_of(inst.tbaa)}"
     if inst.dbg is not None:
         suffix += f", !dbg !{inst.dbg.line}"
-
-    if isinstance(inst, AllocaInst):
-        cnt = f", {inst.count}" if inst.count != 1 else ""
-        return f"{o(inst)} = alloca {inst.allocated_type}{cnt}"
-    if isinstance(inst, LoadInst):
-        vol = "volatile " if inst.is_volatile else ""
-        return (f"{o(inst)} = load {vol}{inst.type}, "
-                f"{n.typed(inst.pointer)}, align {inst.type.align()}{suffix}")
-    if isinstance(inst, StoreInst):
-        vol = "volatile " if inst.is_volatile else ""
-        return (f"store {vol}{n.typed(inst.value)}, {n.typed(inst.pointer)}, "
-                f"align {inst.value.type.align()}{suffix}")
-    if isinstance(inst, GEPInst):
-        ib = "inbounds " if inst.inbounds else ""
-        idx = ", ".join(n.typed(i) for i in inst.indices)
-        return (f"{o(inst)} = getelementptr {ib}{inst.pointer.type.pointee}, "
-                f"{n.typed(inst.pointer)}, {idx}{suffix}")
-    if isinstance(inst, BinaryInst):
-        return f"{o(inst)} = {inst.op} {n.typed(inst.lhs)}, {o(inst.rhs)}"
-    if isinstance(inst, ICmpInst):
-        return f"{o(inst)} = icmp {inst.pred} {n.typed(inst.operands[0])}, {o(inst.operands[1])}"
-    if isinstance(inst, FCmpInst):
-        return f"{o(inst)} = fcmp {inst.pred} {n.typed(inst.operands[0])}, {o(inst.operands[1])}"
-    if isinstance(inst, CastInst):
-        return f"{o(inst)} = {inst.op} {n.typed(inst.value)} to {inst.type}"
-    if isinstance(inst, SelectInst):
-        c, t, f = inst.operands
-        return f"{o(inst)} = select {n.typed(c)}, {n.typed(t)}, {n.typed(f)}"
-    if isinstance(inst, PhiInst):
-        inc = ", ".join(f"[ {o(v)}, {o(b)} ]" for v, b in inst.incoming)
-        return f"{o(inst)} = phi {inst.type} {inc}"
-    if isinstance(inst, BranchInst):
-        if inst.is_conditional:
-            t, f = inst.targets
-            return f"br {n.typed(inst.condition)}, label {o(t)}, label {o(f)}"
-        return f"br label {o(inst.targets[0])}"
-    if isinstance(inst, ReturnInst):
-        return f"ret {n.typed(inst.value)}" if inst.value is not None else "ret void"
-    if isinstance(inst, UnreachableInst):
-        return "unreachable"
-    if isinstance(inst, CallInst):
-        args = ", ".join(n.typed(a) for a in inst.args)
-        callee = inst.callee if isinstance(inst.callee, str) else f"@{inst.callee.name}"
-        if inst.type.is_void:
-            return f"call void {callee}({args})"
-        return f"{o(inst)} = call {inst.type} {callee}({args})"
-    if isinstance(inst, MemCpyInst):
-        return (f"call void @llvm.memcpy({n.typed(inst.dst)}, "
-                f"{n.typed(inst.src)}, {n.typed(inst.size)})")
-    if isinstance(inst, MemSetInst):
-        return (f"call void @llvm.memset({n.typed(inst.dst)}, "
-                f"{n.typed(inst.byte)}, {n.typed(inst.size)})")
-    if isinstance(inst, ShuffleSplatInst):
-        return f"{o(inst)} = splat {n.typed(inst.operands[0])} x {inst.lanes}"
-    if isinstance(inst, ExtractElementInst):
-        v, i = inst.operands
-        return f"{o(inst)} = extractelement {n.typed(v)}, {n.typed(i)}"
-    if isinstance(inst, InsertElementInst):
-        v, e, i = inst.operands
-        return f"{o(inst)} = insertelement {n.typed(v)}, {n.typed(e)}, {n.typed(i)}"
-    return f"{o(inst)} = {inst.opcode} " + ", ".join(o(x) for x in inst.operands)
+    fmt = _FORMATTERS.get(inst.__class__, _generic)
+    return fmt(inst, n, n.of, suffix)
 
 
 def print_function(fn: Function) -> str:

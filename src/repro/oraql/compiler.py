@@ -29,11 +29,14 @@ from ..frontend import (
     parse,
 )
 from ..ir import Module, function_hash, print_module_header, verify_module
+from ..ir.clone import clone_module
 from ..passes import (
     CompilationContext,
     DominatorTreeAnalysis,
+    Pass,
     PassManager,
     build_pipeline,
+    split_prefix,
 )
 from ..vm import DEFAULT_COSTS, Machine, MPIWorld, VMError
 from ..vm.decode import DecodedModule
@@ -234,6 +237,25 @@ class CompiledProgram:
         return self.ctx.pass_executions
 
 
+@dataclass
+class KeptPrefix:
+    """One unit's module after the query-free prefix of the pipeline
+    (:func:`~repro.passes.split_prefix`), kept by a :class:`Compiler`
+    for the rest of the session: every compile of the unit runs the
+    rest of the pipeline on a copy of it, so no compile changes it.
+    ``ctx`` is the prefix's released context, holding its statistics,
+    its announcements and its work counters."""
+
+    module: Module
+    ctx: CompilationContext
+
+    def drop(self) -> None:
+        """Free the module by reference counting (see
+        :meth:`Module.drop_all_references`)."""
+        self.module.drop_all_references()
+        self.ctx.release()
+
+
 class Compiler:
     """Deterministic compiler: same config + same sequence ⇒ same hash.
 
@@ -255,18 +277,23 @@ class Compiler:
         self._kernel_cache: Dict[Tuple[str, str],
                                  Tuple[int, int, int]] = {}
         #: parsed units of the last compiled config's sources, keyed by
-        #: ``(filename, text)``.  A session's probes compile the same
-        #: sources again and again, and lowering leaves a unit
-        #: unchanged, so each compile only lowers.  Replaced per config:
-        #: a Compiler reused across configs (``--fig 4``, the fuzz
-        #: campaign) holds only the current one's units.
+        #: ``(filename, text)``.  Lowering leaves a unit unchanged, so a
+        #: unit is lowered again without parsing it again.  Replaced per
+        #: config: a Compiler reused across configs (``--fig 4``, the
+        #: fuzz campaign) holds only the current one's units.
         self._units: Dict[Tuple[str, str], TranslationUnit] = {}
+        #: the current sources' units after the pipeline's query-free
+        #: prefix, keyed by (unit sources, (opt level, verify_analyses,
+        #: invalidation)).  A session's probes compile the same sources
+        #: again and again, and each compile starts from a copy of these.
+        self._kept: Dict[tuple, KeptPrefix] = {}
         #: decoded VM code shared by the programs this Compiler makes,
         #: keyed by (function name, body hash, nargs, cost table).  A
         #: body hash does not cover the struct layouts a body names, so
-        #: the cache is replaced when the sources change, like _units.
+        #: the cache is replaced when the sources change, like _kept.
         self._code: dict = {}
-        self._code_sources: Tuple[Tuple[str, str], ...] = ()
+        #: the sources _kept and _code belong to
+        self._sources: Tuple[Tuple[str, str], ...] = ()
         #: replaced code tables some program may still run
         #: (see :meth:`_retire_code`)
         self._retired: List[dict] = []
@@ -296,15 +323,11 @@ class Compiler:
         def timed(name):
             return trace.phase(name) if trace is not None else nullcontext()
 
-        # 1. frontend: one module per translation unit, lowered from
-        #    the unit parsed once per session
-        modules: List[Module] = []
-        with timed("frontend"):
-            for tu, src in zip(self._parsed(config), config.sources):
-                modules.append(compile_source(tu, src.name,
-                                              options=self.frontend_options))
+        sources = tuple((src.name, src.text) for src in config.sources)
+        if sources != self._sources:
+            self._switch_sources(sources)
 
-        # 2. ORAQL pass appended to the chain when probing; one pass
+        # 1. ORAQL pass appended to the chain when probing; one pass
         #    instance is shared across translation units so the decision
         #    sequence is consumed in deterministic source order
         oraql: Optional[OraqlAAPass] = None
@@ -331,52 +354,67 @@ class Compiler:
             override = OraqlOverridePass(DecisionSequence())
 
         chain = tuple(config.aa_chain) if config.aa_chain else DEFAULT_AA_CHAIN
-        pipeline = build_pipeline(config.opt_level)
+        # the units optimized on their own: the whole program under
+        # manual LTO, which links everything *before* optimization so
+        # interprocedural passes see the whole program (§V-A-d); else
+        # each translation unit in isolation (no cross-TU inlining or
+        # analysis), linked for execution after optimization
+        units = ([sources] if config.lto or len(sources) == 1
+                 else [(src,) for src in sources])
+        settings = (config.opt_level, verify_analyses, invalidation)
+        keys = [(unit, settings) for unit in units]
 
-        if config.lto or len(modules) == 1:
-            # 3a. manual LTO: link everything into one module *before*
-            #     optimization so interprocedural passes see the whole
-            #     program (§V-A-d)
-            main = modules[0]
-            for other in modules[1:]:
-                main.link(other)
-            verify_module(main)
-            ctx = CompilationContext(
-                main, aa_chain=chain, oraql=oraql, override=override,
-                debug_pass_executions=debug_pass_executions,
-                verify_analyses=verify_analyses, invalidation=invalidation,
-                trace=trace)
-            with timed("passes"):
-                PassManager(ctx).run(pipeline)
-            verify_module(main, partial(ctx.am.cached, DominatorTreeAnalysis))
-        else:
-            # 3b. non-LTO: optimize each translation unit in isolation
-            #     (no cross-TU inlining or analysis), then link the
-            #     optimized modules for execution
-            contexts: List[CompilationContext] = []
-            for module in modules:
+        # 2. frontend: lower the units this session keeps no prefix of
+        #    yet, from the sources parsed once per session; link and
+        #    verify them
+        lowered: Dict[tuple, Module] = {}
+        missing = [key for key in keys if key not in self._kept]
+        if missing:
+            parsed = dict(zip(sources, self._parsed(config)))
+            with timed("frontend"):
+                modules = [[compile_source(parsed[src], src[0],
+                                           options=self.frontend_options)
+                            for src in unit] for unit, _ in missing]
+            for key, (module, *others) in zip(missing, modules):
+                for other in others:
+                    module.link(other)
                 verify_module(module)
-                mctx = CompilationContext(
+                lowered[key] = module
+
+        # 3. the pipeline, per unit: the query-free prefix runs once per
+        #    session, on the lowered module, which is then kept; every
+        #    compile runs the rest on a copy of the kept module
+        contexts: List[CompilationContext] = []
+        for key in keys:
+            # a fresh pipeline per unit: passes may keep per-run state
+            prefix, rest = split_prefix(build_pipeline(config.opt_level))
+            with timed("passes"):
+                kept = self._kept.get(key)
+                built = kept is None
+                if built:
+                    kept = self._keep(key, lowered[key], prefix,
+                                      verify_analyses, invalidation, trace)
+                module = clone_module(kept.module)
+                ctx = CompilationContext(
                     module, aa_chain=chain, oraql=oraql, override=override,
                     debug_pass_executions=debug_pass_executions,
                     verify_analyses=verify_analyses,
                     invalidation=invalidation, trace=trace)
-                # a fresh pipeline per TU: passes may keep per-run state
-                with timed("passes"):
-                    PassManager(mctx).run(build_pipeline(config.opt_level))
-                verify_module(module,
-                              partial(mctx.am.cached, DominatorTreeAnalysis))
-                contexts.append(mctx)
-            main = modules[0]
-            for other in modules[1:]:
-                main.link(other)
+                ctx.adopt_prefix(kept.ctx, built)
+                PassManager(ctx).run(rest)
+            verify_module(module, partial(ctx.am.cached, DominatorTreeAnalysis))
+            contexts.append(ctx)
+        ctx = contexts[0]
+        main = ctx.module
+        if len(contexts) > 1:
+            for other in contexts[1:]:
+                main.link(other.module)
             verify_module(main)
             # fold the per-TU bookkeeping into the first context, which
             # becomes the program's reporting context
-            ctx = contexts[0]
-            for other_ctx in contexts[1:]:
-                ctx.merge(other_ctx)
-                other_ctx.release()
+            for other in contexts[1:]:
+                ctx.merge(other)
+                other.release()
             if oraql is not None:
                 oraql.attach(ctx)
 
@@ -399,14 +437,46 @@ class Compiler:
                 ctx.log(f"[fn-hash] {name} {fh}")
         if trace is not None:
             trace.record_stats(ctx.stats)
-        sources = tuple((src.name, src.text) for src in config.sources)
-        if sources != self._code_sources:
-            self._retired.append(self._code)
-            self._code, self._code_sources = {}, sources
-            self._retire_code()
         return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
                                exe_hash, fn_hashes=fn_hashes,
                                shared_code=self._code)
+
+    def _keep(self, key: tuple, module: Module, prefix: List[Pass],
+              verify_analyses: bool, invalidation: str,
+              trace) -> KeptPrefix:
+        """Run the query-free ``prefix`` on a lowered, verified module
+        and keep the result under ``key``; a prefix that raises keeps
+        nothing.  The context records every announcement, for the
+        compiles that announce."""
+        ctx = CompilationContext(
+            module, aa_chain=(), debug_pass_executions=True,
+            verify_analyses=verify_analyses, invalidation=invalidation,
+            trace=trace)
+        PassManager(ctx).run(prefix)
+        ctx.release()
+        if ctx.aa.total_queries:
+            raise RuntimeError(
+                f"the pipeline prefix {[p.name for p in prefix]} issued "
+                f"{ctx.aa.total_queries} alias queries: a pass in "
+                f"repro.passes.pipelines.QUERY_FREE consults alias "
+                f"analysis")
+        kept = self._kept[key] = KeptPrefix(module, ctx)
+        return kept
+
+    def drop_prefixes(self) -> None:
+        """Free the kept prefix modules now; the next compile of each
+        unit lowers it again."""
+        for kept in self._kept.values():
+            kept.drop()
+        self._kept = {}
+
+    def _switch_sources(self, sources: Tuple[Tuple[str, str], ...]) -> None:
+        """Drop what belongs to the previous sources: the kept prefixes
+        and the decoded-code table (retired, see :meth:`_retire_code`)."""
+        self.drop_prefixes()
+        self._retired.append(self._code)
+        self._code, self._sources = {}, sources
+        self._retire_code()
 
     def _retire_code(self) -> None:
         """Free every replaced code table that no program, decoded

@@ -199,6 +199,9 @@ class ProbingDriver:
                 f"unknown strategy {strategy!r} (known: "
                 f"{', '.join(strategy_names())})")
         self.config = config
+        #: a compiler of its own is done with once the session is
+        #: (:meth:`run` frees its kept prefix); a shared one keeps it
+        self._own_compiler = compiler is None
         self.compiler = compiler or Compiler()
         self.strategy = strategy
         self._strategy = create_strategy(strategy)
@@ -389,6 +392,13 @@ class ProbingDriver:
 
     # -- main entry ----------------------------------------------------------
     def run(self) -> ProbingReport:
+        try:
+            return self._run()
+        finally:
+            if self._own_compiler:
+                self.compiler.drop_prefixes()
+
+    def _run(self) -> ProbingReport:
         report = self._report
         cfg = self.config
         self.executor.begin_session()

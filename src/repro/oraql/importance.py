@@ -542,6 +542,9 @@ class ImportanceDriver:
         self.recover_percent = recover_percent
         self.max_tests = max_tests
         self.max_measurements = max_measurements
+        #: as in ProbingDriver: run() frees the kept prefix of a
+        #: compiler of its own
+        self._own_compiler = compiler is None
         self.compiler = compiler or Compiler()
         self.policy = policy or ExecutorPolicy()
         self.verdict_cache = verdict_cache
@@ -562,6 +565,13 @@ class ImportanceDriver:
                               resume=self.resume)
 
     def run(self) -> ImportanceReport:
+        try:
+            return self._run()
+        finally:
+            if self._own_compiler:
+                self.compiler.drop_prefixes()
+
+    def _run(self) -> ImportanceReport:
         report = ImportanceReport(self.config.name, self.strategy,
                                   self.significant_percent,
                                   self.recover_percent)

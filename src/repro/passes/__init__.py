@@ -25,7 +25,12 @@ from .pass_manager import (
     Pass,
     PassManager,
 )
-from .pipelines import PASS_NAMES, build_pipeline, parse_pipeline
+from .pipelines import (
+    PASS_NAMES,
+    build_pipeline,
+    parse_pipeline,
+    split_prefix,
+)
 from .simplify import DeadCodeElim, InstCombine, SimplifyCFG
 from .slp_vectorize import SLPVectorize
 from .statistics import Statistics

@@ -134,6 +134,20 @@ class CompilationContext:
         else:
             self.am.invalidate_function(fn, pa)
 
+    def adopt_prefix(self, prefix: "CompilationContext",
+                     built: bool) -> None:
+        """Take over what the pipeline's query-free prefix contributed to
+        this compile, which runs the rest of the pipeline on a copy of
+        the prefix's result: its statistics, its announcements when
+        this context announces, and its work counters only when this
+        compile ran it (``built``)."""
+        self.stats.merge(prefix.stats)
+        if self.announces:
+            self.debug_log.extend(prefix.debug_log)
+        if built:
+            self.am.merge_counters(prefix.am)
+            self.pass_executions += prefix.pass_executions
+
     def merge(self, other: "CompilationContext") -> None:
         """Fold another context's bookkeeping into this one.  Used when
         several compilation contexts report through a single program
@@ -150,12 +164,13 @@ class CompilationContext:
     def release(self) -> None:
         """Break this context's reference cycles once its compile is
         done with: empty the analysis caches and per-function views,
-        and unlink the ORAQL pass.  Statistics and counters stay
-        readable."""
+        and unlink the ORAQL pass and the trace.  Statistics and
+        counters stay readable."""
         self.am.release()
         self._fn_views.clear()
         if self.oraql is not None:
             self.oraql.attach(None)
+        self.trace = self.aa.trace = None
 
     # -- pass-context stack ------------------------------------------------
     def push_pass(self, name: str) -> None:
@@ -175,9 +190,14 @@ class CompilationContext:
         return nullcontext()
 
     # -- logging --------------------------------------------------------------
+    @property
+    def announces(self) -> bool:
+        """Whether pass executions go to the debug log."""
+        return self.debug_pass_executions or (
+            self.oraql is not None and self.oraql.wants_dump())
+
     def announce(self, pass_name: str, fn: Optional[Function] = None) -> None:
-        if self.debug_pass_executions or (
-                self.oraql is not None and self.oraql.wants_dump()):
+        if self.announces:
             where = f" on Function '{fn.name}'" if fn is not None else ""
             self.debug_log.append(f"Executing Pass '{pass_name}'{where}...")
 

@@ -3,7 +3,7 @@ granularity that matters for alias-analysis consumers."""
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from .dse import DSE
 from .early_cse import EarlyCSE
@@ -62,6 +62,22 @@ def build_pipeline(level: int = 3, vectorize: bool = True) -> List[Pass]:
         DeadCodeElim(),
     ]
     return pipeline
+
+
+#: Passes that never consult alias analysis.  The leading run of them
+#: in a pipeline (:func:`split_prefix`) does the same work on the same
+#: input whatever the decision sequence, so a compiler may run it once
+#: per session and start each compile from a copy of its result.
+QUERY_FREE = (SimplifyCFG, Mem2Reg, InstCombine)
+
+
+def split_prefix(pipeline: Sequence[Pass]) -> Tuple[List[Pass], List[Pass]]:
+    """Split ``pipeline`` before its first pass that may issue an alias
+    query: the query-free prefix, and the rest."""
+    n = 0
+    while n < len(pipeline) and isinstance(pipeline[n], QUERY_FREE):
+        n += 1
+    return list(pipeline[:n]), list(pipeline[n:])
 
 
 #: The Inliner is available but not part of the default pipelines: the
