@@ -1,5 +1,7 @@
 """Analysis-invalidation benchmark: fine-grained ``PreservedAnalyses``
-invalidation vs the legacy invalidate-everything behavior.
+invalidation vs the invalidate-everything referee
+(:class:`repro.fuzz.oracle.RefereeCompiler`, whose compiles run
+:class:`repro.passes.CoarseAnalysisManager`).
 
 Two sweeps, both asserting observable-behavior neutrality first:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List
 
+from repro.fuzz.oracle import RefereeCompiler
 from repro.oraql import ProbingDriver
 from repro.oraql.compiler import Compiler
 from repro.workloads.base import get_config, row_names
@@ -33,12 +36,15 @@ from conftest import save_result
 #: and one query-heavy sequential config
 PROBE_ROWS = ("GridMini-offload", "XSBench-seq")
 
+#: mode -> compiler factory
+COMPILERS = {"fine": Compiler, "coarse": RefereeCompiler}
+
 
 def _compile_row(row: str) -> Dict[str, Dict]:
     out: Dict[str, Dict] = {}
-    for mode in ("fine", "coarse"):
+    for mode, make in COMPILERS.items():
         t0 = time.time()
-        prog = Compiler(invalidation=mode).compile(get_config(row))
+        prog = make().compile(get_config(row))
         wall = time.time() - t0
         out[mode] = {
             "hash": prog.exe_hash,
@@ -63,7 +69,7 @@ def test_invalidation_compile_sweep(benchmark, once):
 
     lines: List[str] = []
     lines.append("Analysis invalidation: fine-grained (PreservedAnalyses) "
-                 "vs coarse (legacy invalidate-everything)")
+                 "vs coarse (the invalidate-everything referee)")
     lines.append("")
     lines.append(f"{'configuration':<24} {'DT+LI fine':>10} "
                  f"{'DT+LI coarse':>12} {'saved':>7} {'MSSA':>5} "
@@ -106,10 +112,9 @@ def test_invalidation_probing_differential():
                  "fine vs coarse):")
     for row in PROBE_ROWS:
         reports = {}
-        for mode in ("fine", "coarse"):
+        for mode, make in COMPILERS.items():
             t0 = time.time()
-            rep = ProbingDriver(get_config(row),
-                                compiler=Compiler(invalidation=mode)).run()
+            rep = ProbingDriver(get_config(row), compiler=make()).run()
             rep.wall_seconds = time.time() - t0
             reports[mode] = rep
         f, c = reports["fine"], reports["coarse"]

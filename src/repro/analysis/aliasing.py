@@ -71,11 +71,11 @@ class AliasAnalysisPass:
     #:
     #: * ``"none"`` — stateless, never needs invalidation;
     #: * ``"function"`` — per-function summaries: implement
-    #:   ``invalidate_function(fn)`` (and ``invalidate()`` for module-
-    #:   scope changes);
+    #:   ``invalidate_function(fn)``, called when ``fn`` changes, and
+    #:   ``invalidate()`` (the coarse referee's);
     #: * ``"module"`` — whole-module state: implement ``invalidate()``,
-    #:   called on module-scope changes (and on every change under
-    #:   coarse invalidation).
+    #:   called when call/use structure changes (and on every change
+    #:   under the coarse referee, ``CoarseAnalysisManager``).
     invalidation_scope: str = "none"
 
     def alias(self, a: MemoryLocation, b: MemoryLocation,

@@ -28,7 +28,7 @@ class DominatorTree:
         preds = predecessor_map(self.function)
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {entry: entry}
 
-        def intersect(a: BasicBlock, b: BasicBlock) -> BasicBlock:
+        def common_dominator(a: BasicBlock, b: BasicBlock) -> BasicBlock:
             while a is not b:
                 while index[a] > index[b]:
                     a = idom[a]
@@ -47,7 +47,8 @@ class DominatorTree:
                     if p not in index:  # unreachable predecessor
                         continue
                     if p in idom:
-                        new_idom = p if new_idom is None else intersect(p, new_idom)
+                        new_idom = (p if new_idom is None
+                                    else common_dominator(p, new_idom))
                 if new_idom is not None and idom.get(bb) is not new_idom:
                     idom[bb] = new_idom
                     changed = True

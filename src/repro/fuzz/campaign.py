@@ -35,7 +35,7 @@ from ..oraql.pool import run_seeds
 from ..oraql.sequence import DecisionSequence
 from .corpus import CorpusEntry, entry_name, write_entry
 from .generator import GeneratorOptions, generate_program
-from .oracle import DifferentialOracle, base_config
+from .oracle import DifferentialOracle, RefereeCompiler, base_config
 from .reduce import reduce_program
 from .render import ast_size, render_unit
 
@@ -198,7 +198,7 @@ def _config_diverges(unit: TranslationUnit, opt_level: int,
         run = compiler.compile(cfg).run()
     elif config_key == "o3-coarse":
         fine = compiler.compile(cfg)
-        coarse = compiler.compile(cfg, invalidation="coarse")
+        coarse = RefereeCompiler().compile(cfg)
         if fine.exe_hash != coarse.exe_hash:
             return True
         run = coarse.run()

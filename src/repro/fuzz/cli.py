@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.fuzz",
         description="Differential fuzzing of the ORAQL pipeline: random "
                     "programs, a multi-config oracle (O0 interpretation "
-                    "vs. full pipeline, fine vs. coarse invalidation, "
+                    "vs. full pipeline, fine invalidation vs. the "
+                    "invalidate-everything referee, "
                     "pessimistic AA vs. ORAQL sequences), and a "
                     "delta-debugging reducer.")
     p.add_argument("--seeds", type=int, default=200, metavar="N",

@@ -9,9 +9,10 @@ key                       what it checks
 ========================  =====================================================
 ``o2`` / ``o3``           the plain pipeline may only get faster, never
                           different (classic differential compiler testing)
-``o3-coarse``             fine-grained analysis invalidation must be
-                          behaviour- *and bit*-identical to coarse (the PR-2
-                          contract: same stdout **and** same ``exe_hash``)
+``o3-coarse``             the referee compiler (:class:`RefereeCompiler`,
+                          invalidate-everything analysis management) must be
+                          behaviour- *and bit*-identical to fine-grained
+                          invalidation: same stdout **and** same ``exe_hash``
 ``override``              forcing every chain answer pessimistic (§VIII) is
                           always sound — must match O0
 ``pessimistic``           ORAQL answering **every** last-resort query
@@ -45,6 +46,7 @@ from ..oraql.compiler import CompiledProgram, Compiler
 from ..oraql.config import BenchmarkConfig, SourceFile
 from ..oraql.driver import ProbingDriver, ProbingReport
 from ..oraql.sequence import DecisionSequence
+from ..passes import CoarseAnalysisManager
 
 #: pessimistic-tail padding past the observed unique-query count (the
 #: stream can grow when answers flip; mirrors ProbingDriver.TAIL_PAD)
@@ -93,6 +95,14 @@ def base_config(seed: int, source: str, opt_level: int = 3,
                            opt_level=opt_level, max_steps=max_steps)
 
 
+class RefereeCompiler(Compiler):
+    """A compiler that invalidates every analysis on every change
+    (:class:`~repro.passes.CoarseAnalysisManager`): fine invalidation
+    must build the same executables from the same query streams."""
+
+    analysis_manager = CoarseAnalysisManager
+
+
 class DifferentialOracle:
     """Applies the config matrix to one program and classifies the outcome.
 
@@ -107,6 +117,8 @@ class DifferentialOracle:
                  max_tests: int = 2_000,
                  strategies: Sequence[str] = ("chunked",)):
         self.compiler = compiler or Compiler()
+        self.referee = RefereeCompiler(self.compiler.frontend_options,
+                                       self.compiler.verify_analyses)
         self.verdict_cache = verdict_cache
         self.opt_level = opt_level
         self.max_tests = max_tests
@@ -117,9 +129,9 @@ class DifferentialOracle:
 
     # -- single compile+run -------------------------------------------------
     def _run(self, result: OracleResult, config: BenchmarkConfig,
-             **compile_kw):
+             compiler: Optional[Compiler] = None, **compile_kw):
         result.compiles += 1
-        prog = self.compiler.compile(config, **compile_kw)
+        prog = (compiler or self.compiler).compile(config, **compile_kw)
         return prog, prog.run()
 
     # -- the oracle ---------------------------------------------------------
@@ -161,7 +173,7 @@ class DifferentialOracle:
         judge("o3", o3_run)
 
         # 2. fine vs. coarse invalidation: same behaviour, same bits
-        coarse, coarse_run = self._run(result, cfg, invalidation="coarse")
+        coarse, coarse_run = self._run(result, cfg, self.referee)
         judge("o3-coarse", coarse_run)
         if coarse.exe_hash != o3.exe_hash:
             result.outcomes["o3-coarse"] = "divergent"

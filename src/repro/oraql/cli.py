@@ -78,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "pass that claims to preserve them and abort on "
                         "a mismatch (catches passes lying about "
                         "preservation; slow)")
-    p.add_argument("--invalidation", choices=["fine", "coarse"],
-                   default="fine",
-                   help="analysis invalidation mode: 'fine' keeps "
-                        "preserved analyses alive across passes, "
-                        "'coarse' replicates the legacy invalidate-"
-                        "everything behavior (for differential runs)")
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="worker processes for probing several "
                         "configurations at once (--fig 4); one "
@@ -293,8 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .errors import ProbingError
     from .executor import ExecutorPolicy
     from .journal import SessionJournal
-    compiler = Compiler(verify_analyses=args.verify_analyses,
-                        invalidation=args.invalidation)
+    compiler = Compiler(verify_analyses=args.verify_analyses)
     policy = ExecutorPolicy(fuel=args.test_fuel,
                             wall_clock=args.test_wall_clock,
                             retries=args.retries)

@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
 from ..analysis import DEFAULT_AA_CHAIN
 from ..codegen import (
@@ -22,15 +22,11 @@ from ..codegen import (
     codegen_function,
     compile_kernel,
 )
-from ..frontend import (
-    FrontendOptions,
-    TranslationUnit,
-    compile_source,
-    parse,
-)
+from ..frontend import FrontendOptions, compile_source
 from ..ir import Module, function_hash, print_module_header, verify_module
 from ..ir.clone import clone_module
 from ..passes import (
+    AnalysisManager,
     CompilationContext,
     DominatorTreeAnalysis,
     Pass,
@@ -232,8 +228,8 @@ class CompiledProgram:
 
     @property
     def pass_executions(self) -> int:
-        """Pass executions this compile performed (per-function runs +
-        module-pass runs; per-TU contexts are folded in)."""
+        """Per-function pass runs this compile performed (per-TU
+        contexts are folded in)."""
         return self.ctx.pass_executions
 
 
@@ -259,16 +255,19 @@ class KeptPrefix:
 class Compiler:
     """Deterministic compiler: same config + same sequence ⇒ same hash.
 
-    ``verify_analyses`` and ``invalidation`` set per-instance defaults
-    for every ``compile`` call (the CLI's ``--verify-analyses`` plumbs
-    through here so the probing drivers inherit it)."""
+    Its settings hold for every ``compile`` call: the CLI's
+    ``--verify-analyses`` plumbs through here so the probing drivers
+    inherit it."""
+
+    #: the analysis manager of every compile: fine-grained invalidation.
+    #: Only the invalidation referee
+    #: (:class:`repro.fuzz.oracle.RefereeCompiler`) overrides it.
+    analysis_manager: Type[AnalysisManager] = AnalysisManager
 
     def __init__(self, frontend_options: Optional[FrontendOptions] = None,
-                 verify_analyses: bool = False,
-                 invalidation: str = "fine"):
+                 verify_analyses: bool = False):
         self.frontend_options = frontend_options or FrontendOptions()
         self.verify_analyses = verify_analyses
-        self.invalidation = invalidation
         #: content-addressed codegen caches: body hash → artifact.  The
         #: key is the *printed body* hash, so hash-identical functions
         #: hash-hit across probes (and across configs compiled by the
@@ -276,16 +275,10 @@ class Compiler:
         self._codegen_cache: Dict[Tuple[str, str], FunctionCodegen] = {}
         self._kernel_cache: Dict[Tuple[str, str],
                                  Tuple[int, int, int]] = {}
-        #: parsed units of the last compiled config's sources, keyed by
-        #: ``(filename, text)``.  Lowering leaves a unit unchanged, so a
-        #: unit is lowered again without parsing it again.  Replaced per
-        #: config: a Compiler reused across configs (``--fig 4``, the
-        #: fuzz campaign) holds only the current one's units.
-        self._units: Dict[Tuple[str, str], TranslationUnit] = {}
         #: the current sources' units after the pipeline's query-free
-        #: prefix, keyed by (unit sources, (opt level, verify_analyses,
-        #: invalidation)).  A session's probes compile the same sources
-        #: again and again, and each compile starts from a copy of these.
+        #: prefix, keyed by (unit sources, opt level).  A session's
+        #: probes compile the same sources again and again, and each
+        #: compile starts from a copy of these.
         self._kept: Dict[tuple, KeptPrefix] = {}
         #: decoded VM code shared by the programs this Compiler makes,
         #: keyed by (function name, body hash, nargs, cost table).  A
@@ -302,8 +295,8 @@ class Compiler:
     def replay_digest(self) -> str:
         """The setup this compiler's answer logs are valid for (see
         :func:`~repro.oraql.replay.setup_digest`)."""
-        return setup_digest(self.frontend_options, self.invalidation,
-                            self.verify_analyses)
+        return setup_digest(self.frontend_options, self.verify_analyses,
+                            self.analysis_manager)
 
     def compile(self, config: BenchmarkConfig,
                 sequence: Optional[DecisionSequence] = None,
@@ -312,14 +305,7 @@ class Compiler:
                 debug_pass_executions: bool = False,
                 suppress_chain: bool = False,
                 override=None,
-                verify_analyses: Optional[bool] = None,
-                invalidation: Optional[str] = None,
                 trace=None) -> CompiledProgram:
-        if verify_analyses is None:
-            verify_analyses = self.verify_analyses
-        if invalidation is None:
-            invalidation = self.invalidation
-
         def timed(name):
             return trace.phase(name) if trace is not None else nullcontext()
 
@@ -361,20 +347,17 @@ class Compiler:
         # analysis), linked for execution after optimization
         units = ([sources] if config.lto or len(sources) == 1
                  else [(src,) for src in sources])
-        settings = (config.opt_level, verify_analyses, invalidation)
-        keys = [(unit, settings) for unit in units]
+        keys = [(unit, config.opt_level) for unit in units]
 
-        # 2. frontend: lower the units this session keeps no prefix of
-        #    yet, from the sources parsed once per session; link and
-        #    verify them
+        # 2. frontend: parse and lower the units this session keeps no
+        #    prefix of yet; link and verify them
         lowered: Dict[tuple, Module] = {}
         missing = [key for key in keys if key not in self._kept]
         if missing:
-            parsed = dict(zip(sources, self._parsed(config)))
             with timed("frontend"):
-                modules = [[compile_source(parsed[src], src[0],
+                modules = [[compile_source(text, name,
                                            options=self.frontend_options)
-                            for src in unit] for unit, _ in missing]
+                            for name, text in unit] for unit, _ in missing]
             for key, (module, *others) in zip(missing, modules):
                 for other in others:
                     module.link(other)
@@ -392,14 +375,12 @@ class Compiler:
                 kept = self._kept.get(key)
                 built = kept is None
                 if built:
-                    kept = self._keep(key, lowered[key], prefix,
-                                      verify_analyses, invalidation, trace)
+                    kept = self._keep(key, lowered[key], prefix, trace)
                 module = clone_module(kept.module)
-                ctx = CompilationContext(
+                ctx = self._context(
                     module, aa_chain=chain, oraql=oraql, override=override,
                     debug_pass_executions=debug_pass_executions,
-                    verify_analyses=verify_analyses,
-                    invalidation=invalidation, trace=trace)
+                    trace=trace)
                 ctx.adopt_prefix(kept.ctx, built)
                 PassManager(ctx).run(rest)
             verify_module(module, partial(ctx.am.cached, DominatorTreeAnalysis))
@@ -441,17 +422,20 @@ class Compiler:
                                exe_hash, fn_hashes=fn_hashes,
                                shared_code=self._code)
 
+    def _context(self, module: Module, **kwargs) -> CompilationContext:
+        """A compilation context under this compiler's settings."""
+        return CompilationContext(
+            module, verify_analyses=self.verify_analyses,
+            analysis_manager=self.analysis_manager, **kwargs)
+
     def _keep(self, key: tuple, module: Module, prefix: List[Pass],
-              verify_analyses: bool, invalidation: str,
               trace) -> KeptPrefix:
         """Run the query-free ``prefix`` on a lowered, verified module
         and keep the result under ``key``; a prefix that raises keeps
         nothing.  The context records every announcement, for the
         compiles that announce."""
-        ctx = CompilationContext(
-            module, aa_chain=(), debug_pass_executions=True,
-            verify_analyses=verify_analyses, invalidation=invalidation,
-            trace=trace)
+        ctx = self._context(module, aa_chain=(), debug_pass_executions=True,
+                            trace=trace)
         PassManager(ctx).run(prefix)
         ctx.release()
         if ctx.aa.total_queries:
@@ -493,19 +477,6 @@ class Compiler:
             for code in table.values():
                 code.release()
         self._retired = held
-
-    def _parsed(self, config: BenchmarkConfig) -> List[TranslationUnit]:
-        """The parsed unit of each of ``config``'s sources, parsing only
-        the ones the last compiled config did not have."""
-        units: Dict[Tuple[str, str], TranslationUnit] = {}
-        for src in config.sources:
-            key = (src.name, src.text)
-            tu = units.get(key) or self._units.get(key)
-            if tu is None:
-                tu = parse(src.text, src.name, unit_name=src.name)
-            units[key] = tu
-        self._units = units
-        return [units[src.name, src.text] for src in config.sources]
 
     # -- codegen through the content-addressed cache -----------------------
     def _codegen_cached(self, module: Module, stats, fn_hashes:

@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..frontend import FrontendOptions
+from ..passes import AnalysisManager
 from .errors import ProbingError
 from .verify import TRIAGE_COMPILER_ERROR
 
@@ -65,14 +66,15 @@ def code_digest() -> str:
     return h.hexdigest()[:16]
 
 
-def setup_digest(frontend_options=None, invalidation: str = "fine",
-                 verify_analyses: bool = False) -> str:
+def setup_digest(frontend_options=None, verify_analyses: bool = False,
+                 analysis_manager: type = AnalysisManager) -> str:
     """The compiler setup an answer log is valid for: :func:`code_digest`
     plus every :class:`~repro.oraql.compiler.Compiler` setting.  The
     defaults are a default ``Compiler()``'s."""
     opts = sorted(vars(frontend_options or FrontendOptions()).items())
-    text = (f"{code_digest()}|frontend={opts}|invalidation={invalidation}"
-            f"|verify_analyses={verify_analyses}")
+    text = (f"{code_digest()}|frontend={opts}"
+            f"|verify_analyses={verify_analyses}"
+            f"|analyses={analysis_manager.__name__}")
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -3,6 +3,7 @@
 from .analysis_manager import (
     AnalysisManager,
     AnalysisVerificationError,
+    CoarseAnalysisManager,
     DominatorTreeAnalysis,
     LoopAnalysis,
     MemorySSAAnalysis,
@@ -21,7 +22,6 @@ from .memcpy_opt import MemCpyOpt
 from .pass_manager import (
     CompilationContext,
     FunctionAnalyses,
-    ModulePass,
     Pass,
     PassManager,
 )

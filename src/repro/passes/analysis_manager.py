@@ -28,10 +28,15 @@ Invalidation is observable-behavior-neutral by construction:
 * MemorySSA issues alias queries during construction (attributed to the
   'Memory SSA' pass in ORAQL dumps), so it is *never* preserved across
   a change — its rebuild schedule, and hence the query stream, is
-  identical to the legacy invalidate-everything behavior;
+  identical to the invalidate-everything referee's;
 * per-function AA summaries (the CFL analyses) are dropped only for the
   changed function — rebuilding an unchanged function's summary would
   reproduce it bit-for-bit, so skipping the rebuild is unobservable.
+
+Fine invalidation is the only mode a compile runs.  The
+invalidate-everything behavior it replaced survives as
+:class:`CoarseAnalysisManager`, the referee that the fuzz oracle's
+``o3-coarse`` config and the invalidation benchmark compare against.
 
 An opt-in ``verify_analyses`` mode recomputes DT/LI from scratch after
 every pass that claims to preserve them and raises
@@ -42,7 +47,7 @@ that lie about preservation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..analysis import DominatorTree, LoopInfo, MemorySSA
 from ..ir.function import Function
@@ -116,21 +121,14 @@ class PreservedAnalyses:
     ``all()`` means the pass changed nothing observable; ``none()``
     abandons everything; ``cfg()`` is the common middle ground — the
     pass mutated instructions but not the block graph, so DT/LI survive.
-
-    Module passes additionally report ``modified_functions``: the exact
-    set of functions they touched, letting ``verify_each`` and
-    invalidation scope to those functions instead of the whole module
-    (``None`` means "unknown — assume everything").
     """
 
-    __slots__ = ("_all", "_ids", "modified_functions")
+    __slots__ = ("_all", "_ids")
 
     def __init__(self, all_preserved: bool = False,
-                 ids: Iterable[type] = (),
-                 modified_functions: Optional[Set[Function]] = None):
+                 ids: Iterable[type] = ()):
         self._all = all_preserved
         self._ids: FrozenSet[type] = frozenset(ids)
-        self.modified_functions = modified_functions
 
     # -- factories -------------------------------------------------------
     @classmethod
@@ -139,17 +137,15 @@ class PreservedAnalyses:
         return cls(all_preserved=True)
 
     @classmethod
-    def none(cls, modified_functions: Optional[Set[Function]] = None
-             ) -> "PreservedAnalyses":
+    def none(cls) -> "PreservedAnalyses":
         """The pass may have changed anything: abandon every analysis."""
-        return cls(modified_functions=modified_functions)
+        return cls()
 
     @classmethod
-    def cfg(cls, modified_functions: Optional[Set[Function]] = None
-            ) -> "PreservedAnalyses":
+    def cfg(cls) -> "PreservedAnalyses":
         """Instructions changed but the block graph did not: DT and LI
         survive, MemorySSA and AA state do not."""
-        return cls(ids=CFG_ANALYSES, modified_functions=modified_functions)
+        return cls(ids=CFG_ANALYSES)
 
     @classmethod
     def from_changed(cls, changed: bool, preserves_cfg: bool = False
@@ -166,34 +162,6 @@ class PreservedAnalyses:
 
     def preserves(self, analysis_id: type) -> bool:
         return self._all or analysis_id in self._ids
-
-    # -- composition -----------------------------------------------------
-    def intersect(self, other: "PreservedAnalyses") -> "PreservedAnalyses":
-        """The analyses preserved by *both* transformations, with the
-        union of their modified-function sets."""
-        if self._all and other._all:
-            mods = self._merge_mods(other)
-            return (PreservedAnalyses.all() if mods is None and
-                    self.modified_functions is None and
-                    other.modified_functions is None
-                    else PreservedAnalyses(True, (), mods))
-        a = self._ids if not self._all else other._ids
-        b = other._ids if not other._all else self._ids
-        return PreservedAnalyses(False, a & b, self._merge_mods(other))
-
-    def _merge_mods(self, other: "PreservedAnalyses"
-                    ) -> Optional[Set[Function]]:
-        if self.modified_functions is None and \
-                other.modified_functions is None:
-            return None
-        if self.modified_functions is None:
-            # all() contributes no modifications; anything else unknown
-            return (set(other.modified_functions)
-                    if self._all else None)
-        if other.modified_functions is None:
-            return (set(self.modified_functions)
-                    if other._all else None)
-        return set(self.modified_functions) | set(other.modified_functions)
 
     def __repr__(self) -> str:  # pragma: no cover
         if self._all:
@@ -254,81 +222,28 @@ class AnalysisManager:
     def invalidate_function(self, fn: Function,
                             pa: Optional[PreservedAnalyses] = None) -> None:
         """A function-local change: drop ``fn``'s analyses that ``pa``
-        does not preserve.  Module-level AA state is invalidated at its
-        own declared granularity — per-function summaries drop only
-        ``fn``'s entry; module-grained caches (GlobalsAA) drop entirely
-        only under coarse invalidation or a module-scope change."""
+        does not preserve (``None`` preserves nothing).  Per-function AA
+        summaries drop only ``fn``'s entry; module-grained AA caches
+        (GlobalsAA) survive, as LLVM's module analyses survive function
+        passes."""
         if pa is not None and pa.are_all_preserved():
             return
         self.epoch += 1
-        coarse = self.ctx.invalidation == "coarse"
         for analysis_id in FUNCTION_ANALYSES:
-            if not coarse and pa is not None and pa.preserves(analysis_id):
-                continue
-            self._drop((fn.id, analysis_id))
-        if coarse:
-            # legacy semantics: any change nukes this function's
-            # analyses and every AA cache (pre-refactor pass_manager
-            # behavior, kept for the differential benchmarks)
-            for key in [k for k in self._function if k[0] == fn.id]:
-                self._drop(key)
-            self._invalidate_aa_module()
-            return
-        self._invalidate_aa_function(fn)
-
-    def invalidate_module(self, pa: Optional[PreservedAnalyses] = None
-                          ) -> None:
-        """A module-scope change (module pass, or unknown extent): drop
-        everything not explicitly preserved."""
-        if pa is not None and pa.are_all_preserved():
-            return
-        self.epoch += 1
-        coarse_mode = self.ctx.invalidation == "coarse"
-        fns = None if pa is None else pa.modified_functions
-        if fns is not None and not coarse_mode:
-            fn_ids = {f.id for f in fns}
-            for key in list(self._function):
-                if key[0] in fn_ids and not (
-                        pa is not None and pa.preserves(key[1])):
-                    self._drop(key)
-            for fn in fns:
-                self._invalidate_aa_function(fn)
-            # interprocedural state (GlobalsAA address-taken verdicts)
-            # can change whenever call/use structure changes
-            self._invalidate_aa_module(module_scope_only=True)
-            return
-        for key in list(self._function):
-            if not coarse_mode and pa is not None and pa.preserves(key[1]):
-                continue
-            self._drop(key)
-        self._invalidate_aa_module()
+            if pa is None or not pa.preserves(analysis_id):
+                self._drop((fn.id, analysis_id))
+        for analysis in self.ctx.aa.analyses:
+            if analysis.invalidation_scope == "function":
+                analysis.invalidate_function(fn)
 
     def invalidate_interprocedural(self) -> None:
         """Call/use structure changed (e.g. inlining cloned instructions
         into a caller): module-grained AA caches such as GlobalsAA's
-        address-taken verdicts must go, even under fine invalidation.
-        Per-function summaries of *other* functions stay — their IR is
-        untouched."""
-        self._invalidate_aa_module(module_scope_only=True)
-
-    def _invalidate_aa_function(self, fn: Function) -> None:
+        address-taken verdicts must go.  Per-function summaries of
+        *other* functions stay — their IR is untouched."""
         for analysis in self.ctx.aa.analyses:
-            scope = getattr(analysis, "invalidation_scope", "none")
-            if scope == "function":
-                inv = getattr(analysis, "invalidate_function", None)
-                if inv is not None:
-                    inv(fn)
-                else:  # pragma: no cover - defensive fallback
-                    analysis.invalidate()
-
-    def _invalidate_aa_module(self, module_scope_only: bool = False) -> None:
-        for analysis in self.ctx.aa.analyses:
-            scope = getattr(analysis, "invalidation_scope", "none")
-            if scope == "module" or (scope == "function"
-                                     and not module_scope_only):
-                inv = getattr(analysis, "invalidate", None)
-                if inv is not None:
-                    inv()
+            if analysis.invalidation_scope == "module":
+                analysis.invalidate()
 
     def _drop(self, key: Tuple[int, type]) -> None:
         """Forget a cached result, releasing the ones with internal
@@ -383,6 +298,25 @@ class AnalysisManager:
         self.builds.update(other.builds)
         self.cache_hits.update(other.cache_hits)
         self.preserved_hits.update(other.preserved_hits)
+
+
+class CoarseAnalysisManager(AnalysisManager):
+    """The invalidate-everything referee: any change drops every cached
+    analysis of the function and the state of every stateful AA.  Fine
+    invalidation must build the same executable and issue the same
+    query stream (the fuzz oracle's ``o3-coarse`` and the invalidation
+    benchmark); only the rebuild counters may differ."""
+
+    def invalidate_function(self, fn: Function,
+                            pa: Optional[PreservedAnalyses] = None) -> None:
+        if pa is not None and pa.are_all_preserved():
+            return
+        self.epoch += 1
+        for analysis_id in FUNCTION_ANALYSES:
+            self._drop((fn.id, analysis_id))
+        for analysis in self.ctx.aa.analyses:
+            if analysis.invalidation_scope != "none":
+                analysis.invalidate()
 
 
 def _same_domtree(a: DominatorTree, b: DominatorTree) -> bool:

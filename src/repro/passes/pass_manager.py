@@ -13,15 +13,16 @@ Invalidation is fine-grained: a CFG-preserving pass keeps its
 function's DominatorTree/LoopInfo alive, and a function-local change no
 longer nukes module-level AA state (per-function CFL summaries drop
 only the changed function's entry; GlobalsAA keeps its address-taken
-verdicts, as LLVM's module analyses survive function passes).  The
-legacy invalidate-everything behavior remains available as
-``invalidation="coarse"`` for the differential benchmarks.
+verdicts, as LLVM's module analyses survive function passes).  Every
+pass is a function pass.  A context built with
+``analysis_manager=CoarseAnalysisManager`` invalidates everything on
+every change instead; only the fine-vs-coarse referees build one.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 from ..analysis import (
     AAResults,
@@ -79,10 +80,8 @@ class CompilationContext:
                  debug_pass_executions: bool = False,
                  verify_each: bool = False,
                  verify_analyses: bool = False,
-                 invalidation: str = "fine",
+                 analysis_manager: Type[AnalysisManager] = AnalysisManager,
                  trace=None):
-        if invalidation not in ("fine", "coarse"):
-            raise ValueError(f"unknown invalidation mode {invalidation!r}")
         self.module = module
         self.oraql = oraql
         self.override = override
@@ -98,10 +97,8 @@ class CompilationContext:
         self.debug_pass_executions = debug_pass_executions
         self.verify_each = verify_each
         self.verify_analyses = verify_analyses
-        self.invalidation = invalidation
-        self.am = AnalysisManager(self)
-        #: number of pass executions (per-function runs + module-pass
-        #: runs) this context performed
+        self.am = analysis_manager(self)
+        #: number of per-function pass runs this context performed
         self.pass_executions = 0
         self._fn_views: Dict[int, FunctionAnalyses] = {}
         #: pass-context stack for query provenance: the top entry is the
@@ -122,17 +119,13 @@ class CompilationContext:
             self._fn_views[fn.id] = view
         return view
 
-    def invalidate(self, fn: Optional[Function] = None,
+    def invalidate(self, fn: Function,
                    pa: Optional[PreservedAnalyses] = None) -> None:
-        """Invalidate analyses after a change: everything ``pa`` does
-        not preserve, at function scope when ``fn`` is given, module
-        scope otherwise.  ``pa=None`` preserves nothing (the legacy
-        meaning of ``invalidate``, used by passes that mutate the CFG
-        mid-run and must refetch loop structure)."""
-        if fn is None:
-            self.am.invalidate_module(pa)
-        else:
-            self.am.invalidate_function(fn, pa)
+        """Invalidate ``fn``'s analyses after a change: everything
+        ``pa`` does not preserve.  ``pa=None`` preserves nothing (used
+        by passes that mutate the CFG mid-run and must refetch loop
+        structure)."""
+        self.am.invalidate_function(fn, pa)
 
     def adopt_prefix(self, prefix: "CompilationContext",
                      built: bool) -> None:
@@ -225,16 +218,6 @@ class Pass:
         return not fn.is_declaration and fn.blocks
 
 
-class ModulePass(Pass):
-    """Base class: whole-module transformation.  ``run_on_module``
-    returns a :class:`PreservedAnalyses` whose ``modified_functions``
-    (when known) scopes both invalidation and ``verify_each``."""
-
-    def run_on_module(self, module: Module,
-                      ctx: CompilationContext) -> PreservedAnalyses:
-        raise NotImplementedError
-
-
 class PassManager:
     """Runs a pipeline, maintaining attribution and invalidation."""
 
@@ -246,29 +229,6 @@ class PassManager:
         ctx = self.ctx
         module = ctx.module
         for p in pipeline:
-            if isinstance(p, ModulePass):
-                ctx.announce(p.display_name)
-                ctx.push_pass(p.display_name)
-                ctx.aa.current_function = None
-                ctx.pass_executions += 1
-                try:
-                    with ctx.timed(p.display_name):
-                        pa = p.run_on_module(module, ctx)
-                finally:
-                    ctx.pop_pass()
-                if not pa.are_all_preserved():
-                    ctx.am.invalidate_module(pa)
-                    touched = (pa.modified_functions
-                               if pa.modified_functions is not None
-                               else module.defined_functions())
-                    for fn in touched:
-                        if ctx.verify_each:
-                            verify_function(
-                                fn, dt=ctx.am.cached(DominatorTreeAnalysis,
-                                                     fn))
-                        if ctx.verify_analyses:
-                            ctx.am.verify_preserved(fn, p.display_name)
-                continue
             for fn in list(module.defined_functions()):
                 if not p.should_run_on(fn):
                     continue

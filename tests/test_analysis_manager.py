@@ -1,6 +1,7 @@
 """AnalysisManager / PreservedAnalyses semantics, fine-grained
-invalidation, verification of preservation claims, and the coarse-mode
-equivalence guarantees the refactor rests on."""
+invalidation, verification of preservation claims, and the equivalence
+with the invalidate-everything referee (``CoarseAnalysisManager``) that
+fine invalidation rests on."""
 
 from __future__ import annotations
 
@@ -11,12 +12,13 @@ from repro.frontend import compile_source
 from repro.ir import verify_module
 from repro.ir.instructions import BranchInst
 from repro.passes import (
+    AnalysisManager,
     AnalysisVerificationError,
+    CoarseAnalysisManager,
     CompilationContext,
     DominatorTreeAnalysis,
     LoopAnalysis,
     MemorySSAAnalysis,
-    ModulePass,
     Pass,
     PassManager,
     PreservedAnalyses,
@@ -81,23 +83,6 @@ class TestPreservedAnalyses:
             if PreservedAnalyses.none():  # pragma: no cover
                 pass
 
-    def test_intersect(self):
-        both = PreservedAnalyses.all().intersect(PreservedAnalyses.cfg())
-        assert both.preserves(DominatorTreeAnalysis)
-        assert not both.preserves(MemorySSAAnalysis)
-        nothing = PreservedAnalyses.cfg().intersect(PreservedAnalyses.none())
-        assert not nothing.preserves(DominatorTreeAnalysis)
-        assert PreservedAnalyses.all().intersect(
-            PreservedAnalyses.all()).are_all_preserved()
-
-    def test_intersect_merges_modified_functions(self):
-        a = PreservedAnalyses.none(modified_functions={"f"})
-        b = PreservedAnalyses.none(modified_functions={"g"})
-        assert a.intersect(b).modified_functions == {"f", "g"}
-        # unknown extent on a non-all() side poisons the merge
-        c = PreservedAnalyses.none()
-        assert a.intersect(c).modified_functions is None
-
 
 # -- caching and invalidation ------------------------------------------------
 
@@ -149,16 +134,22 @@ class TestAnalysisManagerCaching:
         assert ctx.am.cached(DominatorTreeAnalysis, fn) is not None
 
     def test_coarse_mode_ignores_preservation(self):
-        module, ctx = _ctx(invalidation="coarse")
+        module, ctx = _ctx(analysis_manager=CoarseAnalysisManager)
         fn = next(iter(module.defined_functions()))
         ctx.am.get(DominatorTreeAnalysis, fn)
         ctx.am.invalidate_function(fn, PreservedAnalyses.cfg())
         assert ctx.am.cached(DominatorTreeAnalysis, fn) is None
 
     def test_invalid_mode_rejected(self):
+        """There is no string invalidation mode left to pick: the old
+        keyword is refused, not ignored."""
+        from repro.oraql.compiler import Compiler
+
         module = compile_source(LOOP_SRC, "t.c")
-        with pytest.raises(ValueError):
-            CompilationContext(module, invalidation="eager")
+        with pytest.raises(TypeError, match="invalidation"):
+            CompilationContext(module, invalidation="coarse")
+        with pytest.raises(TypeError, match="invalidation"):
+            Compiler(invalidation="coarse")
 
 
 MULTI_FN_SRC = """
@@ -166,27 +157,6 @@ int g(int x) { return x + 1; }
 int h(int x) { return x * 2; }
 int main() { printf("%d\n", g(3) + h(4)); return 0; }
 """
-
-
-class TestModuleScopedInvalidation:
-    def test_modified_functions_scopes_invalidation(self):
-        module, ctx = _ctx(MULTI_FN_SRC)
-        fns = {f.name: f for f in module.defined_functions()}
-        dt_g = ctx.am.get(DominatorTreeAnalysis, fns["g"])
-        dt_h = ctx.am.get(DominatorTreeAnalysis, fns["h"])
-        ctx.am.invalidate_module(
-            PreservedAnalyses.none(modified_functions={fns["g"]}))
-        assert ctx.am.cached(DominatorTreeAnalysis, fns["g"]) is None
-        assert ctx.am.cached(DominatorTreeAnalysis, fns["h"]) is dt_h
-
-    def test_unknown_extent_invalidates_all(self):
-        module, ctx = _ctx(MULTI_FN_SRC)
-        fns = {f.name: f for f in module.defined_functions()}
-        ctx.am.get(DominatorTreeAnalysis, fns["g"])
-        ctx.am.get(DominatorTreeAnalysis, fns["h"])
-        ctx.am.invalidate_module(PreservedAnalyses.none())
-        assert ctx.am.cached(DominatorTreeAnalysis, fns["g"]) is None
-        assert ctx.am.cached(DominatorTreeAnalysis, fns["h"]) is None
 
 
 # -- AA chain construction and invalidation scopes ---------------------------
@@ -239,7 +209,7 @@ class TestAAChain:
         assert globals_aa._cache  # module analyses survive function passes
 
     def test_globals_aa_dropped_under_coarse(self):
-        module, ctx = _ctx(invalidation="coarse")
+        module, ctx = _ctx(analysis_manager=CoarseAnalysisManager)
         fn = next(iter(module.defined_functions()))
         globals_aa = next(a for a in ctx.aa.analyses
                           if a.name == "globals-aa")
@@ -338,58 +308,10 @@ class TestVerifyAnalyses:
         run_main(module)
 
 
-# -- module passes ------------------------------------------------------------
-
-class RenamingModulePass(ModulePass):
-    """Touches exactly one function and says so."""
-
-    name = "touch-one"
-    display_name = "Touch One Function"
-
-    def __init__(self, target_name):
-        self.target_name = target_name
-
-    def run_on_module(self, module, ctx):
-        for fn in module.defined_functions():
-            if fn.name == self.target_name:
-                # reuse the lying-pass CFG mutation as "a change"
-                pa = HonestPass().run_on_function(fn, ctx)
-                if not pa.are_all_preserved():
-                    return PreservedAnalyses.none(modified_functions={fn})
-        return PreservedAnalyses.all()
-
-
-MODULE_SRC = """
-int pick(int c) {
-  int x = 0;
-  if (c) { x = 3; } else { x = 4; }
-  return x;
-}
-int other(int x) { return x + 1; }
-int main() { printf("%d\n", pick(1) + other(2)); return 0; }
-"""
-
-
-class TestModulePasses:
-    def test_verify_each_scopes_to_modified_functions(self):
-        module, ctx = _ctx(MODULE_SRC, verify_each=True)
-        fns = {f.name: f for f in module.defined_functions()}
-        dt_other = ctx.am.get(DominatorTreeAnalysis, fns["other"])
-        PassManager(ctx).run([RenamingModulePass("pick")])
-        # untouched function keeps its analyses (and was not re-verified
-        # against a stale tree)
-        assert ctx.am.cached(DominatorTreeAnalysis, fns["other"]) is dt_other
-        assert ctx.am.cached(DominatorTreeAnalysis, fns["pick"]) is None
-
-    def test_unchanged_module_pass_keeps_everything(self):
-        module, ctx = _ctx(MODULE_SRC)
-        fns = {f.name: f for f in module.defined_functions()}
-        dt = ctx.am.get(DominatorTreeAnalysis, fns["main"])
-        PassManager(ctx).run([RenamingModulePass("no-such-function")])
-        assert ctx.am.cached(DominatorTreeAnalysis, fns["main"]) is dt
-
-
 # -- fine vs coarse equivalence ----------------------------------------------
+
+MANAGERS = {"fine": AnalysisManager, "coarse": CoarseAnalysisManager}
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("opt_level", [2, 3])
@@ -397,9 +319,9 @@ class TestEquivalence:
         from repro.ir import module_hash
 
         outs = {}
-        for mode in ("fine", "coarse"):
+        for mode, manager in MANAGERS.items():
             module = compile_source(LOOP_SRC, "t.c")
-            ctx = CompilationContext(module, invalidation=mode)
+            ctx = CompilationContext(module, analysis_manager=manager)
             PassManager(ctx).run(build_pipeline(opt_level))
             verify_module(module)
             m = run_main(module)
@@ -413,15 +335,16 @@ class TestEquivalence:
         invalidation modes, and the ORAQL pass sees the same unique
         query sequence."""
         import repro.workloads  # noqa: F401 — registers all variants
+        from repro.fuzz.oracle import RefereeCompiler
         from repro.oraql.compiler import Compiler
         from repro.workloads.base import get_config, row_names
 
         for row in row_names():
             seen = {}
-            for mode in ("fine", "coarse"):
+            for mode, make in (("fine", Compiler),
+                               ("coarse", RefereeCompiler)):
                 cfg = get_config(row)
-                prog = Compiler(invalidation=mode).compile(
-                    cfg, oraql_enabled=True)
+                prog = make().compile(cfg, oraql_enabled=True)
                 seen[mode] = (
                     prog.exe_hash,
                     prog.ctx.aa.total_queries,
@@ -434,9 +357,9 @@ class TestEquivalence:
 
     def test_fine_avoids_rebuilds(self):
         builds = {}
-        for mode in ("fine", "coarse"):
+        for mode, manager in MANAGERS.items():
             module = compile_source(LOOP_SRC, "t.c")
-            ctx = CompilationContext(module, invalidation=mode)
+            ctx = CompilationContext(module, analysis_manager=manager)
             PassManager(ctx).run(build_pipeline(3))
             builds[mode] = dict(ctx.am.builds)
         assert builds["fine"]["DominatorTree"] < \

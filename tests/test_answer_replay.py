@@ -32,6 +32,7 @@ from helpers import (
     check_replay_combination,
     replay_case_id,
 )
+from repro.fuzz.oracle import RefereeCompiler
 from repro.oraql.cache import VerdictCache
 from repro.oraql.compiler import Compiler
 from repro.oraql.driver import ProbingDriver
@@ -127,7 +128,7 @@ class TestAnswerMemo:
         default = Compiler().replay_digest
         assert default == setup_digest()
         assert len(code_digest()) == 16
-        for other in (Compiler(invalidation="coarse"),
+        for other in (RefereeCompiler(),
                       Compiler(verify_analyses=True),
                       Compiler(FrontendOptions(strict_aliasing=False))):
             assert other.replay_digest != default
@@ -183,10 +184,10 @@ class TestJournalSeeding:
         cfg, path = self._journaled(tmp_path)
         with open(path) as f:
             before = len(f.readlines())
-        coarse = Compiler(invalidation="coarse")
-        report = self._resume(cfg, tmp_path, compiler=coarse)
+        referee = RefereeCompiler()
+        report = self._resume(cfg, tmp_path, compiler=referee)
         assert report.tests_run == 0 and report.compiles > 2
-        # the coarse session's answer logs stay out of a journal whose
+        # the referee session's answer logs stay out of a journal whose
         # header names another setup
         with open(path) as f:
             added = [json.loads(line) for line in f.readlines()[before:]]

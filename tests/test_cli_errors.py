@@ -95,6 +95,20 @@ class TestUnknownStrategy:
             assert p.parse_args(["--strategy", name]).strategy == name
 
 
+class TestRemovedInvalidationOption:
+    """Fine-grained invalidation is the only mode; ``--invalidation``
+    is refused like any unknown option."""
+
+    @pytest.mark.parametrize("mode", ["coarse", "fine"])
+    def test_invalidation_is_an_unknown_argument(self, mode, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "XSBench-seq", "--invalidation", mode])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --invalidation" in err
+        assert "Traceback" not in err
+
+
 class TestRemovedProvenancePrior:
     """The learned ``provenance-prior`` strategy and its ``fit-prior``
     subcommand are gone; both names are refused like any unknown one."""

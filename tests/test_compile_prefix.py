@@ -8,7 +8,9 @@ kept module survives a whole session unchanged, a compile from a warm
 module is freed by reference counting.
 """
 
+import dataclasses
 import gc
+from functools import partial
 
 import pytest
 
@@ -16,6 +18,7 @@ import repro.workloads  # noqa: F401 — registers all variants
 from repro.analysis import DEFAULT_AA_CHAIN
 from repro.analysis.aliasing import AAResults
 from repro.frontend import compile_source, parse
+from repro.fuzz.oracle import RefereeCompiler
 from repro.ir import Constant, print_module, verify_module
 from repro.ir.basicblock import BasicBlock
 from repro.ir.clone import clone_module
@@ -157,20 +160,22 @@ def test_kept_module_survives_a_session_unchanged():
 
 DUMP = DumpFlags(first=True, cached=True, optimistic=True, pessimistic=True)
 
+#: setting -> (row, compiler factory, compile options)
 SETTINGS = {
-    "dump": ("XSBench-seq", dict(oraql_enabled=True, dump=DUMP)),
-    "debug-pass-executions": ("XSBench-seq",
+    "dump": ("XSBench-seq", Compiler, dict(oraql_enabled=True, dump=DUMP)),
+    "debug-pass-executions": ("XSBench-seq", Compiler,
                               dict(debug_pass_executions=True)),
-    "coarse": ("LULESH-mpi", dict(oraql_enabled=True, invalidation="coarse")),
-    "verify-analyses": ("LULESH-mpi", dict(oraql_enabled=True,
-                                           verify_analyses=True)),
-    "non-lto": (None, dict(oraql_enabled=True, dump=DUMP)),
+    "coarse": ("LULESH-mpi", RefereeCompiler, dict(oraql_enabled=True)),
+    "verify-analyses": ("LULESH-mpi",
+                        partial(Compiler, verify_analyses=True),
+                        dict(oraql_enabled=True)),
+    "non-lto": (None, Compiler, dict(oraql_enabled=True, dump=DUMP)),
 }
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_warm_compile_reports_what_a_fresh_one_does(setting):
-    row, kwargs = SETTINGS[setting]
+    row, make, kwargs = SETTINGS[setting]
     cfg = get_config(row) if row is not None else two_tu_config(False)
 
     def compile_(compiler):
@@ -179,10 +184,10 @@ def test_warm_compile_reports_what_a_fresh_one_does(setting):
                                     **kwargs)
         return compiler.compile(cfg, **kwargs)
 
-    warm = Compiler()
+    warm = make()
     compile_(warm)
     first = compile_(warm)
-    fresh = compile_(Compiler())
+    fresh = compile_(make())
     assert first.exe_hash == fresh.exe_hash
     assert first.stats.rows() == fresh.stats.rows()
     assert first.ctx.debug_log == fresh.ctx.debug_log
@@ -235,14 +240,19 @@ def test_traced_compiles_share_the_prefix():
 
 
 def test_settings_that_change_the_prefix_key_it():
+    """The kept prefix is keyed by (unit sources, opt level): compile
+    options leave it alone, and every other setting belongs to the
+    Compiler."""
     compiler = Compiler()
     cfg = get_config("TestSNAP-seq")
     compiler.compile(cfg)
-    compiler.compile(cfg, invalidation="coarse")
-    compiler.compile(cfg, verify_analyses=True)
     compiler.compile(cfg, debug_pass_executions=True,
                      oraql_enabled=True, dump=DUMP)
-    assert len(compiler._kept) == 3
+    compiler.compile(cfg, suppress_chain=True)
+    assert len(compiler._kept) == 1
+    compiler.compile(dataclasses.replace(cfg, opt_level=2))
+    compiler.compile(cfg)
+    assert sorted(level for _, level in compiler._kept) == [2, 3]
 
 
 # -- errors ------------------------------------------------------------------

@@ -194,15 +194,32 @@ class TestCLI:
     def test_cache_and_journal_keep_the_compiler_options(self, tmp_path,
                                                          capsys):
         # one workload runs in-process with the CLI's Compiler whatever
-        # --cache-dir / --journal / --jobs say, so --invalidation holds
-        def rebuilds(*extra):
-            assert main(["--workload", "MiniGMG-sse", *extra]) == 0
-            return [line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("analysis rebuilds")]
+        # --cache-dir / --journal / --jobs say, so --verify-analyses
+        # holds: the journal header and the cache's answer records name
+        # the verifying compiler's setup
+        from repro.oraql.compiler import Compiler
+        from repro.oraql.journal import decode_record
 
-        coarse = rebuilds("--invalidation", "coarse")
-        assert coarse and coarse != rebuilds()
-        assert rebuilds("--invalidation", "coarse",
-                        "--cache-dir", str(tmp_path / "cache")) == coarse
-        assert rebuilds("--invalidation", "coarse", "--jobs", "2",
-                        "--journal", str(tmp_path / "journal")) == coarse
+        def setups(name, *extra):
+            journal, cache = tmp_path / name / "j", tmp_path / name / "c"
+            assert main(["--workload", "MiniGMG-sse", "--journal",
+                         str(journal), "--cache-dir", str(cache),
+                         *extra]) == 0
+            capsys.readouterr()
+            (path,) = journal.glob("*.journal.jsonl")
+            with open(path) as f:
+                header = decode_record(f.readline())
+            with open(cache / "verdicts.jsonl") as f:
+                answers = {rec["key"].split(":")[1]
+                           for rec in map(json.loads, f)
+                           if rec.get("t") == "answers"}
+            return header["setup"], answers
+
+        default = Compiler().replay_digest
+        verifying = Compiler(verify_analyses=True).replay_digest
+        assert verifying != default
+        assert setups("default") == (default, {default})
+        assert setups("verify", "--verify-analyses") == (
+            verifying, {verifying})
+        assert setups("jobs", "--verify-analyses", "--jobs", "2") == (
+            verifying, {verifying})

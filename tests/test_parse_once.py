@@ -1,16 +1,19 @@
-"""Parse once per session: a Compiler lowers the unit it parsed earlier.
+"""Parse once per session: a Compiler parses and lowers each unit once
+per opt level and keeps the result after the query-free pipeline prefix
+(see ``test_compile_prefix.py``), not the parsed unit.
 
 Lowering must read the parsed unit and never change it, so lowering the
 same unit again gives the module a fresh parse would.  The Compiler
 keeps only the units of the config it compiled last.
 """
 
+import gc
 from copy import deepcopy
 
 import pytest
 
-import repro.oraql.compiler as compiler_mod
-from repro.frontend import compile_source, parse
+import repro.frontend.codegen as codegen_mod
+from repro.frontend import TranslationUnit, compile_source, parse
 from repro.ir import print_module
 from repro.oraql.compiler import Compiler
 from repro.oraql.config import BenchmarkConfig, SourceFile
@@ -44,7 +47,7 @@ def parse_calls(monkeypatch):
         calls.append((filename, source))
         return parse(source, filename, unit_name=unit_name)
 
-    monkeypatch.setattr(compiler_mod, "parse", counting)
+    monkeypatch.setattr(codegen_mod, "parse", counting)
     return calls
 
 
@@ -85,7 +88,12 @@ def test_units_are_kept_for_the_current_config_only(parse_calls):
                       ("lib.c", "int helper() { return 0; }"))
         compiler.compile(cfg)
         compiler.compile(cfg)
-        assert len(compiler._units) == 2
-    # the shared source stays parsed from one config to the next
-    assert sum(name == "lib.c" for name, _ in parse_calls) == 1
-    assert len(parse_calls) == 21
+        # no LTO: each source is a unit of its own
+        assert list(compiler._kept) == [(((src.name, src.text),), 3)
+                                        for src in cfg.sources]
+    # a new config's sources are parsed again, each once, and no parsed
+    # unit outlives its lowering
+    assert sum(name == "lib.c" for name, _ in parse_calls) == 20
+    assert len(parse_calls) == 40
+    assert not any(isinstance(v, TranslationUnit)
+                   for v in gc.get_referents(*vars(compiler).values()))
