@@ -159,6 +159,44 @@ int main() { printf("%d\n", g(3) + h(4)); return 0; }
 """
 
 
+class TestFunctionScopedInvalidation:
+    def test_invalidation_is_scoped_to_one_function(self):
+        module, ctx = _ctx(MULTI_FN_SRC)
+        fns = {f.name: f for f in module.defined_functions()}
+        ctx.am.get(DominatorTreeAnalysis, fns["g"])
+        dt_h = ctx.am.get(DominatorTreeAnalysis, fns["h"])
+        ctx.am.invalidate_function(fns["g"], PreservedAnalyses.none())
+        assert ctx.am.cached(DominatorTreeAnalysis, fns["g"]) is None
+        assert ctx.am.cached(DominatorTreeAnalysis, fns["h"]) is dt_h
+
+    def test_unspecified_preservation_drops_every_analysis_of_fn(self):
+        """``ctx.invalidate(fn)`` (no ``pa``) preserves nothing of
+        ``fn`` — DT, LI and MemorySSA all go — and nothing else."""
+        module, ctx = _ctx(MULTI_FN_SRC)
+        fns = {f.name: f for f in module.defined_functions()}
+        for analysis_id in (DominatorTreeAnalysis, LoopAnalysis,
+                            MemorySSAAnalysis):
+            ctx.am.get(analysis_id, fns["g"])
+        li_h = ctx.am.get(LoopAnalysis, fns["h"])
+        ctx.invalidate(fns["g"])
+        for analysis_id in (DominatorTreeAnalysis, LoopAnalysis,
+                            MemorySSAAnalysis):
+            assert ctx.am.cached(analysis_id, fns["g"]) is None
+        assert ctx.am.cached(LoopAnalysis, fns["h"]) is li_h
+
+    def test_coarse_referee_keeps_other_functions_analyses(self):
+        """The referee ignores what a change preserves, not where it
+        happened: another function's DT survives there too."""
+        module, ctx = _ctx(MULTI_FN_SRC,
+                           analysis_manager=CoarseAnalysisManager)
+        fns = {f.name: f for f in module.defined_functions()}
+        ctx.am.get(DominatorTreeAnalysis, fns["g"])
+        dt_h = ctx.am.get(DominatorTreeAnalysis, fns["h"])
+        ctx.am.invalidate_function(fns["g"], PreservedAnalyses.cfg())
+        assert ctx.am.cached(DominatorTreeAnalysis, fns["g"]) is None
+        assert ctx.am.cached(DominatorTreeAnalysis, fns["h"]) is dt_h
+
+
 # -- AA chain construction and invalidation scopes ---------------------------
 
 class TestAAChain:
@@ -306,6 +344,42 @@ class TestVerifyAnalyses:
         PassManager(ctx).run(build_pipeline(3))
         verify_module(module)
         run_main(module)
+
+
+# -- function passes under the pass manager ---------------------------------
+
+PICK_SRC = """
+int pick(int c) {
+  int x = 0;
+  if (c) { x = 3; } else { x = 4; }
+  return x;
+}
+int other(int x) { return x + 1; }
+int main() { printf("%d\n", pick(1) + other(2)); return 0; }
+"""
+
+
+class TestFunctionPasses:
+    def test_verify_each_scopes_to_changed_function(self):
+        module, ctx = _ctx(PICK_SRC, verify_each=True)
+        fns = {f.name: f for f in module.defined_functions()}
+        dt_other = ctx.am.get(DominatorTreeAnalysis, fns["other"])
+        ctx.am.get(DominatorTreeAnalysis, fns["pick"])
+        PassManager(ctx).run([HonestPass()])
+        # only pick has a branch to fold; other keeps its analyses (and
+        # was not re-verified against a stale tree)
+        assert ctx.am.cached(DominatorTreeAnalysis, fns["other"]) is dt_other
+        assert ctx.am.cached(DominatorTreeAnalysis, fns["pick"]) is None
+        assert run_main(module).output() == "6\n"
+
+    def test_unchanged_pass_keeps_everything(self):
+        module, ctx = _ctx(MULTI_FN_SRC)
+        fns = {f.name: f for f in module.defined_functions()}
+        dt = ctx.am.get(DominatorTreeAnalysis, fns["main"])
+        epoch = ctx.am.epoch
+        PassManager(ctx).run([HonestPass()])  # no branch anywhere
+        assert ctx.am.cached(DominatorTreeAnalysis, fns["main"]) is dt
+        assert ctx.am.epoch == epoch
 
 
 # -- fine vs coarse equivalence ----------------------------------------------
