@@ -7,7 +7,7 @@ Two sweeps, both asserting observable-behavior neutrality first:
 
 * a compile sweep over every bundled configuration — identical
   executable hashes and AA query streams, with the DominatorTree /
-  LoopInfo construction counts and wall-clock recorded per row;
+  LoopInfo construction counts recorded per row;
 * a probing sweep on representative configurations — identical probing
   verdicts (unique optimistic/pessimistic query counts, no-alias
   totals), with the per-report analysis rebuild counters compared.
@@ -17,11 +17,14 @@ is the reduction in DT+LI constructions, which must be >= 30%.
 MemorySSA construction issues alias queries, so its build count must be
 *identical* across modes — any drift there would change the ORAQL query
 stream.
+
+No wall-clock is recorded: one unpaired run per mode, fine always first,
+cannot support a timing comparison, and without it the artifact is
+deterministic.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 from repro.fuzz.oracle import RefereeCompiler
@@ -43,16 +46,13 @@ COMPILERS = {"fine": Compiler, "coarse": RefereeCompiler}
 def _compile_row(row: str) -> Dict[str, Dict]:
     out: Dict[str, Dict] = {}
     for mode, make in COMPILERS.items():
-        t0 = time.time()
         prog = make().compile(get_config(row))
-        wall = time.time() - t0
         out[mode] = {
             "hash": prog.exe_hash,
             "queries": prog.ctx.aa.total_queries,
             "no_alias": prog.no_alias_count,
             "builds": prog.analysis_counters["builds"],
             "preserved": prog.analysis_counters["preserved_hits"],
-            "wall": wall,
         }
     return out
 
@@ -72,9 +72,8 @@ def test_invalidation_compile_sweep(benchmark, once):
                  "vs coarse (the invalidate-everything referee)")
     lines.append("")
     lines.append(f"{'configuration':<24} {'DT+LI fine':>10} "
-                 f"{'DT+LI coarse':>12} {'saved':>7} {'MSSA':>5} "
-                 f"{'wall fine':>9} {'wall coarse':>11}")
-    tot = {"fine": 0, "coarse": 0, "wall_fine": 0.0, "wall_coarse": 0.0}
+                 f"{'DT+LI coarse':>12} {'saved':>7} {'MSSA':>5}")
+    tot = {"fine": 0, "coarse": 0}
     for row, r in results.items():
         # neutrality: the executable and the query stream are unchanged
         assert r["fine"]["hash"] == r["coarse"]["hash"], row
@@ -85,18 +84,13 @@ def test_invalidation_compile_sweep(benchmark, once):
         f, c = _dtli(r["fine"]["builds"]), _dtli(r["coarse"]["builds"])
         tot["fine"] += f
         tot["coarse"] += c
-        tot["wall_fine"] += r["fine"]["wall"]
-        tot["wall_coarse"] += r["coarse"]["wall"]
         saved = 100.0 * (1 - f / c) if c else 0.0
         lines.append(f"{row:<24} {f:>10} {c:>12} {saved:>6.1f}% "
-                     f"{r['fine']['builds'].get('MemorySSA', 0):>5} "
-                     f"{r['fine']['wall']:>8.2f}s {r['coarse']['wall']:>10.2f}s")
+                     f"{r['fine']['builds'].get('MemorySSA', 0):>5}")
     saved_total = 100.0 * (1 - tot["fine"] / tot["coarse"])
     lines.append("")
     lines.append(f"total DT+LI constructions: {tot['fine']} fine vs "
                  f"{tot['coarse']} coarse ({saved_total:.1f}% saved)")
-    lines.append(f"total compile wall-clock : {tot['wall_fine']:.2f}s fine "
-                 f"vs {tot['wall_coarse']:.2f}s coarse")
     table = "\n".join(lines)
     save_result("analysis_invalidation", table)
     print("\n" + table)
@@ -113,10 +107,8 @@ def test_invalidation_probing_differential():
     for row in PROBE_ROWS:
         reports = {}
         for mode, make in COMPILERS.items():
-            t0 = time.time()
-            rep = ProbingDriver(get_config(row), compiler=make()).run()
-            rep.wall_seconds = time.time() - t0
-            reports[mode] = rep
+            reports[mode] = ProbingDriver(get_config(row),
+                                          compiler=make()).run()
         f, c = reports["fine"], reports["coarse"]
         # verdict-stream neutrality across the whole probing loop
         assert (f.opt_unique, f.pess_unique, f.no_alias_oraql,
@@ -128,8 +120,7 @@ def test_invalidation_probing_differential():
         fd, cd = _dtli(f.analysis_builds), _dtli(c.analysis_builds)
         assert fd <= cd * 0.7, (row, fd, cd)
         lines.append(f"  {row:<22} {f.compiles} compiles, DT+LI {fd} fine "
-                     f"vs {cd} coarse ({100.0 * (1 - fd / cd):.1f}% saved), "
-                     f"{f.wall_seconds:.1f}s vs {c.wall_seconds:.1f}s")
+                     f"vs {cd} coarse ({100.0 * (1 - fd / cd):.1f}% saved)")
     text = "\n".join(lines)
     print(text)
     # append to the compile-sweep artifact when it exists

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Dict, List, Optional, Protocol
+from typing import List, Optional
 
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -26,7 +26,6 @@ from ..ir.instructions import (
     LoadInst,
     MemCpyInst,
     MemSetInst,
-    PhiInst,
     SelectInst,
     StoreInst,
 )
@@ -74,8 +73,9 @@ class AliasAnalysisPass:
     #:   ``invalidate_function(fn)``, called when ``fn`` changes, and
     #:   ``invalidate()`` (the coarse referee's);
     #: * ``"module"`` — whole-module state: implement ``invalidate()``,
-    #:   called when call/use structure changes (and on every change
-    #:   under the coarse referee, ``CoarseAnalysisManager``).
+    #:   called on every change under the coarse referee
+    #:   (``CoarseAnalysisManager``); no pass changes call/use structure
+    #:   across functions, so function passes leave it alone.
     invalidation_scope: str = "none"
 
     def alias(self, a: MemoryLocation, b: MemoryLocation,
@@ -158,16 +158,6 @@ class AAResults:
         elif r is AliasResult.MUST:
             self.must_alias_count += 1
 
-    # -- convenience forms ------------------------------------------------
-    def is_no_alias(self, a: MemoryLocation, b: MemoryLocation) -> bool:
-        return self.alias(a, b) is AliasResult.NO
-
-    def is_must_alias(self, a: MemoryLocation, b: MemoryLocation) -> bool:
-        return self.alias(a, b) is AliasResult.MUST
-
-    def alias_insts(self, ia: Instruction, ib: Instruction) -> AliasResult:
-        return self.alias(MemoryLocation.get(ia), MemoryLocation.get(ib))
-
     # -- mod/ref ---------------------------------------------------------
     def get_mod_ref(self, inst: Instruction, loc: MemoryLocation) -> ModRefInfo:
         """May ``inst`` read/write the memory at ``loc``?"""
@@ -201,13 +191,6 @@ class AAResults:
         if inst.may_read_memory():
             return ModRefInfo.REF
         return ModRefInfo.NO
-
-    def snapshot_counters(self) -> Dict[str, int]:
-        return {
-            "no_alias": self.no_alias_count,
-            "must_alias": self.must_alias_count,
-            "total": self.total_queries,
-        }
 
     def merge(self, other: "AAResults") -> None:
         """Fold another chain's counters into this one (per-TU compiles

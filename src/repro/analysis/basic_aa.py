@@ -18,7 +18,6 @@ from ..ir.instructions import (
     CallInst,
     CastInst,
     GEPInst,
-    Instruction,
     LoadInst,
     PhiInst,
     ReturnInst,
@@ -32,8 +31,8 @@ from ..ir.values import (
     GlobalVariable,
     Value,
 )
-from .aliasing import AliasAnalysisPass, AliasResult, underlying_object
-from .memloc import LocationSize, MemoryLocation
+from .aliasing import AliasAnalysisPass, AliasResult
+from .memloc import MemoryLocation
 
 
 #: runtime functions returning a fresh, noalias allocation
@@ -48,11 +47,6 @@ def is_identified_object(v: Value) -> bool:
     """Allocas, globals, and noalias calls (malloc) are distinct,
     identifiable allocations."""
     return isinstance(v, (AllocaInst, GlobalVariable)) or is_noalias_call(v)
-
-
-def is_identified_function_local(v: Value) -> bool:
-    return isinstance(v, AllocaInst) or (
-        isinstance(v, Argument) and v.is_noalias)
 
 
 def alloca_is_captured(alloca: AllocaInst, max_uses: int = 64) -> bool:

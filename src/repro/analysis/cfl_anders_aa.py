@@ -7,7 +7,7 @@ expensive than Steensgaard; off by default (as in LLVM 14).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..ir.function import Function
 from ..ir.instructions import (

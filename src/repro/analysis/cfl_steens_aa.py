@@ -7,7 +7,7 @@ the chain (as in LLVM 14); enabled by the ``cfl-steens`` pipeline flag.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from ..ir.function import Function
 from ..ir.instructions import (

@@ -6,8 +6,8 @@ from typing import Dict, List, Optional, Set
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import BranchInst, ICmpInst, Instruction, PhiInst
-from ..ir.values import ConstantInt, Value
+from ..ir.instructions import BranchInst, ICmpInst, PhiInst
+from ..ir.values import ConstantInt
 from .cfg import predecessor_map
 from .dominators import DominatorTree
 
@@ -24,9 +24,6 @@ class Loop:
     # -- shape queries ---------------------------------------------------
     def contains(self, bb: BasicBlock) -> bool:
         return bb in self.blocks
-
-    def contains_inst(self, inst: Instruction) -> bool:
-        return inst.parent in self.blocks
 
     @property
     def depth(self) -> int:
@@ -119,9 +116,6 @@ class LoopInfo:
 
     def loop_for(self, bb: BasicBlock) -> Optional[Loop]:
         return self.loop_of_block.get(bb)
-
-    def top_level(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
 
     def innermost(self) -> List[Loop]:
         return [l for l in self.loops if not l.subloops]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..ir.instructions import (
-    CallInst,
     Instruction,
     LoadInst,
     MemCpyInst,
@@ -38,10 +37,6 @@ class LocationSize:
     @staticmethod
     def precise_(n: int) -> "LocationSize":
         return LocationSize(n, True)
-
-    @staticmethod
-    def upper_bound(n: int) -> "LocationSize":
-        return LocationSize(n, False)
 
     @staticmethod
     def before_or_after_pointer() -> "LocationSize":
@@ -101,11 +96,6 @@ class MemoryLocation:
     @staticmethod
     def for_dst(inst) -> "MemoryLocation":
         return MemoryLocation.for_size_operand(inst.dst, inst.size, inst)
-
-    @staticmethod
-    def whole_object(ptr: Value) -> "MemoryLocation":
-        """A query about the entire object behind ``ptr`` (e.g. ``%this``)."""
-        return MemoryLocation(ptr, BEFORE_OR_AFTER)
 
     def with_size(self, size: LocationSize) -> "MemoryLocation":
         return MemoryLocation(self.ptr, size, self.tbaa, self.scoped)

@@ -14,7 +14,7 @@ under the "MemorySSA" pass name.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -246,6 +246,3 @@ class MemorySSA:
         loc = MemoryLocation.get(load)
         acc.optimized = self.walk(acc.defining, loc)
         return acc.optimized
-
-    def num_accesses(self) -> int:
-        return len(self.access_of) + len(self.phis)

@@ -8,8 +8,8 @@ from typing import Dict
 from ..ir.function import Function
 from ..ir.module import Module
 from ..passes.statistics import Statistics
-from .lowering import LoweredFunction, lower_function
-from .regalloc import AllocationResult, linear_scan
+from .lowering import lower_function
+from .regalloc import linear_scan
 
 #: extra machine instructions materialized per spill (store + reload)
 SPILL_OVERHEAD = 2

@@ -8,10 +8,9 @@ register allocator needs (linearized live intervals, register classes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
     AllocaInst,

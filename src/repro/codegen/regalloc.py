@@ -9,7 +9,7 @@ extra instructions per spill).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from .lowering import LiveInterval, LoweredFunction

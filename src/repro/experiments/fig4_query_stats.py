@@ -11,11 +11,11 @@ print them next to the paper's values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..oraql import ProbingDriver, ProbingReport
 from ..workloads.base import VariantInfo, get_config, get_info, row_names
-from .tables import pct, render_table
+from .tables import render_table
 
 
 @dataclass

@@ -10,9 +10,9 @@ reports original vs. ORAQL values.  We regenerate the same rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..oraql import Compiler, ProbingDriver
+from ..oraql import ProbingDriver
 from ..workloads.base import get_config
 from .tables import pct, render_table
 

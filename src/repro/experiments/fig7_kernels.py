@@ -10,9 +10,9 @@ highlight the changed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
-from ..oraql import Compiler, ProbingDriver
+from ..oraql import ProbingDriver
 from ..workloads.base import get_config
 from .tables import pct, render_table
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 
 # -- types (syntactic) ---------------------------------------------------------
@@ -17,9 +17,6 @@ class CType:
     array_dims: Tuple[int, ...] = ()
     restrict: bool = False
     const: bool = False
-
-    def pointer_to(self) -> "CType":
-        return CType(self.base, self.pointers + 1, self.array_dims)
 
     def __str__(self) -> str:
         s = self.base + "*" * self.pointers

@@ -20,7 +20,7 @@ Responsibilities beyond plain lowering, all of which feed the AA stack:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..ir import (
     AliasScope,
@@ -31,13 +31,11 @@ from ..ir import (
     ConstantData,
     ConstantFloat,
     ConstantInt,
-    ConstantNull,
     DebugLoc,
     F32,
     F64,
     Function,
     FunctionType,
-    GlobalVariable,
     I1,
     I8,
     I64,
@@ -75,7 +73,6 @@ from .ast_nodes import (
     Index,
     IntLit,
     Member,
-    Param,
     Return,
     SizeofExpr,
     Stmt,
@@ -984,17 +981,10 @@ def _ctype_of_ir(ty: Type) -> CType:
     return CType(base, ptrs, tuple(dims))
 
 
-def compile_source(source: Union[str, TranslationUnit],
+def compile_source(source: str,
                    filename: str = "<minic>",
                    module: Optional[Module] = None,
                    options: Optional[FrontendOptions] = None) -> Module:
-    """Front-end entry: MiniC text → (unoptimized) IR module.
-
-    ``source`` may also be the unit :func:`parse` made of the text (with
-    ``unit_name=filename``).  Lowering only reads the unit, so a caller
-    that compiles one text many times parses it once and lowers the same
-    unit every time."""
-    tu = (parse(source, filename, unit_name=filename)
-          if isinstance(source, str) else source)
+    """Front-end entry: MiniC text → (unoptimized) IR module."""
     cg = CodeGen(module, options, filename)
-    return cg.generate(tu)
+    return cg.generate(parse(source, filename, unit_name=filename))

@@ -9,7 +9,7 @@ kernels.  ``int`` is 64-bit (LP64 with I=64, documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 KEYWORDS = {
     "void", "int", "long", "double", "float", "char", "struct",

@@ -20,15 +20,11 @@ alias queries in the paper's OpenMP configurations (§V-A, Fig. 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..ir import (
-    ConstantInt,
     FunctionType,
     I64,
-    IRBuilder,
-    PointerType,
-    StructType,
     Type,
     VOID,
     ptr,
@@ -36,9 +32,7 @@ from ..ir import (
 from .ast_nodes import (
     Assign,
     Binary,
-    Block,
     Call,
-    CastExpr,
     CType,
     DeclStmt,
     Expr,
@@ -46,16 +40,9 @@ from .ast_nodes import (
     For,
     FunctionDef,
     Ident,
-    If,
-    Index,
-    Member,
     Param,
-    Return,
-    SizeofExpr,
     Stmt,
-    Ternary,
     Unary,
-    While,
 )
 
 
@@ -179,7 +166,7 @@ def outline_parallel_for(emitter, stmt: For) -> None:
         Param(CType("int"), "lb"),
         Param(CType("int"), "ub"),
     ], None, False, stmt.line)
-    from .codegen import FnEmitter, _ctype_of_ir
+    from .codegen import FnEmitter
     sub = FnEmitter(cg, sub_fd, out_fn)
     entry = out_fn.add_block("entry")
     sub.b.position_at_end(entry)

@@ -22,7 +22,6 @@ reported as a finding, the same as a genuine miscompile.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,11 +30,12 @@ from typing import Callable, List, Optional
 from ..frontend.ast_nodes import TranslationUnit
 from ..oraql.cache import VerdictCache
 from ..oraql.compiler import Compiler
+from ..oraql.override import OraqlOverridePass
 from ..oraql.pool import run_seeds
 from ..oraql.sequence import DecisionSequence
 from .corpus import CorpusEntry, entry_name, write_entry
 from .generator import GeneratorOptions, generate_program
-from .oracle import DifferentialOracle, RefereeCompiler, base_config
+from .oracle import TAIL_PAD, DifferentialOracle, RefereeCompiler, base_config
 from .reduce import reduce_program
 from .render import ast_size, render_unit
 
@@ -203,11 +203,11 @@ def _config_diverges(unit: TranslationUnit, opt_level: int,
             return True
         run = coarse.run()
     elif config_key == "override":
-        run = compiler.compile(cfg, suppress_chain=True).run()
+        run = compiler.compile(cfg, override=OraqlOverridePass()).run()
     elif config_key == "pessimistic":
         probe = compiler.compile(cfg, sequence=DecisionSequence(),
                                  oraql_enabled=True)
-        n = probe.oraql.unique_queries + 8
+        n = probe.oraql.unique_queries + TAIL_PAD
         run = compiler.compile(cfg, sequence=DecisionSequence([0] * n),
                                oraql_enabled=True).run()
     else:

@@ -45,11 +45,13 @@ from ..oraql.cache import VerdictCache, config_fingerprint
 from ..oraql.compiler import CompiledProgram, Compiler
 from ..oraql.config import BenchmarkConfig, SourceFile
 from ..oraql.driver import ProbingDriver, ProbingReport
+from ..oraql.override import OraqlOverridePass
 from ..oraql.sequence import DecisionSequence
 from ..passes import CoarseAnalysisManager
 
-#: pessimistic-tail padding past the observed unique-query count (the
-#: stream can grow when answers flip; mirrors ProbingDriver.TAIL_PAD)
+#: pessimistic-tail padding past the observed unique-query count for
+#: the all-pessimistic run (the stream can grow when answers flip); wider
+#: than the probing strategies' ``TAIL_PAD`` of 4, and independent of it
 TAIL_PAD = 8
 
 #: matrix keys whose output must be bit-identical to the O0 reference
@@ -182,7 +184,8 @@ class DifferentialOracle:
                 f"fine {o3.exe_hash[:12]} != coarse {coarse.exe_hash[:12]}"))
 
         # 3. override mode: chain forced pessimistic (§VIII)
-        judge("override", self._run(result, cfg, suppress_chain=True)[1])
+        judge("override", self._run(result, cfg,
+                                     override=OraqlOverridePass())[1])
 
         # 4. ORAQL all-optimistic (the empty sequence)
         opt, opt_run = self._run(result, cfg, sequence=DecisionSequence(),

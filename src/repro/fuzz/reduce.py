@@ -40,7 +40,6 @@ from ..frontend.ast_nodes import (
     ExprStmt,
     For,
     DeclStmt,
-    FunctionDef,
     If,
     Index,
     Member,

@@ -30,19 +30,15 @@ from ..frontend.ast_nodes import (
     ExprStmt,
     FloatLit,
     For,
-    FunctionDef,
-    GlobalDecl,
     Ident,
     If,
     Index,
     IntLit,
     Member,
-    Param,
     Return,
     SizeofExpr,
     Stmt,
     StrLit,
-    StructDef,
     Ternary,
     TranslationUnit,
     Unary,

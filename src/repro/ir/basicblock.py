@@ -59,9 +59,6 @@ class BasicBlock(Value):
             out.append(i)
         return out
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, PhiInst)]
-
     # -- CFG --------------------------------------------------------------
     @property
     def successors(self) -> List["BasicBlock"]:

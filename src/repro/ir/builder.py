@@ -28,7 +28,7 @@ from .instructions import (
     UnreachableInst,
 )
 from .metadata import DebugLoc, ScopedAliasMD, TBAANode
-from .types import FloatType, IntType, Type, I1, I32, I64, F64
+from .types import Type, I1, I32, I64, F64
 from .values import ConstantFloat, ConstantInt, Value
 
 

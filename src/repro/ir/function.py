@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Optional, Sequence, Set
 
 from .basicblock import BasicBlock
 from .instructions import Instruction

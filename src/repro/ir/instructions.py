@@ -10,25 +10,20 @@ casts, phis, branches, calls, and the memory intrinsics ``memcpy`` /
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .metadata import DebugLoc, ScopedAliasMD, TBAANode
 from .types import (
     ArrayType,
-    FloatType,
-    IntType,
-    LabelType,
     PointerType,
     StructType,
     Type,
     VectorType,
-    VoidType,
     I1,
-    I64,
     VOID,
     ptr,
 )
-from .values import Constant, ConstantInt, Value
+from .values import ConstantInt, Value
 
 # Binary opcodes grouped by domain.
 INT_BINOPS = {"add", "sub", "mul", "sdiv", "udiv", "srem", "urem",

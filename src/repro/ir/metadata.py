@@ -93,10 +93,6 @@ class TBAAForest:
             self._scalars[key] = node
         return node
 
-    def for_type_name(self, name: str) -> TBAANode:
-        """Scalar node for a C type name (``int``, ``double``, ``any pointer`` ...)."""
-        return self.scalar(name)
-
     def struct_field(self, struct_name: str, field_name: str,
                      scalar: TBAANode) -> TBAANode:
         """Struct-path access node for ``struct_name.field_name``."""

@@ -31,13 +31,6 @@ class Module:
         self.functions[name] = fn
         return fn
 
-    def declare_function(self, ftype: FunctionType, name: str) -> Function:
-        fn = self.functions.get(name)
-        if fn is None:
-            fn = self.add_function(ftype, name)
-            fn.is_declaration = True
-        return fn
-
     def get_function(self, name: str) -> Function:
         return self.functions[name]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List
 
-from .basicblock import BasicBlock
 from .function import Function
 from .instructions import (
     AllocaInst,
@@ -37,7 +36,6 @@ from .instructions import (
 )
 from .module import Module
 from .values import (
-    Argument,
     ConstantData,
     ConstantFloat,
     ConstantInt,

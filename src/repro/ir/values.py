@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from .types import (
     F64,
     I64,
-    ArrayType,
     FloatType,
     IntType,
     PointerType,
-    StructType,
     Type,
-    VectorType,
 )
 from .uselist import UseList
 
@@ -170,7 +167,3 @@ def const_int(value: int, type: IntType = None) -> ConstantInt:
 
 def const_float(value: float, type: FloatType = None) -> ConstantFloat:
     return ConstantFloat(type or F64, value)
-
-
-def is_constant_value(v: Value) -> bool:
-    return isinstance(v, Constant)

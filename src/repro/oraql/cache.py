@@ -203,7 +203,7 @@ class VerdictCache:
         (compaction drops only *superseded duplicates* of a key, never
         the key's surviving record); and a reader's :meth:`refresh` at
         any point around the rename therefore yields the same
-        ``get``/``get_record`` answers.  Writers racing a compaction can
+        ``get_record`` answers.  Writers racing a compaction can
         lose *their in-flight append* (the rename replaces the file they
         appended to) — re-putting after :meth:`refresh` restores it —
         so the service runs compaction only from the cache owner, never
@@ -286,16 +286,9 @@ class VerdictCache:
     def answer_records(self) -> int:
         return sum(len(t) for t in self._answers.values())
 
-    def get(self, key: str) -> Optional[bool]:
-        entry = self._mem.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry[0]
-
     def get_record(self, key: str) -> Optional[Tuple[bool, Optional[str]]]:
-        """Like :meth:`get` but returns ``(ok, triage-or-None)``."""
+        """The verdict stored under ``key`` as ``(ok, triage-or-None)``,
+        or ``None``; counts a hit or a miss."""
         entry = self._mem.get(key)
         if entry is None:
             self.misses += 1

@@ -303,7 +303,6 @@ class Compiler:
                 oraql_enabled: bool = False,
                 dump: Optional[DumpFlags] = None,
                 debug_pass_executions: bool = False,
-                suppress_chain: bool = False,
                 override=None,
                 trace=None) -> CompiledProgram:
         def timed(name):
@@ -334,11 +333,6 @@ class Compiler:
                 probe_files=config.probe_file_set(),
                 dump=dump,
             )
-        # override mode (paper §VIII): force chain answers pessimistic
-        if suppress_chain and override is None:
-            from .override import OraqlOverridePass
-            override = OraqlOverridePass(DecisionSequence())
-
         chain = tuple(config.aa_chain) if config.aa_chain else DEFAULT_AA_CHAIN
         # the units optimized on their own: the whole program under
         # manual LTO, which links everything *before* optimization so
@@ -480,15 +474,14 @@ class Compiler:
 
     # -- codegen through the content-addressed cache -----------------------
     def _codegen_cached(self, module: Module, stats, fn_hashes:
-                        Dict[str, str],
-                        target: str = "host") -> Dict[str, FunctionCodegen]:
+                        Dict[str, str]) -> Dict[str, FunctionCodegen]:
         """:func:`~repro.codegen.run_codegen` with a body-hash keyed
         cache; identical selection logic and statistics side effects."""
         out: Dict[str, FunctionCodegen] = {}
         for fn in module.defined_functions():
-            if fn.target != target:
+            if fn.target != "host":
                 continue
-            key = (fn_hashes[fn.name], target)
+            key = (fn_hashes[fn.name], "host")
             cg = self._codegen_cache.get(key)
             if cg is None:
                 cg = codegen_function(fn)
@@ -500,16 +493,16 @@ class Compiler:
                       cg.spills)
         return out
 
-    def _kernels_cached(self, module: Module, fn_hashes: Dict[str, str],
-                        target: str = "nvptx") -> Dict[str, KernelInfo]:
+    def _kernels_cached(self, module: Module,
+                        fn_hashes: Dict[str, str]) -> Dict[str, KernelInfo]:
         """:func:`~repro.codegen.compile_device_kernels` with the cache;
         KernelInfo is rebuilt around the function's own name (two
         same-bodied kernels under different names share one entry)."""
         out: Dict[str, KernelInfo] = {}
         for fn in module.defined_functions():
-            if fn.target != target:
+            if fn.target != "nvptx":
                 continue
-            key = (fn_hashes[fn.name], f"kernel:{target}")
+            key = (fn_hashes[fn.name], "kernel:nvptx")
             cached = self._kernel_cache.get(key)
             if cached is None:
                 ki = compile_kernel(fn)

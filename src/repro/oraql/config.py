@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -69,10 +69,6 @@ class BenchmarkConfig:
         return BenchmarkConfig(**d)
 
     # -- derived ---------------------------------------------------------
-    @property
-    def is_parallel(self) -> bool:
-        return self.nranks > 1
-
     def probe_file_set(self) -> Optional[set]:
         return set(self.probe_files) if self.probe_files is not None else None
 

@@ -47,11 +47,11 @@ from .config import BenchmarkConfig
 from .errors import FlakyConfigError, ProbingError
 from .executor import ExecutorPolicy, TestExecutor, TestOutcome
 from .journal import SessionJournal
-from .pass_ import DumpFlags, OraqlAAPass, QueryRecord
+from .pass_ import QueryRecord
 from .replay import AnswerLog, AnswerMemo, AnswerReplayError, answer_log
 from .sequence import DecisionSequence, sequence_from_pessimistic_set
 from .strategies import StrategyContext, create_strategy, strategy_names
-from .verify import RunResult, VerificationScript, triage_run
+from .verify import VerificationScript, triage_run
 
 
 class TestBudgetExhausted(RuntimeError):
@@ -178,11 +178,6 @@ class ProbingReport:
 
 class ProbingDriver:
     """Finds a locally-maximal set of optimistic answers for one config."""
-
-    #: sequence padding so "everything beyond the known range" stays
-    #: pessimistic while we probe (the pass answers past-the-end queries
-    #: optimistically, so explicit 0-padding expresses "pessimistic tail")
-    TAIL_PAD = 4
 
     def __init__(self, config: BenchmarkConfig,
                  compiler: Optional[Compiler] = None,
@@ -481,8 +476,7 @@ class ProbingDriver:
         lifecycle.  The strategy owns the search policy; the driver
         owns compilation, verdict caching, journaling, and budgets."""
         strat = self._strategy
-        ctx = StrategyContext(first=first, tail_pad=self.TAIL_PAD,
-                              explain=self._explain)
+        ctx = StrategyContext(first=first, explain=self._explain)
         base_deduced = self._report.tests_deduced
         strat.start(ctx)
         while not strat.done():

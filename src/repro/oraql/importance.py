@@ -73,6 +73,7 @@ from .errors import ProbingError
 from .executor import ExecutorPolicy, TestExecutor
 from .journal import SessionJournal
 from .sequence import DecisionSequence
+from .strategies.base import TAIL_PAD
 from .verify import TRIAGE_WRONG_OUTPUT, VerificationScript
 
 
@@ -182,7 +183,7 @@ class MeasuredCycleOracle:
         """Bits for "keep exactly ``kept`` optimistic": every other
         index — the probing pessimistic set, dropped safe queries, and a
         generous pessimistic tail for flip-shifted streams — stays 0."""
-        length = 2 * self.n + ProbingDriver.TAIL_PAD
+        length = 2 * self.n + TAIL_PAD
         return DecisionSequence([1 if i in kept else 0
                                  for i in range(length)])
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional
 
-from ..analysis.aliasing import AliasResult
 from ..analysis.memloc import MemoryLocation
 from ..ir.function import Function
 from .sequence import DecisionSequence
@@ -108,7 +107,7 @@ def measure_chain_value(config, compiler=None) -> ChainValueReport:
         raise RuntimeError(f"baseline failed: {rn.error}")
 
     suppressed = compiler.compile(config, oraql_enabled=False,
-                                  suppress_chain=True)
+                                  override=OraqlOverridePass())
     rs = suppressed.run()
     if not rs.ok:
         raise RuntimeError(

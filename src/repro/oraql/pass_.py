@@ -21,7 +21,7 @@ predetermined decision sequence:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.aliasing import AliasResult

@@ -6,7 +6,7 @@ issued them").
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .driver import ProbingReport
 from .pass_ import QueryRecord

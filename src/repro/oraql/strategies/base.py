@@ -46,7 +46,8 @@ from typing import Callable, ClassVar, Generator, Optional, Set
 from ..sequence import DecisionSequence
 
 #: sequence padding so "everything beyond the known range" stays
-#: pessimistic while probing (mirrors ``ProbingDriver.TAIL_PAD``)
+#: pessimistic while probing (the pass answers past-the-end queries
+#: optimistically, so explicit 0-padding expresses "pessimistic tail")
 TAIL_PAD = 4
 
 
@@ -63,7 +64,6 @@ class StrategyContext:
 
     #: the failed all-optimistic attempt (``.ok``/``.unique_queries``)
     first: object
-    tail_pad: int = TAIL_PAD
     #: driver callback rendering a human explanation of a failing
     #: outcome (used in raised ProbingErrors)
     explain: Optional[Callable[[object], Optional[str]]] = None

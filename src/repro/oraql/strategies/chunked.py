@@ -12,7 +12,9 @@ from typing import List
 
 from ..errors import ProbingError
 from ..sequence import DecisionSequence
-from .base import Probe, SearchGen, SearchState, Strategy, StrategyContext
+from .base import (
+    TAIL_PAD, Probe, SearchGen, SearchState, Strategy, StrategyContext,
+)
 
 
 def chunked_search(state: SearchState, ctx: StrategyContext) -> SearchGen:
@@ -22,7 +24,6 @@ def chunked_search(state: SearchState, ctx: StrategyContext) -> SearchGen:
 
     Shared with the frequency strategy, whose closing-sweep fallback
     delegates here via ``yield from``."""
-    tail_pad = ctx.tail_pad
     decided: List[int] = []  # final bits for the prefix
     while True:
         state.best = {i for i, b in enumerate(decided) if b == 0}
@@ -54,7 +55,7 @@ def chunked_search(state: SearchState, ctx: StrategyContext) -> SearchGen:
 
         # g(k): prefix + k optimistic + pessimistic tail
         def g_bits(k: int) -> List[int]:
-            return decided + [1] * k + [0] * (span - k + tail_pad)
+            return decided + [1] * k + [0] * (span - k + TAIL_PAD)
 
         t = yield Probe(DecisionSequence(g_bits(span)))
         if t.ok:

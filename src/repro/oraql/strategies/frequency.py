@@ -14,7 +14,7 @@ from typing import Deque, List, Set, Tuple
 
 from ..sequence import sequence_from_pessimistic_set
 from ..sequence import DecisionSequence
-from .base import Probe, SearchGen, Strategy, StrategyContext
+from .base import TAIL_PAD, Probe, SearchGen, Strategy, StrategyContext
 from .chunked import chunked_search
 
 
@@ -30,7 +30,6 @@ class FrequencyStrategy(Strategy):
 
     def _search(self, ctx: StrategyContext) -> SearchGen:
         state = self.state
-        tail_pad = ctx.tail_pad
         # length estimate grows as pessimistic answers change the stream
         n_est = max(ctx.first.unique_queries, 1)
 
@@ -42,7 +41,7 @@ class FrequencyStrategy(Strategy):
 
         def bits_with(extra: Set[int]) -> List[int]:
             opt = accepted | extra
-            length = max(n_est, max(opt) + 1 if opt else 0) + tail_pad
+            length = max(n_est, max(opt) + 1 if opt else 0) + TAIL_PAD
             return [1 if i in opt else 0 for i in range(length)]
 
         work: Deque[Tuple[int, int]] = deque([(1, 0)])

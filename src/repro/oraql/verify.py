@@ -17,7 +17,7 @@ from __future__ import annotations
 import difflib
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 #: triage classes, ordered roughly by "how wrong the run went"
 TRIAGE_OK = "ok"

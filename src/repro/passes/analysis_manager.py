@@ -236,15 +236,6 @@ class AnalysisManager:
             if analysis.invalidation_scope == "function":
                 analysis.invalidate_function(fn)
 
-    def invalidate_interprocedural(self) -> None:
-        """Call/use structure changed (e.g. inlining cloned instructions
-        into a caller): module-grained AA caches such as GlobalsAA's
-        address-taken verdicts must go.  Per-function summaries of
-        *other* functions stay — their IR is untouched."""
-        for analysis in self.ctx.aa.analyses:
-            if analysis.invalidation_scope == "module":
-                analysis.invalidate()
-
     def _drop(self, key: Tuple[int, type]) -> None:
         """Forget a cached result, releasing the ones with internal
         cycles (MemorySSA through its phis, LoopInfo through its

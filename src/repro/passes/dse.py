@@ -8,7 +8,7 @@ queries, so optimistic answers directly grow the deleted-store count
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..analysis.aliasing import AliasResult, ModRefInfo
 from ..analysis.memloc import MemoryLocation
@@ -97,7 +97,6 @@ class DSE(Pass):
         dead (classic end-of-function DSE).  This is what lets a whole
         scratch computation die once GVN has forwarded all its reads."""
         from ..analysis.basic_aa import alloca_is_captured
-        from ..analysis.aliasing import underlying_object
         from ..ir.instructions import AllocaInst, GEPInst, CastInst
 
         changed = False

@@ -8,11 +8,11 @@ the four pessimistic queries of Fig. 3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..analysis.aliasing import AliasResult
 from ..analysis.memloc import MemoryLocation
-from ..analysis.memory_ssa import LiveOnEntry, MemoryAccess, MemoryDef, MemoryPhi
+from ..analysis.memory_ssa import MemoryDef
 from ..ir.function import Function
 from ..ir.instructions import LoadInst, StoreInst
 from .analysis_manager import PreservedAnalyses

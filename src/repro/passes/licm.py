@@ -10,10 +10,10 @@ the main failure channels ORAQL's probing has to fence in.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..analysis.aliasing import AliasResult, ModRefInfo
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis.loops import Loop
 from ..analysis.memloc import MemoryLocation
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function

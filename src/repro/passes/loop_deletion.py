@@ -7,10 +7,8 @@ often computes nothing anyone reads — deleting it is where Quicksilver's
 
 from __future__ import annotations
 
-from typing import Optional
 
-from ..analysis.loops import Loop, LoopInfo, loop_trip_count
-from ..ir.basicblock import BasicBlock
+from ..analysis.loops import Loop, loop_trip_count
 from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..analysis.aliasing import AliasResult, ModRefInfo
 from ..analysis.memloc import MemoryLocation
 from ..ir.function import Function
-from ..ir.instructions import CallInst, LoadInst, StoreInst
+from ..ir.instructions import LoadInst, StoreInst
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.aliasing import AliasResult
 from ..analysis.loops import Loop
-from ..analysis.memloc import BEFORE_OR_AFTER, LocationSize, MemoryLocation
+from ..analysis.memloc import BEFORE_OR_AFTER, MemoryLocation
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -40,11 +40,10 @@ from ..ir.instructions import (
     LoadInst,
     PhiInst,
     SelectInst,
-    ShuffleSplatInst,
     StoreInst,
 )
 from ..ir.types import IntType, VectorType, I64, ptr
-from ..ir.values import ConstantFloat, ConstantInt, Value
+from ..ir.values import ConstantInt, Value
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass
 
@@ -244,10 +243,6 @@ class LoopVectorize(Pass):
                 return None
 
         # dependence checks
-        def elem_size(inst):
-            return (inst.type.size() if isinstance(inst, LoadInst)
-                    else inst.value.type.size())
-
         for w, wbase, woff in writes:
             for r, rbase, roff in reads + [x for x in writes if x[0] is not w]:
                 if wbase is rbase:

@@ -7,7 +7,7 @@ compile attributes four of its 86 queries to this pass, §V-C).
 
 from __future__ import annotations
 
-from ..analysis.aliasing import AliasResult, ModRefInfo
+from ..analysis.aliasing import ModRefInfo
 from ..analysis.memloc import MemoryLocation
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -17,7 +17,6 @@ from ..ir.instructions import (
     FCmpInst,
     GEPInst,
     ICmpInst,
-    Instruction,
     LoadInst,
     PhiInst,
     SelectInst,

@@ -9,7 +9,7 @@ indirections) — the queries that matter for alias analysis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function

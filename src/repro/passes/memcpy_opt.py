@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..analysis.aliasing import AliasResult, ModRefInfo
 from ..analysis.memloc import MemoryLocation
 from ..ir.function import Function
-from ..ir.instructions import MemCpyInst, MemSetInst
+from ..ir.instructions import MemCpyInst
 from ..ir.values import ConstantInt
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass

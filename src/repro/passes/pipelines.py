@@ -8,7 +8,6 @@ from typing import List, Sequence, Tuple
 from .dse import DSE
 from .early_cse import EarlyCSE
 from .gvn import GVN
-from .inliner import Inliner
 from .licm import LICM
 from .loop_deletion import LoopDeletion
 from .loop_load_elim import LoopLoadElim
@@ -21,7 +20,7 @@ from .simplify import DeadCodeElim, InstCombine, SimplifyCFG
 from .slp_vectorize import SLPVectorize
 
 
-def build_pipeline(level: int = 3, vectorize: bool = True) -> List[Pass]:
+def build_pipeline(level: int = 3) -> List[Pass]:
     """The pass sequence for ``-O<level>``.
 
     O0 performs no transformation at all; O1 cleans up and does simple
@@ -49,7 +48,7 @@ def build_pipeline(level: int = 3, vectorize: bool = True) -> List[Pass]:
             LICM(),
             LoopDeletion(),
         ]
-    if level >= 3 and vectorize:
+    if level >= 3:
         pipeline += [
             LoopVectorize(),
             SLPVectorize(),
@@ -80,13 +79,8 @@ def split_prefix(pipeline: Sequence[Pass]) -> Tuple[List[Pass], List[Pass]]:
     return list(pipeline[:n]), list(pipeline[n:])
 
 
-#: The Inliner is available but not part of the default pipelines: the
-#: paper's workflow scopes probing to chosen files/functions, and
-#: inlining dissolves exactly those boundaries.  Enable it explicitly
-#: with parse_pipeline("...,inline,...").
 PASS_NAMES = {
     "simplifycfg": SimplifyCFG,
-    "inline": Inliner,
     "mem2reg": Mem2Reg,
     "instcombine": InstCombine,
     "early-cse": EarlyCSE,

@@ -20,7 +20,6 @@ from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,
-    GEPInst,
     Instruction,
     LoadInst,
     StoreInst,
@@ -199,7 +198,6 @@ class SLPVectorize(Pass):
     # -- emission ----------------------------------------------------------
     def _emit(self, fn: Function, bb: BasicBlock, stores: List[StoreInst],
               tree: _Lanes, ctx: CompilationContext) -> None:
-        from ..ir.builder import IRBuilder
 
         anchor = max(stores, key=lambda s: bb.instructions.index(s))
         new_insts: List[Instruction] = []

@@ -10,8 +10,8 @@ substitution table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from ..oraql.config import BenchmarkConfig
 

@@ -255,20 +255,6 @@ class TestAAChain:
         ctx.am.invalidate_function(fn, PreservedAnalyses.cfg())
         assert not globals_aa._cache
 
-    def test_invalidate_interprocedural_drops_module_scope_only(self):
-        module, ctx = _ctx(MULTI_FN_SRC, aa_chain=(
-            "basic-aa", "cfl-steens-aa", "globals-aa"))
-        fns = {f.name: f for f in module.defined_functions()}
-        steens = next(a for a in ctx.aa.analyses
-                      if a.name == "cfl-steens-aa")
-        globals_aa = next(a for a in ctx.aa.analyses
-                          if a.name == "globals-aa")
-        steens._summary(fns["h"])
-        globals_aa._cache[12345] = True
-        ctx.am.invalidate_interprocedural()
-        assert not globals_aa._cache
-        assert fns["h"].id in steens._summaries
-
 
 # -- verify_analyses: catching passes that lie -------------------------------
 

@@ -21,9 +21,8 @@ class TestRoundTrip:
         r = cache_at(tmp_path)
         assert r.get_record("fp:h1") == (True, "ok")
         assert r.get_record("fp:h2") == (False, "trapped")
-        assert r.get("fp:h1") is True
-        assert r.get("fp:none") is None
-        assert r.hits == 3 and r.misses == 1
+        assert r.get_record("fp:none") is None
+        assert r.hits == 2 and r.misses == 1
 
     def test_duplicate_put_not_rewritten(self, tmp_path):
         c = cache_at(tmp_path)
@@ -38,7 +37,7 @@ class TestRoundTrip:
             f.write(json.dumps({"v": CACHE_SCHEMA_VERSION,
                                 "key": "fp:old", "ok": True}) + "\n")
         r = cache_at(tmp_path)
-        assert r.get("fp:old") is True
+        assert r.get_record("fp:old")[0] is True
         assert r.corrupt_records == 0
 
 
@@ -50,7 +49,7 @@ class TestCorruptionTolerance:
         with open(c.path, "rb+") as f:
             f.truncate(f.seek(0, 2) - 11)
         r = cache_at(tmp_path)
-        assert r.get("fp:h1") is True
+        assert r.get_record("fp:h1")[0] is True
         assert "fp:h2" not in r
         assert r.corrupt_records == 1
 
@@ -74,7 +73,7 @@ class TestCorruptionTolerance:
             f.write(json.dumps({"v": CACHE_SCHEMA_VERSION,
                                 "key": 42, "ok": "yes"}) + "\n")
         r = cache_at(tmp_path)
-        assert r.get("fp:h1") is True
+        assert r.get_record("fp:h1")[0] is True
         assert r.corrupt_records == 3
 
     def test_foreign_schema_ignored_silently(self, tmp_path):
@@ -94,7 +93,7 @@ class TestCorruptionTolerance:
         assert r.load_errors == 1
         r.put("fp:h1", True)  # appends fail but must not raise
         assert r.dropped_writes == 1
-        assert r.get("fp:h1") is True  # still served from memory
+        assert r.get_record("fp:h1")[0] is True  # still served from memory
 
     def test_refresh_picks_up_concurrent_appends(self, tmp_path):
         a = cache_at(tmp_path)
@@ -124,8 +123,8 @@ class TestCompaction:
     def test_stats(self, tmp_path):
         c = cache_at(tmp_path)
         c.put("fp:h1", True)
-        c.get("fp:h1")
-        c.get("fp:h2")
+        c.get_record("fp:h1")
+        c.get_record("fp:h2")
         s = c.stats()
         assert s["records"] == 1
         assert s["hits"] == 1 and s["misses"] == 1

@@ -17,7 +17,7 @@ import pytest
 import repro.workloads  # noqa: F401 — registers all variants
 from repro.analysis import DEFAULT_AA_CHAIN
 from repro.analysis.aliasing import AAResults
-from repro.frontend import compile_source, parse
+from repro.frontend import compile_source
 from repro.fuzz.oracle import RefereeCompiler
 from repro.ir import Constant, print_module, verify_module
 from repro.ir.basicblock import BasicBlock
@@ -26,6 +26,7 @@ from repro.ir.uselist import UseList
 from repro.ir.values import Value
 from repro.oraql.compiler import Compiler
 from repro.oraql.driver import ProbingDriver
+from repro.oraql.override import OraqlOverridePass
 from repro.oraql.pass_ import DumpFlags
 from repro.oraql.sequence import DecisionSequence
 from repro.passes import (
@@ -43,8 +44,7 @@ from test_oraql_bugfixes import two_tu_config
 def _lowered(cfg):
     """The row's sources lowered and linked, as the compiler's LTO path
     hands them to the pipeline."""
-    modules = [compile_source(parse(s.text, s.name, unit_name=s.name),
-                              s.name) for s in cfg.sources]
+    modules = [compile_source(s.text, s.name) for s in cfg.sources]
     main = modules[0]
     for other in modules[1:]:
         main.link(other)
@@ -248,7 +248,7 @@ def test_settings_that_change_the_prefix_key_it():
     compiler.compile(cfg)
     compiler.compile(cfg, debug_pass_executions=True,
                      oraql_enabled=True, dump=DUMP)
-    compiler.compile(cfg, suppress_chain=True)
+    compiler.compile(cfg, override=OraqlOverridePass())
     assert len(compiler._kept) == 1
     compiler.compile(dataclasses.replace(cfg, opt_level=2))
     compiler.compile(cfg)

@@ -20,8 +20,6 @@ from repro.ir import (
 from repro.passes import CompilationContext, PassManager, build_pipeline, parse_pipeline
 from repro.vm import Machine
 
-from helpers import run_main
-
 
 def run_passes(module, spec):
     ctx = CompilationContext(module, verify_each=True)
@@ -153,51 +151,3 @@ class TestDeterminism:
             ctx = CompilationContext(m)
             PassManager(ctx).run(build_pipeline(3))
         assert module_hash(m1) == module_hash(m2)
-
-
-class TestInlinerDifferential:
-    """The inliner must preserve observable behaviour on the corpus."""
-
-    @pytest.mark.parametrize("src_key", ["calls", "loops", "restrict"])
-    def test_inline_pipeline_matches(self, src_key):
-        sources = {
-            "calls": """
-            double f(double x) { return x * 2.0 + 1.0; }
-            double g(double x) { return f(x) + f(x + 1.0); }
-            int main() { printf("%.1f\\n", g(3.0)); return 0; }
-            """,
-            "loops": """
-            double total(double* a, int n) {
-              double s = 0.0;
-              for (int i = 0; i < n; i++) { s = s + a[i]; }
-              return s;
-            }
-            int main() {
-              double v[9];
-              for (int i = 0; i < 9; i++) { v[i] = i * 1.5; }
-              printf("%.1f\\n", total(v, 9) + total(v + 3, 3));
-              return 0;
-            }
-            """,
-            "restrict": """
-            void axpy(double* restrict y, double* restrict x, int n) {
-              for (int i = 0; i < n; i++) { y[i] = y[i] + 2.0 * x[i]; }
-            }
-            int main() {
-              double x[8]; double y[8];
-              for (int i = 0; i < 8; i++) { x[i] = i; y[i] = 1.0; }
-              axpy(y, x, 8);
-              printf("%.1f\\n", y[7]);
-              return 0;
-            }
-            """,
-        }
-        src = sources[src_key]
-        m0 = compile_source(src)
-        base = run_main(m0).output()
-        m1 = compile_source(src)
-        ctx = run_passes(
-            m1, "simplifycfg,inline,mem2reg,instcombine,simplifycfg,"
-                "early-cse,licm,gvn,dse,loop-vectorize,instcombine,dce,"
-                "simplifycfg,dce")
-        assert run_main(m1).output() == base

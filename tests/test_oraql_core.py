@@ -262,10 +262,9 @@ class TestDecisionSequenceProperties:
         # mirror of chunked_search's candidate builder (strategies/chunked.py):
         # g(k) keeps the decided prefix, answers the next k queries
         # optimistically, and pads the rest (+ TAIL_PAD) pessimistically
-        from repro.oraql.driver import ProbingDriver
+        from repro.oraql.strategies.base import TAIL_PAD as pad
 
         span = data.draw(st.integers(min_value=1, max_value=30))
-        pad = ProbingDriver.TAIL_PAD
 
         def g_bits(k):
             return decided + [1] * k + [0] * (span - k + pad)

@@ -1,10 +1,7 @@
-"""Tests for the optional/extension features: the inliner pass, the
-ORAQL query-cache ablation toggle, and the §VIII override mode."""
+"""Tests for the optional/extension features: the ORAQL query-cache
+ablation toggle, and the §VIII override mode."""
 
-import pytest
-
-from repro.frontend import compile_source
-from repro.ir import LoadInst, verify_module
+from repro.ir import verify_module
 from repro.oraql import (
     BenchmarkConfig,
     Compiler,
@@ -14,109 +11,6 @@ from repro.oraql import (
     SourceFile,
     measure_chain_value,
 )
-from repro.passes import CompilationContext, PassManager, parse_pipeline
-
-from helpers import run_main
-
-
-class TestInliner:
-    SRC = """
-    double square(double x) { return x * x; }
-    double combine(double* restrict a, double* restrict b) {
-      return a[0] * b[0] + a[1] * b[1];
-    }
-    int main() {
-      double u[2]; double v[2];
-      u[0] = 3.0; u[1] = 4.0; v[0] = 0.5; v[1] = 2.0;
-      printf("%.2f %.2f\\n", square(1.5), combine(u, v));
-      return 0;
-    }
-    """
-
-    def _run(self, src, spec):
-        m = compile_source(src)
-        ctx = CompilationContext(m, verify_each=True)
-        PassManager(ctx).run(parse_pipeline(spec))
-        verify_module(m)
-        return m, ctx
-
-    def test_inlines_and_preserves_semantics(self):
-        m, ctx = self._run(self.SRC, "simplifycfg,inline,mem2reg,"
-                                     "instcombine,simplifycfg,dce")
-        assert ctx.stats.get("Function Integration/Inlining",
-                             "# functions inlined") == 2
-        assert run_main(m).output() == "2.25 9.50\n"
-        # no call instructions to the inlined functions remain
-        from repro.ir import CallInst
-        main = m.get_function("main")
-        callees = {i.callee_name for i in main.instructions()
-                   if isinstance(i, CallInst)}
-        assert callees == {"printf"}
-
-    def test_restrict_becomes_scoped_metadata(self):
-        """Inlining a restrict callee must leave alias-scope metadata on
-        the inlined accesses (clang's behaviour)."""
-        m, _ = self._run(self.SRC, "simplifycfg,inline")
-        main = m.get_function("main")
-        scoped = [i for i in main.instructions()
-                  if isinstance(i, LoadInst) and i.scoped is not None
-                  and i.scoped.alias_scopes]
-        assert len(scoped) >= 2  # combine's a[0..1]/b[0..1] loads
-
-    def test_recursive_functions_not_inlined(self):
-        src = """
-        int fact(int n) {
-          if (n < 2) { return 1; }
-          return n * fact(n - 1);
-        }
-        int main() { printf("%d\\n", fact(5)); return 0; }
-        """
-        m, ctx = self._run(src, "simplifycfg,inline,mem2reg,dce")
-        assert run_main(m).output() == "120\n"
-
-    def test_big_functions_not_inlined(self):
-        body = "\n".join(f"  s = s + a[{i % 4}] * {i}.0;" for i in range(40))
-        src = ("double big(double* a) {\n  double s = 0.0;\n"
-               + body + "\n  return s;\n}\n"
-               "int main() { double z[4]; z[0]=1.0; z[1]=2.0; z[2]=0.0;"
-               " z[3]=1.0; printf(\"%.0f\\n\", big(z)); return 0; }")
-        m, ctx = self._run(src, "simplifycfg,inline")
-        assert ctx.stats.get("Function Integration/Inlining",
-                             "# functions inlined") == 0
-
-    def test_inlined_loop_semantics(self):
-        src = """
-        void fill(double* a, int n, double v) {
-          for (int i = 0; i < n; i++) { a[i] = v + i; }
-        }
-        int main() {
-          double buf[6];
-          fill(buf, 6, 10.0);
-          double s = 0.0;
-          for (int i = 0; i < 6; i++) { s = s + buf[i]; }
-          printf("%.0f\\n", s);
-          return 0;
-        }
-        """
-        m, ctx = self._run(src, "simplifycfg,inline,mem2reg,instcombine,"
-                                "simplifycfg,early-cse,dce")
-        assert ctx.stats.get("Function Integration/Inlining",
-                             "# functions inlined") == 1
-        assert run_main(m).output() == "75\n"
-
-    def test_kernels_never_inlined(self):
-        src = """
-        __global__ void k(double* a) { a[0] = 1.0; }
-        int main() {
-          double* a = (double*)malloc(8);
-          launch(k, 1, 1, a);
-          printf("%.0f\\n", a[0]);
-          return 0;
-        }
-        """
-        m, ctx = self._run(src, "inline")
-        assert "k" in m.functions
-        assert run_main(m).output() == "1\n"
 
 
 HAZARD_SRC = """

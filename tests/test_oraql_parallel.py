@@ -82,9 +82,9 @@ class TestVerdictCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = VerdictCache(str(tmp_path))
         key = VerdictCache.key("fp", "hash1")
-        assert cache.get(key) is None
+        assert cache.get_record(key) is None
         cache.put(key, True)
-        assert cache.get(key) is True
+        assert cache.get_record(key)[0] is True
         assert cache.hits == 1 and cache.misses == 1
 
     def test_survives_restart(self, tmp_path):
@@ -93,8 +93,8 @@ class TestVerdictCache:
         first.put(VerdictCache.key("fp", "h2"), False)
         reopened = VerdictCache(str(tmp_path))
         assert len(reopened) == 2
-        assert reopened.get(VerdictCache.key("fp", "h1")) is True
-        assert reopened.get(VerdictCache.key("fp", "h2")) is False
+        assert reopened.get_record(VerdictCache.key("fp", "h1"))[0] is True
+        assert reopened.get_record(VerdictCache.key("fp", "h2"))[0] is False
 
     def test_ignores_torn_and_foreign_lines(self, tmp_path):
         cache = VerdictCache(str(tmp_path))
@@ -110,9 +110,9 @@ class TestVerdictCache:
         a = VerdictCache(str(tmp_path))
         b = VerdictCache(str(tmp_path))
         a.put(VerdictCache.key("fp", "h1"), True)
-        assert b.get(VerdictCache.key("fp", "h1")) is None
+        assert b.get_record(VerdictCache.key("fp", "h1")) is None
         b.refresh()
-        assert b.get(VerdictCache.key("fp", "h1")) is True
+        assert b.get_record(VerdictCache.key("fp", "h1"))[0] is True
 
     def test_fingerprint_separates_configs(self):
         fa = config_fingerprint(cfg_of(HAZARD_SRC, "a"))

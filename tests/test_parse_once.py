@@ -1,41 +1,20 @@
 """Parse once per session: a Compiler parses and lowers each unit once
 per opt level and keeps the result after the query-free pipeline prefix
-(see ``test_compile_prefix.py``), not the parsed unit.
-
-Lowering must read the parsed unit and never change it, so lowering the
-same unit again gives the module a fresh parse would.  The Compiler
+(see ``test_compile_prefix.py``), not the parsed unit.  The Compiler
 keeps only the units of the config it compiled last.
 """
 
 import gc
-from copy import deepcopy
 
 import pytest
 
 import repro.frontend.codegen as codegen_mod
-from repro.frontend import TranslationUnit, compile_source, parse
+from repro.frontend import TranslationUnit, parse
 from repro.ir import print_module
 from repro.oraql.compiler import Compiler
 from repro.oraql.config import BenchmarkConfig, SourceFile
 from repro.oraql.sequence import DecisionSequence
-from repro.workloads import get_config, row_names
-
-ROW_SOURCES = sorted({(src.name, src.text)
-                      for row in row_names()
-                      for src in get_config(row).sources})
-
-
-@pytest.mark.parametrize("name,text", ROW_SOURCES,
-                         ids=[name for name, _ in ROW_SOURCES])
-def test_lowering_leaves_the_unit_unchanged(name, text):
-    tu = parse(text, name, unit_name=name)
-    before = deepcopy(tu)
-    first = print_module(compile_source(tu, name))
-    second = print_module(compile_source(tu, name))
-    assert tu == before
-    fresh = print_module(compile_source(text, name))
-    assert first == fresh
-    assert second == fresh
+from repro.workloads import get_config
 
 
 @pytest.fixture

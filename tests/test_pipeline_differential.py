@@ -9,6 +9,8 @@ hypothesis-generated family of random straight-line/loop programs.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.passes import PASS_NAMES, build_pipeline
+
 from helpers import differential
 
 CORPUS = {
@@ -200,3 +202,9 @@ def straightline_program(draw):
 @given(straightline_program())
 def test_random_programs_differential(src):
     differential(src)
+
+
+def test_every_named_pass_runs_at_o3():
+    """A pass that no pipeline runs takes no part in any answer."""
+    o3 = {type(p) for p in build_pipeline(3)}
+    assert [name for name, cls in PASS_NAMES.items() if cls not in o3] == []

@@ -219,9 +219,9 @@ class TestCacheSharding:
         a = VerdictCache.shard_for(str(tmp_path), "aa11")
         b = VerdictCache.shard_for(str(tmp_path), "bb22")
         a.put("aa11:x", True)
-        assert b.get("aa11:x") is None
+        assert b.get_record("aa11:x") is None
         assert VerdictCache.shard_for(str(tmp_path), "aa11") \
-            .get("aa11:x") is True
+            .get_record("aa11:x")[0] is True
 
 
 class TestCompactionUnderConcurrentReader:
@@ -250,7 +250,8 @@ class TestCompactionUnderConcurrentReader:
                 while not stop.is_set():
                     fresh = VerdictCache(str(tmp_path))
                     for i, key in enumerate(keys):
-                        got = fresh.get(key)
+                        record = fresh.get_record(key)
+                        got = record[0] if record else None
                         want = True if i % 2 == 0 else False
                         if got != want:
                             misses.append((key, got))
