@@ -6,12 +6,15 @@ import pytest
 from repro.fuzz.generator import GeneratorOptions, generate_program
 from repro.fuzz.oracle import (
     MUST_MATCH,
+    TAIL_PAD,
     DifferentialOracle,
     OracleFinding,
     _first_diff,
     base_config,
 )
 from repro.oraql.cache import VerdictCache
+from repro.oraql.compiler import Compiler
+from repro.oraql.sequence import DecisionSequence
 
 
 SIMPLE = """\
@@ -67,6 +70,24 @@ class TestMatrix:
         assert cfg.name == "fuzz-42"
         assert cfg.opt_level == 2
         assert cfg.sources[0].text == SIMPLE
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pessimistic_row_answers_every_query_pessimistically(self, seed):
+        """The all-pessimistic row pads the optimistic run's query count
+        by ``TAIL_PAD``; a query past the pad would be answered
+        optimistically (end of sequence) and the row would not be
+        all-pessimistic."""
+        prog = generate_program(seed, GeneratorOptions(hazard=True))
+        cfg = base_config(seed, prog.source)
+        compiler = Compiler()
+        opt = compiler.compile(cfg, sequence=DecisionSequence(),
+                               oraql_enabled=True)
+        assert opt.oraql.unique_queries > 0
+        n = opt.oraql.unique_queries + TAIL_PAD
+        pess = compiler.compile(cfg, sequence=DecisionSequence([0] * n),
+                                oraql_enabled=True)
+        assert pess.oraql.opt_unique == 0
+        assert pess.oraql.pess_unique == pess.oraql.unique_queries > 0
 
 
 class TestHazardBisection:

@@ -2,6 +2,9 @@
 per opt level and keeps the result after the query-free pipeline prefix
 (see ``test_compile_prefix.py``), not the parsed unit.  The Compiler
 keeps only the units of the config it compiled last.
+
+A new config or opt level parses and lowers its sources again, so each
+lowering of the same text must give the same module.
 """
 
 import gc
@@ -9,12 +12,24 @@ import gc
 import pytest
 
 import repro.frontend.codegen as codegen_mod
-from repro.frontend import TranslationUnit, parse
-from repro.ir import print_module
+from repro.frontend import TranslationUnit, compile_source, parse
+from repro.ir import print_module, verify_module
 from repro.oraql.compiler import Compiler
 from repro.oraql.config import BenchmarkConfig, SourceFile
 from repro.oraql.sequence import DecisionSequence
-from repro.workloads import get_config
+from repro.workloads import get_config, row_names
+
+ROW_SOURCES = sorted({(src.name, src.text)
+                      for row in row_names()
+                      for src in get_config(row).sources})
+
+
+@pytest.mark.parametrize("name,text", ROW_SOURCES,
+                         ids=[name for name, _ in ROW_SOURCES])
+def test_lowering_the_same_text_gives_the_same_module(name, text):
+    first = compile_source(text, name)
+    verify_module(first)
+    assert print_module(compile_source(text, name)) == print_module(first)
 
 
 @pytest.fixture

@@ -161,6 +161,98 @@ def test_corpus_differential(name):
     differential(CORPUS[name])
 
 
+# -- calls: no pipeline inlines, so each level runs these as calls ---------
+
+_BIG_BODY = "\n".join(f"  s = s + a[{i % 4}] * {i}.0;" for i in range(40))
+
+#: name -> (source, the output every level must print)
+CALLS = {
+    "callee_twice": ("""
+    double f(double x) { return x * 2.0 + 1.0; }
+    double g(double x) { return f(x) + f(x + 1.0); }
+    int main() { printf("%.1f\\n", g(3.0)); return 0; }
+    """, "16.0\n"),
+    "pointer_arg_sums": ("""
+    double total(double* a, int n) {
+      double s = 0.0;
+      for (int i = 0; i < n; i++) { s = s + a[i]; }
+      return s;
+    }
+    int main() {
+      double v[9];
+      for (int i = 0; i < 9; i++) { v[i] = i * 1.5; }
+      printf("%.1f\\n", total(v, 9) + total(v + 3, 3));
+      return 0;
+    }
+    """, "72.0\n"),
+    "restrict_axpy": ("""
+    void axpy(double* restrict y, double* restrict x, int n) {
+      for (int i = 0; i < n; i++) { y[i] = y[i] + 2.0 * x[i]; }
+    }
+    int main() {
+      double x[8]; double y[8];
+      for (int i = 0; i < 8; i++) { x[i] = i; y[i] = 1.0; }
+      axpy(y, x, 8);
+      printf("%.1f\\n", y[7]);
+      return 0;
+    }
+    """, "15.0\n"),
+    "restrict_dot": ("""
+    double square(double x) { return x * x; }
+    double combine(double* restrict a, double* restrict b) {
+      return a[0] * b[0] + a[1] * b[1];
+    }
+    int main() {
+      double u[2]; double v[2];
+      u[0] = 3.0; u[1] = 4.0; v[0] = 0.5; v[1] = 2.0;
+      printf("%.2f %.2f\\n", square(1.5), combine(u, v));
+      return 0;
+    }
+    """, "2.25 9.50\n"),
+    "recursion": ("""
+    int fact(int n) {
+      if (n < 2) { return 1; }
+      return n * fact(n - 1);
+    }
+    int main() { printf("%d\\n", fact(5)); return 0; }
+    """, "120\n"),
+    "large_callee": (
+        "double big(double* a) {\n  double s = 0.0;\n" + _BIG_BODY
+        + "\n  return s;\n}\n"
+        "int main() { double z[4]; z[0]=1.0; z[1]=2.0; z[2]=0.0;"
+        " z[3]=1.0; printf(\"%.0f\\n\", big(z)); return 0; }",
+        "770\n"),
+    "callee_fills_buffer": ("""
+    void fill(double* a, int n, double v) {
+      for (int i = 0; i < n; i++) { a[i] = v + i; }
+    }
+    int main() {
+      double buf[6];
+      fill(buf, 6, 10.0);
+      double s = 0.0;
+      for (int i = 0; i < 6; i++) { s = s + buf[i]; }
+      printf("%.0f\\n", s);
+      return 0;
+    }
+    """, "75\n"),
+    "kernel_launch": ("""
+    __global__ void k(double* a) { a[0] = 1.0; }
+    int main() {
+      double* a = (double*)malloc(8);
+      launch(k, 1, 1, a);
+      printf("%.0f\\n", a[0]);
+      return 0;
+    }
+    """, "1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_calls_differential(name):
+    source, expected = CALLS[name]
+    assert differential(source) == expected
+
+
 # -- random program family ---------------------------------------------------
 
 _ops = ["+", "-", "*"]
