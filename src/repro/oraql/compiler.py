@@ -34,8 +34,8 @@ from ..passes import (
     build_pipeline,
     split_prefix,
 )
-from ..vm import DEFAULT_COSTS, Machine, MPIWorld, VMError
-from ..vm.decode import DecodedModule
+from ..vm import DEFAULT_COSTS, INTRINSIC_COSTS, Machine, MPIWorld, VMError
+from ..vm.decode import CodeTable, DecodedModule, cost_tables
 from .config import BenchmarkConfig
 from .errors import ReleasedProgramError
 from .pass_ import DumpFlags, OraqlAAPass
@@ -98,12 +98,16 @@ class CompiledProgram:
         (default: the default table), decoded once per table and shared
         by every run and MPI rank of this program."""
         self._check_live("decode")
-        costs = cost_model.costs if cost_model is not None else DEFAULT_COSTS
-        key = tuple(sorted(costs.items()))
+        if cost_model is None:
+            costs, intrinsics = DEFAULT_COSTS, INTRINSIC_COSTS
+        else:
+            costs, intrinsics = cost_model.costs, cost_model.intrinsic_costs
+        key = cost_tables(costs, intrinsics)
         decoded = self._decoded.get(key)
         if decoded is None:
             decoded = self._decoded[key] = DecodedModule(
-                self.module, costs, self.shared_code, self.fn_hashes)
+                self.module, costs, intrinsics, self.shared_code,
+                self.fn_hashes)
         return decoded
 
     def release(self) -> None:
@@ -122,7 +126,7 @@ class CompiledProgram:
         if self.oraql is not None:
             self.oraql.records.clear()  # they point into the IR
         self.module.drop_all_references()
-        self.shared_code = None  # lets the Compiler retire the table
+        self.shared_code = None  # lets the table go with its last holder
         self.released = True
 
     def __del__(self):
@@ -281,15 +285,13 @@ class Compiler:
         #: compile starts from a copy of these.
         self._kept: Dict[tuple, KeptPrefix] = {}
         #: decoded VM code shared by the programs this Compiler makes,
-        #: keyed by (function name, body hash, nargs, cost table).  A
+        #: keyed by (function name, body hash, nargs, cost tables).  A
         #: body hash does not cover the struct layouts a body names, so
         #: the cache is replaced when the sources change, like _kept.
-        self._code: dict = {}
+        #: A table frees its code when its last holder drops it.
+        self._code = CodeTable()
         #: the sources _kept and _code belong to
         self._sources: Tuple[Tuple[str, str], ...] = ()
-        #: replaced code tables some program may still run
-        #: (see :meth:`_retire_code`)
-        self._retired: List[dict] = []
 
     @property
     def replay_digest(self) -> str:
@@ -450,27 +452,10 @@ class Compiler:
 
     def _switch_sources(self, sources: Tuple[Tuple[str, str], ...]) -> None:
         """Drop what belongs to the previous sources: the kept prefixes
-        and the decoded-code table (retired, see :meth:`_retire_code`)."""
+        and the decoded-code table, which frees its code once no
+        program, decoded module or machine holds it."""
         self.drop_prefixes()
-        self._retired.append(self._code)
-        self._code, self._sources = {}, sources
-        self._retire_code()
-
-    def _retire_code(self) -> None:
-        """Free every replaced code table that no program, decoded
-        module or machine still holds: its op lists are cyclic through
-        loop edges, so emptying them lets reference counting free the
-        code instead of the cyclic collector.  A table still in use
-        waits for the next replacement."""
-        held = []
-        for table in self._retired:
-            # the list, the loop variable and getrefcount's argument
-            if sys.getrefcount(table) > 3:
-                held.append(table)
-                continue
-            for code in table.values():
-                code.release()
-        self._retired = held
+        self._code, self._sources = CodeTable(), sources
 
     # -- codegen through the content-addressed cache -----------------------
     def _codegen_cached(self, module: Module, stats, fn_hashes:

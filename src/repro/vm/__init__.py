@@ -9,6 +9,7 @@ and the multi-rank MPI scheduler.
 from .cost_model import (
     CostModel,
     DEFAULT_COSTS,
+    INTRINSIC_COSTS,
     UnknownCostError,
     occupancy_factor,
 )

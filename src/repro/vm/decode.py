@@ -1,6 +1,6 @@
 """Decoding: IR functions turned into flat op lists for the interpreter.
 
-A function body is decoded once per session and cost table into a
+A function body is decoded once per session and cost tables into a
 :class:`Code`, which every program of the session with the same
 function (name, printed body hash, argument count) runs; each program
 binds its own template from it, and then executes it on
@@ -19,32 +19,45 @@ across every run and MPI rank that shares its :class:`DecodedModule`.
   name IR values, or whose names resolve elsewhere, is decoded for its
   program alone.
 * **Ops.**  Each block becomes a list of ops, one index per
-  instruction.  An instruction that touches the frame stack, the
-  runtime or the cycle counter is a SLOW op: a handler specialised by
-  opcode and type.  Every other instruction is a statement written
-  from one source template per op kind, with its operand slots and its
-  cost (bound from the cost table) as literals.  Branches carry one
-  *edge* per target, with the target's phi moves resolved for that
-  CFG edge.
+  instruction.  A call to a defined function, a return and an alloca
+  are CALL, RET and ALLOCA ops, which the interpreter's loop runs
+  itself.  An instruction that touches the runtime or the cycle counter
+  otherwise is a SLOW op: a handler specialised by opcode and type.
+  Every other instruction is a statement written from one source
+  template per op kind, with its operand slots and its cost (bound from
+  the cost table) as literals; a call to a pure intrinsic the intrinsic
+  table prices (``sqrt``, ``fabs``, ...) is one too, charging the
+  call's cost and then the intrinsic's, unscaled.  Branches carry one
+  *edge* per target, with the target's phi moves resolved for that CFG
+  edge.
 * **Runs.**  Each straight-line stretch of statements that can be
-  entered (a block's first non-phi op, or the op after a SLOW or
-  PRICED op), up to and including the block's BR or JUMP, is one
-  generated function, compiled once per distinct source
-  (:func:`generate`).  It charges each op's cost in order, runs it and
-  returns the edge it takes.  A run ending in a JUMP carries on into
-  the run its target enters, when that one reaches its block's BR or
-  JUMP (one level).  Memory ops read the image's buffer and break once
-  per run: only SLOW ops allocate.  A vector inside the break moves
-  with one ``struct`` call, otherwise lane by lane.
+  entered (a block's first non-phi op, or the op after any other op),
+  up to and including the block's BR or JUMP, is one generated
+  function, compiled once per distinct source (:func:`generate`).  It
+  charges each op's cost in order, runs it and returns the edge it
+  takes.  A run ending in a JUMP carries on into the run its target
+  enters, when that one reaches its block's BR or JUMP (one level) and
+  is not a loop header.  Memory ops read the image's buffer and break
+  once per run: only ALLOCA and SLOW ops allocate.  A vector inside the
+  break moves with one ``struct`` call, otherwise lane by lane.
+* **Loops.**  An innermost natural loop whose blocks hold nothing but
+  statements is one more generated function (:func:`generate_loop`), a
+  Python ``while`` over its blocks' statements, at its header's run
+  index.  It runs iterations while no budget check can fall inside the
+  next one, and returns at the header edge otherwise, where the
+  header's run takes over.
 * **Exactness.**  Decoding changes no observable result: a read that
   SSA dominance does not guarantee to find a value (a def that does not
   dominate the use, an entry-block phi, a missing argument) is checked
   and raises the interpreter's ``use of unevaluated value`` error at
   the same point; an opcode missing from the cost table is priced
-  through :meth:`CostModel.of` when it executes.  A trap inside a run
-  is traced to its op (:func:`trap_point`), and a run that a budget
-  check cuts goes op by op (:func:`steps`), so instruction counts,
-  cycles and trap texts are those of one op at a time.
+  through :meth:`CostModel.of` when it executes, and an intrinsic
+  missing from the intrinsic table stays a runtime call.  A call, return
+  or alloca that must check its operands, or that the table does not
+  price, runs as a SLOW handler (:func:`_handler`).  A trap inside a run
+  or loop is traced to its op (:func:`trap_point`), and a run that a
+  budget check cuts goes op by op (:func:`steps`), so instruction
+  counts, cycles and trap texts are those of one op at a time.
 
 Decoded code never refers to a Machine or its Memory: handlers take
 them as arguments, so code is shared and every run's image is freed by
@@ -62,12 +75,24 @@ op runs):
                                                JUMP is a PLAIN statement
                                                (its phi moves) followed
                                                by its target's run
+``(LOOP, worst, loop, header run)``            ``loop(regs, mem, gpu,
+                                               cycles, n, limit) ->
+                                               (cycles, n, edge)``: whole
+                                               iterations of at most
+                                               ``worst`` ops while ``n <
+                                               limit``; the FUSED header
+                                               run when a check may fall
+                                               in the first one
+``(CALL, cost, callee slot, arg slots,         push a frame of the code in
+dest)``                                        the callee slot; its RET
+                                               writes ``dest``
+``(RET, cost, slot or None)``                  pop the frame, free its
+                                               allocas, pass the value
+``(ALLOCA, cost, size, align, dest)``          allocate in the image
 ``(SLOW, cost, h, dest)``                      ``h(machine, frame)`` with
                                                the machine state synced;
                                                ``dest`` receives a blocked
-                                               call's result; a call's
-                                               ``h`` reads its callee's
-                                               code from the frame
+                                               runtime call's result
 ``(PRICED, 0.0, key, op)``                     charge ``CostModel.of(key)``,
                                                then run ``op``: a SLOW op,
                                                or ``(PLAIN, 0.0, run)`` for
@@ -83,10 +108,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import re
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.dominators import DominatorTree
+from ..analysis.loops import LoopInfo
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -125,7 +152,9 @@ from ..ir.values import (
 from .errors import UndefinedBehavior, VMError
 from .memory import _BASE, _trap, load_code, place, store_code
 
-PLAIN, JUMP, BR, SLOW, PRICED, FUSED = range(6)
+PLAIN, JUMP, BR, SLOW, PRICED, FUSED, CALL, RET, ALLOCA, LOOP = range(10)
+#: the kinds of a statement, which runs inside a FUSED run
+_STATEMENTS = (PLAIN, JUMP, BR)
 
 
 class _Unset:
@@ -301,6 +330,39 @@ def cast_expr(op: str, to: Type, from_ty: Type) -> str:
     return f"_raise(VMError({f'bad cast {op}'!r}))"
 
 
+def _safe(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError):
+        return math.inf
+
+
+#: the pure math intrinsics: name -> (arity, expression over ``{0}``
+#: and ``{1}``), with C semantics (``sqrt`` of a negative number or of
+#: NaN is NaN).  The runtime's handlers compute the same expressions
+#: (:func:`intrinsic_fn`); a decoded call inlines them.
+PURE_INTRINSICS: Dict[str, Tuple[int, str]] = {
+    "sqrt": (1, "sqrt({0}) if {0} >= 0 else nan"),
+    "fabs": (1, "abs({0})"),
+    "exp": (1, "_safe(exp, {0})"),
+    "log": (1, "log({0}) if {0} > 0 else -inf"),
+    "pow": (2, "_safe(_pow, {0}, {1})"),
+    "sin": (1, "sin({0})"),
+    "cos": (1, "cos({0})"),
+    "floor": (1, "floor({0})"),
+    "ceil": (1, "ceil({0})"),
+    "fmin": (2, "min({0}, {1})"),
+    "fmax": (2, "max({0}, {1})"),
+}
+
+
+def intrinsic_fn(name: str) -> Callable:
+    """``(x0[, x1]) -> result`` of pure intrinsic ``name``."""
+    arity, expr = PURE_INTRINSICS[name]
+    params = ("x0", "x1")[:arity]
+    return _function(", ".join(params), expr.format(*params))
+
+
 def binop_fn(op: str, ty: Type) -> Callable:
     """``(a, b) -> result`` of :func:`binop_expr`."""
     return _function("a, b", binop_expr(op, ty).format(a="a", b="b"))
@@ -325,6 +387,10 @@ _NAMESPACE = {
     "_urem": _urem, "_fptosi": _fptosi, "_fptrunc": _fptrunc,
     "_raise": _raise, "VMError": VMError,
     "UndefinedBehavior": UndefinedBehavior,
+    "_safe": _safe, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+    "_pow": math.pow, "sin": math.sin, "cos": math.cos,
+    "floor": math.floor, "ceil": math.ceil, "nan": math.nan,
+    "inf": math.inf,
 }
 #: the file name of generated runs, which is how a trap is traced to one
 _RUN_FILE = "<vm run>"
@@ -345,6 +411,36 @@ def _factory(text: str) -> Callable:
     return ns["make"]
 
 
+def _statement(stmt: tuple, consts: list, body: List[str],
+               indent: str = "") -> None:
+    """Append statement ``stmt``'s lines to ``body``: its charge, then
+    its source with constant ``$i`` named after its place in
+    ``consts``, to which its constants are appended."""
+    kind, cost, src, cs = stmt
+    if cost is not None:
+        body.append(f"{indent}cycles += gpu * {cost!r}")
+    for i in reversed(range(len(cs))):  # $12 before $1
+        src = src.replace(f"${i}", f"k{len(consts) + i}")
+    consts += cs
+    if src:
+        body += [indent + line for line in src.split("\n")]
+
+
+def _make(consts: list, signature: str, body: List[str]) -> Callable:
+    """The function ``def signature: body``, compiled once per distinct
+    text, with ``consts`` bound through the cached factory's
+    parameters."""
+    text = (f"def make({', '.join(f'k{i}' for i in range(len(consts)))}):\n"
+            f"    def {signature}:\n"
+            + "".join(f"        {line}\n" for line in body)
+            + f"    return {signature[:signature.index('(')]}\n")
+    return _factory(text)(*consts)
+
+
+#: the lines before the first line of a generated function's body
+_HEAD = 2
+
+
 def generate(stmts) -> Callable:
     """One function ``run(regs, mem, gpu, cycles) -> (cycles, edge or
     None)`` that runs ``stmts`` in order.  A statement is ``(kind, cost,
@@ -362,33 +458,114 @@ def generate(stmts) -> Callable:
     starts: List[int] = []
     if any("brk" in stmt[2] for stmt in stmts):  # only SLOW ops allocate
         body += ["data = mem.data", "brk = mem.brk"]
-    for kind, cost, src, cs in stmts:
-        starts.append(len(body) + 3)  # after the two def lines
-        if cost is not None:
-            body.append(f"cycles += gpu * {cost!r}")
-        for i in reversed(range(len(cs))):  # $12 before $1
-            src = src.replace(f"${i}", f"k{len(consts) + i}")
-        consts += cs
-        if src:
-            body += src.split("\n")
+    for stmt in stmts:
+        starts.append(len(body) + _HEAD + 1)
+        _statement(stmt, consts, body)
     if stmts[-1][0] == PLAIN:
         body.append("return cycles, None")
-    text = (f"def make({', '.join(f'k{i}' for i in range(len(consts)))}):\n"
-            f"    def run(regs, mem, gpu, cycles, lines={tuple(starts)}):\n"
-            + "".join(f"        {line}\n" for line in body)
-            + "    return run\n")
-    return _factory(text)(*consts)
+    return _make(consts, f"run(regs, mem, gpu, cycles, "
+                         f"lines={tuple(starts)})", body)
 
 
-def trap_point(tb) -> Optional[Tuple[int, float]]:
-    """Where a generated run called from traceback entry ``tb``'s frame
-    trapped, if it did: ``(offset, cycles)``, the statement holding the
-    raising line and the cycles charged up to and including it."""
+#: a statement line that takes an edge
+_EDGE = re.compile(r"^( *)return cycles, \$(\d+)$", re.M)
+
+
+def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
+    """One function ``loop(regs, mem, gpu, cycles, n, limit) -> (cycles,
+    n, edge)`` that runs an innermost loop whose blocks hold nothing but
+    statements, and the most instructions one iteration can count.
+    ``blocks`` holds each block's ``(ops, statements)``, the header's
+    first; ``n`` counts instructions.
+
+    A Python ``while`` goes from block to block; each statement charges
+    its cost and runs, in order, as in :func:`generate`.  An edge out of
+    the loop returns, and so does the edge back to the header once
+    ``n`` reaches ``limit``: the caller passes the next budget check
+    less one iteration's worst case, so that no check falls inside an
+    iteration.  ``lines`` and ``at`` (each statement's first line and
+    its offset in its block) let :func:`trap_point` trace a trap to its
+    op.  None when the blocks do not form such a loop."""
+    where = {id(ops): b for b, (ops, _) in enumerate(blocks)}
+    many = len(blocks) > 1
+    consts: list = []
+    body: List[str] = []
+    starts: List[int] = []
+    at: List[int] = []
+    after: List[set] = []  # the blocks each block can go on to
+    if any("brk" in stmt[2] for _, stmts in blocks for stmt in stmts):
+        body += ["data = mem.data", "brk = mem.brk"]
+    body += ["b = 0"] * many + ["while True:"]
+    for b, (_, stmts) in enumerate(blocks):
+        indent = "    "
+        if many:
+            body.append("    " + ("if b == 0:" if b == 0 else
+                                  "else:" if b == len(blocks) - 1 else
+                                  f"elif b == {b}:"))
+            indent = "        "
+        after.append(set())
+
+        def take(m, stmt=None):
+            ind, c = m[1], int(m[2])
+            edge = stmt[3][c]
+            t = where.get(id(edge[0]))
+            if t is None or blocks[t][0] is not edge[0]:
+                return f"{ind}n += {len(stmts)}\n{ind}return cycles, n, ${c}"
+            if t:
+                after[b].add(t)
+                return f"{ind}n += {len(stmts)}\n{ind}b = {t}\n{ind}continue"
+            return (f"{ind}n += {len(stmts)}\n{ind}if n >= limit:\n"
+                    f"{ind}    return cycles, n, ${c}\n"
+                    + f"{ind}b = 0\n" * many + f"{ind}continue")
+        for offset, stmt in enumerate(stmts):
+            starts.append(len(body) + _HEAD + 1)
+            at.append(offset)
+            src = _EDGE.sub(functools.partial(take, stmt=stmt), stmt[2])
+            _statement(stmt[:2] + (src,) + stmt[3:], consts, body, indent)
+    if any(line.lstrip().startswith("return cycles, k") for line in body):
+        return None  # an edge the rewrite missed
+    worst = _longest(after, [len(stmts) for _, stmts in blocks])
+    if worst is None:
+        return None
+    return _make(consts, f"loop(regs, mem, gpu, cycles, n, limit, "
+                         f"lines={tuple(starts)}, at={tuple(at)})",
+                 body), worst
+
+
+def _longest(after: List[set], lengths: List[int]) -> Optional[int]:
+    """The longest path from block 0 along ``after``, summing
+    ``lengths``; None if ``after`` has a cycle."""
+    memo: Dict[int, int] = {}
+    path, nexts = [0], [iter(after[0])]
+    while path:
+        t = next(nexts[-1], None)
+        if t is None:
+            b = path.pop()
+            nexts.pop()
+            memo[b] = lengths[b] + max((memo[t] for t in after[b]), default=0)
+        elif t in path:
+            return None
+        elif t not in memo:
+            path.append(t)
+            nexts.append(iter(after[t]))
+    return memo[0]
+
+
+def trap_point(tb, n: int) -> Optional[Tuple[int, float]]:
+    """Where a generated run or loop called from traceback entry
+    ``tb``'s frame trapped, if it did, the call having started at ``n``
+    instructions: ``(count, cycles)``, the instructions counted up to
+    and including the statement holding the raising line, and the
+    cycles charged up to and including it."""
     tb = tb.tb_next
     if tb is None or tb.tb_frame.f_code.co_filename != _RUN_FILE:
         return None
     f = tb.tb_frame.f_locals
-    return bisect.bisect_right(f["lines"], tb.tb_lineno) - 1, f["cycles"]
+    k = bisect.bisect_right(f["lines"], tb.tb_lineno) - 1
+    at = f.get("at")
+    if at is None:
+        return n + k + 1, f["cycles"]
+    return f["n"] + at[k] + 1, f["cycles"]
 
 
 def steps(op: tuple) -> list:
@@ -460,6 +637,27 @@ class Code:
             ops.clear()
 
 
+def cost_tables(costs: Dict[str, float],
+                intrinsic_costs: Dict[str, float]) -> tuple:
+    """The key of decoded code's cost tables."""
+    return tuple(sorted(costs.items())), tuple(sorted(intrinsic_costs.items()))
+
+
+class CodeTable(dict):
+    """A session's shared :class:`Code`, keyed as in
+    :class:`DecodedModule`.  When its last reference drops (the
+    session's compiler, its programs and their decoded modules are
+    gone), it empties every code's op lists, which are cyclic through
+    loop edges, so that reference counting frees the code rather than
+    the cyclic collector."""
+
+    __slots__ = ()
+
+    def __del__(self):
+        for code in self.values():
+            code.release()
+
+
 class DecodedModule:
     """A module's functions decoded against one cost table.
 
@@ -468,18 +666,22 @@ class DecodedModule:
     ``globals`` holds the address each global gets in a fresh image
     (the Machine allocates them in the same order).
 
-    ``shared`` (a dict owned by the caller, e.g. the session's
-    :class:`~repro.oraql.compiler.Compiler`) and ``hashes`` (each
-    function's printed body hash) let programs share :class:`Code`: it
-    is keyed by ``(name, body hash, nargs, cost table)``, so a body is
-    decoded once per session, and each program only binds its own
-    template (:meth:`Code.bind`)."""
+    ``shared`` (a :class:`CodeTable` owned by the caller, e.g. the
+    session's :class:`~repro.oraql.compiler.Compiler`) and ``hashes``
+    (each function's printed body hash) let programs share
+    :class:`Code`: it is keyed by ``(name, body hash, nargs, cost
+    tables)``, so a body is decoded once per session, and each program
+    only binds its own template (:meth:`Code.bind`).  The cost tables
+    are the opcode table and the intrinsic table, whose pure entries
+    decoded calls charge."""
 
     def __init__(self, module: Module, costs: Dict[str, float],
+                 intrinsic_costs: Dict[str, float],
                  shared: Optional[dict] = None,
                  hashes: Optional[Dict[str, str]] = None):
         self.module = module
         self.costs = dict(costs)
+        self.intrinsic_costs = dict(intrinsic_costs)
         self.globals: Dict[GlobalVariable, int] = {}
         brk = _BASE
         for gv in module.globals.values():
@@ -488,7 +690,7 @@ class DecodedModule:
         self._functions: Dict[Tuple[Function, int], DecodedFunction] = {}
         self._shared = shared
         self._hashes = hashes or {}
-        self._table = tuple(sorted(self.costs.items()))
+        self._table = cost_tables(costs, intrinsic_costs)
         #: code decoded for this program alone, emptied on release
         self._private: List[Code] = []
 
@@ -709,11 +911,21 @@ class _Decoder:
             if bb is self.entry_block:
                 starts.add(0)
             self.runs[bb] = _split(decoded, starts, self.ops[bb])
+        loops = self.loops()
         for bb, runs in self.runs.items():
             ops = self.ops[bb]
             for start, (stmts, end) in runs.items():
-                stmts = self.thread(bb, stmts, end)
+                if stmts[-1][0] == JUMP \
+                        and self.jumps[bb, end - 1][2] not in loops:
+                    stmts = self.thread(bb, stmts, end)
                 ops[start] = (FUSED, len(stmts), generate(stmts), stmts, [])
+        for header, blocks in loops.items():
+            made = generate_loop([(self.ops[bb], self.runs[bb][
+                self.nphis[bb]][0]) for bb in blocks])
+            if made is not None:
+                ops = self.ops[header]
+                start = self.nphis[header]
+                ops[start] = (LOOP, made[1], made[0], ops[start])
         arg_slots = tuple(self.slot(a) for a in self.fn.args[:self.nargs])
         base = list(self.template)
         for slot, *_ in self.links:
@@ -723,13 +935,35 @@ class _Decoder:
                     list(self.ops.values()))
         return code, self.template
 
+    def loops(self) -> Dict[BasicBlock, List[BasicBlock]]:
+        """The innermost natural loops whose blocks hold nothing but
+        statements, each by its header: its blocks, the header's first.
+        Each one runs as a LOOP op, so a JUMP into its header is not
+        threaded: it enters the LOOP op."""
+        info = LoopInfo(self.fn, self.dt)
+        loops = {}
+        for loop in info.innermost():
+            header = loop.header
+            blocks = [header] + [bb for bb in loop.body_in_layout_order()
+                                 if bb is not header]
+            if header is not self.entry_block \
+                    and all(self._whole(bb) for bb in blocks):
+                loops[header] = blocks
+        info.release()
+        return loops
+
+    def _whole(self, bb: BasicBlock) -> bool:
+        """Is ``bb`` one run of statements, from its phis to its end?"""
+        start = self.nphis[bb]
+        runs = self.runs.get(bb, {})
+        return list(runs) == [start] \
+            and runs[start][1] == len(bb.instructions) > start
+
     def thread(self, bb: BasicBlock, stmts: tuple, end: int) -> tuple:
         """A run ending in a JUMP, followed by the run the JUMP enters
         when that one runs to its block's BR or JUMP: the JUMP keeps its
         cost and phi moves, and the target's ops follow in the same
         dispatch.  One level only: the target's own JUMP returns."""
-        if stmts[-1][0] != JUMP:
-            return stmts
         moves, consts, target = self.jumps[bb, end - 1]
         entered = self.runs.get(target, {}).get(self.nphis.get(target, 0))
         if entered is None or entered[0][-1][0] == PLAIN:
@@ -738,16 +972,17 @@ class _Decoder:
                 + entered[0])
 
     def bind_cost(self, inst: Instruction, op: tuple) -> tuple:
-        """``op`` (SLOW) or the statement ``(kind, cost, source,
-        constants)`` with the cost table's cost; an opcode the table
-        lacks becomes a PRICED op."""
+        """``op`` or the statement ``(kind, cost, source, constants)``
+        with the cost table's cost; an opcode the table lacks becomes a
+        PRICED op, which runs a CALL, RET or ALLOCA as a SLOW op."""
         key = inst.op if isinstance(inst, BinaryInst) else inst.opcode
         cost = self.owner.costs.get(key)
         if cost is None:
-            if op[0] == SLOW:
-                return (PRICED, 0.0, key, (SLOW, 0.0) + op[2:])
-            step = generate(((op[0], None) + op[2:],))
-            return (PRICED, 0.0, key, (PLAIN, 0.0, step))
+            if op[0] in _STATEMENTS:
+                step = generate(((op[0], None) + op[2:],))
+                return (PRICED, 0.0, key, (PLAIN, 0.0, step))
+            dest = op[3] if op[0] == SLOW else SINK
+            return (PRICED, 0.0, key, (SLOW, 0.0, _handler(op), dest))
         return (op[0], cost) + op[2:]
 
     # -- edges ---------------------------------------------------------------
@@ -774,9 +1009,9 @@ class _Decoder:
 
     # -- instructions ----------------------------------------------------------
     def decode(self, inst: Instruction, bb: BasicBlock, pos: int) -> tuple:
-        """The op for ``inst``: ``(SLOW, None, h, dest)``, or the
-        statement ``(PLAIN | BR | JUMP, None, source, constants)`` (cost
-        not yet bound)."""
+        """The op for ``inst``: ``(SLOW, None, h, dest)``, a CALL, RET or
+        ALLOCA op, or the statement ``(PLAIN | BR | JUMP, None, source,
+        constants)`` (cost not yet bound)."""
         reads: List[Tuple[int, Fail]] = []
         consts: list = []
 
@@ -791,13 +1026,18 @@ class _Decoder:
             return f"${len(consts) - 1}"
 
         cls = inst.__class__
-        if cls in _SLOW_DECODERS:
-            h, dest = _SLOW_DECODERS[cls](self, inst, rd)
-            if reads:
-                h = _checked_slow(h, reads)
-            return (SLOW, None, h, dest)
-        kind = PLAIN
-        if cls is BranchInst:
+        src = None
+        if cls is CallInst:
+            src = self._intrinsic(inst, rd)
+        if src is not None:
+            kind = PLAIN
+        elif cls in _OP_DECODERS:
+            op = _OP_DECODERS[cls](self, inst, rd)
+            if reads:  # checked before the op runs
+                return (SLOW, None, _checked_slow(_handler(op), reads),
+                        op[3] if op[0] == SLOW else SINK)
+            return op
+        elif cls is BranchInst:
             if not inst.is_conditional:
                 target = inst.targets[0]
                 moves = self.moves(bb, target, k)
@@ -813,17 +1053,43 @@ class _Decoder:
         elif cls is SelectInst:
             return (PLAIN, None, self._select(inst, bb, pos, k),
                     tuple(consts))
-        elif cls in _PLAIN_DECODERS:
-            src = _PLAIN_DECODERS[cls](inst, rd, self.dest(inst), k)
-        elif cls is PhiInst:
-            src = ""  # block-head phis are assigned by edges
-        elif cls is UnreachableInst:
-            src = "raise UndefinedBehavior('executed unreachable')"
         else:
-            src = f"raise VMError({f'cannot interpret {inst.opcode}'!r})"
+            kind = PLAIN
+            if cls in _PLAIN_DECODERS:
+                src = _PLAIN_DECODERS[cls](inst, rd, self.dest(inst), k)
+            elif cls is PhiInst:
+                src = ""  # block-head phis are assigned by edges
+            elif cls is UnreachableInst:
+                src = "raise UndefinedBehavior('executed unreachable')"
+            else:
+                src = f"raise VMError({f'cannot interpret {inst.opcode}'!r})"
         checks = "".join(f"if regs[{s}] is UNSET:\n    raise {k(fail)}()\n"
                          for s, fail in reads)
         return (kind, None, checks + src, tuple(consts))
+
+    def _intrinsic(self, inst: CallInst, rd) -> Optional[str]:
+        """A call to a declared pure intrinsic that the intrinsic table
+        prices, as a statement: after the call's cost it charges the
+        intrinsic's, unscaled, as the runtime does.  None for any other
+        call, which stays a runtime call (an unpriced intrinsic then
+        reaches :meth:`CostModel.of_intrinsic`)."""
+        callee = inst.callee
+        declared = isinstance(callee, Function)
+        if declared and not callee.is_declaration:
+            return None
+        name = callee.name if declared else callee
+        pure = PURE_INTRINSICS.get(name)
+        cost = self.owner.intrinsic_costs.get(name)
+        if pure is None or cost is None or len(inst.operands) < pure[0]:
+            return None
+        if declared:  # code that calls the runtime's sqrt is not shared
+            # with a program that defines its own
+            self.links.append((None, _RUNTIME, name, 0))
+        args = [rd(a) for a in inst.operands]
+        xs = [f"x{i}" for i in range(pure[0])]
+        return ("".join(f"{x} = regs[{a}]\n" for x, a in zip(xs, args))
+                + f"cycles += {cost!r}\n"
+                + f"regs[{self.dest(inst)}] = " + pure[1].format(*xs))
 
     def _select(self, inst: SelectInst, bb: BasicBlock, pos: int, k) -> str:
         (c, cf), (t, tf), (f, ff) = (self.read(v, bb, pos)
@@ -865,15 +1131,14 @@ def _moves(reads, dests, k) -> str:
 
 def _split(decoded: list, starts: set, ops: list) -> Dict[int, tuple]:
     """Lay out a block's op list ``ops`` from its decoded ops and
-    statements: SLOW and PRICED ops at their index, and each run of
-    statements that can be entered (at ``starts``, or right after a SLOW
-    or PRICED op), ending at the next SLOW or PRICED op or after a BR or
-    JUMP.  Returns the runs, ``start -> (statements, end)``; the caller
+    statements: every op that is not a statement at its index, and each
+    run of statements that can be entered (at ``starts``, or right after
+    such an op), ending at the next such op or after a BR or JUMP.  Returns the runs, ``start -> (statements, end)``; the caller
     puts each one's FUSED op at its start.  Indices inside a run are
     never dispatched and hold None."""
     ops.extend([None] * len(decoded))
     for i, op in enumerate(decoded):
-        if op[0] == SLOW or op[0] == PRICED:
+        if op[0] not in _STATEMENTS:
             ops[i] = op
             starts.add(i + 1)
     runs: Dict[int, tuple] = {}
@@ -1057,23 +1322,16 @@ _PLAIN_DECODERS = {
 }
 
 
-# -- slow ops -------------------------------------------------------------------
+# -- calls, returns, allocas and slow ops ----------------------------------------
 #
-# Ops that touch the frame stack, the runtime or the cycle counter run
-# as ``h(machine, frame)`` with the machine's counters synced; each
-# advances ``frame.index`` itself (or pushes / pops a frame).  A decoder
-# returns ``(h, dest)``.
+# A call to a defined function, a return and an alloca are CALL, RET and
+# ALLOCA ops, which the interpreter's loop runs itself.  Ops that touch
+# the runtime or the cycle counter run as ``h(machine, frame)`` with the
+# machine's counters synced; each advances ``frame.index`` itself (or
+# pushes / pops a frame).  A decoder returns the op, cost not yet bound.
 
 def _decode_ret(dec, inst, rd):
-    if inst.value is None:
-        def ret_void(m, frame):
-            m._leave(None)
-        return ret_void, SINK
-    s = rd(inst.value)
-
-    def ret(m, frame):
-        m._leave(frame.regs[s])
-    return ret, SINK
+    return (RET, None, None if inst.value is None else rd(inst.value))
 
 
 def _decode_call(dec, inst, rd):
@@ -1084,11 +1342,7 @@ def _decode_call(dec, inst, rd):
         # the callee's code is in this program's template
         c = dec._link(_CALL, callee, dec.owner.function(
             callee, min(len(args), len(callee.args))), len(args))
-
-        def call(m, frame):
-            regs = frame.regs
-            m._enter(regs[c], tuple([regs[s] for s in args]), d)
-        return call, d
+        return (CALL, None, c, args, d)
     if isinstance(callee, str):
         name = callee
     else:
@@ -1098,19 +1352,45 @@ def _decode_call(dec, inst, rd):
     def call_runtime(m, frame):
         regs = frame.regs
         m._call_runtime(frame, name, tuple([regs[s] for s in args]), d)
-    return call_runtime, d
+    return (SLOW, None, call_runtime, d)
 
 
 def _decode_alloca(dec, inst, rd):
-    size, align = inst.size_bytes(), inst.allocated_type.align()
-    d = dec.dest(inst)
+    return (ALLOCA, None, inst.size_bytes(), inst.allocated_type.align(),
+            dec.dest(inst))
+
+
+def _handler(op: tuple) -> Callable:
+    """The SLOW handler of ``op``: a CALL, RET or ALLOCA whose operands
+    are checked first, or that the cost table does not price."""
+    kind = op[0]
+    if kind == SLOW:
+        return op[2]
+    if kind == CALL:
+        _, _, c, args, d = op
+
+        def call(m, frame):
+            regs = frame.regs
+            m._enter(regs[c], tuple([regs[s] for s in args]), d)
+        return call
+    if kind == RET:
+        s = op[2]
+        if s is None:
+            def ret_void(m, frame):
+                m._leave(None)
+            return ret_void
+
+        def ret(m, frame):
+            m._leave(frame.regs[s])
+        return ret
+    _, _, size, align, d = op
 
     def alloca(m, frame):
         addr = m.memory.allocate(size, align)
         frame.allocas.append(addr)
         frame.regs[d] = addr
         frame.index += 1
-    return alloca, d
+    return alloca
 
 
 def _decode_memcpy(dec, inst, rd):
@@ -1122,7 +1402,7 @@ def _decode_memcpy(dec, inst, rd):
         m.cycles += m._gpu_factor * n / 8.0
         m.memory.copy(regs[dst], regs[src], n)
         frame.index += 1
-    return memcpy, SINK
+    return (SLOW, None, memcpy, SINK)
 
 
 def _decode_memset(dec, inst, rd):
@@ -1134,10 +1414,10 @@ def _decode_memset(dec, inst, rd):
         m.cycles += m._gpu_factor * n / 8.0
         m.memory.fill(regs[dst], regs[byte], n)
         frame.index += 1
-    return memset, SINK
+    return (SLOW, None, memset, SINK)
 
 
-_SLOW_DECODERS = {
+_OP_DECODERS = {
     ReturnInst: _decode_ret,
     CallInst: _decode_call,
     AllocaInst: _decode_alloca,

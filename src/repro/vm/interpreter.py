@@ -13,9 +13,10 @@ that:
 
 It executes functions decoded once by :mod:`repro.vm.decode`: each
 straight-line run of ops, with its branch, is one generated function,
-and every other op a specialised handler.  The loop in
-:meth:`Machine._execute` dispatches once per run or handler, and
-counts and charges in between.
+and so is each innermost loop of such runs; calls, returns and allocas
+are ops the loop in :meth:`Machine._execute` runs itself, and every
+other op a specialised handler.  That loop dispatches once per run,
+loop, op or handler, and counts and charges in between.
 """
 
 from __future__ import annotations
@@ -36,9 +37,13 @@ from ..ir.values import (
 )
 from .cost_model import CostModel
 from .decode import (
+    ALLOCA,
+    CALL,
     FUSED,
+    LOOP,
     PLAIN,
     PRICED,
+    RET,
     DecodedFunction,
     DecodedModule,
     binop_fn,
@@ -104,8 +109,11 @@ class Machine:
         self.runtime = runtime or Runtime()
         self.cost = cost_model or CostModel()
         if decoded is None:
-            decoded = DecodedModule(module, self.cost.costs)
-        elif decoded.module is not module or decoded.costs != self.cost.costs:
+            decoded = DecodedModule(module, self.cost.costs,
+                                    self.cost.intrinsic_costs)
+        elif decoded.module is not module \
+                or decoded.costs != self.cost.costs \
+                or decoded.intrinsic_costs != self.cost.intrinsic_costs:
             raise ValueError("decoded code belongs to another module or "
                              "cost table")
         self.decoded = decoded
@@ -295,7 +303,9 @@ class Machine:
         run it, then check the step and wall-clock budgets.  A FUSED
         run does all of that for its ops at once when no check can
         fire inside it, and op by op otherwise; a trap inside it is
-        traced back to its op (:func:`~repro.vm.decode.trap_point`)."""
+        traced back to its op (:func:`~repro.vm.decode.trap_point`).
+        Calls, returns and allocas run here, with the counters kept in
+        locals; a caller's frame records the index of its call."""
         frames = self.frames
         mem = self.memory
         price = self.cost.of
@@ -308,7 +318,16 @@ class Machine:
         try:
             while True:
                 op = ops[i]
-                if op[0] == FUSED:
+                kind = op[0]
+                if kind == LOOP:
+                    limit = check_at - op[1]
+                    if n < limit:
+                        cycles, n, (ops, i) = op[2](regs, mem, gpu, cycles,
+                                                    n, limit)
+                        continue
+                    op = op[3]  # the header's run: a check may fall in it
+                    kind = FUSED
+                if kind == FUSED:
                     length = op[1]
                     if n + length < check_at:
                         cycles, edge = op[2](regs, mem, gpu, cycles)
@@ -320,18 +339,62 @@ class Machine:
                             if n >= check_at:
                                 self._check_budget(n)
                                 check_at = self._next_check(n)
+                    if edge is None:
+                        i += length
+                    else:
+                        ops, i = edge
+                    continue
+                n += 1
+                cycles += gpu * op[1]
+                if kind == CALL:
+                    code = regs[op[2]]
+                    if code.entry is None:
+                        code.decode()
+                    callee = code.template.copy()
+                    for slot, s in zip(code.arg_slots, op[3]):
+                        callee[slot] = regs[s]
+                    frame.ops = ops
+                    frame.index = i
+                    frame = Frame(code.entry, callee, op[4])
+                    frames.append(frame)
+                    ops, i, regs = code.entry, 0, callee
+                elif kind == RET:
+                    val = None if op[2] is None else regs[op[2]]
+                    frames.pop()
+                    for addr in frame.allocas:
+                        mem.free(addr)
+                    ret = frame.ret
+                    if not frames:
+                        self.state = "done"
+                        self.retval = val
+                    elif ret is None:  # from call_synchronously
+                        self.retval = val
+                    else:
+                        frame = frames[-1]
+                        regs = frame.regs
+                        regs[ret] = val
+                        ops, i = frame.ops, frame.index + 1
+                    if n >= check_at:
+                        self._check_budget(n)
+                        check_at = self._next_check(n)
+                    if len(frames) <= depth:
+                        return
+                    continue
+                elif kind == ALLOCA:
+                    addr = mem.allocate(op[2], op[3])
+                    frame.allocas.append(addr)
+                    regs[op[4]] = addr
+                    i += 1
                 else:
-                    n += 1
-                    cycles += gpu * op[1]
-                    if op[0] == PRICED:  # an opcode the cost table lacks
+                    if kind == PRICED:  # an opcode the cost table lacks
                         cycles += gpu * price(op[2])
                         op = op[3]
                     if op[0] == PLAIN:  # one generated op, charging nothing
-                        length = 1
                         cycles, edge = op[2](regs, mem, gpu, cycles)
-                        if n >= check_at:
-                            self._check_budget(n)
-                            check_at = self._next_check(n)
+                        if edge is None:
+                            i += 1
+                        else:
+                            ops, i = edge
                     else:  # SLOW
                         frame.ops = ops
                         frame.index = i
@@ -356,15 +419,13 @@ class Machine:
                         frame = frames[-1]
                         ops, i, regs = frame.ops, frame.index, frame.regs
                         continue
-                if edge is None:
-                    i += length
-                else:
-                    ops, i = edge
+                if n >= check_at:
+                    self._check_budget(n)
+                    check_at = self._next_check(n)
         except BaseException as e:
-            point = trap_point(e.__traceback__)
-            if point is not None and op[0] == FUSED:
-                n += point[0] + 1
-                cycles = point[1]
+            point = trap_point(e.__traceback__, n)
+            if point is not None and op[0] in (FUSED, LOOP):
+                n, cycles = point
             raise
         finally:
             self.instructions = n

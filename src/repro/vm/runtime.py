@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Tuple
 
 from ..ir.function import Function
 from .cost_model import occupancy_factor
+from .decode import PURE_INTRINSICS, intrinsic_fn
 from .errors import DeadlockError, UndefinedBehavior, VMError
 
 
@@ -47,18 +48,9 @@ class Runtime:
     # -- default handlers ---------------------------------------------------
     def _install_defaults(self) -> None:
         h = self.handlers
-        # pure math
-        h["sqrt"] = lambda m, a: math.sqrt(a[0]) if a[0] >= 0 else math.nan
-        h["fabs"] = lambda m, a: abs(a[0])
-        h["exp"] = lambda m, a: _safe(math.exp, a[0])
-        h["log"] = lambda m, a: math.log(a[0]) if a[0] > 0 else -math.inf
-        h["pow"] = lambda m, a: _safe(math.pow, a[0], a[1])
-        h["sin"] = lambda m, a: math.sin(a[0])
-        h["cos"] = lambda m, a: math.cos(a[0])
-        h["floor"] = lambda m, a: math.floor(a[0])
-        h["ceil"] = lambda m, a: math.ceil(a[0])
-        h["fmin"] = lambda m, a: min(a[0], a[1])
-        h["fmax"] = lambda m, a: max(a[0], a[1])
+        # pure math, which decoded calls inline (PURE_INTRINSICS)
+        for name, (arity, _) in PURE_INTRINSICS.items():
+            h[name] = _pure(intrinsic_fn(name), arity)
         h["llvm.vector.reduce.fadd"] = lambda m, a: math.fsum(a[0])
         h["llvm.vector.reduce.add"] = lambda m, a: sum(a[0])
         # libc
@@ -91,11 +83,10 @@ class Runtime:
             a[0] if m.nranks == 1 else _blocked("allreduce_min", a[0]))
 
 
-def _safe(fn, *args):
-    try:
-        return fn(*args)
-    except (OverflowError, ValueError):
-        return math.inf
+def _pure(fn, arity: int) -> Callable:
+    if arity == 1:
+        return lambda m, a: fn(a[0])
+    return lambda m, a: fn(a[0], a[1])
 
 
 def _abort(machine, args):

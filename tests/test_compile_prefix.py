@@ -11,6 +11,7 @@ module is freed by reference counting.
 import dataclasses
 import gc
 from functools import partial
+from types import FunctionType
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.passes import (
     build_pipeline,
     split_prefix,
 )
+from repro.vm import decode
 from repro.workloads.base import get_config, row_names
 
 from test_oraql_bugfixes import two_tu_config
@@ -310,24 +312,47 @@ def test_new_sources_drop_the_kept_prefix():
     assert _kept(compiler) is not old
 
 
+def _generated(o) -> bool:
+    """Is ``o`` a generated VM run or loop function?"""
+    return isinstance(o, FunctionType) \
+        and o.__code__.co_filename == decode._RUN_FILE
+
+
+def _op_list(o) -> bool:
+    """Is ``o`` a decoded block's op list (it holds a FUSED or LOOP
+    op, whose third item is a generated function)?"""
+    return isinstance(o, list) and any(
+        isinstance(op, tuple) and len(op) > 2 and _generated(op[2])
+        for op in o)
+
+
 @pytest.mark.parametrize("row", ["XSBench-seq", "LULESH-mpi"])
 def test_dropped_driver_leaves_no_ir_for_the_collector(row):
     """Census: a session whose driver built its own compiler, dropped
     with its report, leaves no IR value, block or use list for the
-    cyclic collector — the kept prefix included."""
+    cyclic collector — the kept prefix included — and none of the
+    session's decoded code (generated runs and loops, op lists, whose
+    loop edges make them cyclic): the code table empties them when its
+    last holder goes."""
     gc.collect()
     gc.disable()
     try:
         driver = ProbingDriver(get_config(row))
         report = driver.run()
         assert not report.failed
+        assert any(op[0] == decode.LOOP
+                   for code in driver.compiler._code.values()
+                   for ops in code.blocks for op in ops if op is not None)
         del driver, report
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         found = [type(o).__name__ for o in gc.garbage
-                 if isinstance(o, (Value, BasicBlock, UseList))]
+                 if isinstance(o, (Value, BasicBlock, UseList))
+                 or _generated(o) or _op_list(o)]
+        total = len(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
     assert found == []
+    assert total == 0

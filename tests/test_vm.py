@@ -2,22 +2,26 @@
 shims (OpenMP/CUDA/MPI), traps, and accounting."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.frontend import compile_source
-from repro.ir import ArrayType, F32, F64, I8, I32, I64, Module, ptr
+from repro.ir import F32, F64, I64, Module
 from repro.vm import (
+    CostModel,
     DeadlockError,
     Machine,
     Memory,
     MemoryTrap,
     MPIWorld,
     StepLimitExceeded,
+    UnknownCostError,
     occupancy_factor,
 )
-from repro.vm.decode import FUSED
+from repro.vm.cost_model import UNKNOWN_OPCODE_COST
+from repro.vm.decode import ALLOCA, CALL, FUSED, LOOP, RET
 from repro.vm.interpreter import _unsigned, _wrap_int
 
 from helpers import run_main
@@ -363,6 +367,233 @@ class TestFusedRuns:
         for offset in range(7):
             cycles += 1.0 * run[3][offset][1]
             assert trapped(offset).hex() == cycles.hex()
+
+
+def _slow_twin(module, **kw):
+    """The module decoded for itself, run once, and then laid out as the
+    loop ran it before CALL, RET, ALLOCA and LOOP ops: each call, return
+    and alloca a SLOW handler, each loop its header's run."""
+    from repro.vm.decode import SINK, SLOW, _handler
+
+    m = Machine(module, **kw)
+    m.start("main")
+    m.run_to_completion()  # decodes every function the run reaches
+    twin = m.decoded
+    for code in twin._private:
+        for ops in code.blocks:
+            for i, op in enumerate(ops):
+                if op is None:
+                    continue
+                if op[0] in (CALL, RET, ALLOCA):
+                    ops[i] = (SLOW, op[1], _handler(op), SINK)
+                elif op[0] == LOOP:
+                    ops[i] = op[3]
+    return twin
+
+
+def _kinds(decoded) -> set:
+    return {op[0] for code in decoded._private for ops in code.blocks
+            for op in ops if op is not None}
+
+
+def _outcome(module, max_steps, decoded, **kw):
+    m = Machine(module, max_steps=max_steps, decoded=decoded, **kw)
+    m.start("main")
+    m.run_to_completion()
+    return (m.state, m.instructions, m.cycles.hex(), str(m.error),
+            m.output(), sorted((k, v.hex()) for k, v in
+                               m.kernel_cycles.items()))
+
+
+def _assert_every_limit_matches(module, **kw):
+    """A step limit on every instruction of the run traps with the same
+    count, cycles and text on the inline ops as on the SLOW ones.
+    Returns the full run and each limit's instruction count."""
+    inline = run_main(module, **kw)
+    twin = _slow_twin(module, **kw)
+    counts = []
+    for limit in range(inline.instructions + 1):
+        got = _outcome(module, limit, inline.decoded, **kw)
+        assert got == _outcome(module, limit, twin, **kw), limit
+        counts.append(got[1])
+    return inline, counts
+
+
+class TestInlineOps:
+    """Calls, returns and allocas run inside the dispatch loop, pure
+    intrinsics inside runs, and whole innermost loops as one dispatch:
+    each count, cycle sum and trap text is the one the SLOW handlers
+    and the one-run-per-dispatch path give."""
+
+    CALLS = """
+    long g(long *p, long n) {
+      long s = 0;
+      for (long i = 0; i < n; i++) { s = s + p[i] * (i + 1); }
+      return s;
+    }
+    long f(long x) {
+      long a[4];
+      a[0] = x; a[1] = x + 1; a[2] = x * 2; a[3] = 7;
+      return g(a, 4);
+    }
+    int main() {
+      long t = 0;
+      for (long k = 0; k < 3; k++) { t = t + f(k); }
+      printf("%ld\\n", t);
+      return 0;
+    }
+    """
+
+    def test_step_limit_on_calls_returns_allocas_and_loops(self):
+        module = compile_source(self.CALLS)
+        m, counts = _assert_every_limit_matches(module)
+        total = m.instructions
+        # the check lands on the instruction after the limit
+        assert counts == [min(limit + 1, total)
+                          for limit in range(total + 1)]
+        assert m.output() == "117\n"
+        assert {CALL, RET, ALLOCA, LOOP} <= _kinds(m.decoded)
+
+    def test_step_limit_in_nested_regions(self):
+        """OpenMP chunks and CUDA threads enter through
+        call_synchronously and leave through the inline RET at depth
+        > 0, with calls and allocas inside."""
+        src = """
+        long sq(long v) { long t[1]; t[0] = v * v; return t[0]; }
+        __global__ void fill(long* a, long n) {
+          int t = cuda_thread_id();
+          a[t] = sq(t) + n;
+        }
+        int main() {
+          long a[6];
+          #pragma omp parallel for
+          for (int i = 0; i < 6; i++) { a[i] = sq(i); }
+          launch(fill, 1, 3, a, 1);
+          printf("%ld %ld %ld\\n", a[1], a[2], a[5]);
+          return 0;
+        }
+        """
+        module = compile_source(src)
+        info = {"fill": SimpleNamespace(registers=80)}  # occupancy 1.38
+        m, _ = _assert_every_limit_matches(module, num_threads=2,
+                                           kernel_info=info)
+        assert m.output() == "2 5 25\n"
+        assert m.kernel_cycles["fill"] > 0
+
+    def test_trap_inside_a_loop_is_traced_to_its_op(self):
+        src = """
+        int main() {
+          long a[8];
+          long s = 0;
+          for (long i = 0; i < 8; i++) { a[i] = 5 - i; }
+          for (long i = 0; i < 8; i++) { s = s + 100 / a[i]; }
+          printf("%ld\\n", s);
+          return 0;
+        }
+        """
+        module = compile_source(src)
+        inline = Machine(module)
+        inline.start("main")
+        inline.run_to_completion()
+        assert "by zero" in str(inline.error)
+        assert LOOP in _kinds(inline.decoded)
+        twin = _slow_twin(module)
+        assert _outcome(module, 10_000, inline.decoded) \
+            == _outcome(module, 10_000, twin)
+
+    def test_sqrt_of_a_negative_number_is_nan(self, monkeypatch):
+        from repro.vm.runtime import Runtime
+
+        src = """
+        int main() {
+          double x = 1.0;
+          for (int i = 0; i < 3; i++) { x = x - 1.0; }
+          printf("%f %f %f\\n", sqrt(x), sqrt(x * 0.0 / 0.0), sqrt(4.0));
+          return 0;
+        }
+        """
+        called = []
+        real = Runtime.call
+        monkeypatch.setattr(Runtime, "call", lambda self, m, name, args: (
+            called.append(name), real(self, m, name, args))[1])
+        m = run_main(compile_source(src))
+        assert m.output() == "nan nan 2.000000\n"
+        assert called == ["printf"]  # the intrinsics ran inline
+
+    def test_gpu_kernel_charges_the_intrinsic_cost_unscaled(self):
+        src = """
+        __global__ void k(double* a, int n) {
+          int t = cuda_thread_id();
+          a[t] = fabs(a[t] - 2.5);
+        }
+        int main() {
+          double a[4];
+          for (int i = 0; i < 4; i++) { a[i] = i; }
+          launch(k, 1, 4, a, 4);
+          printf("%.1f\\n", a[0] + a[3]);
+          return 0;
+        }
+        """
+        module = compile_source(src)
+        info = {"k": SimpleNamespace(registers=80)}
+
+        def cycles(fabs):
+            cost = CostModel()
+            cost.intrinsic_costs["fabs"] = fabs
+            m = run_main(module, kernel_info=info, cost_model=cost)
+            assert m.output() == "3.0\n"
+            return m.kernel_cycles["k"]
+
+        # four threads, one fabs each: 1.0 more per call, not 1.38
+        assert cycles(3.0) - cycles(2.0) == pytest.approx(4.0, abs=1e-9)
+
+    def test_intrinsic_table_keys_decoded_code(self):
+        from repro.oraql.compiler import Compiler
+        from repro.workloads.base import get_config
+
+        prog = Compiler().compile(get_config("LULESH-mpi"))
+        base = prog.run()
+        cost = CostModel()
+        cost.intrinsic_costs["sqrt"] += 1.0
+        assert prog.decoded(cost) is not prog.decoded()
+        dearer = prog.run(cost_model=cost)
+        assert dearer.instructions == base.instructions
+        assert dearer.stdout == base.stdout
+        assert dearer.cycles > base.cycles
+        with pytest.raises(ValueError, match="cost table"):
+            Machine(prog.module, cost_model=cost, decoded=prog.decoded())
+
+    def test_strict_model_without_an_intrinsic_still_raises(self):
+        src = """
+        int main() {
+          double x = 0.0 - 2.0;
+          printf("%f\\n", fabs(x));
+          return 0;
+        }
+        """
+        cost = CostModel(strict=True)
+        del cost.intrinsic_costs["fabs"]
+        m = Machine(compile_source(src), cost_model=cost)
+        m.start("main")
+        with pytest.raises(UnknownCostError, match="fabs"):
+            m.run()
+        assert cost.unknown_intrinsics == {"fabs": 1}
+
+    def test_unpriced_call_return_and_alloca_run_slow(self):
+        """An opcode the cost table lacks is PRICED: a call, return or
+        alloca then runs its SLOW handler, priced when it executes."""
+        module = compile_source(self.CALLS)
+        priced = CostModel()
+        listed = CostModel()
+        for key in ("call", "ret", "alloca"):
+            del priced.costs[key]
+            listed.costs[key] = UNKNOWN_OPCODE_COST
+        a = run_main(module, cost_model=priced)
+        b = run_main(module, cost_model=listed)
+        assert (a.output(), a.instructions, a.cycles.hex()) \
+            == (b.output(), b.instructions, b.cycles.hex())
+        assert not {CALL, RET, ALLOCA} & _kinds(a.decoded)
+        assert set(priced.unknown_opcodes) == {"call", "ret", "alloca"}
 
 
 class TestSharedCode:
@@ -713,27 +944,25 @@ class TestRelease:
             gc.garbage.clear()
             gc.enable()
         assert not second.failed
-        assert compiler._retired == []
         assert found == Counter()
 
     def test_replaced_code_spares_a_live_program(self):
         """A program of the first config that is still held keeps its
         shared code whole across the second config's compiles, and its
-        table is freed at a later replacement once it is dropped."""
+        table empties its code once that program is dropped."""
         from repro.oraql.compiler import Compiler
         from repro.workloads.base import get_config
 
         compiler = Compiler()
-        first = get_config("MiniGMG-sse")
-        prog = compiler.compile(first)
+        prog = compiler.compile(get_config("MiniGMG-sse"))
         expected = prog.run()
         assert expected.ok and compiler._code
+        codes = list(compiler._code.values())
         compiler.compile(get_config("TestSNAP-seq"))
-        assert len(compiler._retired) == 1
         assert prog.run().stdout == expected.stdout
+        assert all(ops for code in codes for ops in code.blocks)
         del prog
-        compiler.compile(first)
-        assert compiler._retired == []
+        assert not any(ops for code in codes for ops in code.blocks)
 
     def test_same_sources_keep_their_code(self):
         """Recompiling a config with unchanged sources retires nothing:
@@ -747,7 +976,6 @@ class TestRelease:
         table = compiler._code
         second = compiler.compile(cfg)
         assert compiler._code is table
-        assert compiler._retired == []
         assert first.run().stdout == second.run().stdout
 
     def test_dropped_program_spares_what_is_held_elsewhere(self):
