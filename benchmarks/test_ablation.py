@@ -10,11 +10,8 @@
    what does suppressing every chain answer cost?
 """
 
-import pytest
-
 import repro.workloads  # noqa: F401
 from repro.oraql import (
-    Compiler,
     DecisionSequence,
     OraqlAAPass,
     ProbingDriver,
@@ -28,7 +25,6 @@ from conftest import save_result
 def _sequence_consumption(row: str, cache_enabled: bool) -> int:
     cfg = get_config(row)
     from repro.frontend import compile_source
-    from repro.ir import Module
     from repro.passes import CompilationContext, PassManager, build_pipeline
 
     modules = [compile_source(s.text, s.name) for s in cfg.sources]

@@ -52,7 +52,6 @@ def _compile_row(row: str) -> Dict[str, Dict]:
             "queries": prog.ctx.aa.total_queries,
             "no_alias": prog.no_alias_count,
             "builds": prog.analysis_counters["builds"],
-            "preserved": prog.analysis_counters["preserved_hits"],
         }
     return out
 

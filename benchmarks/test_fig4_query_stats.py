@@ -7,8 +7,6 @@ ORAQL compilation.  Asserts the paper's qualitative shape: which rows
 are fully optimistic, and that ORAQL always increases no-alias counts.
 """
 
-import pytest
-
 from repro.experiments.fig4_query_stats import Fig4Row, check_shape, render_fig4
 from repro.workloads.base import get_info, row_names
 

@@ -19,7 +19,6 @@ from repro.ir import (
     I64,
     IRBuilder,
     Module,
-    VOID,
     ptr,
     verify_module,
 )

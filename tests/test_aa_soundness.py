@@ -11,7 +11,6 @@ ORAQL's entire premise is that the chain never lies in the conservative
 direction — these tests pin that down.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (

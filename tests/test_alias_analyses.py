@@ -4,7 +4,6 @@ ScopedNoAlias, GlobalsAA, CFL-Steens, CFL-Anders) and the chain."""
 import pytest
 
 from repro.analysis import (
-    AAResults,
     AliasResult,
     BasicAA,
     CFLAndersAA,
@@ -19,12 +18,10 @@ from repro.analysis import (
 )
 from repro.ir import (
     AliasScope,
-    ArrayType,
     F64,
     FunctionType,
     I64,
     IRBuilder,
-    Module,
     ScopedAliasMD,
     VOID,
     ptr,

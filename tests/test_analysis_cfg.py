@@ -1,16 +1,13 @@
 """Tests for CFG utilities, dominators, dominance frontiers, loops."""
 
-import pytest
-
 from repro.analysis import (
     DominatorTree,
-    Loop,
     LoopInfo,
     loop_trip_count,
     predecessor_map,
     reverse_postorder,
 )
-from repro.ir import FunctionType, I1, I64, IRBuilder, Module, VOID
+from repro.ir import FunctionType, I1, I64, IRBuilder, VOID
 from repro.passes.mem2reg import dominance_frontiers
 
 

@@ -1,18 +1,13 @@
 """Tests for the codegen layer: lowering counts, register allocation,
 GPU kernel static properties."""
 
-import pytest
-
 from repro.codegen import (
     DEFAULT_REGS,
     codegen_function,
     compile_device_kernels,
-    compile_kernel,
-    gpu_pressure,
     gpu_register_width,
     linear_scan,
     lower_function,
-    machine_inst_count,
     register_class,
     run_codegen,
 )

@@ -10,15 +10,9 @@ from repro.frontend import (
     parse,
     tokenize,
 )
-from repro.ir import (
-    AllocaInst,
-    F64,
-    LoadInst,
-    StoreInst,
-    verify_module,
-)
+from repro.ir import F64, LoadInst, StoreInst, verify_module
 
-from helpers import differential, run_main
+from helpers import run_main
 
 
 def out_of(src, **kw):

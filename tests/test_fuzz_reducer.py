@@ -3,8 +3,6 @@ trial accounting, and the end-to-end shrink of a real hazard seed."""
 
 import copy
 
-import pytest
-
 from repro.frontend import parse
 from repro.fuzz.campaign import SELF_TEST_SIZE_LIMIT, _optimism_diverges
 from repro.fuzz.generator import GeneratorOptions, generate_program

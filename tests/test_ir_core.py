@@ -4,19 +4,14 @@ import pytest
 
 from repro.ir import (
     ArrayType,
-    BasicBlock,
-    BranchInst,
-    ConstantFloat,
     ConstantInt,
     F64,
-    Function,
     FunctionType,
     GEPInst,
     I1,
     I32,
     I64,
     IRBuilder,
-    LoadInst,
     Module,
     PhiInst,
     StoreInst,
@@ -28,7 +23,6 @@ from repro.ir import (
     module_hash,
     ptr,
     verify_function,
-    verify_module,
 )
 
 

@@ -8,7 +8,6 @@ from repro.ir.types import (
     FloatType,
     FunctionType,
     IntType,
-    PointerType,
     StructType,
     VectorType,
     F32,

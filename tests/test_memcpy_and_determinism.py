@@ -8,7 +8,6 @@ from repro.ir import (
     ArrayType,
     F64,
     FunctionType,
-    I64,
     IRBuilder,
     MemCpyInst,
     Module,

@@ -1,12 +1,8 @@
 """Tests for MemorySSA construction and the clobber walker."""
 
-import pytest
-
 from repro.analysis import (
-    AliasResult,
     LiveOnEntry,
     MemoryDef,
-    MemoryLocation,
     MemoryPhi,
     MemorySSA,
     MemoryUse,

@@ -4,13 +4,8 @@ scoping), and the verification script."""
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import (
-    AliasResult,
-    LocationSize,
-    MemoryLocation,
-    build_aa_chain,
-)
-from repro.ir import F64, FunctionType, IRBuilder, Module, VOID, ptr
+from repro.analysis import AliasResult, LocationSize, MemoryLocation
+from repro.ir import F64, FunctionType, IRBuilder, VOID, ptr
 from repro.oraql import (
     DecisionSequence,
     DumpFlags,

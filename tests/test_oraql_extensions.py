@@ -39,7 +39,6 @@ class TestCacheAblation:
 
         def consumed(cache_enabled):
             from repro.oraql.pass_ import OraqlAAPass as P
-            import repro.oraql.compiler as C
             # compile manually so we can pass the toggle
             prog = compiler.compile(cfg, oraql_enabled=True,
                                     sequence=DecisionSequence())

@@ -1,15 +1,12 @@
 """Tests for the loop passes: LICM, loop deletion, loop-load-elim,
 memcpyopt, machine sinking, and both vectorizers."""
 
-import pytest
-
 from repro.frontend import compile_source
 from repro.ir import (
     F64,
     FunctionType,
     I64,
     IRBuilder,
-    LoadInst,
     StoreInst,
     VOID,
     VectorType,

@@ -2,39 +2,23 @@
 SimplifyCFG, EarlyCSE, GVN, DSE) — both that they fire and that they
 stay sound."""
 
-import pytest
-
 from repro.frontend import compile_source
 from repro.ir import (
     AllocaInst,
     F64,
     FunctionType,
-    I1,
     I64,
     IRBuilder,
     LoadInst,
-    Module,
     PhiInst,
     StoreInst,
     VOID,
     ptr,
-    verify_function,
     verify_module,
 )
-from repro.passes import (
-    CompilationContext,
-    DSE,
-    DeadCodeElim,
-    EarlyCSE,
-    GVN,
-    InstCombine,
-    Mem2Reg,
-    PassManager,
-    SimplifyCFG,
-    parse_pipeline,
-)
+from repro.passes import CompilationContext, PassManager, parse_pipeline
 
-from helpers import compile_and_run, differential, run_main
+from helpers import differential, run_main
 
 
 def run_passes(module, spec):
@@ -126,7 +110,6 @@ class TestInstCombineAndDCE:
 
     def test_zext_icmp_fold(self, module):
         """The frontend's (zext i1) != 0 condition detour must fold."""
-        from repro.ir import CastInst, ICmpInst
         fn = module.add_function(FunctionType(VOID, [I64]), "f")
         e, t, f = (fn.add_block(n) for n in "etf")
         b = IRBuilder(e)

@@ -9,7 +9,6 @@ pessimistic set and final executable hash as a sequential
 
 import asyncio
 import json
-import os
 
 import pytest
 

@@ -3,18 +3,11 @@ timer, event records, exporters, the summarize views, and the
 ``python -m repro.trace`` CLI."""
 
 import json
-import os
 
 import pytest
 
 from repro.oraql.driver import ProbingDriver
-from repro.trace import (
-    QueryTrace,
-    PhaseNode,
-    PhaseTimer,
-    RESPONDER_ORAQL,
-    render_tree,
-)
+from repro.trace import QueryTrace, PhaseTimer, RESPONDER_ORAQL
 from repro.trace import events as ev
 from repro.trace import export, summarize
 from repro.trace.__main__ import main as trace_main

@@ -7,7 +7,7 @@ import pytest
 
 import repro.workloads  # noqa: F401 — registers all variants
 from repro.oraql import Compiler, DecisionSequence, ProbingDriver
-from repro.workloads.base import all_variants, get_config, get_info, row_names
+from repro.workloads.base import get_config, get_info, row_names
 
 ALL_ROWS = row_names()
 
