@@ -505,11 +505,10 @@ def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
             indent = "        "
         after.append(set())
 
-        def take(m, stmt=None):
+        def take(stmt, m):
             ind, c = m[1], int(m[2])
-            edge = stmt[3][c]
-            t = where.get(id(edge[0]))
-            if t is None or blocks[t][0] is not edge[0]:
+            t = where.get(id(stmt[3][c][0]))
+            if t is None:
                 return f"{ind}n += {len(stmts)}\n{ind}return cycles, n, ${c}"
             if t:
                 after[b].add(t)
@@ -520,7 +519,7 @@ def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
         for offset, stmt in enumerate(stmts):
             starts.append(len(body) + _HEAD + 1)
             at.append(offset)
-            src = _EDGE.sub(functools.partial(take, stmt=stmt), stmt[2])
+            src = _EDGE.sub(functools.partial(take, stmt), stmt[2])
             _statement(stmt[:2] + (src,) + stmt[3:], consts, body, indent)
     if any(line.lstrip().startswith("return cycles, k") for line in body):
         return None  # an edge the rewrite missed
@@ -542,7 +541,7 @@ def _longest(after: List[set], lengths: List[int]) -> Optional[int]:
         if t is None:
             b = path.pop()
             nexts.pop()
-            memo[b] = lengths[b] + max((memo[t] for t in after[b]), default=0)
+            memo[b] = lengths[b] + max((memo[s] for s in after[b]), default=0)
         elif t in path:
             return None
         elif t not in memo:

@@ -36,6 +36,10 @@ class Runtime:
         self._install_defaults()
 
     def register(self, name: str, fn: Callable) -> None:
+        """Handle calls to ``name`` with ``fn``.  A pure intrinsic that
+        the intrinsic table prices runs inside decoded code
+        (:data:`~repro.vm.decode.PURE_INTRINSICS`) and never reaches
+        the runtime."""
         self.handlers[name] = fn
 
     def call(self, machine, name: str, args: Tuple):
