@@ -485,7 +485,8 @@ def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
     less one iteration's worst case, so that no check falls inside an
     iteration.  ``lines`` and ``at`` (each statement's first line and
     its offset in its block) let :func:`trap_point` trace a trap to its
-    op.  None when the blocks do not form such a loop."""
+    op.  None when the blocks have a cycle that does not pass through
+    the header (irreducible control flow)."""
     where = {id(ops): b for b, (ops, _) in enumerate(blocks)}
     many = len(blocks) > 1
     consts: list = []
@@ -521,8 +522,6 @@ def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
             at.append(offset)
             src = _EDGE.sub(functools.partial(take, stmt), stmt[2])
             _statement(stmt[:2] + (src,) + stmt[3:], consts, body, indent)
-    if any(line.lstrip().startswith("return cycles, k") for line in body):
-        return None  # an edge the rewrite missed
     worst = _longest(after, [len(stmts) for _, stmts in blocks])
     if worst is None:
         return None
@@ -914,9 +913,7 @@ class _Decoder:
         for bb, runs in self.runs.items():
             ops = self.ops[bb]
             for start, (stmts, end) in runs.items():
-                if stmts[-1][0] == JUMP \
-                        and self.jumps[bb, end - 1][2] not in loops:
-                    stmts = self.thread(bb, stmts, end)
+                stmts = self.thread(bb, stmts, end, loops)
                 ops[start] = (FUSED, len(stmts), generate(stmts), stmts, [])
         for header, blocks in loops.items():
             made = generate_loop([(self.ops[bb], self.runs[bb][
@@ -952,18 +949,26 @@ class _Decoder:
         return loops
 
     def _whole(self, bb: BasicBlock) -> bool:
-        """Is ``bb`` one run of statements, from its phis to its end?"""
+        """Is ``bb`` one run of statements, from its phis to its BR or
+        JUMP?"""
         start = self.nphis[bb]
         runs = self.runs.get(bb, {})
         return list(runs) == [start] \
-            and runs[start][1] == len(bb.instructions) > start
+            and runs[start][1] == len(bb.instructions) \
+            and runs[start][0][-1][0] != PLAIN
 
-    def thread(self, bb: BasicBlock, stmts: tuple, end: int) -> tuple:
+    def thread(self, bb: BasicBlock, stmts: tuple, end: int,
+               loops: dict) -> tuple:
         """A run ending in a JUMP, followed by the run the JUMP enters
-        when that one runs to its block's BR or JUMP: the JUMP keeps its
-        cost and phi moves, and the target's ops follow in the same
-        dispatch.  One level only: the target's own JUMP returns."""
+        when that one runs to its block's BR or JUMP and is not the
+        header of one of ``loops``: the JUMP keeps its cost and phi
+        moves, and the target's ops follow in the same dispatch.  One
+        level only: the target's own JUMP returns."""
+        if stmts[-1][0] != JUMP:
+            return stmts
         moves, consts, target = self.jumps[bb, end - 1]
+        if target in loops:
+            return stmts
         entered = self.runs.get(target, {}).get(self.nphis.get(target, 0))
         if entered is None or entered[0][-1][0] == PLAIN:
             return stmts

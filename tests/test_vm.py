@@ -480,6 +480,14 @@ class TestInlineOps:
         assert m.output() == "2 5 25\n"
         assert m.kernel_cycles["fill"] > 0
 
+    def test_worst_iteration_is_the_longest_path(self):
+        from repro.vm.decode import _longest
+
+        # header 0 -> 1 -> 2, or 0 -> 2 straight: 2 + 3 + 4
+        assert _longest([{1, 2}, {2}, set()], [2, 3, 4]) == 9
+        # 1 <-> 2 without the header: irreducible, no LOOP op
+        assert _longest([{1}, {2}, {1}], [1, 1, 1]) is None
+
     def test_trap_inside_a_loop_is_traced_to_its_op(self):
         src = """
         int main() {
