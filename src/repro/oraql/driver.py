@@ -32,7 +32,12 @@ Workflow (Fig. 1):
 5. every probe's answer log is remembered (:mod:`repro.oraql.replay`):
    a sequence that repeats the first ``n`` answers of an earlier
    compile builds that compile's executable, so when its verdict is
-   known the probe skips the compile too (``compiles_skipped``).
+   known the probe skips the compile too (``compiles_skipped``);
+
+6. the final program is the last compiled probe that passed when the
+   final sequence repeats its answer log (``final_reused``); otherwise
+   the final sequence is compiled.  It runs only when its executable
+   has no passing verdict yet.
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ class ProbingReport:
     no_alias_oraql: int = 0
     # probing effort
     compiles: int = 0
+    #: number of the probe compile whose program is the final program
+    #: (the baseline is compile 1); None when the final sequence was
+    #: compiled on its own
+    final_reused: Optional[int] = None
     #: probes whose compile answer replay skipped: an earlier compile
     #: with the same answers fixed their executable and its verdict
     compiles_skipped: int = 0
@@ -245,6 +254,11 @@ class ProbingDriver:
         #: answer logs the journal holds (None: it takes none, because
         #: its header is lost or names another compiler setup)
         self._journaled: Optional[Set[AnswerLog]] = None
+        #: the last compiled probe that passed, with its compile number
+        #: and answer log: the final program when the final sequence
+        #: repeats that log
+        self._passing: Optional[
+            Tuple[CompiledProgram, int, AnswerLog]] = None
         if journal is not None and journal.setup == setup:
             self._memo.update(journal.answer_logs)
             self._journaled = {(n, pess)
@@ -276,6 +290,7 @@ class ProbingDriver:
         if hit is not None and self._verdict_known(hit[0]):
             return self._replay(sequence, *hit)
         prog = self._compile(sequence)
+        number = self._report.compiles
         n = prog.oraql.unique_queries
         log = answer_log(sequence.bits, n)
         self._memo.add(log, prog.exe_hash)
@@ -284,10 +299,23 @@ class ProbingDriver:
                 prog.exe_hash, n,
                 lambda: self.executor.run_and_verify(prog, self.verifier),
                 log)
-        finally:
-            prog.release()  # the verdict is booked: free the probe
+        except BaseException:
+            prog.release()
+            raise
+        # the verdict is booked: free the probe, unless it passed, which
+        # makes it the candidate final program
+        if outcome.ok:
+            self._drop_passing()
+            self._passing = (prog, number, log)
+        else:
+            prog.release()
         self._remember(log, prog.exe_hash)
         return outcome
+
+    def _drop_passing(self) -> None:
+        if self._passing is not None:
+            self._passing[0].release()
+            self._passing = None
 
     def _replay(self, sequence: DecisionSequence, exe_hash: str,
                 unique_queries: int) -> TestOutcome:
@@ -390,6 +418,7 @@ class ProbingDriver:
         try:
             return self._run()
         finally:
+            self._drop_passing()  # a session that raised kept one
             if self._own_compiler:
                 self.compiler.drop_prefixes()
 
@@ -437,17 +466,21 @@ class ProbingDriver:
             report.budget_exhausted = True
             pess = set(self._best_pessimistic)
 
-        # 4. final compile with the discovered sequence, full bookkeeping
+        # 4. the final program with the discovered sequence, verified
+        # unless a run of its executable already passed
         final_seq = sequence_from_pessimistic_set(pess)
-        final = self._compile(final_seq, label="final")
-        final_run = final.run(fuel=self.executor.policy.fuel,
-                              wall_clock=self.executor.policy.wall_clock)
-        if not self.verifier.check(final_run) and not report.budget_exhausted:
-            raise ProbingError(
-                "final sequence does not verify — non-deterministic "
-                "compilation or verification",
-                triage=self.verifier.triage(final_run),
-                explain=self.verifier.explain(final_run))
+        final = self._final_program(final_seq)
+        known = self._hash_cache.get(final.exe_hash)
+        if known is None or not known[0]:
+            final_run = final.run(fuel=self.executor.policy.fuel,
+                                  wall_clock=self.executor.policy.wall_clock)
+            if not self.verifier.check(final_run) \
+                    and not report.budget_exhausted:
+                raise ProbingError(
+                    "final sequence does not verify — non-deterministic "
+                    "compilation or verification",
+                    triage=self.verifier.triage(final_run),
+                    explain=self.verifier.explain(final_run))
         report.final_sequence = final_seq
         report.pessimistic_indices = sorted(pess)
         report.final_program = final
@@ -469,6 +502,29 @@ class ProbingDriver:
             report.phase_timers = self.trace.timer.to_dict()
             report.remarks = self.trace.remark_lines("final")
         return report
+
+    def _final_program(self, sequence: DecisionSequence) -> CompiledProgram:
+        """The last passing probe's program when ``sequence`` repeats its
+        answer log: the same executable, statistics, ORAQL counters and
+        records, by the answer-replay argument of
+        :mod:`repro.oraql.replay`.  (An equal exe hash is not enough:
+        other answers can build the same executable and count
+        differently.)  Otherwise a compile of ``sequence``, whose answer
+        log joins the memo, so that a different executable for known
+        answers raises :class:`AnswerReplayError`."""
+        if self._passing is not None:
+            prog, number, log = self._passing
+            if answer_log(sequence.bits, log[0]) == log:
+                self._passing = None
+                self._report.final_reused = number
+                if self.trace is not None:
+                    self.trace.reuse_compile(number, "final", sequence.bits)
+                return prog
+        self._drop_passing()
+        prog = self._compile(sequence, label="final")
+        self._memo.add(answer_log(sequence.bits, prog.oraql.unique_queries),
+                       prog.exe_hash)
+        return prog
 
     # -- the strategy lifecycle loop --------------------------------------
     def _probe(self, first: TestOutcome) -> Set[int]:

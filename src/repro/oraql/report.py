@@ -60,7 +60,10 @@ def render_report(report: ProbingReport) -> str:
     out.append(f"probing effort     : {r.compiles} compiles, "
                f"{r.compiles_skipped} skipped by answer replay, "
                f"{r.tests_run} tests run, {r.tests_cached} served from the "
-               f"executable-hash cache, {r.tests_deduced} deduced")
+               f"executable-hash cache, {r.tests_deduced} deduced; "
+               + (f"final program reused from compile #{r.final_reused}"
+                  if r.final_reused is not None
+                  else "final program compiled"))
     if r.cache_hits or r.cache_misses:
         out.append(f"verdict cache      : {r.cache_hits} hits, "
                    f"{r.cache_misses} misses")

@@ -8,7 +8,10 @@ log is greppable and the round-trip through any exporter is lossless:
 =========  ==========================================================
 ``meta``   session header (config name, strategy, format version)
 ``compile`` compile boundary: label (baseline/probe/final), decision
-           bits, monotonically increasing compile number
+           bits, monotonically increasing compile number ``n`` — or,
+           with ``reuses`` in place of ``n``, a label given to the
+           earlier compile ``reuses`` without compiling again (the
+           final program that is the last passing probe)
 ``replay`` a probe whose compile answer replay skipped: its decision
            bits and the exe hash earlier answers fixed
 ``q``      one alias query (provenance-tagged)
@@ -28,7 +31,7 @@ the unique-query index and cache-hit status.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 TRACE_FORMAT_VERSION = 1
 
@@ -74,8 +77,9 @@ def meta_record(config: str, strategy: str) -> dict:
 
 
 def compile_record(n: int, label: str,
-                   bits: Optional[Sequence[int]] = None) -> dict:
-    rec = {"t": "compile", "n": n, "label": label}
+                   bits: Optional[Sequence[int]] = None,
+                   reuses: bool = False) -> dict:
+    rec = {"t": "compile", "reuses" if reuses else "n": n, "label": label}
     if bits is not None:
         rec["bits"] = "".join(str(b) for b in bits)
     return rec
@@ -126,14 +130,21 @@ def is_oraql_query(rec: dict) -> bool:
 
 def split_compiles(records: Sequence[dict]) -> List[tuple]:
     """Segment a record stream into ``(label, [records])`` per compile.
-    Records before the first compile marker get the label ``"<pre>"``."""
+    Records before the first compile marker get the label ``"<pre>"``;
+    a marker that ``reuses`` compile ``n`` starts its segment with a
+    copy of that compile's records."""
     out: List[tuple] = []
+    by_n: Dict[int, List[dict]] = {}
     label, bucket, started = "<pre>", [], False
     for rec in records:
         if rec.get("t") == "compile":
             if started or bucket:
                 out.append((label, bucket))
-            label, bucket, started = rec.get("label", "?"), [], True
+            label, started = rec.get("label", "?"), True
+            if "reuses" in rec:
+                bucket = list(by_n.get(rec["reuses"], ()))
+            else:
+                bucket = by_n[rec.get("n")] = []
         else:
             bucket.append(rec)
     if started or bucket:

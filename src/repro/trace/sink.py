@@ -75,6 +75,14 @@ class QueryTrace:
             self._emit(
                 ev.compile_record(self._compile_count, label, bits))
 
+    def reuse_compile(self, n: int, label: str,
+                      bits: Optional[Sequence[int]] = None) -> None:
+        """Compile ``n`` of this session is also the ``label`` compile:
+        :func:`~repro.trace.events.split_compiles` yields its records
+        again under ``label``."""
+        if self.record_events:
+            self._emit(ev.compile_record(n, label, bits, reuses=True))
+
     def replay(self, bits: Sequence[int], exe_hash: str) -> None:
         """A probe answer replay booked without compiling."""
         if self.record_events:

@@ -224,7 +224,13 @@ class Machine:
 
         Blocking calls are not allowed inside such nested regions (our
         workloads never block inside parallel regions).
+
+        A step limit the calling instruction crossed traps here, on
+        that instruction, before the region runs one of its own: the
+        caller checks the budget only once the handler returns.
         """
+        if self.instructions > self.max_steps:
+            self._check_budget(self.instructions)
         depth = len(self.frames)
         self._enter(self._code(fn, args), args, None)
         if self.state != "ready":

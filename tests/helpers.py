@@ -112,6 +112,64 @@ def replay_checking_driver(config, **kwargs):
     return _ReplayCheckingDriver(config, **kwargs)
 
 
+def final_program_view(prog):
+    """Everything a report, a figure or a runtime table reads from a
+    final program, with one run's stdout and cycles."""
+    from repro.oraql.report import render_query
+
+    oraql = prog.oraql
+    run = prog.run()
+    return {
+        "exe_hash": prog.exe_hash,
+        "fn_hashes": prog.fn_hashes,
+        "stats": prog.stats.rows(),
+        "kernel_info": prog.kernel_info,
+        "no_alias_count": prog.no_alias_count,
+        "counters": (oraql.opt_unique, oraql.opt_cached,
+                     oraql.pess_unique, oraql.pess_cached),
+        "unique_by_pass": dict(oraql.unique_by_pass),
+        "pessimistic_records": [render_query(rec)
+                                for rec in oraql.pessimistic_records()],
+        "stdout": run.stdout,
+        "cycles": run.cycles.hex(),
+    }
+
+
+def final_reuse_checking_driver(config, **kwargs):
+    """A :class:`~repro.oraql.driver.ProbingDriver` that compiles the
+    final sequence anyway when it reuses the last passing probe's
+    program, and asserts that the fresh compile equals the reused
+    program on everything read from it (:func:`final_program_view`);
+    with tracing, also on the fresh compile's own query records and
+    remarks.  The checking compile and runs bypass the driver's books,
+    so its report is the plain driver's but for the phase timer;
+    ``checked`` counts the reuses."""
+    from repro.oraql.driver import ProbingDriver
+    from repro.trace import QueryTrace
+
+    class _FinalReuseCheckingDriver(ProbingDriver):
+        checked = 0
+
+        def _final_program(self, sequence):
+            prog = super()._final_program(sequence)
+            if self._report.final_reused is None:
+                return prog
+            trace = QueryTrace() if self.trace is not None else None
+            fresh = self.compiler.compile(self.config, sequence=sequence,
+                                          oraql_enabled=True, trace=trace)
+            assert final_program_view(prog) == final_program_view(fresh)
+            if trace is not None:
+                assert self.trace.query_records("final") == \
+                    trace.query_records()
+                assert self.trace.remark_lines("final") == \
+                    trace.remark_lines()
+            fresh.release()
+            self.checked += 1
+            return prog
+
+    return _FinalReuseCheckingDriver(config, **kwargs)
+
+
 def replay_case_id(case):
     """Test id of an answer-replay combination ``(row, strategy, traced,
     cache, journal)``."""
@@ -221,9 +279,11 @@ def check_replay_combination(sessions, case):
         # only the baseline and final compiles are left
         assert report.compiles == 2
         assert report.tests_run == 0
-    # a probe either compiles or is replayed
+    # a probe either compiles or is replayed; the baseline compiles, and
+    # so does the final program unless it is the last passing probe
     assert report.compiles + report.compiles_skipped == \
-        report.tests_run + report.tests_cached + 2
+        report.tests_run + report.tests_cached + 1 \
+        + (report.final_reused is None)
     if traced:
         # one trace record per replayed probe of the (last) session
         replays = [r for r in driver.trace.records if r["t"] == "replay"]

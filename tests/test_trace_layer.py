@@ -102,6 +102,26 @@ class TestEvents:
             ["<pre>", "baseline", "final"]
         assert len(buckets[2][1]) == 2
 
+    def test_reused_compile_is_split_again_under_its_new_label(self):
+        q2, r2 = {"t": "q", "i": 2}, {"t": "r", "i": 2}
+        records = [
+            ev.compile_record(1, "baseline"),
+            {"t": "q", "i": 1},
+            ev.compile_record(2, "probe"),
+            q2, r2,
+            ev.compile_record(3, "probe"),
+            {"t": "q", "i": 3},
+            ev.compile_record(2, "final", bits=[0], reuses=True),
+            {"t": "done"},
+        ]
+        assert records[-2] == {"t": "compile", "reuses": 2,
+                               "label": "final", "bits": "0"}
+        buckets = ev.split_compiles(records)
+        assert [label for label, _ in buckets] == \
+            ["baseline", "probe", "probe", "final"]
+        assert buckets[1][1] == [q2, r2]  # the probe keeps its own
+        assert buckets[3][1] == [q2, r2, {"t": "done"}]
+
     def test_split_compiles_empty_pre_dropped(self):
         records = [ev.compile_record(1, "final"), {"t": "q"}]
         assert [l for l, _ in ev.split_compiles(records)] == ["final"]

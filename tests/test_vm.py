@@ -475,8 +475,13 @@ class TestInlineOps:
         """
         module = compile_source(src)
         info = {"fill": SimpleNamespace(registers=80)}  # occupancy 1.38
-        m, _ = _assert_every_limit_matches(module, num_threads=2,
-                                           kernel_info=info)
+        m, counts = _assert_every_limit_matches(module, num_threads=2,
+                                                kernel_info=info)
+        total = m.instructions
+        # a limit that lands on the omp_parallel_for or launch call
+        # traps on that call, not inside the region it starts
+        assert counts == [min(limit + 1, total)
+                          for limit in range(total + 1)]
         assert m.output() == "2 5 25\n"
         assert m.kernel_cycles["fill"] > 0
 
@@ -729,7 +734,8 @@ class TestRelease:
     def test_probe_code_freed_once_its_verdict_is_booked(self, monkeypatch):
         """A probe's decoded code (cyclic through loop edges and calls)
         is released after its verdict, so the previous probe's is gone
-        when the next one compiles; the baseline's stays."""
+        when the next one compiles; the baseline's stays, and so does
+        the last passing probe's, the candidate final program."""
         import gc
         import weakref
 
@@ -744,11 +750,12 @@ class TestRelease:
             real_init(self, *args, **kwargs)
             made.append(weakref.ref(self))
 
-        live_at_compile = []
+        live_at_compile, held = [], []
         real_compile = ProbingDriver._compile
 
         def compile_(self, *args, **kwargs):
             live_at_compile.append(sum(r() is not None for r in made))
+            held.append(self._passing is not None)
             return real_compile(self, *args, **kwargs)
 
         monkeypatch.setattr(decode.DecodedModule, "__init__", init)
@@ -759,20 +766,25 @@ class TestRelease:
             report = ProbingDriver(get_config("LULESH-mpi")).run()
         finally:
             gc.enable()
-        assert report.tests_run >= 3
-        # baseline, then each probe: only the baseline's code is live
-        assert live_at_compile == [0] + [1] * (len(live_at_compile) - 1)
+        assert report.tests_run >= 3 and any(held)
+        # baseline, then each probe: only the baseline's code is live,
+        # and the held passing probe's
+        assert live_at_compile == [0] + [1 + h for h in held[1:]]
 
     @staticmethod
     def _track_modules(monkeypatch):
-        """Record a weakref to every compiled module; returns, per
-        compile, the indices of the earlier modules alive as it starts."""
+        """Record a weakref to every compiled module.  Returns, per
+        compile, the indices of the earlier modules alive as it starts;
+        and, per probing-driver compile, the modules it expects alive:
+        the baseline's and the held passing probe's."""
         import weakref
 
         from repro.oraql.compiler import Compiler
+        from repro.oraql.driver import ProbingDriver
 
-        made, live_at_compile = [], []
+        made, live_at_compile, expected = [], [], []
         real = Compiler.compile
+        real_driver = ProbingDriver._compile
 
         def compile_(self, *args, **kwargs):
             live_at_compile.append(
@@ -781,8 +793,14 @@ class TestRelease:
             made.append(weakref.ref(prog.module))
             return prog
 
+        def driver_compile(self, *args, **kwargs):
+            held = [] if self._passing is None else [self._passing[1] - 1]
+            expected.append([0] + held if expected else [])
+            return real_driver(self, *args, **kwargs)
+
         monkeypatch.setattr(Compiler, "compile", compile_)
-        return live_at_compile
+        monkeypatch.setattr(ProbingDriver, "_compile", driver_compile)
+        return live_at_compile, expected
 
     @pytest.mark.parametrize("row,strategy", [
         ("LULESH-mpi", "chunked"),
@@ -793,14 +811,15 @@ class TestRelease:
     def test_probe_ir_freed_by_refcount(self, monkeypatch, row, strategy):
         """A probe's module, with its analyses and VM code, is freed by
         reference counting once its verdict is booked: with the
-        collector off, only the baseline's module (compile 0) is alive
-        when each later compile starts."""
+        collector off, only the baseline's module (compile 0) and the
+        last passing probe's are alive when each later compile
+        starts."""
         import gc
 
         from repro.oraql.driver import ProbingDriver
         from repro.workloads.base import get_config
 
-        live = self._track_modules(monkeypatch)
+        live, expected = self._track_modules(monkeypatch)
         gc.collect()
         gc.disable()
         try:
@@ -808,7 +827,7 @@ class TestRelease:
         finally:
             gc.enable()
         assert report.tests_run >= 3
-        assert live == [[]] + [[0]] * (len(live) - 1)
+        assert live == expected
 
     def test_importance_measurements_freed_by_refcount(self, monkeypatch):
         """The importance driver's measurement compiles are freed the
@@ -819,7 +838,7 @@ class TestRelease:
         from repro.oraql.importance import ImportanceDriver
         from repro.workloads.base import get_config
 
-        live = self._track_modules(monkeypatch)
+        live, expected = self._track_modules(monkeypatch)
         gc.collect()
         gc.disable()
         try:
@@ -827,9 +846,10 @@ class TestRelease:
         finally:
             gc.enable()
         probing = report.probing.compiles
+        final = report.probing.final_reused - 1  # the reused probe's
         assert report.compiles >= 3
-        assert live[:probing] == [[]] + [[0]] * (probing - 1)
-        assert live[probing:] == [[0, probing - 1]] * (len(live) - probing)
+        assert live[:probing] == expected
+        assert live[probing:] == [[0, final]] * (len(live) - probing)
 
     @pytest.mark.parametrize("row", [
         "LULESH-mpi",
