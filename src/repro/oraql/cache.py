@@ -89,9 +89,9 @@ def _record_crc(rec: dict) -> int:
 class VerdictCache:
     """On-disk test-verdict store shared across configs and restarts."""
 
-    def __init__(self, cache_dir: str, filename: str = CACHE_FILENAME):
+    def __init__(self, cache_dir: str):
         self.cache_dir = cache_dir
-        self.path = os.path.join(cache_dir, filename)
+        self.path = os.path.join(cache_dir, CACHE_FILENAME)
         #: key -> (ok, triage or None)
         self._mem: Dict[str, Tuple[bool, Optional[str]]] = {}
         #: answer key -> {answer log: exe hash}
@@ -106,21 +106,6 @@ class VerdictCache:
         self.load_errors = 0
         os.makedirs(cache_dir, exist_ok=True)
         self._load()
-
-    @classmethod
-    def shard_for(cls, root_dir: str, fingerprint: str) -> "VerdictCache":
-        """The per-config-fingerprint cache shard under ``root_dir``.
-
-        The service keys its verdict store by fingerprint so concurrent
-        sessions only contend on the shard of the configuration they are
-        actually probing: shard files live at
-        ``root_dir/<fp[:2]>/<fp>.jsonl`` (the two-character fan-out keeps
-        any one directory small on wide fleets).  Every session of the
-        same configuration — concurrent or not — opens the same shard,
-        which is what makes N simultaneous sessions of one workload
-        share verdicts instead of re-paying the test bill N times."""
-        return cls(os.path.join(root_dir, fingerprint[:2]),
-                   filename=f"{fingerprint}.jsonl")
 
     # -- persistence -----------------------------------------------------
     def _load(self) -> None:

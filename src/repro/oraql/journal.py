@@ -151,15 +151,22 @@ class SessionJournal:
                 f.flush()
                 os.fsync(f.fileno())
 
+    @staticmethod
+    def path_for(journal_dir: str, config: BenchmarkConfig,
+                 strategy: str) -> str:
+        """The canonical per-(config, strategy) journal file inside a
+        journal directory — what ``oraql --journal DIR`` uses."""
+        name = (f"{config.name}-{config_fingerprint(config)}-"
+                f"{strategy}.journal.jsonl")
+        return os.path.join(journal_dir, name)
+
     @classmethod
     def for_config(cls, journal_dir: str, config: BenchmarkConfig,
                    strategy: str, resume: bool = False,
                    setup: Optional[str] = None) -> "SessionJournal":
-        """The canonical per-(config, strategy) journal file inside a
-        journal directory — what ``oraql --journal DIR`` uses."""
-        fp = config_fingerprint(config)
-        name = f"{config.name}-{fp}-{strategy}.journal.jsonl"
-        return cls(os.path.join(journal_dir, name), fp, strategy,
+        """The journal at :meth:`path_for`."""
+        return cls(cls.path_for(journal_dir, config, strategy),
+                   config_fingerprint(config), strategy,
                    resume=resume, setup=setup)
 
     # -- replay ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The worker pool every parallel caller runs on.
 
-The ``--jobs`` configuration fan-out (:mod:`repro.oraql.parallel`), the
-service scheduler and the fuzz and chaos campaigns all run their tasks
-through one :class:`WorkerPool`, which owns the worker-loss contract:
+The ``--jobs`` configuration fan-out and the service scheduler, whose
+tasks are both one :func:`~repro.oraql.parallel.run_session` call, and
+the fuzz and chaos campaigns all run their tasks through one
+:class:`WorkerPool`, which owns the worker-loss contract:
 
 * a worker dying (``os._exit``, OOM, ``kill -9``) breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`, and every task in

@@ -7,7 +7,6 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from .quota import QuotaRegistry
 from .server import ProbingService
 
 
@@ -15,8 +14,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="Serve concurrent ORAQL probing sessions over a "
-                    "unix socket or TCP, with per-tenant quotas and "
-                    "journal-backed resume.")
+                    "unix socket or TCP, with journal-backed resume.")
     where = parser.add_mutually_exclusive_group(required=True)
     where.add_argument("--socket", metavar="PATH",
                        help="listen on a unix socket at PATH")
@@ -27,31 +25,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (default 2)")
     parser.add_argument("--state-dir", default="service-state",
                         metavar="DIR",
-                        help="durable state: job table, verdict-cache "
-                             "shards, per-job journals and event "
+                        help="durable state: job table, verdict "
+                             "cache, per-job journals and event "
                              "streams (default ./service-state)")
     parser.add_argument("--resume", action="store_true",
                         help="replay DIR's job table: finished jobs "
                              "serve their recorded results, unfinished "
                              "ones resume from their session journals")
-    parser.add_argument("--tenant", action="append", default=[],
-                        metavar="NAME:k=v,...",
-                        help="declare a tenant quota, e.g. "
-                             "team-a:max_active=2,fuel=2000000 "
-                             "(repeatable)")
     return parser
 
 
 async def _serve(args: argparse.Namespace) -> None:
-    quotas = QuotaRegistry.from_specs(args.tenant)
     if args.socket:
         service = ProbingService(args.state_dir, jobs=args.jobs,
-                                 quotas=quotas, resume=args.resume,
+                                 resume=args.resume,
                                  socket_path=args.socket)
     else:
         host, _, port = args.tcp.rpartition(":")
         service = ProbingService(args.state_dir, jobs=args.jobs,
-                                 quotas=quotas, resume=args.resume,
+                                 resume=args.resume,
                                  host=host or "127.0.0.1",
                                  port=int(port))
     await service.start()

@@ -27,14 +27,12 @@ class ServiceClient:
     """One connection-scoped session with a probing service."""
 
     def __init__(self, socket_path: Optional[str] = None,
-                 host: Optional[str] = None, port: int = 0,
-                 tenant: str = "default"):
+                 host: Optional[str] = None, port: int = 0):
         if (socket_path is None) == (host is None):
             raise ValueError("exactly one of socket_path/host required")
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.tenant = tenant
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
@@ -47,7 +45,7 @@ class ServiceClient:
         else:
             self._reader, self._writer = await asyncio.open_connection(
                 self.host, self.port, limit=MAX_LINE)
-        await self._send(wire.hello_msg(self.tenant))
+        await self._send(wire.hello_msg())
         return self._expect(await self._recv(), "welcome")
 
     async def close(self) -> None:
@@ -69,8 +67,6 @@ class ServiceClient:
 
     # -- wire --------------------------------------------------------------
     async def _send(self, msg: dict) -> None:
-        msg = dict(msg)
-        msg.setdefault("tenant", self.tenant)
         self._writer.write(wire.encode(msg))
         await self._writer.drain()
 

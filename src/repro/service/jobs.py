@@ -1,8 +1,8 @@
-"""Job specifications, report serialization, and the durable job table.
+"""Report serialization and the durable job table.
 
-The server's unit of work is a :class:`JobSpec` — everything a worker
-process needs to run one probing (or importance) session, already
-resolved and quota-clamped.  Specs and results are checkpointed to an
+The server's unit of work is a :class:`~repro.oraql.parallel.JobSpec`
+— everything a worker process needs to run one probing (or importance)
+session, already resolved.  Specs and results are checkpointed to an
 append-only, CRC-guarded job table (``jobs.jsonl`` under the state
 directory, sharing the session journal's record codec), which is what
 makes a killed server restartable: ``--resume`` replays the table,
@@ -10,8 +10,9 @@ serves completed results from it, and resubmits incomplete jobs — each
 of which then replays its own per-job session journal, so the resumed
 fleet's reports are bit-identical to an uninterrupted run.
 
-Reports cross the process boundary as plain dicts
-(:func:`report_to_dict` / :func:`report_from_dict`): every scalar and
+Reports reach the job table and the wire as plain dicts
+(:func:`report_to_dict` / :func:`report_from_dict`), serialized by the
+server from the report its worker returned: every scalar and
 collection field of :class:`~repro.oraql.driver.ProbingReport`
 round-trips; the live compiler objects were already dropped by
 ``detach_for_transport``.
@@ -19,15 +20,13 @@ round-trips; the live compiler objects were already dropped by
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..oraql.driver import ProbingReport
 from ..oraql.journal import decode_record, encode_record
+from ..oraql.parallel import JobSpec
 from ..oraql.sequence import DecisionSequence
-
-JOB_KINDS = ("probe", "importance")
 
 #: live/driver-side fields that do not cross the wire
 _REPORT_SKIP = frozenset({"final_program", "baseline_program",
@@ -97,57 +96,6 @@ def importance_report_to_dict(report) -> dict:
     return out
 
 
-# -- job specifications -------------------------------------------------------
-
-@dataclass
-class JobSpec:
-    """One admitted job, fully resolved (config JSON inline, quotas
-    already clamped into the budget fields)."""
-
-    id: str
-    config_json: str
-    tenant: str = "default"
-    kind: str = "probe"
-    strategy: str = "chunked"
-    max_tests: int = 10_000
-    #: stream coarse QueryTrace events to an events file
-    stream: bool = False
-    #: deterministic chaos plan forwarded to the worker's injector
-    fault_plan: Optional[List[dict]] = None
-    #: executor budgets (post-clamp)
-    fuel: Optional[int] = None
-    wall_clock: Optional[float] = None
-    retries: int = 2
-    #: importance-mining knobs (kind == "importance")
-    significant_percent: float = 2.0
-    recover_percent: float = 95.0
-    max_measurements: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ValueError(f"unknown job kind {self.kind!r}")
-        from ..oraql.strategies import strategy_names
-        if self.strategy not in strategy_names():
-            raise ValueError(
-                f"unknown strategy {self.strategy!r} "
-                f"(known: {', '.join(strategy_names())})")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "JobSpec":
-        known = {f.name for f in fields(JobSpec)}
-        return JobSpec(**{k: v for k, v in d.items() if k in known})
-
-    @property
-    def config_name(self) -> str:
-        try:
-            return json.loads(self.config_json).get("name", "?")
-        except ValueError:
-            return "?"
-
-
 #: terminal job states
 DONE_STATES = ("done", "failed", "cancelled")
 
@@ -176,9 +124,9 @@ class JobRecord:
 
     def public_view(self) -> dict:
         """What ``status`` queries see."""
-        return {"id": self.spec.id, "tenant": self.spec.tenant,
-                "kind": self.spec.kind, "config": self.spec.config_name,
-                "status": self.status, "attempts": self.attempts,
+        return {"id": self.spec.id, "kind": self.spec.kind,
+                "config": self.spec.config_name, "status": self.status,
+                "attempts": self.attempts,
                 "worker_errors": list(self.worker_errors)}
 
 
@@ -188,9 +136,11 @@ class JobTable:
     Records: ``{"t": "job", "spec": {...}}`` on admit,
     ``{"t": "jobdone", "id", "status", "report"/"error"}`` on a
     terminal transition.  Corrupt (torn) lines are skipped and counted,
-    like every other durability file here.  ``resume=True`` replays the
-    journal: finished jobs keep their results; unfinished ones are
-    returned by :meth:`unfinished` for the scheduler to resubmit.
+    like every other durability file here, and so is a record whose job
+    id is not a valid :class:`~repro.oraql.parallel.JobSpec` id.
+    ``resume=True`` replays the journal: finished jobs keep their
+    results; unfinished ones are returned by :meth:`unfinished` for the
+    scheduler to resubmit.
     """
 
     def __init__(self, path: str, resume: bool = False):
@@ -237,7 +187,10 @@ class JobTable:
                 spec.strategy = strategy
                 self.jobs[spec.id] = JobRecord(spec)
             elif kind == "jobdone":
-                job = self.jobs.get(rec.get("id"))
+                if not isinstance(rec.get("id"), str):
+                    self.corrupt_records += 1
+                    continue
+                job = self.jobs.get(rec["id"])
                 if job is None:
                     continue
                 job.status = rec.get("status", "done")

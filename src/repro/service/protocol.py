@@ -8,7 +8,7 @@ cache, session journal, trace JSONL), so the wire is greppable and
 Client → server message types (``"t"`` discriminator):
 
 ==========  ==============================================================
-``hello``   open a session: ``{"t": "hello", "tenant": ..., "v": 1}``
+``hello``   open a session: ``{"t": "hello", "v": 1}``
 ``submit``  enqueue a job (see :data:`SUBMIT_FIELDS`); ``"stream": true``
             subscribes this connection to the job's progress events
 ``status``  one job's current state
@@ -33,7 +33,7 @@ Server → client:
 ``ok``       acknowledgement (cancel, shutdown)
 ===========  =============================================================
 
-Any malformed line, unknown type, or quota refusal produces an
+Any malformed line, unknown type, or refused submit produces an
 ``error`` message on the same connection — never a dropped connection,
 never a traceback on the wire.
 """
@@ -52,7 +52,6 @@ ERROR_CODES = (
     "unknown-workload",
     "unknown-job",
     "duplicate-job",
-    "quota-exceeded",
     "shutting-down",
     "job-failed",
 )
@@ -60,7 +59,7 @@ ERROR_CODES = (
 #: fields a ``submit`` message may carry (everything else is rejected
 #: as ``bad-request`` so client typos fail loudly, not silently)
 SUBMIT_FIELDS = frozenset({
-    "t", "id", "tenant", "kind", "workload", "config", "strategy",
+    "t", "id", "kind", "workload", "config", "strategy",
     "max_tests", "stream", "fault_plan",
     "significant_percent", "recover_percent", "max_measurements",
 })
@@ -93,8 +92,8 @@ def decode(line: bytes) -> dict:
 
 # -- message constructors -----------------------------------------------------
 
-def hello_msg(tenant: str = "default") -> dict:
-    return {"t": "hello", "tenant": tenant, "v": PROTOCOL_VERSION}
+def hello_msg() -> dict:
+    return {"t": "hello", "v": PROTOCOL_VERSION}
 
 
 def welcome_msg(server: str) -> dict:

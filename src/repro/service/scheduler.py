@@ -2,18 +2,21 @@
 back.
 
 Jobs admitted by the server run on the worker pool every parallel
-caller shares, under its worker-loss contract: a job whose worker died
-(``os._exit``, OOM, ``kill -9``, an injected
-:class:`~repro.faults.injector.SessionKilled`) is requeued with bounded
-retries, **resuming from its per-job session journal** so the retry
-replays the interrupted search instead of re-paying the test bill.
+caller shares, through the session runner ``--jobs`` uses
+(:func:`~repro.oraql.parallel.run_session`), under the pool's
+worker-loss contract: a job whose worker died (``os._exit``, OOM,
+``kill -9``, an injected :class:`~repro.faults.injector.SessionKilled`)
+is requeued with bounded retries, **resuming from its per-job session
+journal** so the retry replays the interrupted search instead of
+re-paying the test bill.
 
-The **verdict cache** is sharded per config fingerprint
-(:meth:`VerdictCache.shard_for`), so concurrent sessions of one
-workload share verdicts while different workloads never contend.
+Every job opens the one :class:`~repro.oraql.cache.VerdictCache` under
+``<state_dir>/cache``, the single-file layout ``--cache-dir`` shares
+across processes, so concurrent sessions of one workload share
+verdicts.
 
 Determinism: compilation is a pure function of (config, sequence) and
-the shard only memoizes verdicts, so concurrent, cached, resumed, and
+the cache only memoizes verdicts, so concurrent, cached, resumed, and
 requeued jobs all report the same ``pessimistic_indices`` and
 ``final_exe_hash`` as a sequential
 :class:`~repro.oraql.driver.ProbingDriver` run.
@@ -25,83 +28,45 @@ import asyncio
 import os
 from typing import Dict, List, Optional
 
-from ..faults.injector import FaultInjector
-from ..oraql.cache import VerdictCache, config_fingerprint
-from ..oraql.config import BenchmarkConfig
-from ..oraql.driver import ProbingDriver
+from ..oraql.driver import ProbingReport
 from ..oraql.errors import ProbingError
-from ..oraql.executor import ExecutorPolicy
-from ..oraql.journal import SessionJournal
+from ..oraql.parallel import JobSpec, run_session
 from ..oraql.pool import WorkerPool
-from .jobs import (JobRecord, JobSpec, JobTable, importance_report_to_dict,
+from .jobs import (JobRecord, JobTable, importance_report_to_dict,
                    report_to_dict)
-from .quota import QuotaRegistry
 
 
 # -- worker-side entry point (module level so it pickles) ---------------------
 
 def _execute_job(spec_dict: dict, paths: dict, attempt: int,
-                 resume: bool) -> dict:
-    """Run one job to completion inside a worker process.
+                 resume: bool):
+    """The worker-side entry point of every job: :func:`run_session`.
 
-    Returns the serialized report dict.  Everything deterministic about
-    the session — config, strategy, budgets, fault plan, journal path —
-    arrives in ``spec_dict``/``paths`` so a requeued attempt replays
-    the identical session (modulo the faults armed for ``attempt``).
-    """
-    spec = JobSpec.from_dict(spec_dict)
-    cfg = BenchmarkConfig.from_json(spec.config_json)
-    fingerprint = config_fingerprint(cfg)
-    cache = VerdictCache.shard_for(paths["cache_root"], fingerprint)
-    injector = FaultInjector.from_json_plan(spec.fault_plan,
-                                            attempt=attempt)
-    policy = ExecutorPolicy(fuel=spec.fuel, wall_clock=spec.wall_clock,
-                            retries=spec.retries)
-    trace = None
-    if spec.stream:
-        from ..trace.stream import JsonlStreamingTrace
-        trace = JsonlStreamingTrace(paths["events_path"])
+    A function of this module, not an alias: a host that replaces it
+    (the benchmark's job hook) copies its name with ``functools.wraps``,
+    and the pool pickles the replacement by that name."""
+    return run_session(spec_dict, paths, attempt, resume)
 
-    if spec.kind == "importance":
-        from ..oraql.importance import ImportanceDriver
-        journal_dir = paths["journal_path"]
-        os.makedirs(journal_dir, exist_ok=True)
-        if trace is not None:
-            trace.session(cfg.name, f"importance-{spec.strategy}")
-        report = ImportanceDriver(
-            cfg, strategy=spec.strategy,
-            significant_percent=spec.significant_percent,
-            recover_percent=spec.recover_percent,
-            max_tests=spec.max_tests,
-            max_measurements=spec.max_measurements,
-            policy=policy, verdict_cache=cache,
-            journal_dir=journal_dir, resume=resume,
-            injector=injector).run()
-        if trace is not None:
-            trace.record_done(report.pessimistic_indices)
-        if report.probing is not None:
-            report.probing.detach_for_transport()
-        return importance_report_to_dict(report)
 
-    journal = SessionJournal(paths["journal_path"], fingerprint,
-                             spec.strategy, resume=resume)
-    report = ProbingDriver(cfg, strategy=spec.strategy,
-                           max_tests=spec.max_tests,
-                           verdict_cache=cache, policy=policy,
-                           journal=journal, injector=injector,
-                           trace=trace).run()
-    return report_to_dict(report.detach_for_transport())
+def _wire_report(report) -> dict:
+    """The job table's (and the wire's) form of a worker's report; a
+    wrapped entry point may return that form already."""
+    if isinstance(report, dict):
+        return report
+    if isinstance(report, ProbingReport):
+        return report_to_dict(report)
+    return importance_report_to_dict(report)
 
 
 # -- the scheduler ------------------------------------------------------------
 
 class ProbingScheduler:
-    """Admits jobs against tenant quotas and drives them to completion.
+    """Admits jobs and drives them to completion.
 
     Owns the state directory layout::
 
         <state_dir>/jobs.jsonl            durable job table
-        <state_dir>/cache/<fp[:2]>/...    verdict-cache shards
+        <state_dir>/cache/                the shared verdict cache
         <state_dir>/journals/<job_id>...  per-job session journals
         <state_dir>/events/<job_id>...    per-job event streams
 
@@ -110,10 +75,8 @@ class ProbingScheduler:
     """
 
     def __init__(self, state_dir: str, jobs: int = 2,
-                 quotas: Optional[QuotaRegistry] = None,
                  resume: bool = False):
         self.state_dir = state_dir
-        self.quotas = quotas or QuotaRegistry()
         os.makedirs(state_dir, exist_ok=True)
         self.cache_root = os.path.join(state_dir, "cache")
         self.journal_dir = os.path.join(state_dir, "journals")
@@ -125,7 +88,6 @@ class ProbingScheduler:
         self._pool = WorkerPool(max(1, jobs))
         self._tasks: Dict[str, asyncio.Task] = {}
         self._done_events: Dict[str, asyncio.Event] = {}
-        self._active_per_tenant: Dict[str, int] = {}
         self._job_counter = self.table.next_job_number()
 
     @property
@@ -157,23 +119,15 @@ class ProbingScheduler:
         return job_id
 
     def submit(self, spec: JobSpec) -> JobRecord:
-        """Admit one job: quota check, durable record, launch.
+        """Admit one job: durable record, launch.
 
-        Raises :class:`~repro.service.quota.QuotaExceeded` on admission
-        refusal and ``ValueError`` on a duplicate id."""
-        quota = self.quotas.get(spec.tenant)
-        quota.admit(self._active_per_tenant.get(spec.tenant, 0))
-        spec.fuel = quota.clamp_fuel(spec.fuel)
-        spec.wall_clock = quota.clamp_wall_clock(spec.wall_clock)
-        spec.max_tests = quota.clamp_max_tests(spec.max_tests)
+        Raises ``ValueError`` on a duplicate id."""
         job = self.table.admit(spec)
         self._launch(job, resume=False)
         return job
 
     def _launch(self, job: JobRecord, resume: bool) -> None:
         self._done_events[job.spec.id] = asyncio.Event()
-        self._active_per_tenant[job.spec.tenant] = \
-            self._active_per_tenant.get(job.spec.tenant, 0) + 1
         self._tasks[job.spec.id] = asyncio.get_event_loop().create_task(
             self._run_job(job, resume=resume))
 
@@ -205,7 +159,7 @@ class ProbingScheduler:
                 lambda attempt: (spec_dict, paths, attempt,
                                  resume or attempt > 0),
                 name=spec.id, worker_errors=job.worker_errors)
-            report = await asyncio.wrap_future(task.future)
+            report = _wire_report(await asyncio.wrap_future(task.future))
             if job.worker_errors:
                 report["worker_errors"] = (list(job.worker_errors)
                                            + (report.get("worker_errors")
@@ -221,8 +175,6 @@ class ProbingScheduler:
             self.table.finish(spec.id, "failed",
                               error=f"{type(e).__name__}: {e}")
         finally:
-            self._active_per_tenant[spec.tenant] = max(
-                0, self._active_per_tenant.get(spec.tenant, 1) - 1)
             self._tasks.pop(spec.id, None)
             event = self._done_events.get(spec.id)
             if event is not None:

@@ -1,4 +1,4 @@
-"""The asyncio session server: probing as a multi-tenant service.
+"""The asyncio session server: probing as a service.
 
 One :class:`ProbingService` listens on a unix socket (or TCP address)
 and serves concurrent client sessions speaking the line-delimited JSON
@@ -15,9 +15,9 @@ to a per-job events file; the server tails that file with
 format IS the trace schema, so captured streams feed straight into the
 ``repro.trace`` readers.
 
-Errors are always structured: malformed lines, unknown workloads, and
-quota refusals produce ``error`` messages with a stable ``code`` — the
-connection stays open, nothing ever tracebacks onto the wire.
+Errors are always structured: malformed lines, bad job ids, and
+unknown workloads produce ``error`` messages with a stable ``code`` —
+the connection stays open, nothing ever tracebacks onto the wire.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ import json
 from typing import Optional
 
 from ..oraql.config import BenchmarkConfig
+from ..oraql.parallel import JobSpec
 from ..workloads.base import get_config, row_names
 from . import protocol as wire
-from .jobs import JobSpec
-from .quota import QuotaExceeded, QuotaRegistry
 from .scheduler import ProbingScheduler
 
 #: how often (seconds) a streaming session polls the job's events file
@@ -45,7 +44,6 @@ class ProbingService:
     """The server: owns a scheduler, speaks the wire protocol."""
 
     def __init__(self, state_dir: str, jobs: int = 2,
-                 quotas: Optional[QuotaRegistry] = None,
                  resume: bool = False,
                  socket_path: Optional[str] = None,
                  host: Optional[str] = None, port: int = 0):
@@ -55,7 +53,7 @@ class ProbingService:
         self.host = host
         self.port = port
         self.scheduler = ProbingScheduler(state_dir, jobs=jobs,
-                                          quotas=quotas, resume=resume)
+                                          resume=resume)
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
         self._draining = False
@@ -92,9 +90,8 @@ class ProbingService:
     async def _handle_session(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
         self.sessions += 1
-        tenant = "default"
         try:
-            await self._session_loop(reader, writer, tenant)
+            await self._session_loop(reader, writer)
         except asyncio.CancelledError:
             pass  # server closing under a live session: quiet exit
         finally:
@@ -105,8 +102,7 @@ class ProbingService:
                 pass
 
     async def _session_loop(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter,
-                            tenant: str) -> None:
+                            writer: asyncio.StreamWriter) -> None:
         while True:
             try:
                 line = await reader.readline()
@@ -122,9 +118,8 @@ class ProbingService:
                 await self._send(writer,
                                  wire.error_msg("bad-request", str(e)))
                 continue
-            tenant = msg.get("tenant", tenant)
             try:
-                if await self._dispatch(msg, tenant, writer):
+                if await self._dispatch(msg, writer):
                     return
             except ConnectionError:
                 return
@@ -134,7 +129,7 @@ class ProbingService:
         writer.write(wire.encode(msg))
         await writer.drain()
 
-    async def _dispatch(self, msg: dict, tenant: str,
+    async def _dispatch(self, msg: dict,
                         writer: asyncio.StreamWriter) -> bool:
         """Handle one message; returns True when the session ends."""
         t = msg["t"]
@@ -149,7 +144,7 @@ class ProbingService:
                 await self._send(writer,
                                  wire.welcome_msg("repro.service"))
         elif t == "submit":
-            await self._handle_submit(msg, tenant, writer)
+            await self._handle_submit(msg, writer)
         elif t == "status":
             job = self.scheduler.get(msg.get("id", ""))
             if job is None:
@@ -191,7 +186,7 @@ class ProbingService:
                 "bad-request", f"unknown message type {t!r}"))
         return False
 
-    async def _handle_submit(self, msg: dict, tenant: str,
+    async def _handle_submit(self, msg: dict,
                              writer: asyncio.StreamWriter) -> None:
         if self._draining:
             await self._send(writer, wire.error_msg(
@@ -228,7 +223,9 @@ class ProbingService:
                 "submit needs a 'workload' name or inline 'config'"))
             return
 
-        job_id = msg.get("id") or self.scheduler.next_job_id()
+        job_id = msg.get("id")
+        if job_id is None:
+            job_id = self.scheduler.next_job_id()
         spec_fields = {k: msg[k] for k in
                        ("kind", "strategy", "max_tests",
                         "stream", "fault_plan", "significant_percent",
@@ -236,17 +233,13 @@ class ProbingService:
                        if k in msg}
         try:
             spec = JobSpec(id=job_id, config_json=config_json,
-                           tenant=tenant, **spec_fields)
+                           **spec_fields)
         except (TypeError, ValueError) as e:
             await self._send(writer,
                              wire.error_msg("bad-request", str(e)))
             return
         try:
             job = self.scheduler.submit(spec)
-        except QuotaExceeded as e:
-            await self._send(writer, wire.error_msg(
-                "quota-exceeded", str(e), job_id=job_id))
-            return
         except ValueError as e:
             await self._send(writer, wire.error_msg(
                 "duplicate-job", str(e), job_id=job_id))

@@ -59,9 +59,7 @@ class TestAcceptanceMatrix:
 
         async def session(lane_index, lane):
             results = []
-            async with ServiceClient(
-                    socket_path=sock,
-                    tenant=f"lane-{lane_index}") as c:
+            async with ServiceClient(socket_path=sock) as c:
                 for name in lane:
                     plan = (KILL_FIRST_ATTEMPT
                             if (lane_index, name) == (0, killed_workload)
@@ -146,18 +144,17 @@ class TestSmoke:
         sock = str(tmp_path / "s.sock")
         server = spawn_server(state, sock, jobs=2)
         try:
-            async def one(tenant, name, plan=None):
-                async with ServiceClient(socket_path=sock,
-                                         tenant=tenant) as c:
+            async def one(name, plan=None):
+                async with ServiceClient(socket_path=sock) as c:
                     job_id = await c.submit(workload=name,
                                             fault_plan=plan)
                     return name, await c.wait(job_id)
 
             async def main():
                 return await asyncio.gather(
-                    one("a", "MiniGMG-sse", KILL_FIRST_ATTEMPT),
-                    one("b", "GridMini-offload"),
-                    one("c", "MiniGMG-sse"))
+                    one("MiniGMG-sse", KILL_FIRST_ATTEMPT),
+                    one("GridMini-offload"),
+                    one("MiniGMG-sse"))
 
             results = asyncio.run(main())
         finally:

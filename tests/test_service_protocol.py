@@ -1,24 +1,24 @@
-"""Unit tests for the service's wire protocol, quotas, job table, and
-report serialization — the fast, server-free layer."""
+"""Unit tests for the service's wire protocol, job specs, job table,
+and report serialization — the fast, server-free layer."""
 
 import threading
 
 import pytest
 
-from repro.oraql.cache import VerdictCache, config_fingerprint
+from repro.oraql.cache import VerdictCache
 from repro.oraql.driver import ProbingDriver
+from repro.oraql.executor import ExecutorPolicy
+from repro.oraql.journal import encode_record
+from repro.oraql.parallel import JobSpec
 from repro.service import protocol as wire
-from repro.service.jobs import (JobSpec, JobTable, report_from_dict,
-                                report_to_dict)
-from repro.service.quota import (QuotaExceeded, QuotaRegistry, TenantQuota,
-                                 parse_tenant_spec)
+from repro.service.jobs import JobTable, report_from_dict, report_to_dict
 from repro.trace.stream import EventTail, JsonlStreamingTrace, read_stream
 from repro.workloads.base import get_config
 
 
 class TestWireProtocol:
     def test_roundtrip(self):
-        msg = wire.hello_msg("team-a")
+        msg = wire.hello_msg()
         assert wire.decode(wire.encode(msg)) == msg
 
     def test_encode_is_one_line(self):
@@ -44,66 +44,39 @@ class TestWireProtocol:
             wire.error_msg("made-up-code", "nope")
 
 
-class TestTenantQuota:
-    def test_unrestricted_default(self):
-        q = TenantQuota()
-        q.admit(10_000)  # no limit, no raise
-        assert q.clamp_fuel(None) is None
-        assert q.clamp_max_tests(999) == 999
-
-    def test_admission_refusal(self):
-        q = TenantQuota("t", max_active=2)
-        q.admit(1)
-        with pytest.raises(QuotaExceeded):
-            q.admit(2)
-
-    def test_clamps_cap_but_never_raise(self):
-        q = TenantQuota("t", fuel=100, wall_clock=1.5, max_tests=10)
-        assert q.clamp_fuel(None) == 100
-        assert q.clamp_fuel(50) == 50
-        assert q.clamp_fuel(500) == 100
-        assert q.clamp_wall_clock(9.0) == 1.5
-        assert q.clamp_max_tests(5) == 5
-        assert q.clamp_max_tests(50) == 10
-
-    def test_parse_spec(self):
-        q = parse_tenant_spec("team-a:max_active=2,fuel=1000,wall_clock=2.5")
-        assert (q.name, q.max_active, q.fuel, q.wall_clock) == \
-            ("team-a", 2, 1000, 2.5)
-
-    def test_parse_bare_name(self):
-        q = parse_tenant_spec("solo")
-        assert q.name == "solo" and q.max_active is None
-
-    @pytest.mark.parametrize("bad", [
-        ":max_active=1",          # empty name
-        "t:bogus_field=1",        # unknown field
-        "t:max_active",           # no '='
-        "t:max_active=lots",      # unparseable value
-    ])
-    def test_parse_bad_specs(self, bad):
-        with pytest.raises(ValueError):
-            parse_tenant_spec(bad)
-
-    def test_registry_default_fallback(self):
-        reg = QuotaRegistry.from_specs(["team-a:max_active=1"])
-        assert reg.get("team-a").max_active == 1
-        assert reg.get("stranger").max_active is None  # unrestricted
-
-    def test_registry_locked_down_default(self):
-        reg = QuotaRegistry(default_quota=TenantQuota("default",
-                                                      max_active=0))
-        with pytest.raises(QuotaExceeded):
-            reg.get("anonymous").admit(0)
-
-
 class TestJobSpec:
     def test_roundtrip(self):
         spec = JobSpec(id="job-1", config_json='{"name": "x"}',
-                       tenant="t", strategy="frequency", stream=True,
-                       fault_plan=[{"kind": "worker-kill", "at": 0}])
+                       strategy="frequency", stream=True,
+                       fault_plan=[{"kind": "worker-kill", "at": 0}],
+                       policy=ExecutorPolicy(fuel=500, retries=0))
         again = JobSpec.from_dict(spec.to_dict())
         assert again == spec
+        assert again.policy == ExecutorPolicy(fuel=500, retries=0)
+
+    def test_legacy_budget_fields_ignored(self):
+        # specs written before the policy field carried a tenant and
+        # its three clamped budgets; they replay under the default policy
+        spec = JobSpec.from_dict({"id": "job-1", "config_json": "{}",
+                                  "tenant": "acme", "fuel": None,
+                                  "wall_clock": None, "retries": 2})
+        assert spec.policy == ExecutorPolicy()
+        assert not hasattr(spec, "tenant")
+
+    @pytest.mark.parametrize("good", ["job-1", "my-custom-id", "r0-c1-2",
+                                      "a", "A.b_c-9", "x" * 128])
+    def test_plain_ids_accepted(self, good):
+        assert JobSpec(id=good, config_json="{}").id == good
+
+    @pytest.mark.parametrize("bad", [
+        5,                 # not a string: breaks next_job_number
+        {"a": 1},          # unhashable: breaks the job table
+        "../../escape",    # leaves the state dir's journal directory
+        "", "-lead", ".hidden", "sp ace", "a/b", "x" * 129,
+    ])
+    def test_bad_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match="bad job id"):
+            JobSpec(id=bad, config_json="{}")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -170,6 +143,22 @@ class TestJobTable:
         table.admit(JobSpec(id="my-custom-id", config_json="{}"))
         assert JobTable(path, resume=True).next_job_number() == 8
 
+    @pytest.mark.parametrize("bad_id", [5, {"a": 1}, "../../escape"])
+    def test_replay_counts_bad_ids_as_corrupt(self, tmp_path, bad_id):
+        path = tmp_path / "jobs.jsonl"
+        path.write_text("".join(encode_record(rec) + "\n" for rec in [
+            {"t": "job", "spec": {"id": "job-3", "config_json": "{}"}},
+            {"t": "job", "spec": {"id": bad_id, "config_json": "{}"}},
+            {"t": "jobdone", "id": bad_id, "status": "done"},
+        ]))
+        resumed = JobTable(str(path), resume=True)
+        # the spec fails validation; a terminal record is corrupt when
+        # its id is not a string, and names no job when it is one
+        assert resumed.corrupt_records == (
+            1 if isinstance(bad_id, str) else 2)
+        assert list(resumed.jobs) == ["job-3"]
+        assert resumed.next_job_number() == 4
+
     def test_fresh_table_truncates(self, tmp_path):
         path = str(tmp_path / "jobs.jsonl")
         JobTable(path).admit(JobSpec(id="job-1", config_json="{}"))
@@ -205,23 +194,6 @@ class TestReportSerialization:
         d["field_from_v2"] = {"x": 1}
         assert report_from_dict(d).pessimistic_indices == \
             report.pessimistic_indices
-
-
-class TestCacheSharding:
-    def test_shard_for_layout(self, tmp_path):
-        cfg = get_config("MiniGMG-sse")
-        fp = config_fingerprint(cfg)
-        shard = VerdictCache.shard_for(str(tmp_path), fp)
-        shard.put(VerdictCache.key(fp, "deadbeef"), True)
-        assert fp[:2] in shard.path and fp in shard.path
-
-    def test_shards_are_disjoint(self, tmp_path):
-        a = VerdictCache.shard_for(str(tmp_path), "aa11")
-        b = VerdictCache.shard_for(str(tmp_path), "bb22")
-        a.put("aa11:x", True)
-        assert b.get_record("aa11:x") is None
-        assert VerdictCache.shard_for(str(tmp_path), "aa11") \
-            .get_record("aa11:x")[0] is True
 
 
 class TestCompactionUnderConcurrentReader:

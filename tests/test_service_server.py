@@ -1,5 +1,5 @@
-"""In-process server tests: concurrent sessions, streaming, quotas,
-and protocol-level error handling.
+"""In-process server tests: concurrent sessions, streaming, resumed
+state, and protocol-level error handling.
 
 The load-bearing assertion everywhere: a job run by the service — no
 matter how concurrent the fleet around it — reports the same
@@ -9,12 +9,17 @@ pessimistic set and final executable hash as a sequential
 
 import asyncio
 import json
+import os
+import shutil
 
 import pytest
 
+from repro.oraql.cache import CACHE_FILENAME
+from repro.oraql.config import BenchmarkConfig
 from repro.oraql.driver import ProbingDriver
 from repro.oraql.journal import encode_record
 from repro.service import ProbingService, ServiceClient, ServiceError
+from repro.service.jobs import JobTable
 from repro.workloads.base import get_config
 
 # cheap rows (sub-second sequential probes) keep these tier-1
@@ -77,22 +82,20 @@ class TestConcurrentSessions:
             assert result["status"] == "done"
             assert_matches_sequential(result["report"], name)
 
-    def test_same_workload_from_competing_tenants(self, service):
-        # two tenants race the same config: the verdict-cache shard is
+    def test_same_workload_from_two_connections(self, service):
+        # two connections race the same config: the verdict cache is
         # shared, the answers must not be
         start, sock = service
 
-        async def session(tenant):
-            async with ServiceClient(socket_path=sock,
-                                     tenant=tenant) as c:
+        async def session():
+            async with ServiceClient(socket_path=sock) as c:
                 job_id = await c.submit(workload="MiniGMG-sse")
                 return await c.wait(job_id)
 
         async def main():
             svc = await start(jobs=2)
             try:
-                return await asyncio.gather(session("team-a"),
-                                            session("team-b"))
+                return await asyncio.gather(session(), session())
             finally:
                 await svc.close()
 
@@ -165,54 +168,6 @@ class TestStreaming:
         job_id, result = run(main())
         assert result["status"] == "done"
         assert_matches_sequential(result["report"], "MiniGMG-sse")
-
-
-class TestQuotas:
-    def test_max_active_refusal(self, service):
-        from repro.service.quota import QuotaRegistry
-        start, sock = service
-
-        async def main():
-            svc = await start(jobs=1, quotas=QuotaRegistry.from_specs(
-                ["greedy:max_active=1"]))
-            try:
-                async with ServiceClient(socket_path=sock,
-                                         tenant="greedy") as c:
-                    first = await c.submit(workload="MiniGMG-sse")
-                    with pytest.raises(ServiceError) as err:
-                        await c.submit(workload="MiniGMG-ompif")
-                    assert err.value.code == "quota-exceeded"
-                    # after the first drains, the tenant may submit again
-                    await c.wait(first)
-                    second = await c.submit(workload="MiniGMG-ompif")
-                    return await c.wait(second)
-            finally:
-                await svc.close()
-
-        result = run(main())
-        assert_matches_sequential(result["report"], "MiniGMG-ompif")
-
-    def test_other_tenants_unaffected(self, service):
-        from repro.service.quota import QuotaRegistry
-        start, sock = service
-
-        async def main():
-            svc = await start(jobs=1, quotas=QuotaRegistry.from_specs(
-                ["locked:max_active=0"]))
-            try:
-                async with ServiceClient(socket_path=sock,
-                                         tenant="locked") as c:
-                    with pytest.raises(ServiceError) as err:
-                        await c.submit(workload="MiniGMG-sse")
-                    assert err.value.code == "quota-exceeded"
-                async with ServiceClient(socket_path=sock,
-                                         tenant="free") as c:
-                    job_id = await c.submit(workload="MiniGMG-sse")
-                    return await c.wait(job_id)
-            finally:
-                await svc.close()
-
-        assert run(main())["status"] == "done"
 
 
 class TestProtocolErrors:
@@ -298,6 +253,71 @@ class TestProtocolErrors:
         assert result["status"] == "done"
         assert_matches_sequential(result["report"], "MiniGMG-sse")
 
+    def test_tenant_submit_field_rejected(self, service):
+        start, sock = service
+
+        async def main():
+            svc = await start(jobs=1)
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    with pytest.raises(ServiceError) as err:
+                        await c.submit(workload="MiniGMG-sse",
+                                       tenant="acme")
+                    return err.value
+            finally:
+                await svc.close()
+
+        err = run(main())
+        assert err.code == "bad-request"
+        assert "tenant" in err.detail
+
+    def test_hello_with_tenant_still_welcomed(self, service):
+        start, sock = service
+
+        async def main():
+            svc = await start(jobs=1)
+            try:
+                reader, writer = await asyncio.open_unix_connection(sock)
+                writer.write(json.dumps({"t": "hello", "v": 1,
+                                         "tenant": "acme"}).encode()
+                             + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                writer.close()
+                return reply
+            finally:
+                await svc.close()
+
+        assert run(main())["t"] == "welcome"
+
+    @pytest.mark.parametrize("bad_id", [5, {"a": 1}, "../../escape"])
+    def test_bad_job_id_refused(self, service, tmp_path, bad_id):
+        # each once broke the server: an int id its --resume, an
+        # unhashable one the job table, a path one the state dir
+        start, sock = service
+
+        async def main(resume):
+            svc = await start(jobs=1, resume=resume)
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    if resume:
+                        return await c.wait("good")
+                    with pytest.raises(ServiceError) as err:
+                        await c.submit(workload="MiniGMG-sse", id=bad_id)
+                    # the connection survives the refusal
+                    await c.wait(await c.submit(workload="MiniGMG-sse",
+                                                id="good"))
+                    return err.value
+            finally:
+                await svc.close()
+
+        err = run(main(resume=False))
+        assert err.code == "bad-request"
+        assert "bad job id" in err.detail
+        assert sorted(os.listdir(tmp_path)) == ["oraql.sock", "state"]
+        result = run(main(resume=True))
+        assert_matches_sequential(result["report"], "MiniGMG-sse")
+
     def test_duplicate_job_id(self, service):
         start, sock = service
 
@@ -376,9 +396,9 @@ class TestServerState:
         run(main())
         state = tmp_path / "state"
         assert (state / "jobs.jsonl").exists()
-        assert (state / "cache").is_dir()
-        shards = [p for p in (state / "cache").rglob("*.jsonl")]
-        assert shards, "verdict-cache shard should have been written"
+        # one verdict-cache file, the layout --cache-dir uses
+        assert [p.name for p in (state / "cache").iterdir()] == \
+            [CACHE_FILENAME]
         assert (state / "journals").is_dir()
         assert any((state / "journals").iterdir())
 
@@ -392,10 +412,9 @@ class TestLegacyJobTable:
         state.mkdir()
         spec = {"id": "job-1",
                 "config_json": get_config("MiniGMG-sse").to_json(),
-                "tenant": "default", "kind": "probe",
-                "strategy": "chunked", "max_tests": 10_000,
-                "incremental": "on", "stream": False, "fault_plan": None,
-                "fuel": None, "wall_clock": None, "retries": 2}
+                "kind": "probe", "strategy": "chunked",
+                "max_tests": 10_000, "incremental": "on", "stream": False,
+                "fault_plan": None}
         (state / "jobs.jsonl").write_text(
             encode_record({"t": "job", "spec": spec}) + "\n")
 
@@ -421,7 +440,7 @@ class TestLegacyJobTable:
         state.mkdir()
         spec = {"id": "job-1",
                 "config_json": get_config("MiniGMG-sse").to_json(),
-                "tenant": "default", "kind": "probe", "strategy": "retired"}
+                "kind": "probe", "strategy": "retired"}
         (state / "jobs.jsonl").write_text(
             encode_record({"t": "job", "spec": spec}) + "\n")
 
@@ -443,3 +462,50 @@ class TestLegacyJobTable:
         assert corrupt == 0
         assert err.code == "bad-request"
         assert "retired" in err.detail
+
+
+#: a state dir written by the server before tenants, quotas and the
+#: per-fingerprint cache shards were removed: ``job-1`` (MiniGMG-sse)
+#: finished; ``job-2`` (TestSNAP-openmp) was killed after its journal
+#: took one probe; both specs carry ``tenant``, ``fuel``, ``wall_clock``
+#: and ``retries``, and the verdicts lie in ``cache/<fp[:2]>/<fp>.jsonl``.
+#: The journaled probe is keyed by its executable hash: a compiler
+#: change that changes that hash leaves it unreplayed (``tests_replayed``
+#: 0); such a change also shows in ``tests/goldens/exe_hashes.json``.
+LEGACY_STATE = os.path.join(os.path.dirname(__file__), "fixtures",
+                            "legacy_service_state")
+
+
+class TestLegacyStateDir:
+    def test_resume_state_dir_with_tenants_and_shards(self, service,
+                                                      tmp_path):
+        start, sock = service
+        state = tmp_path / "state"
+        shutil.copytree(LEGACY_STATE, state)
+        legacy = JobTable(str(state / "jobs.jsonl"), resume=True)
+        recorded = legacy.get("job-1").report
+        rerun = BenchmarkConfig.from_json(
+            legacy.get("job-2").spec.config_json)
+
+        async def main():
+            svc = await start(jobs=1, resume=True)
+            try:
+                async with ServiceClient(socket_path=sock) as c:
+                    return (await c.wait("job-1"), await c.wait("job-2"),
+                            svc.scheduler.table.corrupt_records)
+            finally:
+                await svc.close()
+
+        done, resumed, corrupt = run(main())
+        assert corrupt == 0
+        assert done["status"] == "done"
+        assert done["report"] == recorded          # served, not rerun
+        assert resumed["status"] == "done"
+        assert resumed["report"]["tests_replayed"] == 1   # journal read
+        ref = ProbingDriver(rerun).run()
+        assert resumed["report"]["pessimistic_indices"] == \
+            ref.pessimistic_indices
+        assert resumed["report"]["final_exe_hash"] == ref.final_exe_hash
+        # the shards are not read (a cold cache): the job's verdicts go
+        # to the one cache file
+        assert (state / "cache" / CACHE_FILENAME).exists()
