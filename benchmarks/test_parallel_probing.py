@@ -1,5 +1,9 @@
 """Parallel probing engine: wall-clock improvement and verdict reuse.
 
+The table saved to ``results/parallel_probing.txt`` holds the test and
+cache-hit counts only; the wall-clock times depend on the host and are
+printed instead.
+
 Probes every Fig. 4 configuration with the parallel engine (`--jobs 4`,
 one worker per configuration) against a shared persistent verdict
 cache, twice:
@@ -71,18 +75,20 @@ def test_parallel_wall_clock(benchmark, probed_reports, parallel_sweeps,
     seq_wall = sum(getattr(probed_reports[n], "wall_seconds", 0.0)
                    for n in names)
 
-    rows = [[n, f"{getattr(probed_reports[n], 'wall_seconds', 0.0):.2f}s",
-             c.tests_run, w.tests_run, w.cache_hits]
+    # the checked-in table holds counts only, so a run on any host
+    # rewrites it unchanged; the wall-clock times are printed
+    rows = [[n, c.tests_run, w.tests_run, w.cache_hits]
             for n, c, w in zip(names, cold, warm)]
-    rows.append(["TOTAL (wall)", f"{seq_wall:.2f}s",
-                 f"cold {cold_wall:.2f}s", f"warm {warm_wall:.2f}s",
-                 f"jobs={JOBS}"])
+    rows.append(["TOTAL", sum(c.tests_run for c in cold),
+                 sum(w.tests_run for w in warm),
+                 sum(w.cache_hits for w in warm)])
     table = render_table(
-        ["Configuration", "sequential", "cold tests", "warm tests",
-         "warm hits"],
-        rows, title="Parallel probing engine — wall clock and verdict reuse")
+        ["Configuration", "cold tests", "warm tests", "warm hits"],
+        rows, title=f"Parallel probing engine (jobs={JOBS}) — verdict reuse")
     save_result("parallel_probing", table)
     print("\n" + table)
+    print(f"wall clock: sequential {seq_wall:.2f}s, cold {cold_wall:.2f}s, "
+          f"warm {warm_wall:.2f}s")
 
     once(benchmark, lambda: None)  # timings measured above, once per session
     # the warm sweep serves verdicts from the cache, so it must beat the

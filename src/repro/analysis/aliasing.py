@@ -68,14 +68,11 @@ class AliasAnalysisPass:
     #: Granularity of any cached state, driving fine-grained
     #: invalidation:
     #:
-    #: * ``"none"`` — stateless, never needs invalidation;
+    #: * ``"none"`` — never needs invalidation: stateless, or state
+    #:   fixed for the compile when the analysis is built (GlobalsAA);
     #: * ``"function"`` — per-function summaries: implement
     #:   ``invalidate_function(fn)``, called when ``fn`` changes, and
-    #:   ``invalidate()`` (the coarse referee's);
-    #: * ``"module"`` — whole-module state: implement ``invalidate()``,
-    #:   called on every change under the coarse referee
-    #:   (``CoarseAnalysisManager``); no pass changes call/use structure
-    #:   across functions, so function passes leave it alone.
+    #:   ``invalidate()`` (the coarse referee's).
     invalidation_scope: str = "none"
 
     def alias(self, a: MemoryLocation, b: MemoryLocation,

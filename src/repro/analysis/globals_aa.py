@@ -3,6 +3,12 @@
 A global whose address is only ever used directly in loads, stores (as
 the *pointer*), and GEPs cannot be the target of any pointer that flows
 through memory, arguments, or calls — so such pointers never alias it.
+
+The verdicts are computed for every global when the analysis is built
+for a compile, before the first alias query, as LLVM's module analysis
+is: no verdict depends on which functions earlier pipeline steps have
+already rewritten, so a function's pipeline depends on its own body
+alone (see :mod:`repro.oraql.fnmemo`).
 """
 
 from __future__ import annotations
@@ -55,25 +61,25 @@ def global_is_address_taken(gv: GlobalVariable, budget: int = 128) -> bool:
 
 
 class GlobalsAA(AliasAnalysisPass):
-    """Caches the address-taken verdict per global for the module run."""
+    """The address-taken verdict per global, by name, fixed for the
+    compile when the analysis is built from ``module``; no invalidation
+    drops it.  ``module`` may be a copy of the compiled module from
+    before its pipeline (a compile's kept prefix); the analysis does not
+    hold on to it."""
 
     name = "globals-aa"
     requires_module = True
-    invalidation_scope = "module"
 
     def __init__(self, module: Optional[Module] = None):
-        self.module = module
-        self._cache: Dict[int, bool] = {}
+        self._cache: Dict[str, bool] = {} if module is None else {
+            name: global_is_address_taken(gv)
+            for name, gv in module.globals.items()}
 
     def _address_taken(self, gv: GlobalVariable) -> bool:
-        hit = self._cache.get(gv.id)
-        if hit is None:
-            hit = global_is_address_taken(gv)
-            self._cache[gv.id] = hit
+        hit = self._cache.get(gv.name)
+        if hit is None:  # a global the module did not have when built
+            hit = self._cache[gv.name] = global_is_address_taken(gv)
         return hit
-
-    def invalidate(self) -> None:
-        self._cache.clear()
 
     def alias(self, a: MemoryLocation, b: MemoryLocation,
               fn: Optional[Function]) -> AliasResult:

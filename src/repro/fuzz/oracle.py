@@ -24,12 +24,18 @@ key                       what it checks
                           sequence verifies.  A divergence bisection cannot
                           explain is a finding, exactly like a pipeline
                           miscompile.
+``memo-*``                the ``optimistic`` and ``pessimistic`` programs,
+                          which the shared compiler builds through its
+                          function memo (:mod:`repro.oraql.fnmemo`), must
+                          equal a fresh compiler's in everything
+                          :func:`compile_fingerprint` reads
 ========================  =====================================================
 
 Findings are classified ``miscompile`` (a config that must match O0
 does not), ``unsound-optimism-uncaught`` (optimistic divergence the
-driver fails to pin down), or ``invalidation-hash`` (fine vs. coarse
-hash split).  ``optimism-hazard`` results — optimistic divergence
+driver fails to pin down), ``invalidation-hash`` (fine vs. coarse
+hash split), or ``function-memo`` (a memo compile differs from a fresh
+one).  ``optimism-hazard`` results — optimistic divergence
 correctly caught by bisection — are *expected* behaviour and reported
 separately (they are what the self-test forces, see
 :mod:`repro.fuzz.campaign`).
@@ -64,6 +70,7 @@ class OracleFinding:
 
     kind: str                  # "miscompile" | "unsound-optimism-uncaught"
     #                          # | "invalidation-hash" | "reference-failure"
+    #                          # | "function-memo"
     config_key: str
     detail: str
 
@@ -88,6 +95,69 @@ class OracleResult:
     @property
     def clean(self) -> bool:
         return not self.findings
+
+
+def compile_fingerprint(prog: CompiledProgram) -> dict:
+    """Everything a compile decides: the executable, the statistics,
+    the ORAQL counters and records (the pessimistic ones rendered), the
+    AA counters and the work counters.  A compile through the function memo must give the
+    fingerprint of a compile without it."""
+    from ..oraql.report import render_query
+
+    aa = prog.ctx.aa
+    oraql = prog.oraql
+    return {
+        "exe_hash": prog.exe_hash,
+        "fn_hashes": prog.fn_hashes,
+        "stats": prog.stats.rows(),
+        "aa": (aa.total_queries, aa.no_alias_count, aa.must_alias_count,
+               dict(aa.no_alias_by_pass), dict(aa.queries_by_issuer)),
+        "pass_executions": prog.pass_executions,
+        "analysis": prog.analysis_counters,
+        "oraql": None if oraql is None else (
+            oraql.opt_unique, oraql.opt_cached, oraql.pess_unique,
+            oraql.pess_cached, oraql.sequence.consumed,
+            dict(oraql.unique_by_pass)),
+        "records": None if oraql is None else [
+            (rec.index, rec.optimistic, rec.scope, rec.issuing_pass)
+            for rec in oraql.records],
+        "pessimistic_dump": None if oraql is None else [
+            _rendered(rec) for rec in oraql.pessimistic_records()],
+    }
+
+
+def _rendered(rec) -> str:
+    """A record's Fig. 3 text; a record whose instruction a later pass
+    erased renders as the error its rendering raises."""
+    from ..oraql.report import render_query
+
+    try:
+        return render_query(rec)
+    except IndexError as e:
+        return f"<unrenderable: {e}>"
+
+
+def fresh_compile(compiler: Compiler, config: BenchmarkConfig,
+                  **compile_kw) -> CompiledProgram:
+    """``config`` compiled by a new compiler of ``compiler``'s kind and
+    settings, with an empty function memo: an announcing compile (which
+    bypasses the memo) keeps the prefix first, so the work counters of
+    both count the same steps."""
+    fresh = type(compiler)(compiler.frontend_options,
+                           compiler.verify_analyses)
+    fresh.compile(config, debug_pass_executions=True)
+    return fresh.compile(config, **compile_kw)
+
+
+def memo_mismatch(prog: CompiledProgram, compiler: Compiler,
+                  config: BenchmarkConfig, **compile_kw) -> Optional[str]:
+    """The fields in which ``prog`` (compiled by ``compiler`` with
+    ``compile_kw``) differs from a fresh compile, or None."""
+    mine = compile_fingerprint(prog)
+    theirs = compile_fingerprint(fresh_compile(compiler, config,
+                                               **compile_kw))
+    diff = [key for key in mine if mine[key] != theirs[key]]
+    return ", ".join(diff) if diff else None
 
 
 def base_config(seed: int, source: str, opt_level: int = 3,
@@ -195,11 +265,26 @@ class DifferentialOracle:
 
         # 5. ORAQL all-pessimistic: zeros covering the whole stream
         n = opt.oraql.unique_queries + TAIL_PAD
-        judge("pessimistic", self._run(
-            result, cfg, sequence=DecisionSequence([0] * n),
-            oraql_enabled=True)[1])
+        pess_seq = DecisionSequence([0] * n)
+        pess, pess_run = self._run(result, cfg, sequence=pess_seq,
+                                   oraql_enabled=True)
+        judge("pessimistic", pess_run)
 
-        # 6. an optimistic divergence must be caught by bisection
+        # 6. the function memo: the shared compiler built both probes
+        #    through it, a fresh compiler must build the same (these
+        #    referee compiles are not counted)
+        for key, prog, seq in (("optimistic", opt, DecisionSequence()),
+                               ("pessimistic", pess, pess_seq)):
+            diff = memo_mismatch(prog, self.compiler, cfg, sequence=seq,
+                                 oraql_enabled=True)
+            result.outcomes[f"memo-{key}"] = ("match" if diff is None
+                                              else "divergent")
+            if diff is not None:
+                result.findings.append(OracleFinding(
+                    "function-memo", f"memo-{key}",
+                    f"the memo compile differs in {diff}"))
+
+        # 7. an optimistic divergence must be caught by bisection
         if not opt_matches:
             result.optimism_divergent = True
             if bisect_divergence:

@@ -1,4 +1,4 @@
-"""Whole-module copies.
+"""Whole-module copies, and copies (or moves) of one function's body.
 
 The probing driver compiles one program many times, and every compile
 starts with the same work: lowering and the passes that issue no alias
@@ -51,32 +51,26 @@ def _slots(cls: type) -> Tuple[str, ...]:
     return slots
 
 
-def clone_module(module: Module) -> Module:
-    """A copy of ``module`` that shares no value with it (see the module
-    docstring for what the copy preserves)."""
-    originals = list(module.globals.values())
-    #: constants by id (an int key hashes in C, a Value in Python)
-    constants: Dict[int, Value] = {}
-    for gv in originals:
-        if gv.initializer is not None:
-            constants[gv.initializer.id] = gv.initializer
-    for fn in module.functions.values():
-        originals.append(fn)
-        originals += fn.args
-        for bb in fn.blocks:
-            originals.append(bb)
-            insts = bb.instructions
-            originals += insts
-            for inst in insts:
-                for op in inst.operands:
-                    if isinstance(op, Constant):
-                        constants[op.id] = op
-    originals += constants.values()
-    originals.sort(key=_by_id)
+def _add_body(fn: Function, originals: list,
+              constants: Dict[int, Value]) -> None:
+    """Collect ``fn``'s blocks and instructions into ``originals`` and
+    their constant operands into ``constants`` (by id: an int key
+    hashes in C, a Value in Python)."""
+    for bb in fn.blocks:
+        originals.append(bb)
+        insts = bb.instructions
+        originals += insts
+        for inst in insts:
+            for op in inst.operands:
+                if isinstance(op, Constant):
+                    constants[op.id] = op
 
-    # 1. one shell per value, in creation order, with every slot
-    #    copied by reference
-    vmap: Dict[int, Value] = {}  # original's id -> copy
+
+def _shells(originals: list) -> Dict[int, Value]:
+    """One shell per value, in creation order, with every slot copied
+    by reference: original's id -> copy."""
+    originals.sort(key=_by_id)
+    vmap: Dict[int, Value] = {}
     new = object.__new__
     for v in originals:
         cls = v.__class__
@@ -85,8 +79,30 @@ def clone_module(module: Module) -> Module:
             setattr(c, name, getattr(v, name))
         c.id = next(_value_ids)
         vmap[v.id] = c
+    return vmap
 
-    # 2. point every reference at the copies
+
+def clone_module(module: Module, bodies: bool = True) -> Module:
+    """A copy of ``module`` that shares no value with it (see the module
+    docstring for what the copy preserves).  With ``bodies=False`` the
+    functions of the copy have their arguments but no blocks, and no
+    value has users yet: :func:`clone_body` gives each function its
+    body when it is needed."""
+    originals = list(module.globals.values())
+    constants: Dict[int, Value] = {}
+    for gv in originals:
+        if gv.initializer is not None:
+            constants[gv.initializer.id] = gv.initializer
+    for fn in module.functions.values():
+        originals.append(fn)
+        originals += fn.args
+        if bodies:
+            _add_body(fn, originals, constants)
+    originals += constants.values()
+    vmap = _shells(originals)
+
+    # point every reference at the copies
+    new = object.__new__
     copy = new(Module)
     copy.__dict__.update(module.__dict__)
     copy.functions = {name: vmap[fn.id]
@@ -96,7 +112,8 @@ def clone_module(module: Module) -> Module:
     for v in originals:
         c = vmap[v.id]
         users = new(UseList)
-        users._d = dict.fromkeys([vmap[u.id] for u in v.users._d])
+        users._d = (dict.fromkeys([vmap[u.id] for u in v.users._d])
+                    if bodies else {})
         c.users = users
         if isinstance(v, Instruction):
             c.parent = vmap[v.parent.id]
@@ -110,7 +127,7 @@ def clone_module(module: Module) -> Module:
         elif isinstance(v, Function):
             c.parent = copy
             c.args = [vmap[a.id] for a in v.args]
-            c.blocks = [vmap[bb.id] for bb in v.blocks]
+            c.blocks = [vmap[bb.id] for bb in v.blocks] if bodies else []
             c.attrs = set(v.attrs)
         elif isinstance(v, Argument):
             c.function = vmap[v.function.id]
@@ -122,3 +139,101 @@ def clone_module(module: Module) -> Module:
             c.parent = vmap[v.parent.id]
             c.instructions = [vmap[i.id] for i in v.instructions]
     return copy
+
+
+def clone_body(src: Function, dst: Function) -> Dict[int, Value]:
+    """Replace ``dst``'s body by a copy of ``src``'s: arguments, blocks,
+    instructions and their constant operands, created in the originals'
+    creation order, with each local use-list in the original's order.
+    ``src`` may belong to another (even a released) module: the globals
+    and functions it references are resolved by name in ``dst``'s
+    module, and gain the copy's instructions as users.  ``dst``'s old
+    body drops its references.  Returns the map from each of ``src``'s
+    values (by id) to its counterpart in ``dst``."""
+    module = dst.parent
+    originals: list = list(src.args)
+    constants: Dict[int, Value] = {}
+    _add_body(src, originals, constants)
+    originals += constants.values()
+    vmap = _shells(originals)
+    new = object.__new__
+
+    #: ids of dst's module-level values the copy uses
+    outer = set()
+
+    def resolve(v: Value) -> Value:
+        c = vmap.get(v.id)
+        if c is None:  # a global or a function of src's module
+            c = vmap[v.id] = (module.globals[v.name]
+                              if isinstance(v, GlobalVariable)
+                              else module.functions[v.name])
+            outer.add(c.id)
+        return c
+
+    for v in originals:
+        c = vmap[v.id]
+        users = new(UseList)
+        users._d = dict.fromkeys([vmap[u.id] for u in v.users._d])
+        c.users = users
+        if isinstance(v, Instruction):
+            c.parent = vmap[v.parent.id]
+            c.operands = ops = [resolve(op) for op in v.operands]
+            for op in ops:
+                if op.id in outer:
+                    op.users.add(c)
+            if isinstance(v, PhiInst):
+                c.incoming_blocks = [vmap[bb.id] for bb in v.incoming_blocks]
+            elif isinstance(v, BranchInst):
+                c.targets = [vmap[bb.id] for bb in v.targets]
+            elif isinstance(v, CallInst) and not isinstance(v.callee, str):
+                c.callee = resolve(v.callee)
+        elif isinstance(v, Argument):
+            c.function = dst
+            c.attrs = set(v.attrs)
+        elif not isinstance(v, Constant):  # a block
+            c.parent = dst
+            c.instructions = [vmap[i.id] for i in v.instructions]
+
+    for bb in dst.blocks:
+        bb.drop_all_references()
+    dst.args = [vmap[a.id] for a in src.args]
+    dst.blocks = [vmap[bb.id] for bb in src.blocks]
+    dst.attrs = set(src.attrs)
+    dst._next_names = src._next_names
+    return vmap
+
+
+def move_body(src: Function, dst: Function) -> None:
+    """Give ``dst`` the body of ``src`` itself, which is left without
+    one: the cheap :func:`clone_body` for a ``src`` whose module was
+    released.  The globals and functions the body references are
+    resolved by name in ``dst``'s module, as :func:`clone_body` does;
+    every value keeps its id."""
+    module = dst.parent
+    for bb in dst.blocks:
+        bb.drop_all_references()
+    outer: Dict[int, Value] = {}
+    for bb in src.blocks:
+        bb.parent = dst
+        for inst in bb.instructions:
+            ops = inst.operands
+            for i, op in enumerate(ops):
+                if isinstance(op, (GlobalVariable, Function)):
+                    new = outer.get(op.id)
+                    if new is None:
+                        new = outer[op.id] = (
+                            module.globals[op.name]
+                            if isinstance(op, GlobalVariable)
+                            else module.functions[op.name])
+                    op.users.discard(inst)
+                    new.users.add(inst)
+                    ops[i] = new
+            if isinstance(inst, CallInst) and not isinstance(inst.callee,
+                                                             str):
+                inst.callee = module.functions[inst.callee.name]
+    for arg in src.args:
+        arg.function = dst
+    dst.args, dst.blocks = src.args, src.blocks
+    src.args, src.blocks = [], []
+    dst.attrs = set(src.attrs)
+    dst._next_names = src._next_names

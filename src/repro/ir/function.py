@@ -24,7 +24,7 @@ class Function(Value):
     """
 
     __slots__ = ("ftype", "args", "blocks", "attrs", "parent", "target",
-                 "is_declaration", "source_file", "_next_names")
+                 "is_declaration", "source_file", "_next_names", "held")
 
     def __init__(self, ftype: FunctionType, name: str, module=None,
                  arg_names: Optional[Sequence[str]] = None,
@@ -37,6 +37,10 @@ class Function(Value):
         self.blocks: List[BasicBlock] = []
         self.is_declaration = False
         self.source_file: Optional[str] = None
+        #: the body is held past its module's release (the function
+        #: memo keeps it to copy into later compiles): dropping the
+        #: module's references leaves it whole
+        self.held = False
         # per-function counter: block names end up in the printed body,
         # so a function's fresh names — hence its ``function_hash`` and
         # its share of the ``exe_hash`` — depend on its own history only

@@ -133,9 +133,13 @@ class Module:
         global tables are emptied.  That breaks every reference cycle
         in the IR (values know their users, blocks their function), so
         the module's IR is freed by reference counting alone.  The
-        module is empty afterwards."""
+        module is empty afterwards.  A ``held`` function keeps its body
+        and only forgets the module."""
         for fn in self.functions.values():
-            fn.drop_all_references()
+            if fn.held:
+                fn.parent = None
+            else:
+                fn.drop_all_references()
         self.functions.clear()
         self.globals.clear()
         self.struct_types.clear()

@@ -38,6 +38,7 @@ from ..vm import DEFAULT_COSTS, INTRINSIC_COSTS, Machine, MPIWorld, VMError
 from ..vm.decode import CodeTable, DecodedModule, cost_tables
 from .config import BenchmarkConfig
 from .errors import ReleasedProgramError
+from .fnmemo import FunctionMemo, MemoRun, bypass_reason
 from .pass_ import DumpFlags, OraqlAAPass
 from .replay import setup_digest
 from .sequence import DecisionSequence
@@ -60,6 +61,10 @@ class CompiledProgram:
     #: declarations); ``exe_hash`` is assembled from these, and they
     #: key the content-addressed codegen cache
     fn_hashes: Dict[str, str] = field(default_factory=dict)
+    #: what the function memo did in this compile (see
+    #: :mod:`repro.oraql.fnmemo`): ``steps replayed`` and ``functions
+    #: materialized``, or ``bypassed (<reason>)`` when it ran no part
+    function_memo: Dict[str, int] = field(default_factory=dict)
     #: the compiling session's decoded VM code, shared by body hash
     #: (see :class:`~repro.vm.decode.DecodedModule`); None decodes
     #: every function for this program alone
@@ -148,8 +153,6 @@ class CompiledProgram:
         ours = 3 + sum(fn.parent is module
                        for fn in module.functions.values())
         ours += self.ctx.module is module
-        ours += sum(getattr(a, "module", None) is module
-                    for a in self.ctx.aa.analyses)
         ours += sum(d.module is module for d in decoded)
         if sys.getrefcount(module) > ours:
             return True
@@ -290,6 +293,9 @@ class Compiler:
         #: the cache is replaced when the sources change, like _kept.
         #: A table frees its code when its last holder drops it.
         self._code = CodeTable()
+        #: the function memos of the current sources' units, keyed by
+        #: the _kept key plus the ORAQL scope settings; freed with _kept
+        self._memos: Dict[tuple, FunctionMemo] = {}
         #: the sources _kept and _code belong to
         self._sources: Tuple[Tuple[str, str], ...] = ()
 
@@ -336,6 +342,15 @@ class Compiler:
                 dump=dump,
             )
         chain = tuple(config.aa_chain) if config.aa_chain else DEFAULT_AA_CHAIN
+        # which functions ORAQL answers: the baseline records its
+        # queries for the functions a probe's ORAQL will answer
+        scope = oraql or OraqlAAPass(
+            target_filter=config.target_filter,
+            probe_functions=config.probe_function_set(),
+            probe_files=config.probe_file_set())
+        scope_key = (chain, scope.target_filter,
+                     _frozen(scope.probe_functions),
+                     _frozen(scope.probe_files), scope.cache_enabled)
         # the units optimized on their own: the whole program under
         # manual LTO, which links everything *before* optimization so
         # interprocedural passes see the whole program (§V-A-d); else
@@ -364,6 +379,10 @@ class Compiler:
         #    session, on the lowered module, which is then kept; every
         #    compile runs the rest on a copy of the kept module
         contexts: List[CompilationContext] = []
+        runs = []
+        reason = bypass_reason(trace, oraql, override, debug_pass_executions,
+                               self.verify_analyses)
+        memo_counts = {} if reason is None else {f"bypassed ({reason})": 1}
         for key in keys:
             # a fresh pipeline per unit: passes may keep per-run state
             prefix, rest = split_prefix(build_pipeline(config.opt_level))
@@ -372,13 +391,24 @@ class Compiler:
                 built = kept is None
                 if built:
                     kept = self._keep(key, lowered[key], prefix, trace)
-                module = clone_module(kept.module)
+                # under the function memo a function gets a body only
+                # when it runs passes or when the pipeline ends
+                module = clone_module(kept.module, bodies=reason is not None)
                 ctx = self._context(
                     module, aa_chain=chain, oraql=oraql, override=override,
                     debug_pass_executions=debug_pass_executions,
-                    trace=trace)
+                    trace=trace, analysis_module=kept.module)
                 ctx.adopt_prefix(kept.ctx, built)
+                if reason is None:
+                    memo = self._memos.get(key + scope_key)
+                    if memo is None:
+                        memo = self._memos[key + scope_key] = FunctionMemo()
+                    ctx.memo = MemoRun(
+                        memo, ctx, oraql, scope, kept.module,
+                        sum(len(c.module.functions) for c in contexts))
+                    runs.append(ctx.memo)
                 PassManager(ctx).run(rest)
+                ctx.memo = None
             verify_module(module, partial(ctx.am.cached, DominatorTreeAnalysis))
             contexts.append(ctx)
         ctx = contexts[0]
@@ -398,8 +428,18 @@ class Compiler:
         # 4. codegen: host statistics + device kernels (Fig. 6 / Fig. 7),
         #    served through the content-addressed per-function cache
         with timed("codegen"):
-            fn_hashes = {name: function_hash(fn)
+            stored: Dict[str, str] = {}
+            for run in runs:
+                stored.update(run.hashes)
+            fn_hashes = {name: stored.get(name) or function_hash(fn)
                          for name, fn in main.functions.items()}
+            for run in runs:
+                run.finish(fn_hashes)
+            if runs:
+                memo_counts = {
+                    "steps replayed": sum(r.steps_replayed for r in runs),
+                    "functions materialized": sum(r.materialized
+                                                  for r in runs)}
             codegen = self._codegen_cached(main, ctx.stats, fn_hashes)
             kernels = self._kernels_cached(main, fn_hashes)
         for name, ki in kernels.items():
@@ -416,6 +456,7 @@ class Compiler:
             trace.record_stats(ctx.stats)
         return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
                                exe_hash, fn_hashes=fn_hashes,
+                               function_memo=memo_counts,
                                shared_code=self._code)
 
     def _context(self, module: Module, **kwargs) -> CompilationContext:
@@ -444,11 +485,21 @@ class Compiler:
         return kept
 
     def drop_prefixes(self) -> None:
-        """Free the kept prefix modules now; the next compile of each
-        unit lowers it again."""
+        """Free the kept prefix modules and the function memos now; the
+        next compile of each unit lowers it again."""
         for kept in self._kept.values():
             kept.drop()
         self._kept = {}
+        for memo in self._memos.values():
+            memo.drop()
+        self._memos = {}
+
+    def __del__(self):
+        """The last reference dropped: free the kept prefixes and the
+        memos' bodies by reference counting rather than leave their IR
+        to the cyclic collector (unless construction failed first)."""
+        if "_memos" in vars(self):
+            self.drop_prefixes()
 
     def _switch_sources(self, sources: Tuple[Tuple[str, str], ...]) -> None:
         """Drop what belongs to the previous sources: the kept prefixes
@@ -513,3 +564,7 @@ class Compiler:
             ki = kernels[name]
             h.update(f"{name}:{ki.registers}:{ki.stack_bytes}".encode())
         return h.hexdigest()
+
+
+def _frozen(names: Optional[set]) -> Optional[frozenset]:
+    return None if names is None else frozenset(names)

@@ -125,6 +125,9 @@ class ProbingReport:
     analysis_preserved_hits: Dict[str, int] = field(default_factory=dict)
     #: pass runs across every in-process compile of the session
     pass_executions: int = 0
+    #: what the function memo did, summed over the session's compiles
+    #: (see ``CompiledProgram.function_memo``)
+    function_memo: Dict[str, int] = field(default_factory=dict)
     #: content hash of the final executable — the cross-process identity
     #: the service's bit-identity contract is stated in (the live
     #: ``final_program`` does not survive :meth:`detach_for_transport`)
@@ -275,6 +278,9 @@ class ProbingDriver:
         prog = self.executor.compile(self.config, sequence=sequence,
                                      oraql_enabled=oraql_enabled)
         self._report.pass_executions += prog.pass_executions
+        memo = self._report.function_memo
+        for name, n in prog.function_memo.items():
+            memo[name] = memo.get(name, 0) + n
         counters = prog.analysis_counters
         for name, n in counters["builds"].items():
             self._report.analysis_builds[name] = \

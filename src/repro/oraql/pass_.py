@@ -160,8 +160,19 @@ class OraqlAAPass:
                 trace.oraql_skip(scope, a, b)
             return AliasResult.MAY
 
-        key = frozenset((a.ptr.id, b.ptr.id))
+        return self.decide(frozenset((a.ptr.id, b.ptr.id)), a, b, scope,
+                           issuing_pass)
 
+    def decide(self, key, a: Optional[MemoryLocation],
+               b: Optional[MemoryLocation], scope: str,
+               issuing_pass: str) -> AliasResult:
+        """Answer an in-scope query by its cache ``key``: from the cache,
+        else from the next sequence entry.  The key is the unordered
+        pointer pair in any form that tells pointers apart as identity
+        does; the function memo (:mod:`repro.oraql.fnmemo`) passes its
+        own compile-stable form, and commits replayed queries with no
+        locations (it sets their records' locations afterwards)."""
+        trace = self.ctx.trace if self.ctx is not None else None
         if self.cache_enabled and key in self.cache:
             optimistic, index = self.cache[key]
             if optimistic:

@@ -64,6 +64,16 @@ def render_report(report: ProbingReport) -> str:
                + (f"final program reused from compile #{r.final_reused}"
                   if r.final_reused is not None
                   else "final program compiled"))
+    if r.function_memo:
+        memo = dict(r.function_memo)
+        line = (f"function memo      : "
+                f"{memo.pop('steps replayed', 0)} pass steps replayed, "
+                f"{memo.pop('functions materialized', 0)} functions "
+                f"materialized")
+        if memo:
+            line += "; " + ", ".join(f"{n} compiles {why}" for why, n
+                                     in sorted(memo.items()))
+        out.append(line)
     if r.cache_hits or r.cache_misses:
         out.append(f"verdict cache      : {r.cache_hits} hits, "
                    f"{r.cache_misses} misses")

@@ -27,10 +27,14 @@ class DecisionSequence:
     # -- pass-side ----------------------------------------------------------
     def next(self) -> bool:
         """The decision for the next unique query (True = no-alias)."""
-        i = self.consumed
         self.consumed += 1
-        if i < len(self.bits):
-            return bool(self.bits[i])
+        return self.peek(self.consumed - 1)
+
+    def peek(self, index: int) -> bool:
+        """The decision the ``index``-th unique query gets, without
+        consuming anything."""
+        if index < len(self.bits):
+            return bool(self.bits[index])
         return True  # end of sequence: answer optimistically (§IV-A)
 
     def reset(self) -> None:

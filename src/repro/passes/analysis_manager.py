@@ -9,9 +9,9 @@ survive the transformation.  The :class:`AnalysisManager` owns
 * per-function analyses — :class:`DominatorTreeAnalysis`,
   :class:`LoopAnalysis`, :class:`MemorySSAAnalysis` — keyed by
   ``(function, analysis id)`` and invalidated individually, and
-* the module-level alias-analysis chain (incl. GlobalsAA), whose
-  entries declare their own invalidation granularity via
-  ``AliasAnalysisPass.invalidation_scope``.
+* the alias-analysis chain, whose entries declare their own
+  invalidation granularity via ``AliasAnalysisPass.invalidation_scope``
+  (GlobalsAA's verdicts are fixed when the chain is built).
 
 The payoff is the probing loop (paper §IV-B/C): hundreds of compiles
 per run, each previously rebuilding DominatorTree/LoopInfo from scratch
@@ -196,6 +196,11 @@ class AnalysisManager:
         self.builds: Counter = Counter()
         self.cache_hits: Counter = Counter()
         self.preserved_hits: Counter = Counter()
+        #: the events of the pipeline step the function memo records:
+        #: ``(analysis id, built)`` per :meth:`get`, and per
+        #: invalidation the ``PreservedAnalyses`` (None: nothing
+        #: preserved); None when no step records
+        self.events: Optional[list] = None
 
     # -- access ----------------------------------------------------------
     def get(self, analysis_id: type, fn: Function):
@@ -206,29 +211,46 @@ class AnalysisManager:
             self._function[key] = result
             self._stamp[key] = self.epoch
             self.builds[analysis_id.name] += 1
+            if self.events is not None:
+                self.events.append((analysis_id, True))
         else:
             self.cache_hits[analysis_id.name] += 1
             if self._stamp[key] < self.epoch:
                 # the entry survived an invalidation event: this hit is
                 # a rebuild the legacy protocol would have paid for
                 self.preserved_hits[analysis_id.name] += 1
+            if self.events is not None:
+                self.events.append((analysis_id, False))
         return result
 
     def cached(self, analysis_id: type, fn: Function):
         """The cached result, or None — never builds."""
         return self._function.get((fn.id, analysis_id))
 
+    def restamp(self, fn: Function, stamps: Dict[type, int]) -> bool:
+        """Count ``fn``'s cached analyses as cached at the given epochs
+        (the history the function memo replayed for it); False, and no
+        change, unless exactly the analyses ``stamps`` names are
+        cached."""
+        cached = {a for a in FUNCTION_ANALYSES
+                  if (fn.id, a) in self._function}
+        if cached != set(stamps):
+            return False
+        for analysis_id, epoch in stamps.items():
+            self._stamp[(fn.id, analysis_id)] = epoch
+        return True
+
     # -- invalidation ----------------------------------------------------
     def invalidate_function(self, fn: Function,
                             pa: Optional[PreservedAnalyses] = None) -> None:
         """A function-local change: drop ``fn``'s analyses that ``pa``
         does not preserve (``None`` preserves nothing).  Per-function AA
-        summaries drop only ``fn``'s entry; module-grained AA caches
-        (GlobalsAA) survive, as LLVM's module analyses survive function
-        passes."""
+        summaries drop only ``fn``'s entry."""
         if pa is not None and pa.are_all_preserved():
             return
         self.epoch += 1
+        if self.events is not None:
+            self.events.append(pa)
         for analysis_id in FUNCTION_ANALYSES:
             if pa is None or not pa.preserves(analysis_id):
                 self._drop((fn.id, analysis_id))
@@ -293,7 +315,7 @@ class AnalysisManager:
 
 class CoarseAnalysisManager(AnalysisManager):
     """The invalidate-everything referee: any change drops every cached
-    analysis of the function and the state of every stateful AA.  Fine
+    analysis of the function and every per-function AA summary.  Fine
     invalidation must build the same executable and issue the same
     query stream (the fuzz oracle's ``o3-coarse`` and the invalidation
     benchmark); only the rebuild counters may differ."""
@@ -303,6 +325,8 @@ class CoarseAnalysisManager(AnalysisManager):
         if pa is not None and pa.are_all_preserved():
             return
         self.epoch += 1
+        if self.events is not None:
+            self.events.append(None)
         for analysis_id in FUNCTION_ANALYSES:
             self._drop((fn.id, analysis_id))
         for analysis in self.ctx.aa.analyses:

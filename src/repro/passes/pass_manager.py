@@ -10,11 +10,11 @@ announce executions (``-debug-pass=Executions``), which is how ORAQL's
 dumps attribute queries to the issuing pass (Fig. 3).
 
 Invalidation is fine-grained: a CFG-preserving pass keeps its
-function's DominatorTree/LoopInfo alive, and a function-local change no
-longer nukes module-level AA state (per-function CFL summaries drop
-only the changed function's entry; GlobalsAA keeps its address-taken
-verdicts, as LLVM's module analyses survive function passes).  Every
-pass is a function pass.  A context built with
+function's DominatorTree/LoopInfo alive, and a function-local change
+drops only the changed function's per-function CFL summaries (GlobalsAA
+fixes its address-taken verdicts when the chain is built, as LLVM
+computes its module analysis before the first consumer).  Every pass is
+a function pass.  A context built with
 ``analysis_manager=CoarseAnalysisManager`` invalidates everything on
 every change instead; only the fine-vs-coarse referees build one.
 """
@@ -81,14 +81,18 @@ class CompilationContext:
                  verify_each: bool = False,
                  verify_analyses: bool = False,
                  analysis_manager: Type[AnalysisManager] = AnalysisManager,
-                 trace=None):
+                 trace=None, analysis_module: Optional[Module] = None):
         self.module = module
         self.oraql = oraql
         self.override = override
+        # the module-level analyses read ``analysis_module`` when given:
+        # a copy of ``module`` as it is before the pipeline
+        analysis_module = analysis_module or module
         analyses = []
         for name in aa_chain:
             cls = ALL_AA_PASSES[name]
-            analyses.append(cls(module) if cls.requires_module else cls())
+            analyses.append(cls(analysis_module) if cls.requires_module
+                            else cls())
         self.aa = AAResults(analyses, oraql=oraql, override=override)
         if oraql is not None:
             oraql.attach(self)
@@ -100,6 +104,10 @@ class CompilationContext:
         self.am = analysis_manager(self)
         #: number of per-function pass runs this context performed
         self.pass_executions = 0
+        #: the function memo's run for this compile
+        #: (:class:`repro.oraql.fnmemo.MemoRun`), or None: every
+        #: function runs the whole pipeline
+        self.memo = None
         self._fn_views: Dict[int, FunctionAnalyses] = {}
         #: pass-context stack for query provenance: the top entry is the
         #: pass currently executing; an analysis built on demand inside a
@@ -225,28 +233,39 @@ class PassManager:
         self.ctx = ctx
 
     def run(self, pipeline: Sequence[Pass]) -> None:
-        """Run ``pipeline`` over the context's module."""
+        """Run ``pipeline`` over the context's module: each pass on
+        every function, pass by pass.  Under the function memo
+        (``ctx.memo``) a function whose answers repeat an earlier
+        compile's replays its steps instead of running them."""
         ctx = self.ctx
-        module = ctx.module
-        for p in pipeline:
-            for fn in list(module.defined_functions()):
-                if not p.should_run_on(fn):
-                    continue
-                ctx.announce(p.display_name, fn)
-                ctx.push_pass(p.display_name)
-                ctx.aa.current_function = fn
-                ctx.pass_executions += 1
-                try:
-                    with ctx.timed(p.display_name):
-                        pa = p.run_on_function(fn, ctx)
-                finally:
-                    ctx.pop_pass()
-                if not pa.are_all_preserved():
-                    ctx.am.invalidate_function(fn, pa)
-                    if ctx.verify_each:
-                        verify_function(
-                            fn, dt=ctx.am.cached(DominatorTreeAnalysis, fn))
-                    if ctx.verify_analyses:
-                        ctx.am.verify_preserved(fn, p.display_name)
+        if ctx.memo is not None:
+            ctx.memo.run(self, pipeline)
+        else:
+            module = ctx.module
+            for p in pipeline:
+                for fn in list(module.defined_functions()):
+                    if p.should_run_on(fn):
+                        self.step(p, fn)
         ctx.aa.current_pass = "<none>"
         ctx.aa.current_function = None
+
+    def step(self, p: Pass, fn: Function) -> None:
+        """Run pass ``p`` on ``fn`` (which it runs on), with attribution
+        and invalidation."""
+        ctx = self.ctx
+        ctx.announce(p.display_name, fn)
+        ctx.push_pass(p.display_name)
+        ctx.aa.current_function = fn
+        ctx.pass_executions += 1
+        try:
+            with ctx.timed(p.display_name):
+                pa = p.run_on_function(fn, ctx)
+        finally:
+            ctx.pop_pass()
+        if not pa.are_all_preserved():
+            ctx.am.invalidate_function(fn, pa)
+            if ctx.verify_each:
+                verify_function(
+                    fn, dt=ctx.am.cached(DominatorTreeAnalysis, fn))
+            if ctx.verify_analyses:
+                ctx.am.verify_preserved(fn, p.display_name)

@@ -8,7 +8,7 @@ deleted, vectorized loops, machine instructions, register spills, ...).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class Statistics:
@@ -16,10 +16,15 @@ class Statistics:
 
     def __init__(self):
         self.counters: Counter = Counter()
+        #: the adds of the pipeline step the function memo records,
+        #: in order; None when no step records
+        self.journal: Optional[List[Tuple[Tuple[str, str], int]]] = None
 
     def add(self, pass_name: str, stat: str, n: int = 1) -> None:
         if n:
             self.counters[(pass_name, stat)] += n
+            if self.journal is not None:
+                self.journal.append(((pass_name, stat), n))
 
     def get(self, pass_name: str, stat: str) -> int:
         return self.counters.get((pass_name, stat), 0)

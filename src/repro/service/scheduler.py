@@ -49,10 +49,7 @@ def _execute_job(spec_dict: dict, paths: dict, attempt: int,
 
 
 def _wire_report(report) -> dict:
-    """The job table's (and the wire's) form of a worker's report; a
-    wrapped entry point may return that form already."""
-    if isinstance(report, dict):
-        return report
+    """The job table's (and the wire's) form of a worker's report."""
     if isinstance(report, ProbingReport):
         return report_to_dict(report)
     return importance_report_to_dict(report)

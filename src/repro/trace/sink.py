@@ -52,6 +52,14 @@ class QueryTrace:
         self._oraql_log: List[Tuple[int, bool]] = []
         self._compile_count = 0
 
+    @property
+    def observes_steps(self) -> bool:
+        """Whether the sink keeps records of what happens inside a
+        compile's pipeline steps (queries, remarks, statistics); a
+        compile observed this way runs every pass itself (see
+        :func:`repro.oraql.fnmemo.bypass_reason`)."""
+        return self.record_events
+
     # -- wiring ------------------------------------------------------------
     def _emit(self, rec: dict) -> None:
         """Record one event.  The single funnel every record constructor
@@ -95,7 +103,7 @@ class QueryTrace:
     def chain_query(self, function: str, a, b, responder: str,
                     response: str) -> None:
         """A query resolved before (or without) the ORAQL pass."""
-        if not self.record_events:
+        if not self.observes_steps:
             return
         self._emit(ev.query_record(
             self._issuer(), self._stack, function,
@@ -105,7 +113,7 @@ class QueryTrace:
                     cached: bool, index: int) -> None:
         """A query the ORAQL pass answered (uniquely or from its cache)."""
         self._oraql_log.append((index, optimistic))
-        if not self.record_events:
+        if not self.observes_steps:
             return
         self._emit(ev.query_record(
             self._issuer(), self._stack, function,
@@ -116,7 +124,7 @@ class QueryTrace:
     def oraql_skip(self, function: str, a, b) -> None:
         """A query that reached the ORAQL pass but fell outside its
         probing scope (target filter, function/file restriction)."""
-        if not self.record_events:
+        if not self.observes_steps:
             return
         self._emit(ev.query_record(
             self._issuer(), self._stack, function,
@@ -142,7 +150,7 @@ class QueryTrace:
             if queries:
                 message += (" because ORAQL said no-alias("
                             + ", ".join(f"q{i}" for i in queries) + ")")
-        if self.record_events:
+        if self.observes_steps:
             self._emit(
                 ev.remark_record(pass_name, function, message, queries))
 
@@ -150,7 +158,7 @@ class QueryTrace:
     def record_stats(self, stats) -> None:
         """Snapshot a compile's pass statistics into the stream (the raw
         material for Fig. 6-style tables from the trace alone)."""
-        if not self.record_events:
+        if not self.observes_steps:
             return
         for pass_name, stat, value in stats.rows():
             self._emit(ev.stat_record(pass_name, stat, value))

@@ -59,6 +59,11 @@ class JsonlStreamingTrace(QueryTrace):
         except OSError:
             self.dropped_writes += 1
 
+    @property
+    def observes_steps(self) -> bool:
+        """A non-verbose stream keeps no record from inside a step."""
+        return self.verbose
+
     def _emit(self, rec: dict) -> None:
         if not self.verbose and rec.get("t") not in COARSE_KINDS:
             return

@@ -305,6 +305,108 @@ def render_probe_log(title, driver, report):
     return "\n".join(lines)
 
 
+def session_sequences(config, strategy="chunked"):
+    """The bit lists a plain probing session of ``config`` compiles, in
+    order; None stands for the baseline (ORAQL off)."""
+    from repro.oraql.driver import ProbingDriver
+
+    compiled = []
+
+    class _RecordingDriver(ProbingDriver):
+        def _compile(self, sequence, oraql_enabled=True, label="probe"):
+            compiled.append(list(sequence.bits) if oraql_enabled else None)
+            return super()._compile(sequence, oraql_enabled, label)
+
+    _RecordingDriver(config, strategy=strategy).run()
+    return compiled
+
+
+def golden_probe_sequences(path, title):
+    """The probes of one section of a ``strategy_probes_*.txt`` golden,
+    and its final sequence, as bit lists."""
+    from repro.oraql.sequence import sequence_from_pessimistic_set
+
+    with open(path) as f:
+        sections = f.read().split("\n\n")
+    for section in sections:
+        lines = section.strip().splitlines()
+        if lines and lines[0] == f"== {title} ==":
+            break
+    else:
+        raise KeyError(title)
+    probes = [[int(c) for c in line[len("probe "):].replace("(empty)", "")]
+              for line in lines if line.startswith("probe ")]
+    pess = next(line for line in lines if line.startswith("pessimistic: "))
+    indices = [int(i) for i in pess[len("pessimistic: "):].split(", ")
+               if i != "(none)"]
+    return probes + [sequence_from_pessimistic_set(indices).bits]
+
+
+def memo_referee(config, sequences):
+    """Compile each of ``sequences`` (bit lists, None for the baseline)
+    through one shared :class:`~repro.oraql.compiler.Compiler`, whose
+    function memo serves every compile after the first, and through a
+    fresh compiler; returns ``(bits, fields that differ, memo counts)``
+    for every compile that differs."""
+    from repro.fuzz.oracle import memo_mismatch
+    from repro.oraql.compiler import Compiler
+    from repro.oraql.sequence import DecisionSequence
+
+    shared = Compiler()
+    # keep the prefix with a compile that bypasses the memo, as
+    # fresh_compile does, so that no compile counts the prefix's work
+    shared.compile(config, debug_pass_executions=True)
+    bad = []
+    for bits in sequences:
+        kw = (dict(oraql_enabled=False) if bits is None else
+              dict(sequence=DecisionSequence(bits), oraql_enabled=True))
+        prog = shared.compile(config, **kw)
+        diff = memo_mismatch(prog, shared, config, **kw)
+        if diff is not None:
+            bad.append((bits, diff, prog.function_memo))
+    shared.drop_prefixes()
+    return bad
+
+
+def answer_premise(config, sequences):
+    """Check the function memo's premise on ``sequences``: a function
+    that gets the same ORAQL answers, in the same order, as in an
+    earlier compile comes out with the same body hash.  The compiles
+    are traced, so they bypass the memo.  Returns ``(repeats,
+    mismatches)``: how often a (function, answers) pair came again, and
+    the pairs whose hash differed."""
+    from repro.oraql.compiler import Compiler
+    from repro.oraql.sequence import DecisionSequence
+    from repro.trace import QueryTrace
+    from repro.trace.events import RESPONDER_ORAQL
+
+    compiler = Compiler()
+    seen = {}
+    repeats, mismatches = 0, []
+    for bits in sequences:
+        if bits is None:
+            continue
+        trace = QueryTrace()
+        prog = compiler.compile(config, DecisionSequence(bits),
+                                oraql_enabled=True, trace=trace)
+        answers = {}
+        for rec in trace.records:
+            if rec["t"] == "q" and rec["responder"] == RESPONDER_ORAQL:
+                answers.setdefault(rec["function"], []).append(
+                    rec["optimistic"])
+        for name, fn_hash in prog.fn_hashes.items():
+            key = (name, tuple(answers.get(name, ())))
+            if key not in seen:
+                seen[key] = fn_hash
+                continue
+            repeats += 1
+            if seen[key] != fn_hash:
+                mismatches.append(key)
+        prog.release()
+    compiler.drop_prefixes()
+    return repeats, mismatches
+
+
 def fuzz_probe_config(seed):
     """A probing config for a seeded hazard-mode fuzz program, with the
     O0 interpretation as the reference output (the oracle's setup)."""

@@ -204,7 +204,7 @@ class TestAAChain:
         module, ctx = _ctx()
         globals_aa = next(a for a in ctx.aa.analyses
                           if a.name == "globals-aa")
-        assert globals_aa.module is module
+        assert set(globals_aa._cache) == set(module.globals)
 
     def test_constructor_typeerror_not_swallowed(self):
         """The old ``try: cls(module) except TypeError: cls()`` probe
@@ -246,14 +246,18 @@ class TestAAChain:
         ctx.am.invalidate_function(fn, PreservedAnalyses.cfg())
         assert globals_aa._cache  # module analyses survive function passes
 
-    def test_globals_aa_dropped_under_coarse(self):
+    def test_globals_aa_fixed_under_coarse(self):
+        """The verdicts are fixed when the chain is built, so the
+        invalidate-everything referee keeps them too: fine and coarse
+        invalidation answer from the same verdicts."""
         module, ctx = _ctx(analysis_manager=CoarseAnalysisManager)
         fn = next(iter(module.defined_functions()))
         globals_aa = next(a for a in ctx.aa.analyses
                           if a.name == "globals-aa")
-        globals_aa._cache[12345] = True
+        built = dict(globals_aa._cache)
+        assert set(built) == set(module.globals)
         ctx.am.invalidate_function(fn, PreservedAnalyses.cfg())
-        assert not globals_aa._cache
+        assert globals_aa._cache == built
 
 
 # -- verify_analyses: catching passes that lie -------------------------------

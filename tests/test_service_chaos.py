@@ -7,7 +7,8 @@ import os
 import time
 
 from helpers import alive, child_pids, kill_server, spawn_server
-from repro.oraql.driver import ProbingDriver
+from repro.oraql.driver import ProbingDriver, ProbingReport
+from repro.oraql.sequence import DecisionSequence
 from repro.service import ProbingService, ServiceClient
 from repro.service import scheduler as scheduler_module
 from repro.workloads.base import get_config
@@ -36,7 +37,7 @@ def _held_job(spec_dict, paths, attempt, resume):
     deadline = time.monotonic() + 60
     while not os.path.exists(release) and time.monotonic() < deadline:
         time.sleep(0.02)
-    return {"config_name": "held", "worker_errors": []}
+    return ProbingReport("held", False, DecisionSequence(), [])
 
 
 #: kills the worker at its first probe on the first attempt only — the
