@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..analysis.aliasing import AliasResult
 from ..analysis.memloc import MemoryLocation
 from ..ir.function import Function
-from ..ir.instructions import Instruction
+from ..ir.instructions import AllocaInst, CallInst, Instruction, PhiInst
 from ..ir.printer import format_instruction
 from .sequence import DecisionSequence
 
@@ -75,12 +75,21 @@ class QueryRecord:
         return lines
 
 
+#: the pointer instructions whose text reads no operand
+_OPERAND_FREE = (AllocaInst, CallInst, PhiInst)
+
+
 def _describe(loc: MemoryLocation) -> str:
     ptr = loc.ptr
-    if isinstance(ptr, Instruction):
-        body = format_instruction(ptr)
-    else:
+    if not isinstance(ptr, Instruction):
         body = f"{ptr.type} {ptr.short()}"
+    elif ptr.parent is None and not ptr.operands \
+            and not isinstance(ptr, _OPERAND_FREE):
+        # erased by a later pass, which dropped the operands its text
+        # would print
+        body = f"{ptr.type} {ptr.short()} (erased {ptr.opcode})"
+    else:
+        body = format_instruction(ptr)
     return f"{body} [{loc.size}]"
 
 

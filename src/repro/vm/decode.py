@@ -34,17 +34,23 @@ across every run and MPI rank that shares its :class:`DecodedModule`.
   entered (a block's first non-phi op, or the op after any other op),
   up to and including the block's BR or JUMP, is one generated
   function, compiled once per distinct source (:func:`generate`).  It
-  charges each op's cost in order, runs it and returns the edge it
-  takes.  A run ending in a JUMP carries on into the run its target
-  enters, when that one reaches its block's BR or JUMP (one level) and
-  is not a loop header.  Memory ops read the image's buffer and break
-  once per run: only ALLOCA and SLOW ops allocate.  A vector inside the
-  break moves with one ``struct`` call, otherwise lane by lane.
+  charges the whole run's cost once, first, runs its ops and returns
+  the edge it takes.  A run ending in a JUMP carries on into the run
+  its target enters, when that one reaches its block's BR or JUMP (one
+  level) and is not a loop header.  Memory ops read the image's buffer
+  and break once per run: only ALLOCA and SLOW ops allocate.  A vector
+  inside the break moves with one ``struct`` call, otherwise lane by
+  lane.
 * **Loops.**  An innermost natural loop whose blocks hold nothing but
   statements is one more generated function (:func:`generate_loop`), a
   Python ``while`` over its blocks' statements, at its header's run
-  index.  It runs iterations while no budget check can fall inside the
-  next one, and returns at the header edge otherwise, where the
+  index.  Each block charges its cost once, on entry.  Every slot the
+  loop names lives in a Python local while it runs: loaded on entry,
+  and each slot it writes stored back before each return (a trap
+  stores nothing: no frame's registers are read after one).  A loop
+  that hands ``regs`` itself to a helper (the generic GEP) is not
+  promoted.  It runs iterations while no budget check can fall inside
+  the next one, and returns at the header edge otherwise, where the
   header's run takes over.
 * **Exactness.**  Decoding changes no observable result: a read that
   SSA dominance does not guarantee to find a value (a def that does not
@@ -57,7 +63,14 @@ across every run and MPI rank that shares its :class:`DecodedModule`.
   price, runs as a SLOW handler (:func:`_handler`).  A trap inside a run
   or loop is traced to its op (:func:`trap_point`), and a run that a
   budget check cuts goes op by op (:func:`steps`), so instruction
-  counts, cycles and trap texts are those of one op at a time.
+  counts, cycles and trap texts are those of one op at a time.  A
+  block's single charge is the float the op-by-op charges reach only
+  when every charge and partial sum is an integer below 2**53: the
+  interpreter runs the folded functions only then
+  (:func:`exact_charges`), and otherwise their twins that charge op by
+  op (:func:`charged`), generated on first use.  A trap inside a folded
+  block reports its cycles less what the op-by-op path had not charged
+  yet there (each function's ``post``).
 
 Decoded code never refers to a Machine or its Memory: handlers take
 them as arguments, so code is shared and every run's image is freed by
@@ -67,27 +80,33 @@ Op layouts (``cost`` is the cycles charged per execution, before the
 op runs):
 
 =============================================  ==============================
-``(FUSED, length, run, statements, steps)``    ``run(regs, mem, gpu,
-                                               cycles) -> (cycles, edge or
+``(FUSED, length, run, statements, steps,      ``run(regs, mem, gpu,
+charged)``                                     cycles) -> (cycles, edge or
                                                None)``: ``length`` ops,
                                                then the edge, or the next
                                                op if None; a threaded
                                                JUMP is a PLAIN statement
                                                (its phi moves) followed
-                                               by its target's run
-``(LOOP, worst, loop, header run)``            ``loop(regs, mem, gpu,
-                                               cycles, n, limit) ->
+                                               by its target's run;
+                                               ``run`` folds its charges,
+                                               ``charged`` holds its
+                                               op-by-op twin once made
+``(LOOP, worst, loop, header run, blocks,      ``loop(regs, mem, gpu,
+charged)``                                     cycles, n, limit) ->
                                                (cycles, n, edge)``: whole
                                                iterations of at most
                                                ``worst`` ops while ``n <
                                                limit``; the FUSED header
                                                run when a check may fall
-                                               in the first one
+                                               in the first one;
+                                               ``blocks`` are
+                                               :func:`generate_loop`'s,
+                                               for the op-by-op twin
 ``(CALL, cost, callee slot, arg slots,         push a frame of the code in
 dest)``                                        the callee slot; its RET
                                                writes ``dest``
-``(RET, cost, slot or None)``                  pop the frame, free its
-                                               allocas, pass the value
+``(RET, cost, slot or None)``                  pop the frame, pass the
+                                               value
 ``(ALLOCA, cost, size, align, dest)``          allocate in the image
 ``(SLOW, cost, h, dest)``                      ``h(machine, frame)`` with
                                                the machine state synced;
@@ -404,74 +423,163 @@ def _function(params: str, expr: str) -> Callable:
     return eval(f"lambda {params}: {expr}", _NAMESPACE)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _factory(text: str) -> Callable:
-    ns: dict = {}
-    exec(compile(text, _RUN_FILE, "exec"), _NAMESPACE, ns)
-    return ns["make"]
+#: a slot named in statement source
+_SLOT = re.compile(r"regs\[(\d+)\]")
+#: a statement that writes a slot (a read is never followed by " = ")
+_WRITE = re.compile(r"regs\[(\d+)\] = ")
+#: ``regs`` itself handed to a helper (the generic GEP)
+_HANDED = "(regs)"
+#: a return, with its indent
+_RETURN = re.compile(r"\n( *)return ")
+#: a priced intrinsic's unscaled charge: a line of its statement
+_CHARGE = "cycles += "
 
 
-def _statement(stmt: tuple, consts: list, body: List[str],
-               indent: str = "") -> None:
-    """Append statement ``stmt``'s lines to ``body``: its charge, then
-    its source with constant ``$i`` named after its place in
-    ``consts``, to which its constants are appended."""
-    kind, cost, src, cs = stmt
-    if cost is not None:
-        body.append(f"{indent}cycles += gpu * {cost!r}")
-    for i in reversed(range(len(cs))):  # $12 before $1
-        src = src.replace(f"${i}", f"k{len(consts) + i}")
-    consts += cs
-    if src:
-        body += [indent + line for line in src.split("\n")]
+class _Body:
+    """A generated function's body as it is built: its lines and
+    constants, and where a trap in it stands.  That is kept per
+    *segment*, a stretch of one statement's lines over which the
+    op-by-op path has charged the same: each segment's first line
+    (``lines``), its statement's offset (``at``) and, when the body
+    folds its charges, how much of its block's charge the op-by-op
+    path has not made yet there (``post``)."""
 
+    def __init__(self, fold: bool):
+        self.fold = fold
+        self.lines: List[str] = []
+        self.consts: list = []
+        self.starts: List[int] = []
+        self.at: List[int] = []
+        self.post: List[float] = []
 
-def _make(consts: list, signature: str, body: List[str]) -> Callable:
-    """The function ``def signature: body``, compiled once per distinct
-    text, with ``consts`` bound through the cached factory's
-    parameters."""
-    text = (f"def make({', '.join(f'k{i}' for i in range(len(consts)))}):\n"
-            f"    def {signature}:\n"
-            + "".join(f"        {line}\n" for line in body)
-            + f"    return {signature[:signature.index('(')]}\n")
-    return _factory(text)(*consts)
+    def _segment(self, offset: int, owed: float) -> None:
+        self.starts.append(len(self.lines))
+        self.at.append(offset)
+        self.post.append(owed)
+
+    def block(self, stmts, indent: str = "") -> None:
+        """Append the statements of one block (or run), each its source
+        with constant ``$i`` named after its place in ``consts``.  Op
+        by op, each first charges ``gpu * cost``; folded, the block
+        first charges once the sum of its statements' costs and of
+        their priced intrinsics' unscaled charges, which is the same
+        float when ``gpu`` is 1.0 and every charge and sum is an
+        integer below 2**53 (:func:`exact_charges`)."""
+        srcs = []
+        for _, _, src, cs in stmts:
+            for i in reversed(range(len(cs))):  # $12 before $1
+                src = src.replace(f"${i}", f"k{len(self.consts) + i}")
+            self.consts += cs
+            srcs.append(src.split("\n") if src else [])
+        lines = self.lines
+        if not self.fold:
+            for offset, (stmt, src) in enumerate(zip(stmts, srcs)):
+                self._segment(offset, 0.0)
+                if stmt[1] is not None:
+                    lines.append(f"{indent}cycles += gpu * {stmt[1]!r}")
+                lines += [indent + line for line in src]
+            return
+        # each statement's cost, then its priced intrinsic's charge
+        charges = [[stmt[1] or 0.0] + (
+            [float(line[len(_CHARGE):]) for line in src
+             if line.startswith(_CHARGE)] if _CHARGE in stmt[2] else [])
+            for stmt, src in zip(stmts, srcs)]
+        owed = sum(map(sum, charges))
+        lines.append(f"{indent}cycles += {owed!r}")
+        for offset, (cs, src) in enumerate(zip(charges, srcs)):
+            owed -= cs[0]
+            self._segment(offset, owed)
+            if len(cs) == 1:
+                lines += [indent + line for line in src]
+                continue
+            for line in src:
+                if line.startswith(_CHARGE):
+                    owed -= float(line[len(_CHARGE):])
+                    self._segment(offset, owed)
+                else:
+                    lines.append(indent + line)
+
+    def function(self, head: str, promote: bool) -> Callable:
+        """``def head, lines=, at=[, post=]): body`` with this body's
+        constants bound (:func:`_factory`)."""
+        return _factory(head, "\n".join(self.lines), tuple(self.starts),
+                        tuple(self.at), tuple(self.post) if self.fold
+                        else None, promote, len(self.consts))(*self.consts)
 
 
 #: the lines before the first line of a generated function's body
 _HEAD = 2
 
 
-def generate(stmts) -> Callable:
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _factory(head: str, text: str, starts: tuple, at: tuple,
+             post: Optional[tuple], promote: bool, nconsts: int) -> Callable:
+    """``make(k0, ...)``, which returns the function ``def head,
+    lines=, at=[, post=]): text`` with constants ``k0, ...`` bound;
+    compiled once per distinct body, so that the programs of a session
+    share it.  ``starts`` are the body lines where :func:`trap_point`'s
+    segments start.  Promoted, every slot the body names lives in a
+    local: loaded on entry, and each slot it writes stored back before
+    each return.  A trap stores nothing back: no frame's registers are
+    read after one.  A body that hands ``regs`` itself to a helper is
+    not promoted."""
+    prologue = ["data = mem.data", "brk = mem.brk"] * ("brk" in text)
+    if promote and _HANDED not in text:
+        named = sorted({int(s) for s in _SLOT.findall(text)})
+        back = "".join(f"regs[{s}] = r{s}\n" for s in sorted(
+            {int(s) for s in _WRITE.findall(text)}))
+        prologue += [f"r{s} = regs[{s}]" for s in named]
+        head_text, *parts = text.split("regs[")  # each "N]..."
+        text = "\n" + head_text + "".join(
+            ["r" + part.replace("]", "", 1) for part in parts])
+        # the write-back goes before each return, at its indent
+        returns = [text.count("\n", 0, m.start())
+                   for m in _RETURN.finditer(text)]
+        text = _RETURN.sub(lambda m: "\n" + back.replace(
+            "regs", m[1] + "regs") + m[0][1:], text)[1:]
+        added = back.count("\n")
+        starts = tuple(s + added * bisect.bisect_left(returns, s)
+                       for s in starts)
+    first = _HEAD + 1 + len(prologue)
+    params = f"lines={tuple(first + s for s in starts)}, at={at}"
+    if post is not None:
+        params += f", post={post}"
+    source = (f"def make({', '.join(f'k{i}' for i in range(nconsts))}):\n"
+              f"    def {head}, {params}):\n"
+              + "".join(f"        {line}\n" for line in prologue)
+              + "        " + text.replace("\n", "\n        ") + "\n"
+              + f"    return {head[:head.index('(')]}\n")
+    ns: dict = {}
+    exec(compile(source, _RUN_FILE, "exec"), _NAMESPACE, ns)
+    return ns["make"]
+
+
+def generate(stmts, fold: bool = False) -> Callable:
     """One function ``run(regs, mem, gpu, cycles) -> (cycles, edge or
     None)`` that runs ``stmts`` in order.  A statement is ``(kind, cost,
     source, constants)``: the run charges ``gpu * cost`` (unless cost is
     None), then runs the source, in which ``$i`` names constant ``i``.
-    Only a BR or JUMP, the last statement, returns an edge.
+    Only a BR or JUMP, the last statement, returns an edge.  ``fold``
+    charges the whole run once, first (:meth:`_Body.block`).
 
     The source is compiled once per distinct text; this program's
     constants are bound through the cached factory's parameters.
-    ``lines``, a parameter left at its default, holds the first line of
-    each statement, so a trap can be traced to one (:func:`trap_point`).
+    ``lines``, ``at`` and ``post``, parameters left at their defaults,
+    let :func:`trap_point` trace a trap to its statement.
     """
-    consts: list = []
-    body: List[str] = []
-    starts: List[int] = []
-    if any("brk" in stmt[2] for stmt in stmts):  # only SLOW ops allocate
-        body += ["data = mem.data", "brk = mem.brk"]
-    for stmt in stmts:
-        starts.append(len(body) + _HEAD + 1)
-        _statement(stmt, consts, body)
+    body = _Body(fold)
+    body.block(stmts)
     if stmts[-1][0] == PLAIN:
-        body.append("return cycles, None")
-    return _make(consts, f"run(regs, mem, gpu, cycles, "
-                         f"lines={tuple(starts)})", body)
+        body.lines.append("return cycles, None")
+    return body.function("run(regs, mem, gpu, cycles", promote=False)
 
 
 #: a statement line that takes an edge
 _EDGE = re.compile(r"^( *)return cycles, \$(\d+)$", re.M)
 
 
-def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
+def generate_loop(blocks, fold: bool = False) \
+        -> Optional[Tuple[Callable, int]]:
     """One function ``loop(regs, mem, gpu, cycles, n, limit) -> (cycles,
     n, edge)`` that runs an innermost loop whose blocks hold nothing but
     statements, and the most instructions one iteration can count.
@@ -479,30 +587,27 @@ def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
     first; ``n`` counts instructions.
 
     A Python ``while`` goes from block to block; each statement charges
-    its cost and runs, in order, as in :func:`generate`.  An edge out of
-    the loop returns, and so does the edge back to the header once
-    ``n`` reaches ``limit``: the caller passes the next budget check
-    less one iteration's worst case, so that no check falls inside an
-    iteration.  ``lines`` and ``at`` (each statement's first line and
-    its offset in its block) let :func:`trap_point` trace a trap to its
-    op.  None when the blocks have a cycle that does not pass through
-    the header (irreducible control flow)."""
+    its cost and runs, in order, as in :func:`generate`, or each block
+    charges once, first, with ``fold``.  Every slot the loop names
+    lives in a local while it runs (:meth:`_Body.function`).  An edge
+    out of the loop returns, and so does the edge back to the header
+    once ``n`` reaches ``limit``: the caller passes the next budget
+    check less one iteration's worst case, so that no check falls
+    inside an iteration.  ``lines``, ``at`` and ``post`` let
+    :func:`trap_point` trace a trap to its op.  None when the blocks
+    have a cycle that does not pass through the header (irreducible
+    control flow)."""
     where = {id(ops): b for b, (ops, _) in enumerate(blocks)}
     many = len(blocks) > 1
-    consts: list = []
-    body: List[str] = []
-    starts: List[int] = []
-    at: List[int] = []
+    body = _Body(fold)
     after: List[set] = []  # the blocks each block can go on to
-    if any("brk" in stmt[2] for _, stmts in blocks for stmt in stmts):
-        body += ["data = mem.data", "brk = mem.brk"]
-    body += ["b = 0"] * many + ["while True:"]
+    body.lines += ["b = 0"] * many + ["while True:"]
     for b, (_, stmts) in enumerate(blocks):
         indent = "    "
         if many:
-            body.append("    " + ("if b == 0:" if b == 0 else
-                                  "else:" if b == len(blocks) - 1 else
-                                  f"elif b == {b}:"))
+            body.lines.append("    " + ("if b == 0:" if b == 0 else
+                                        "else:" if b == len(blocks) - 1 else
+                                        f"elif b == {b}:"))
             indent = "        "
         after.append(set())
 
@@ -517,17 +622,14 @@ def generate_loop(blocks: list) -> Optional[Tuple[Callable, int]]:
             return (f"{ind}n += {len(stmts)}\n{ind}if n >= limit:\n"
                     f"{ind}    return cycles, n, ${c}\n"
                     + f"{ind}b = 0\n" * many + f"{ind}continue")
-        for offset, stmt in enumerate(stmts):
-            starts.append(len(body) + _HEAD + 1)
-            at.append(offset)
-            src = _EDGE.sub(functools.partial(take, stmt), stmt[2])
-            _statement(stmt[:2] + (src,) + stmt[3:], consts, body, indent)
+        body.block([stmt[:2] + (_EDGE.sub(functools.partial(take, stmt),
+                                          stmt[2]),) + stmt[3:]
+                    for stmt in stmts], indent)
     worst = _longest(after, [len(stmts) for _, stmts in blocks])
     if worst is None:
         return None
-    return _make(consts, f"loop(regs, mem, gpu, cycles, n, limit, "
-                         f"lines={tuple(starts)}, at={tuple(at)})",
-                 body), worst
+    return body.function("loop(regs, mem, gpu, cycles, n, limit",
+                         promote=True), worst
 
 
 def _longest(after: List[set], lengths: List[int]) -> Optional[int]:
@@ -554,16 +656,18 @@ def trap_point(tb, n: int) -> Optional[Tuple[int, float]]:
     ``tb``'s frame trapped, if it did, the call having started at ``n``
     instructions: ``(count, cycles)``, the instructions counted up to
     and including the statement holding the raising line, and the
-    cycles charged up to and including it."""
+    cycles charged up to and including it (a folded charge less what
+    the op-by-op path had not charged yet there)."""
     tb = tb.tb_next
     if tb is None or tb.tb_frame.f_code.co_filename != _RUN_FILE:
         return None
     f = tb.tb_frame.f_locals
     k = bisect.bisect_right(f["lines"], tb.tb_lineno) - 1
-    at = f.get("at")
-    if at is None:
-        return n + k + 1, f["cycles"]
-    return f["n"] + at[k] + 1, f["cycles"]
+    if "limit" in f:  # a loop counts from its block's first op
+        n = f["n"]
+    post = f.get("post")
+    return (n + f["at"][k] + 1,
+            f["cycles"] if post is None else f["cycles"] - post[k])
 
 
 def steps(op: tuple) -> list:
@@ -573,6 +677,42 @@ def steps(op: tuple) -> list:
     if not out:
         out.extend(generate((stmt,)) for stmt in op[3])
     return out
+
+
+def charged(op: tuple) -> Callable:
+    """A FUSED or LOOP op's function that charges op by op, generated
+    on first use: the path where folded charges would not be exact
+    (:func:`exact_charges`)."""
+    out = op[-1]
+    if not out:
+        out.append(generate(op[3]) if op[0] == FUSED
+                   else generate_loop(op[4])[0])
+    return out[0]
+
+
+def max_charge(costs: Dict[str, float],
+               intrinsic_costs: Dict[str, float]) -> Optional[float]:
+    """The most one instruction outside SLOW and PRICED ops can charge
+    with ``gpu`` at 1.0 (an opcode's cost plus a pure intrinsic's), or
+    None when one of those costs is not an integer: then no charge is
+    folded."""
+    pure = [c for name, c in intrinsic_costs.items()
+            if name in PURE_INTRINSICS]
+    if not all(float(c).is_integer() for c in [*costs.values(), *pure]):
+        return None
+    return (max(map(abs, costs.values()), default=0.0)
+            + max(map(abs, pure), default=0.0))
+
+
+def exact_charges(cycles, gpu: float, bound: float) -> bool:
+    """May runs and loops fold their charges, from ``cycles`` on, until
+    the next SLOW or PRICED op?  Yes when ``gpu`` is 1.0 and ``cycles``
+    an integer within ``bound`` (``2**53`` less the most the
+    instructions left before the step limit can charge, see
+    :func:`max_charge`): every charge is then an integer and every sum
+    exact, so one sum per block is the float the op-by-op charges
+    reach."""
+    return gpu == 1.0 and cycles % 1 == 0 and -bound <= cycles <= bound
 
 
 # -- decoded code ---------------------------------------------------------------
@@ -689,6 +829,8 @@ class DecodedModule:
         self._shared = shared
         self._hashes = hashes or {}
         self._table = cost_tables(costs, intrinsic_costs)
+        #: see :func:`max_charge`
+        self.max_charge = max_charge(costs, intrinsic_costs)
         #: code decoded for this program alone, emptied on release
         self._private: List[Code] = []
 
@@ -914,14 +1056,16 @@ class _Decoder:
             ops = self.ops[bb]
             for start, (stmts, end) in runs.items():
                 stmts = self.thread(bb, stmts, end, loops)
-                ops[start] = (FUSED, len(stmts), generate(stmts), stmts, [])
+                ops[start] = (FUSED, len(stmts), generate(stmts, fold=True),
+                              stmts, [], [])
         for header, blocks in loops.items():
-            made = generate_loop([(self.ops[bb], self.runs[bb][
-                self.nphis[bb]][0]) for bb in blocks])
+            blocks = tuple((self.ops[bb], self.runs[bb][self.nphis[bb]][0])
+                           for bb in blocks)
+            made = generate_loop(blocks, fold=True)
             if made is not None:
                 ops = self.ops[header]
                 start = self.nphis[header]
-                ops[start] = (LOOP, made[1], made[0], ops[start])
+                ops[start] = (LOOP, made[1], made[0], ops[start], blocks, [])
         arg_slots = tuple(self.slot(a) for a in self.fn.args[:self.nargs])
         base = list(self.template)
         for slot, *_ in self.links:
@@ -1390,9 +1534,7 @@ def _handler(op: tuple) -> Callable:
     _, _, size, align, d = op
 
     def alloca(m, frame):
-        addr = m.memory.allocate(size, align)
-        frame.allocas.append(addr)
-        frame.regs[d] = addr
+        frame.regs[d] = m.memory.allocate(size, align)
         frame.index += 1
     return alloca
 

@@ -47,6 +47,8 @@ from .decode import (
     DecodedFunction,
     DecodedModule,
     binop_fn,
+    charged,
+    exact_charges,
     steps,
     trap_point,
 )
@@ -77,13 +79,12 @@ class Frame:
     the caller's slot for the result, None for a frame entered by
     :meth:`Machine.start` or :meth:`Machine.call_synchronously`."""
 
-    __slots__ = ("regs", "ops", "index", "allocas", "ret")
+    __slots__ = ("regs", "ops", "index", "ret")
 
     def __init__(self, entry: list, regs: list, ret: Optional[int]):
         self.regs = regs
         self.ops = entry
         self.index = 0
-        self.allocas: List[int] = []
         self.ret = ret
 
 
@@ -253,8 +254,6 @@ class Machine:
 
     def _leave(self, val) -> None:
         frame = self.frames.pop()
-        for addr in frame.allocas:
-            self.memory.free(addr)
         if not self.frames:
             self.state = "done"
             self.retval = val
@@ -307,9 +306,13 @@ class Machine:
         op (which sees, and may change, the machine's state) and on
         exit.  Per instruction, in order: count it, charge its cost,
         run it, then check the step and wall-clock budgets.  A FUSED
-        run does all of that for its ops at once when no check can
-        fire inside it, and op by op otherwise; a trap inside it is
-        traced back to its op (:func:`~repro.vm.decode.trap_point`).
+        run or a LOOP does all of that for its ops at once when no
+        check can fire inside it, and op by op otherwise; a trap inside
+        it is traced back to its op (:func:`~repro.vm.decode.
+        trap_point`).  Runs and loops charge each block once while
+        ``exact`` holds (:func:`~repro.vm.decode.exact_charges`), which
+        only the entry and SLOW and PRICED ops can change; otherwise
+        they charge op by op (:func:`~repro.vm.decode.charged`).
         Calls, returns and allocas run here, with the counters kept in
         locals; a caller's frame records the index of its call."""
         frames = self.frames
@@ -319,6 +322,10 @@ class Machine:
         cycles = self.cycles
         gpu = self._gpu_factor
         check_at = self._next_check(n)
+        most = self.decoded.max_charge
+        bound = -1.0 if most is None \
+            else 2.0 ** 53 - (self.max_steps + 1) * most
+        exact = exact_charges(cycles, gpu, bound)
         frame = frames[-1]
         ops, i, regs = frame.ops, frame.index, frame.regs
         try:
@@ -328,15 +335,17 @@ class Machine:
                 if kind == LOOP:
                     limit = check_at - op[1]
                     if n < limit:
-                        cycles, n, (ops, i) = op[2](regs, mem, gpu, cycles,
-                                                    n, limit)
+                        cycles, n, (ops, i) = (
+                            op[2] if exact else charged(op))(
+                                regs, mem, gpu, cycles, n, limit)
                         continue
                     op = op[3]  # the header's run: a check may fall in it
                     kind = FUSED
                 if kind == FUSED:
                     length = op[1]
                     if n + length < check_at:
-                        cycles, edge = op[2](regs, mem, gpu, cycles)
+                        cycles, edge = (op[2] if exact else charged(op))(
+                            regs, mem, gpu, cycles)
                         n += length
                     else:  # so that the check lands on its instruction
                         for step in steps(op):
@@ -367,8 +376,6 @@ class Machine:
                 elif kind == RET:
                     val = None if op[2] is None else regs[op[2]]
                     frames.pop()
-                    for addr in frame.allocas:
-                        mem.free(addr)
                     ret = frame.ret
                     if not frames:
                         self.state = "done"
@@ -387,13 +394,12 @@ class Machine:
                         return
                     continue
                 elif kind == ALLOCA:
-                    addr = mem.allocate(op[2], op[3])
-                    frame.allocas.append(addr)
-                    regs[op[4]] = addr
+                    regs[op[4]] = mem.allocate(op[2], op[3])
                     i += 1
                 else:
                     if kind == PRICED:  # an opcode the cost table lacks
                         cycles += gpu * price(op[2])
+                        exact = exact_charges(cycles, gpu, bound)
                         op = op[3]
                     if op[0] == PLAIN:  # one generated op, charging nothing
                         cycles, edge = op[2](regs, mem, gpu, cycles)
@@ -412,6 +418,7 @@ class Machine:
                             n = self.instructions
                             cycles = self.cycles
                         gpu = self._gpu_factor
+                        exact = exact_charges(cycles, gpu, bound)
                         if n >= check_at:  # it cannot fire below
                             self._check_budget(n)
                             check_at = self._next_check(n)

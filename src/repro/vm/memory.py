@@ -33,7 +33,9 @@ def _trap(addr: int, size: int) -> MemoryTrap:
 
 
 class Memory:
-    """Flat memory with a bump allocator and allocation tracking.
+    """Flat memory with a bump allocator that never frees: a stack slot
+    outlives its frame and ``free`` is a no-op, as nothing reads which
+    allocations are live.
 
     The buffer starts at ``capacity`` bytes and doubles whenever an
     allocation needs more; accesses are checked against the break, so
@@ -44,8 +46,6 @@ class Memory:
     def __init__(self, capacity: int = 1 << 16):
         self.data = bytearray(capacity)
         self.brk = _BASE
-        #: live allocations, start address -> size
-        self.allocations: Dict[int, int] = {}
 
     # -- allocation ------------------------------------------------------
     def allocate(self, size: int, align: int = 8) -> int:
@@ -53,12 +53,7 @@ class Memory:
         while end > len(self.data):
             self.data.extend(bytearray(len(self.data)))
         self.brk = end
-        self.allocations[addr] = end - addr
         return addr
-
-    def free(self, addr: int) -> None:
-        """Drop an allocation (``free``, or a stack slot on return)."""
-        self.allocations.pop(addr, None)
 
     def check(self, addr: int, size: int) -> None:
         if addr < _BASE or addr + size > self.brk:

@@ -103,3 +103,51 @@ class TestPessimisticDump:
 
     def test_no_dump_section_without_records(self):
         assert "true aliases" not in render_report(_report())
+
+
+def _erased(rec) -> bool:
+    return any(loc.ptr.parent is None and not loc.ptr.operands
+               for loc in (rec.a, rec.b))
+
+
+class TestErasedPointers:
+    """A record's pointer may be an instruction that a later pass
+    erased, dropping its operands: it renders by type, name and opcode,
+    and every other record renders as the printer prints it."""
+
+    def test_every_record_of_an_all_optimistic_compile_renders(self):
+        from repro.oraql.compiler import Compiler
+        from repro.workloads.base import get_config
+
+        prog = Compiler().compile(get_config("MiniFE-openmp"),
+                                  sequence=DecisionSequence(),
+                                  oraql_enabled=True)
+        records = prog.oraql.records
+        assert len(records) == 75
+        texts = [render_query(rec) for rec in records]
+        erased = [text for rec, text in zip(records, texts) if _erased(rec)]
+        assert len(erased) == 45
+        assert all("(erased getelementptr) [" in text for text in erased)
+        assert not any("(erased" in text for rec, text in zip(records, texts)
+                       if not _erased(rec))
+
+    def test_report_whose_final_program_holds_an_erased_pointer(self):
+        from repro.oraql.compiler import Compiler
+        from repro.oraql.sequence import sequence_from_pessimistic_set
+        from repro.workloads.base import get_config
+
+        # unique query 5 answered pessimistically: its pointer is still
+        # erased later in the pipeline
+        prog = Compiler().compile(get_config("MiniFE-openmp"),
+                                  sequence=sequence_from_pessimistic_set({5}),
+                                  oraql_enabled=True)
+        (rec,) = prog.oraql.pessimistic_records()
+        assert rec.index == 5 and _erased(rec)
+        report = _report(pessimistic_indices=[5],
+                         pessimistic_records=[rec], final_program=prog)
+        dump = render_pessimistic_dump(report)
+        assert dump.splitlines()[0] == (f"Executing Pass '{rec.issuing_pass}'"
+                                        f" on Function '{rec.scope}'...")
+        assert "(erased getelementptr)" in dump
+        assert dump in render_report(report)
+        assert report.detach_for_transport().pessimistic_dump == dump
