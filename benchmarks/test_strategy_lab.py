@@ -2,11 +2,12 @@
 
 Every registered probing strategy (the paper's chunked and frequency)
 runs over all sixteen paper configurations and is scored on
-probes-to-convergence (verdicts the search consumed), compiles, pass
-executions, and wall-clock.  ``frequency`` explores a different search
-space than chunked and may legally pin a different locally-maximal set
-(it does, on a handful of rows); it is held to validity (the driver
-verified its final sequence) and determinism.
+probes-to-convergence (verdicts the search consumed), compiles and pass
+executions; the wall-clock of each session is printed, not saved.
+``frequency`` explores a different search space than chunked and may
+legally pin a different locally-maximal set (it does, on a handful of
+rows); it is held to validity (the driver verified its final sequence)
+and determinism.
 
 The ``smoke`` subset (``pytest -k smoke``) is the CI job: two
 workloads across every strategy plus a frequency rerun determinism
@@ -58,24 +59,26 @@ def lab_reports(probed_reports) -> Dict[str, Dict[str, ProbingReport]]:
 
 def test_matrix_scores(lab_reports):
     """The full matrix: every session converges within budget; render
-    the scoreboard artifact."""
-    lines = [f"{'configuration':<22} {'strategy':<18} {'probes':>6} "
-             f"{'compiles':>8} {'pass-exec':>9} {'wall-s':>7} "
-             f"{'pessimistic':>11}"]
+    the scoreboard artifact.  The checked-in table holds counts only,
+    so a run on any host rewrites it unchanged; the wall-clock times
+    are printed beside it."""
+    header = (f"{'configuration':<22} {'strategy':<18} {'probes':>6} "
+              f"{'compiles':>8} {'pass-exec':>9} {'pessimistic':>11}")
+    lines, printed = [header], [f"{header} {'wall-s':>7}"]
     for row in row_names():
         for strategy in strategy_names():
             rep = lab_reports[strategy][row]
             assert not rep.failed, (row, strategy, rep.error)
             assert not rep.budget_exhausted, (row, strategy)
             assert rep.strategy == strategy
-            lines.append(
-                f"{row:<22} {strategy:<18} {probes_of(rep):>6} "
-                f"{rep.compiles:>8} {rep.pass_executions:>9} "
-                f"{getattr(rep, 'wall_seconds', 0.0):>7.2f} "
-                f"{len(rep.pessimistic_indices):>11}")
-    table = "\n".join(lines)
-    save_result("strategy_lab_matrix", table)
-    print("\n" + table)
+            line = (f"{row:<22} {strategy:<18} {probes_of(rep):>6} "
+                    f"{rep.compiles:>8} {rep.pass_executions:>9} "
+                    f"{len(rep.pessimistic_indices):>11}")
+            lines.append(line)
+            printed.append(
+                f"{line} {getattr(rep, 'wall_seconds', 0.0):>7.2f}")
+    save_result("strategy_lab_matrix", "\n".join(lines))
+    print("\n" + "\n".join(printed))
 
 
 def test_frequency_is_valid_and_self_consistent(lab_reports):

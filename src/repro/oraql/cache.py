@@ -38,6 +38,18 @@ change.  Each record also carries the code digest it was written
 under; on load, a record with another code digest is ignored (not
 corrupt), and compaction drops it like a foreign-schema record.
 
+Baseline records
+----------------
+A **baseline record** (``"t": "baseline"``) says that the baseline
+executable (ORAQL off) ran and verified against the configuration's
+reference.  It is keyed like a verdict, ``<config fingerprint>:<exe
+hash>``, and needs no code digest, because an exe hash proves itself.
+The driver reads it to skip the baseline run of a warm session.  It is
+kept apart from the probe verdicts: a probe whose executable equals the
+baseline's still books its own verdict, and a baseline lookup counts
+neither as a hit nor as a miss.  Like answer records, a baseline record
+is never trusted without its checksum.
+
 Robustness: a shared mutable file on a fleet *will* get torn appends,
 truncated tails, and bit rot.  New records therefore carry a CRC-32 of
 their canonical serialization; on load, undecodable lines, CRC
@@ -55,7 +67,7 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .config import BenchmarkConfig
 from .replay import AnswerLog, code_digest
@@ -96,6 +108,8 @@ class VerdictCache:
         self._mem: Dict[str, Tuple[bool, Optional[str]]] = {}
         #: answer key -> {answer log: exe hash}
         self._answers: Dict[str, Dict[AnswerLog, str]] = {}
+        #: keys of baselines that ran and verified
+        self._baselines: Set[str] = set()
         self.hits = 0
         self.misses = 0
         #: undecodable / CRC-failed / malformed lines skipped on load
@@ -142,6 +156,12 @@ class VerdictCache:
         if rec.get("t") == "answers":
             self._ingest_answers(rec, crc)
             return
+        if rec.get("t") == "baseline":
+            if crc is None or not isinstance(rec.get("key"), str):
+                self.corrupt_records += 1
+            else:
+                self._baselines.add(rec["key"])
+            return
         key, ok = rec.get("key"), rec.get("ok")
         if isinstance(key, str) and isinstance(ok, bool):
             triage = rec.get("triage")
@@ -174,7 +194,8 @@ class VerdictCache:
 
         Drops superseded duplicates, corrupt lines, foreign-schema
         records and answer records of other code, and keeps every
-        answer record of this code; the replacement is atomic
+        answer record of this code and every baseline record; the
+        replacement is atomic
         (write-temp + rename), so concurrent readers see either the old
         or the new file, never a partial one.  Returns
         ``(lines_before, lines_after)``.
@@ -211,6 +232,8 @@ class VerdictCache:
                 for key in sorted(self._answers):
                     for log, exe in self._answers[key].items():
                         f.write(self._encode_answers(key, log, exe) + "\n")
+                for key in sorted(self._baselines):
+                    f.write(self._encode_baseline(key) + "\n")
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, self.path)
@@ -219,7 +242,8 @@ class VerdictCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         self.corrupt_records = 0
-        return before, len(self._mem) + self.answer_records
+        return before, (len(self._mem) + self.answer_records
+                        + len(self._baselines))
 
     # -- the cache interface ---------------------------------------------
     @staticmethod
@@ -244,6 +268,12 @@ class VerdictCache:
         return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
+    def _encode_baseline(key: str) -> str:
+        rec = {"v": CACHE_SCHEMA_VERSION, "t": "baseline", "key": key}
+        rec["crc"] = _record_crc(rec)
+        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+    @staticmethod
     def answer_key(fingerprint: str, setup: str) -> str:
         """Answer records' key: config fingerprint and the compiler's
         :func:`~repro.oraql.replay.setup_digest`."""
@@ -264,6 +294,22 @@ class VerdictCache:
         try:
             with open(self.path, "a") as f:
                 f.write(self._encode_answers(key, log, exe_hash) + "\n")
+        except OSError:
+            self.dropped_writes += 1
+
+    def has_baseline(self, key: str) -> bool:
+        """Whether the baseline keyed ``key`` (:meth:`key`) ran and
+        verified (not counted as a verdict lookup)."""
+        return key in self._baselines
+
+    def put_baseline(self, key: str) -> None:
+        """Record that the baseline keyed ``key`` ran and verified."""
+        if key in self._baselines:
+            return
+        self._baselines.add(key)
+        try:
+            with open(self.path, "a") as f:
+                f.write(self._encode_baseline(key) + "\n")
         except OSError:
             self.dropped_writes += 1
 
@@ -300,6 +346,7 @@ class VerdictCache:
             "path": self.path,
             "records": len(self._mem),
             "answer_records": self.answer_records,
+            "baseline_records": len(self._baselines),
             "hits": self.hits,
             "misses": self.misses,
             "corrupt_records": self.corrupt_records,

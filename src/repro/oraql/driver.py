@@ -4,7 +4,12 @@ Workflow (Fig. 1):
 
 1. compile + run with the ORAQL pass deactivated; the verification
    script must accept this baseline (its output also serves as the
-   reference when the config does not ship one);
+   reference when the config does not ship one).  A passing baseline is
+   recorded in the verdict cache; when the cache already holds that
+   record for the baseline's exe hash, the run and the reference wait
+   until a test or the final program first needs them
+   (:attr:`ProbingDriver.verifier`), so a fully warm session runs no
+   program at all;
 2. attempt the *empty sequence* — every query answered no-alias; if the
    tests still pass, report full optimism and stop;
 3. otherwise bisect to pin down the queries that must be answered
@@ -96,6 +101,9 @@ class ProbingReport:
     #: persistent verdict-cache traffic (0/0 when no cache is attached)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: the verdict cache held the baseline's passing verdict and no test
+    #: needed the reference output, so the baseline never ran
+    baseline_cached: bool = False
     #: triage class -> number of *executed* tests that ended that way
     #: (cached/deduced verdicts are not re-triaged)
     triage_counts: Dict[str, int] = field(default_factory=dict)
@@ -160,6 +168,8 @@ class ProbingReport:
         extra = ""
         if self.cache_hits or self.cache_misses:
             extra += f", {self.cache_hits} verdict-cache hits"
+        if self.baseline_cached:
+            extra += ", baseline cached"
         if self.tests_replayed:
             extra += f", {self.tests_replayed} journal-replayed"
         if self.retries:
@@ -213,7 +223,11 @@ class ProbingDriver:
         self.strategy = strategy
         self._strategy = create_strategy(strategy)
         self.max_tests = max_tests
-        self.verifier: Optional[VerificationScript] = None
+        #: the baseline program, its verdict-cache key, and the
+        #: verification script its run built (see :attr:`verifier`)
+        self._baseline: Optional[CompiledProgram] = None
+        self._baseline_key: Optional[str] = None
+        self._verifier: Optional[VerificationScript] = None
         self.verdict_cache = verdict_cache
         self.trace = trace
         self.executor = executor or TestExecutor(self.compiler,
@@ -414,6 +428,45 @@ class ProbingDriver:
             self._journaled.add(log)
             self.journal.record_probe(exe_hash, ok, n, triage, log[1])
 
+    # -- the baseline and the reference output ------------------------------
+    @property
+    def verifier(self) -> Optional[VerificationScript]:
+        """The verification script.  The first read after the baseline
+        compile runs and checks the baseline (:meth:`_check_baseline`);
+        a session whose cached baseline verdict spares that run at the
+        start reads it only when a test or the final program runs.
+        ``None`` before :meth:`run` compiles the baseline."""
+        if self._verifier is None and self._baseline is not None:
+            self._verifier = self._check_baseline()
+        return self._verifier
+
+    def _check_baseline(self) -> VerificationScript:
+        """Run the baseline, build the verification script (its output
+        is the reference when the config ships none), check the
+        baseline against it, and record the pass in the verdict cache;
+        a failing baseline raises :class:`ProbingError`."""
+        cfg = self.config
+        base_run = self._baseline.run(
+            fuel=self.executor.policy.fuel,
+            wall_clock=self.executor.policy.wall_clock)
+        references = list(cfg.reference_outputs)
+        if not references:
+            if not base_run.ok:
+                raise ProbingError(
+                    f"baseline run failed: {base_run.state} "
+                    f"({base_run.error})",
+                    triage=triage_run(base_run))
+            references = [base_run.stdout]
+        verifier = VerificationScript(references, cfg.output_filters)
+        if not verifier.check(base_run):
+            raise ProbingError(
+                "baseline does not verify against the reference output",
+                triage=verifier.triage(base_run),
+                explain=verifier.explain(base_run))
+        if self._baseline_key is not None:
+            self.verdict_cache.put_baseline(self._baseline_key)
+        return verifier
+
     def _explain(self, outcome: TestOutcome) -> Optional[str]:
         if outcome.run is not None and self.verifier is not None:
             return self.verifier.explain(outcome.run)
@@ -435,27 +488,18 @@ class ProbingDriver:
         if self.trace is not None:
             self.trace.session(cfg.name, self.strategy)
 
-        # 1. baseline: ORAQL deactivated
+        # 1. baseline: ORAQL deactivated; it runs now unless the
+        # verdict cache says it passed, and then on first need
         baseline = self._compile(None, oraql_enabled=False,
                                  label="baseline")
-        report.baseline_program = baseline
+        report.baseline_program = self._baseline = baseline
         report.no_alias_original = baseline.no_alias_count
-        base_run = baseline.run(fuel=self.executor.policy.fuel,
-                                wall_clock=self.executor.policy.wall_clock)
-        references = list(cfg.reference_outputs)
-        if not references:
-            if not base_run.ok:
-                raise ProbingError(
-                    f"baseline run failed: {base_run.state} "
-                    f"({base_run.error})",
-                    triage=triage_run(base_run))
-            references = [base_run.stdout]
-        self.verifier = VerificationScript(references, cfg.output_filters)
-        if not self.verifier.check(base_run):
-            raise ProbingError(
-                "baseline does not verify against the reference output",
-                triage=self.verifier.triage(base_run),
-                explain=self.verifier.explain(base_run))
+        if self.verdict_cache is not None:
+            self._baseline_key = VerdictCache.key(self._fingerprint,
+                                                  baseline.exe_hash)
+        if self._baseline_key is None \
+                or not self.verdict_cache.has_baseline(self._baseline_key):
+            self._verifier = self._check_baseline()
 
         # 2. the fully optimistic attempt (empty sequence)
         pess: Set[int] = set()
@@ -478,15 +522,16 @@ class ProbingDriver:
         final = self._final_program(final_seq)
         known = self._hash_cache.get(final.exe_hash)
         if known is None or not known[0]:
+            verifier = self.verifier
             final_run = final.run(fuel=self.executor.policy.fuel,
                                   wall_clock=self.executor.policy.wall_clock)
-            if not self.verifier.check(final_run) \
+            if not verifier.check(final_run) \
                     and not report.budget_exhausted:
                 raise ProbingError(
                     "final sequence does not verify — non-deterministic "
                     "compilation or verification",
-                    triage=self.verifier.triage(final_run),
-                    explain=self.verifier.explain(final_run))
+                    triage=verifier.triage(final_run),
+                    explain=verifier.explain(final_run))
         report.final_sequence = final_seq
         report.pessimistic_indices = sorted(pess)
         report.final_program = final
@@ -501,6 +546,7 @@ class ProbingDriver:
         report.pessimistic_records = oraql.pessimistic_records()
         report.retries = self.executor.retries_used
         report.nondet_reruns = self.executor.nondet_reruns
+        report.baseline_cached = self._verifier is None
         if self.journal is not None and not report.budget_exhausted:
             self.journal.record_done(report.pessimistic_indices)
         if self.trace is not None:

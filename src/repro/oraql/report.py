@@ -77,6 +77,8 @@ def render_report(report: ProbingReport) -> str:
     if r.cache_hits or r.cache_misses:
         out.append(f"verdict cache      : {r.cache_hits} hits, "
                    f"{r.cache_misses} misses")
+    if r.baseline_cached:
+        out.append("baseline           : verdict cached, not run")
     if r.triage_counts:
         ordered = [c for c in TRIAGE_CLASSES if r.triage_counts.get(c)]
         ordered += sorted(set(r.triage_counts) - set(TRIAGE_CLASSES))

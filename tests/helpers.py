@@ -3,6 +3,7 @@ test suite."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import select
 import signal
@@ -197,7 +198,8 @@ class ReplaySessions:
         self._done = {}
 
     def run(self, case):
-        """``(report, driver, kills)`` of one combination's session."""
+        """``(report, driver, kills, runs)`` of one combination's
+        session; ``runs`` counts its ``CompiledProgram.run`` calls."""
         if case[2:] not in self.SHARED:
             return self._session(case)
         if case not in self._done:
@@ -245,18 +247,42 @@ class ReplaySessions:
         make = replay_checking_driver if case[2:] in REPLAY_CHECKED \
             else ProbingDriver
         kills = 0
-        while True:
-            driver = make(
-                cfg, strategy=strategy, verdict_cache=verdict_cache,
-                journal=SessionJournal.for_config(
-                    os.path.join(workdir, "journal"), cfg, strategy,
-                    resume=kills > 0),
-                injector=injector, trace=QueryTrace() if traced else None)
-            try:
-                return driver.run(), driver, kills
-            except SessionKilled:
-                kills += 1
-                assert kills == 1
+        with counting_runs() as runs:
+            while True:
+                driver = make(
+                    cfg, strategy=strategy, verdict_cache=verdict_cache,
+                    journal=SessionJournal.for_config(
+                        os.path.join(workdir, "journal"), cfg, strategy,
+                        resume=kills > 0),
+                    injector=injector,
+                    trace=QueryTrace() if traced else None)
+                try:
+                    report = driver.run()
+                    break
+                except SessionKilled:
+                    kills += 1
+                    assert kills == 1
+        return report, driver, kills, len(runs)
+
+
+@contextlib.contextmanager
+def counting_runs():
+    """Collect the program of every ``CompiledProgram.run`` call made
+    inside the block, in order."""
+    from repro.oraql.compiler import CompiledProgram
+
+    ran = []
+    run = CompiledProgram.run
+
+    def counting(self, *args, **kwargs):
+        ran.append(self)
+        return run(self, *args, **kwargs)
+
+    CompiledProgram.run = counting
+    try:
+        yield ran
+    finally:
+        CompiledProgram.run = run
 
 
 def replay_answers(report):
@@ -268,7 +294,7 @@ def check_replay_combination(sessions, case):
     """One answer-replay combination finds the plain session's answers,
     and books its probes consistently."""
     row, strategy, traced, cache, journal = case
-    report, driver, kills = sessions.run(case)
+    report, driver, kills, runs = sessions.run(case)
     assert replay_answers(report) == \
         replay_answers(sessions.reference(row, strategy))
     assert kills == (journal == "resumed" and not report.fully_optimistic)
@@ -276,9 +302,12 @@ def check_replay_combination(sessions, case):
         # the compile-anyway referee checked every replayed probe
         assert driver.checked == report.compiles_skipped
     if cache == "warm":
-        # only the baseline and final compiles are left
+        # only the baseline and final compiles are left, and no program
+        # runs: every verdict, the baseline's too, is cached
         assert report.compiles == 2
         assert report.tests_run == 0
+        assert runs == 0
+        assert report.baseline_cached
     # a probe either compiles or is replayed; the baseline compiles, and
     # so does the final program unless it is the last passing probe
     assert report.compiles + report.compiles_skipped == \
