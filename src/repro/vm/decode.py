@@ -33,7 +33,8 @@ across every run and MPI rank that shares its :class:`DecodedModule`.
 * **Runs.**  Each straight-line stretch of statements that can be
   entered (a block's first non-phi op, or the op after any other op),
   up to and including the block's BR or JUMP, is one generated
-  function, compiled once per distinct source (:func:`generate`).  It
+  function, compiled once per distinct source (:func:`generate`), on
+  the code's first interpreter entry (:meth:`Code.make_runs`).  It
   charges the whole run's cost once, first, runs its ops and returns
   the edge it takes.  A run ending in a JUMP carries on into the run
   its target enters, when that one reaches its block's BR or JUMP (one
@@ -52,6 +53,20 @@ across every run and MPI rank that shares its :class:`DecodedModule`.
   promoted.  It runs iterations while no budget check can fall inside
   the next one, and returns at the header edge otherwise, where the
   header's run takes over.
+* **Call trees.**  Code with no SLOW or PRICED op, that hands ``regs``
+  to no helper, is also one generated function for the whole body
+  (:class:`_TreeWriter`), built from the same statements: every slot a
+  local for the whole call, constants bound as defaults, allocas and
+  returns inline, a ``while`` over its blocks (one more per innermost
+  loop).  In a program whose callees of it all have trees (no cycle of
+  calls), its tree is bound to the program's template and calls theirs
+  directly (:meth:`DecodedFunction.plant`): the host recurses only
+  along such acyclic, runtime-free call trees.  Before each block (an
+  innermost loop: before each iteration) it checks that no budget check
+  can fall inside; otherwise it raises :class:`Deopt` with the frames
+  it stopped in, each at its block's first op or its own CALL op, and
+  the interpreter goes on from them.  A code that only runs as a tree
+  never generates its runs.
 * **Exactness.**  Decoding changes no observable result: a read that
   SSA dominance does not guarantee to find a value (a def that does not
   dominate the use, an entry-block phi, a missing argument) is checked
@@ -60,13 +75,13 @@ across every run and MPI rank that shares its :class:`DecodedModule`.
   through :meth:`CostModel.of` when it executes, and an intrinsic
   missing from the intrinsic table stays a runtime call.  A call, return
   or alloca that must check its operands, or that the table does not
-  price, runs as a SLOW handler (:func:`_handler`).  A trap inside a run
-  or loop is traced to its op (:func:`trap_point`), and a run that a
-  budget check cuts goes op by op (:func:`steps`), so instruction
-  counts, cycles and trap texts are those of one op at a time.  A
-  block's single charge is the float the op-by-op charges reach only
-  when every charge and partial sum is an integer below 2**53: the
-  interpreter runs the folded functions only then
+  price, runs as a SLOW handler (:func:`_handler`).  A trap inside a
+  run, loop or tree is traced to its op (:func:`trap_point`), and a run
+  that a budget check cuts goes op by op (:func:`steps`), so
+  instruction counts, cycles and trap texts are those of one op at a
+  time.  A block's single charge is the float the op-by-op charges
+  reach only when every charge and partial sum is an integer below
+  2**53: the interpreter runs the folded functions only then
   (:func:`exact_charges`), and otherwise their twins that charge op by
   op (:func:`charged`), generated on first use.  A trap inside a folded
   block reports its cycles less what the op-by-op path had not charged
@@ -102,9 +117,11 @@ charged)``                                     cycles, n, limit) ->
                                                ``blocks`` are
                                                :func:`generate_loop`'s,
                                                for the op-by-op twin
-``(CALL, cost, callee slot, arg slots,         push a frame of the code in
-dest)``                                        the callee slot; its RET
-                                               writes ``dest``
+``(CALL, cost, callee slot, arg slots,         run the callee's tree (see
+dest)``                                        below), or push a frame of
+                                               the code in the callee
+                                               slot; its RET writes
+                                               ``dest``
 ``(RET, cost, slot or None)``                  pop the frame, pass the
                                                value
 ``(ALLOCA, cost, size, align, dest)``          allocate in the image
@@ -119,7 +136,12 @@ dest)``                                        the callee slot; its RET
 =============================================  ==============================
 
 The indices inside a run hold None: they are never dispatched.  An edge
-is ``(target ops, start index)``.
+is ``(target ops, start index)``.  Until :meth:`Code.make_runs`, a
+FUSED op's ``run`` is None and no LOOP op is laid out.
+
+A call tree is ``tree(mem, cycles, n, limit, args...) -> (value,
+cycles, n)``: it runs the whole call while ``n`` stays below ``limit``
+(the interpreter's next budget check), or raises :class:`Deopt`.
 """
 
 from __future__ import annotations
@@ -129,6 +151,7 @@ import functools
 import math
 import re
 import struct
+import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.dominators import DominatorTree
@@ -222,33 +245,6 @@ def _frem(a, b):
     return math.fmod(a, b) if b != 0.0 else math.nan
 
 
-def _sdiv(a, b, bits):
-    if b == 0:
-        raise UndefinedBehavior("sdiv by zero")
-    q = abs(a) // abs(b)
-    return _wrap_int(-q if (a < 0) != (b < 0) else q, bits)
-
-
-def _srem(a, b, bits):
-    if b == 0:
-        raise UndefinedBehavior("srem by zero")
-    q = abs(a) // abs(b)
-    q = -q if (a < 0) != (b < 0) else q
-    return _wrap_int(a - q * b, bits)
-
-
-def _udiv(a, b, bits):
-    if b == 0:
-        raise UndefinedBehavior("udiv by zero")
-    return _wrap_int(_unsigned(a, bits) // _unsigned(b, bits), bits)
-
-
-def _urem(a, b, bits):
-    if b == 0:
-        raise UndefinedBehavior("urem by zero")
-    return _wrap_int(_unsigned(a, bits) % _unsigned(b, bits), bits)
-
-
 def _fptosi(v, bits):
     if math.isnan(v) or math.isinf(v):
         raise UndefinedBehavior("fptosi of NaN/Inf")
@@ -286,9 +282,16 @@ _INT_BINOPS = {
 _FLOAT_BINOPS = {"fadd": "{a} + {b}", "fsub": "{a} - {b}",
                  "fmul": "{a} * {b}", "fdiv": "_fdiv({a}, {b})",
                  "frem": "_frem({a}, {b})"}
-#: division by zero is undefined behaviour
-_DIVISIONS = {"sdiv": "_sdiv", "srem": "_srem", "udiv": "_udiv",
-              "urem": "_urem"}
+#: integer divisions over ``x`` (``{a}``) and ``y`` (``{b}``, not 0),
+#: before wrapping: signed ones truncate toward zero (floor division
+#: and modulo agree with that when the operands' signs do), unsigned
+#: ones divide the values masked to ``{m}``
+_DIVISIONS = {
+    "sdiv": "x // y if ((x := {a}) < 0) == (y < 0) else -(-x // y)",
+    "srem": "x % y if ((x := {a}) < 0) == (y < 0) else -(-x % y)",
+    "udiv": "((x := {a}) & {m}) // (y & {m})",
+    "urem": "((x := {a}) & {m}) % (y & {m})",
+}
 
 _ICMP = {"eq": "==", "ne": "!=", "slt": "<", "ult": "<", "sle": "<=",
          "ule": "<=", "sgt": ">", "ugt": ">", "sge": ">=", "uge": ">="}
@@ -306,8 +309,10 @@ def binop_expr(op: str, ty: Type) -> str:
     if expr is not None:
         return _wrap(expr.format(a="{a}", b="{b}", bits=bits,
                                  m=(1 << bits) - 1), bits)
-    if op in _DIVISIONS:
-        return f"{_DIVISIONS[op]}({{a}}, {{b}}, {bits})"
+    if op in _DIVISIONS:  # the divisor first: a zero one traps
+        div = _DIVISIONS[op].format(a="{a}", m=(1 << bits) - 1)
+        return (f"_raise(UndefinedBehavior({f'{op} by zero'!r})) "
+                f"if (y := {{b}}) == 0 else " + _wrap(div, bits))
     return f"_raise(VMError({f'bad binop {op}'!r}))"
 
 
@@ -402,8 +407,7 @@ def cast_fn(op: str, to: Type, from_ty: Type) -> Callable:
 #: the globals of all generated code
 _NAMESPACE = {
     "UNSET": UNSET, "_trap": _trap, "isnan": math.isnan, "_fdiv": _fdiv,
-    "_frem": _frem, "_sdiv": _sdiv, "_srem": _srem, "_udiv": _udiv,
-    "_urem": _urem, "_fptosi": _fptosi, "_fptrunc": _fptrunc,
+    "_frem": _frem, "_fptosi": _fptosi, "_fptrunc": _fptrunc,
     "_raise": _raise, "VMError": VMError,
     "UndefinedBehavior": UndefinedBehavior,
     "_safe": _safe, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
@@ -652,18 +656,22 @@ def _longest(after: List[set], lengths: List[int]) -> Optional[int]:
 
 
 def trap_point(tb, n: int) -> Optional[Tuple[int, float]]:
-    """Where a generated run or loop called from traceback entry
+    """Where a generated run, loop or tree called from traceback entry
     ``tb``'s frame trapped, if it did, the call having started at ``n``
     instructions: ``(count, cycles)``, the instructions counted up to
     and including the statement holding the raising line, and the
     cycles charged up to and including it (a folded charge less what
-    the op-by-op path had not charged yet there)."""
+    the op-by-op path had not charged yet there).  In a tree, that is
+    the innermost generated frame: the callee that trapped."""
     tb = tb.tb_next
     if tb is None or tb.tb_frame.f_code.co_filename != _RUN_FILE:
         return None
+    while tb.tb_next is not None \
+            and tb.tb_next.tb_frame.f_code.co_filename == _RUN_FILE:
+        tb = tb.tb_next
     f = tb.tb_frame.f_locals
     k = bisect.bisect_right(f["lines"], tb.tb_lineno) - 1
-    if "limit" in f:  # a loop counts from its block's first op
+    if "limit" in f:  # loops and trees count from their block's first op
         n = f["n"]
     post = f.get("post")
     return (n + f["at"][k] + 1,
@@ -715,6 +723,378 @@ def exact_charges(cycles, gpu: float, bound: float) -> bool:
     return gpu == 1.0 and cycles % 1 == 0 and -bound <= cycles <= bound
 
 
+# -- call trees -------------------------------------------------------------------
+
+class _Unplanted:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<unplanted>"
+
+
+#: a code's or function's call tree before its first use
+UNPLANTED = _Unplanted()
+
+
+class Deopt(Exception):
+    """Raised by a call tree at a block it may not run whole, because a
+    budget check could fall inside it: the frames the interpreter goes
+    on from, each ``(code, ops, index, regs, dest)``, innermost first.
+    The innermost stands at the block's first op, every other one at
+    its own CALL op, whose result goes to slot ``dest``; ``n`` and
+    ``cycles`` are the counters at that block."""
+
+    def __init__(self, code: "Code", template: list, ops: list, index: int,
+                 local: dict, n: int, cycles: float):
+        super().__init__()
+        self.n = n
+        self.cycles = cycles
+        self.levels = [(code, ops, index, _frame_regs(template, local), None)]
+
+
+def _unwind(code: "Code", template: list, ops: list, index: int,
+            local: dict, dest: int) -> None:
+    """Add the caller's frame, at its CALL op, to the :class:`Deopt`
+    being handled.  It is read here rather than bound by the caller's
+    ``except``, so that the caller's ``locals()`` never holds it: that
+    would make a cycle through the traceback's frames."""
+    sys.exc_info()[1].levels.append(
+        (code, ops, index, _frame_regs(template, local), dest))
+
+
+def _frame_regs(template: list, local: dict) -> list:
+    """A frame's registers: ``template`` with a tree's locals ``r<slot>``
+    written over it."""
+    regs = template.copy()
+    for name, value in local.items():
+        if name[0] == "r" and name[1:].isdigit():
+            regs[int(name[1:])] = value
+    return regs
+
+
+class _Tree:
+    """A code's call tree before it is bound: ``make(template, code,
+    callee trees..., consts..., constant slot values...)`` returns the
+    program's ``tree(mem, cycles, n, limit, args...) -> (value, cycles,
+    n)``.  ``calls`` are ``(callee slot, argument count)`` in parameter
+    order."""
+
+    __slots__ = ("make", "calls", "consts", "const_slots")
+
+    def __init__(self, make: Callable, calls: tuple, consts: tuple,
+                 const_slots: tuple):
+        self.make = make
+        self.calls = calls
+        self.consts = consts
+        self.const_slots = const_slots
+
+
+def _treeable(code: "Code") -> bool:
+    """No SLOW or PRICED op, and no statement hands ``regs`` itself to a
+    helper."""
+    for ops in code.blocks:
+        for op in ops:
+            if op is None:
+                continue
+            if op[0] in (SLOW, PRICED):
+                return False
+            if op[0] == LOOP:
+                op = op[3]
+            if op[0] == FUSED and any(_HANDED in s[2] for s in op[3]):
+                return False
+    return True
+
+
+class _TreeWriter:
+    """Writes a code's call tree: one generated function that runs the
+    whole body with every slot in a local ``r<slot>``.
+
+    Its *blocks* are the places edges enter (and the entry); each is cut
+    into *segments* that end at a CALL, or at the block's RET, BR or
+    JUMP.  A segment first checks that ``n`` plus its length stays
+    below ``limit``, else raises :class:`Deopt` for its first op; then
+    it charges its cycles once and runs its statements, an ALLOCA, a
+    RET and a CALL being statements too.  A call goes straight to the
+    callee's tree, and adds the caller's frame to a :class:`Deopt` that
+    passes through.
+
+    Blocks are laid out in *chains*: a block whose one edge in comes
+    from the block before it in the chain follows it directly, and
+    every other edge sets the block number ``b`` and goes round a
+    ``while`` that picks the chain ``b`` starts.  Each innermost loop
+    has a ``while`` of its own, which an edge leaving the loop breaks;
+    its header checks the loop's longest iteration, so its other blocks
+    check nothing (as a LOOP op does)."""
+
+    def __init__(self, code: "Code"):
+        self.code = code
+        self.where: Dict[Tuple[int, int], int] = {}
+        self.starts: List[Tuple[list, int]] = []
+        self.body = _Body(fold=True)
+        #: the callee slots called, and the arguments each call passes
+        self.calls: Dict[int, int] = {}
+        self.dests: set = set()
+
+    def number(self, ops: list, start: int) -> int:
+        key = (id(ops), start)
+        b = self.where.get(key)
+        if b is None:
+            b = self.where[key] = len(self.starts)
+            self.starts.append((ops, start))
+        return b
+
+    def segments(self, ops: list, i: int) -> List[tuple]:
+        """The block at ``ops[i]`` as ``(start, [(index, op)...])``
+        segments."""
+        out, items, start = [], [], i
+        while i < len(ops):
+            op = ops[i]
+            if op[0] == LOOP:
+                op = op[3]  # its header's run: a tree goes block by block
+            items.append((i, op))
+            if op[0] == FUSED:
+                i += op[1]
+                if op[3][-1][0] != PLAIN:
+                    break
+                continue
+            if op[0] == RET:
+                break
+            i += 1
+            if op[0] == CALL:
+                out.append((start, items))
+                items, start = [], i
+        out.append((start, items))
+        return out
+
+    def write(self) -> _Tree:
+        code = self.code
+        self.number(code.entry, 0)
+        self.blocks: List[list] = []
+        #: each block's edges: their targets, with repeats
+        self.edges: List[List[int]] = []
+        while len(self.blocks) < len(self.starts):  # edges add blocks
+            segments = self.segments(*self.starts[len(self.blocks)])
+            self.blocks.append(segments)
+            last = segments[-1][1][-1][1]
+            self.edges.append([self.number(*last[3][-1][3][int(m[2])])
+                               for m in _EDGE.finditer(last[3][-1][2])]
+                              if last[0] == FUSED else [])
+        preds = [0] * len(self.blocks)
+        for targets in self.edges:
+            for t in targets:
+                preds[t] += 1
+        #: the innermost loops: header -> its blocks, header first
+        loops: Dict[int, List[int]] = {}
+        for ops, start, loop_blocks in code.loops:
+            header = self.where.get((id(ops), start))
+            if header is not None:  # entered
+                ids = {id(bops) for bops, _ in loop_blocks}
+                loops[header] = [header] + [
+                    b for b, (bops, _) in enumerate(self.starts)
+                    if id(bops) in ids and b != header]
+        inside = {b for members in loops.values() for b in members}
+        #: a block that follows the one before it in its chain
+        self.follows = [preds[b] == 1 and b != 0 and b not in loops
+                        for b in range(len(self.blocks))]
+        #: each loop's header check, or None: check every block
+        self.worst: Dict[int, Optional[int]] = {
+            h: self.longest(members) for h, members in loops.items()}
+        self.checked = {b for h, members in loops.items()
+                        if self.worst[h] is not None
+                        for b in members if b != h}
+        top = [b for b in range(len(self.blocks)) if b not in inside
+               or b in loops]
+        arms = self.chains(top, set(top) - set(loops), set(loops))
+        if len(arms) == 1 and all(
+                t == nxt for b, nxt in zip(arms[0], arms[0][1:] + [None])
+                for t in self.edges[b]):
+            self.chain(arms[0], "", None)  # straight through
+        else:
+            self.body.lines += ["b = 0", "while True:"]
+            self.dispatch(arms, loops, "    ")
+        return self.function()
+
+    def longest(self, members: List[int]) -> Optional[int]:
+        """The most instructions one iteration of the loop ``members``
+        (header first) can count, or None (irreducible, or a call)."""
+        if any(len(self.blocks[b]) > 1 for b in members):
+            return None
+        index = {b: i for i, b in enumerate(members)}
+        return _longest(
+            [{index[t] for t in self.edges[b] if index.get(t, 0)}
+             for b in members],
+            [self.length(self.blocks[b][0][1]) for b in members])
+
+    @staticmethod
+    def length(items: list) -> int:
+        return sum(op[1] if op[0] == FUSED else 1 for _, op in items)
+
+    def chains(self, heads: List[int], allowed: set,
+               ends: frozenset = frozenset()) -> List[List[int]]:
+        """``heads`` in order, each followed by the blocks in
+        ``allowed`` that follow it (see :attr:`follows`); a chain that
+        reaches a block in ``ends`` (a loop, which runs in its own
+        ``while``) stops there."""
+        placed: set = set()
+        out = []
+        for head in heads:
+            if head in placed:
+                continue
+            chain = [head]
+            placed.add(head)
+            while chain[-1] not in ends:
+                nxt = next((t for t in self.edges[chain[-1]]
+                            if self.follows[t] and t in allowed
+                            and t not in placed), None)
+                if nxt is None:
+                    break
+                chain.append(nxt)
+                placed.add(nxt)
+            out.append(chain)
+        return out
+
+    def dispatch(self, arms: List[List[int]], loops: dict,
+                 indent: str) -> None:
+        """An ``if``/``elif`` chain on ``b`` over ``arms``; an arm that
+        starts at a loop header runs the loop's chains in a ``while`` of
+        its own."""
+        lines = self.body.lines
+        for k, arm in enumerate(arms):
+            inner = indent
+            if len(arms) > 1:
+                inner += "    "
+                lines.append(indent + (
+                    "else:" if k == len(arms) - 1 else
+                    f"{'elif' if k else 'if'} b == {arm[0]}:"))
+            members = loops.get(arm[0])
+            if members is None:
+                self.chain(arm, inner, None)
+                continue
+            lines.append(inner + "while True:")
+            chains = self.chains(members, set(members))
+            if len(chains) == 1:
+                self.chain(chains[0], inner + "    ", chains[0])
+                continue
+            for j, chain in enumerate(chains):
+                lines.append(inner + "    " + (
+                    "else:" if j == len(chains) - 1 else
+                    f"{'elif' if j else 'if'} b == {chain[0]}:"))
+                self.chain(chain, inner + "        ", members)
+
+    def chain(self, arm: List[int], indent: str,
+              loop: Optional[list]) -> None:
+        """The blocks of ``arm`` in order, each edge to the next one
+        falling through.  Inside ``loop`` (its blocks), an edge to one
+        of them goes round the loop's ``while`` and any other edge
+        breaks out of it; ``loop`` is the arm itself when it is the
+        loop's only one, and then ``b`` need not be set to go round."""
+        for i, b in enumerate(arm):
+            nxt = arm[i + 1] if i + 1 < len(arm) else None
+            ops = self.starts[b][0]
+            for start, items in self.blocks[b]:
+                self.segment(b, ops, start, items, indent, loop, nxt,
+                             loop is arm)
+
+    def segment(self, block: int, ops: list, start: int, items: list,
+                indent: str, loop: Optional[list], nxt: Optional[int],
+                alone: bool) -> None:
+        length = self.length(items)
+        stmts = []
+        for index, op in items:
+            kind = op[0]
+            if kind == FUSED:
+                stmts += op[3]
+            elif kind == ALLOCA:
+                _, cost, size, align, d = op
+                stmts.append((PLAIN, cost,
+                              f"regs[{d}] = mem.allocate({size}, {align})\n"
+                              "data = mem.data\nbrk = mem.brk", ()))
+            elif kind == RET:
+                value = "None" if op[2] is None else f"regs[{op[2]}]"
+                stmts.append((PLAIN, op[1],
+                              f"return {value}, cycles, n + {length}", ()))
+            else:  # a CALL, which ends the segment
+                _, cost, c, args, d = op
+                self.calls[c] = len(args)
+                self.dests.add(d)
+                stmts.append((PLAIN, cost, (
+                    f"n += {length}\ntry:\n"
+                    f"    regs[{d}], cycles, n = f{c}(mem, cycles, n, limit"
+                    + "".join(f", regs[{a}]" for a in args) + ")\n"
+                    "except Deopt:\n"
+                    f"    _unwind(C, T, $0, {index}, locals(), {d})\n"
+                    "    raise\n"
+                    "data = mem.data\nbrk = mem.brk"), (ops,)))
+        last = stmts[-1]
+        if last[0] != PLAIN:  # the block's BR or JUMP: its edges
+
+            def take(m):
+                ind, t = m[1], self.number(*last[3][int(m[2])])
+                out = f"{ind}n += {length}"
+                if t == nxt:
+                    return out  # falls through into the next block
+                if loop is None or t in loop:
+                    go = "continue"
+                    if alone and t == loop[0]:
+                        return f"{out}\n{ind}{go}"
+                else:
+                    go = "break"
+                return f"{out}\n{ind}b = {t}\n{ind}{go}"
+            stmts[-1] = last[:2] + (_EDGE.sub(take, last[2]),) + last[3:]
+        body = self.body
+        if block not in self.checked:
+            check = self.worst.get(block) or length
+            body.consts.append(ops)
+            body.lines += [f"{indent}if n + {check} >= limit:",
+                           f"{indent}    raise Deopt(C, T, "
+                           f"k{len(body.consts) - 1}, {start}, locals(), "
+                           "n, cycles)"]
+        body.block(stmts, indent)
+
+    def function(self) -> _Tree:
+        """Bind the written body's slots to locals and compile it."""
+        code, body = self.code, self.body
+        text = "\n".join(body.lines)
+        written = {int(s) for s in _WRITE.findall(text)} | self.dests
+        args = set(code.arg_slots)
+        consts = sorted({int(s) for s in _SLOT.findall(text)}
+                        - written - args)
+        unset = sorted((code.checked & written) - args)
+        head, *parts = text.split("regs[")  # each "N]..."
+        text = head + "".join("r" + part.replace("]", "", 1)
+                              for part in parts)
+        prologue = ["data = mem.data", "brk = mem.brk"] * ("brk" in text)
+        if unset:
+            prologue.append(" = ".join(f"r{s}" for s in unset) + " = UNSET")
+        first = _HEAD + 1 + len(prologue)
+        params = ", ".join(
+            ["mem", "cycles", "n", "limit"]
+            + [f"r{s}" for s in code.arg_slots]
+            + [f"r{s}=r{s}" for s in consts]
+            + [f"lines={tuple(first + s for s in body.starts)}",
+               f"at={tuple(body.at)}", f"post={tuple(body.post)}"])
+        names = ", ".join(["T", "C"] + [f"f{c}" for c in self.calls]
+                          + [f"k{i}" for i in range(len(body.consts))]
+                          + [f"r{s}" for s in consts])
+        source = (f"def make({names}):\n    def tree({params}):\n"
+                  + "".join(f"        {line}\n"
+                            for line in prologue + text.split("\n"))
+                  + "    return tree\n")
+        return _Tree(_compiled(source), tuple(self.calls.items()),
+                     tuple(body.consts), tuple(consts))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _compiled(source: str) -> Callable:
+    """The ``make`` that ``source`` defines, compiled once per text."""
+    ns: dict = {}
+    exec(compile(source, _RUN_FILE, "exec"), _NAMESPACE, ns)
+    return ns["make"]
+
+
+_NAMESPACE.update(Deopt=Deopt, _unwind=_unwind)
+
+
 # -- decoded code ---------------------------------------------------------------
 
 #: link kinds: per-program template slots, filled by name (:meth:`Code.bind`)
@@ -731,18 +1111,33 @@ class Code:
     ``links`` name what each program supplies: ``(slot, kind, name,
     nargs)`` for a global's address, a function value or a callee's
     code, and ``(None, _RUNTIME, name, 0)`` for a callee that must not
-    be defined, because its calls go to the runtime."""
+    be defined, because its calls go to the runtime.
 
-    __slots__ = ("template", "links", "arg_slots", "entry", "blocks")
+    The op lists hold each run's statements from decoding on; the
+    functions of its runs and loops are generated on the first
+    interpreter entry (:meth:`make_runs`), and its call tree on the
+    first call that may run it as one (:meth:`tree`): code that only
+    runs as a tree never generates its runs.  ``loops`` are its
+    innermost loops of statements, ``(header ops, start index,
+    blocks)`` with ``blocks`` as :func:`generate_loop` takes them, and
+    ``checked`` the slots some statement checks for :data:`UNSET`."""
+
+    __slots__ = ("template", "links", "arg_slots", "entry", "blocks",
+                 "loops", "checked", "ready", "_tree")
 
     def __init__(self, template: list, links: tuple,
                  arg_slots: Tuple[int, ...], entry: list,
-                 blocks: List[list]):
+                 blocks: List[list], loops: tuple, checked: frozenset):
         self.template = template
         self.links = links
         self.arg_slots = arg_slots
         self.entry = entry
         self.blocks = blocks
+        self.loops = loops
+        self.checked = checked
+        #: whether the runs and loops are generated
+        self.ready = False
+        self._tree = UNPLANTED
 
     def bind(self, owner: "DecodedModule") -> Optional[list]:
         """The template of a frame of this code in ``owner``'s program,
@@ -767,6 +1162,30 @@ class Code:
                 return None
             template[slot] = value
         return template
+
+    def make_runs(self) -> None:
+        """Generate the function of each run (a FUSED op) and of each
+        innermost loop (a LOOP op at its header's run), once."""
+        if self.ready:
+            return
+        self.ready = True
+        for ops in self.blocks:
+            for i, op in enumerate(ops):
+                if op is not None and op[0] == FUSED:
+                    ops[i] = (FUSED, op[1], generate(op[3], fold=True),
+                              *op[3:])
+        for ops, start, blocks in self.loops:
+            made = generate_loop(blocks, fold=True)
+            if made is not None:
+                ops[start] = (LOOP, made[1], made[0], ops[start], blocks, [])
+
+    def tree(self) -> Optional["_Tree"]:
+        """This code as a call tree, generated once; None when it has a
+        SLOW or PRICED op or hands ``regs`` to a helper."""
+        if self._tree is UNPLANTED:
+            self._tree = _TreeWriter(self).write() if _treeable(self) \
+                else None
+        return self._tree
 
     def release(self) -> None:
         """Empty the op lists (cyclic through loop edges): for code no
@@ -871,7 +1290,7 @@ class DecodedModule:
         decoded code (cyclic through loop edges and calls) is freed by
         reference counting.  No machine may be running it."""
         for code in self._functions.values():
-            code.template = None
+            code.template = code.code = code.tree = None
         self._functions.clear()
         for code in self._private:
             code.release()
@@ -879,24 +1298,66 @@ class DecodedModule:
 
 
 class DecodedFunction:
-    """One function of one program: the entry ops and argument slots
-    of its :class:`Code`, and this program's template; ``entry`` is
-    None until the first frame enters it."""
+    """One function of one program: its :class:`Code`, argument slots
+    and this program's template once bound; ``entry`` is None until the
+    first frame enters it, and ``tree`` :data:`UNPLANTED` until the
+    first call that may run it as a call tree (:meth:`plant`)."""
 
-    __slots__ = ("owner", "fn", "nargs", "template", "arg_slots", "entry")
+    __slots__ = ("owner", "fn", "nargs", "code", "template", "arg_slots",
+                 "entry", "tree")
 
     def __init__(self, owner: DecodedModule, fn: Function, nargs: int):
         self.owner = owner
         self.fn = fn
         self.nargs = nargs
+        self.code: Optional[Code] = None
         self.template: Optional[list] = None
         self.arg_slots: Tuple[int, ...] = ()
         self.entry: Optional[list] = None
+        self.tree = UNPLANTED
+
+    def bind(self) -> Code:
+        """The code and this program's template, decoded or shared."""
+        if self.code is None:
+            self.code, self.template = self.owner.code(self.fn, self.nargs)
+            self.arg_slots = self.code.arg_slots
+        return self.code
 
     def decode(self) -> None:
-        code, self.template = self.owner.code(self.fn, self.nargs)
-        self.arg_slots = code.arg_slots
+        """Ready for frames: bound, with the code's runs generated."""
+        code = self.bind()
+        code.make_runs()
         self.entry = code.entry
+
+    def plant(self, path: tuple = ()) -> Optional[Callable]:
+        """This function's call tree in its program, made once: the
+        code's tree bound to this program's template and to its
+        callees' trees, or None when the code has no tree, a callee has
+        none or takes another number of arguments, or the function is
+        on a cycle of calls (``path`` holds the functions whose trees
+        are being planted)."""
+        if self.tree is not UNPLANTED:
+            return self.tree
+        if self in path:  # a cycle: each function on it gets None
+            return None
+        shape = self.bind().tree()
+        tree = None
+        if shape is not None:
+            path += (self,)
+            template = self.template
+            callees = []
+            for slot, nargs in shape.calls:
+                callee = template[slot]
+                grown = callee.plant(path)
+                if grown is None or len(callee.arg_slots) != nargs:
+                    break
+                callees.append(grown)
+            else:
+                tree = shape.make(template, self.code, *callees,
+                                  *shape.consts,
+                                  *[template[s] for s in shape.const_slots])
+        self.tree = tree
+        return tree
 
 
 def _checked_slow(h, checks):
@@ -938,6 +1399,8 @@ class _Decoder:
         #: each JUMP at (block, index): (phi moves, their constants,
         #: target block)
         self.jumps: Dict[Tuple[BasicBlock, int], tuple] = {}
+        #: the slots a statement checks for UNSET before reading them
+        self.checked: set = set()
 
     # -- slots -------------------------------------------------------------
     def slot(self, v: Value) -> int:
@@ -1000,6 +1463,7 @@ class _Decoder:
         slot = self.slot(v)
         if self._defined(v, block, pos):
             return slot, None
+        self.checked.add(slot)
         return slot, self._message(
             f"use of unevaluated value {v.short()} in @{self.fn.name}")
 
@@ -1056,23 +1520,21 @@ class _Decoder:
             ops = self.ops[bb]
             for start, (stmts, end) in runs.items():
                 stmts = self.thread(bb, stmts, end, loops)
-                ops[start] = (FUSED, len(stmts), generate(stmts, fold=True),
-                              stmts, [], [])
-        for header, blocks in loops.items():
-            blocks = tuple((self.ops[bb], self.runs[bb][self.nphis[bb]][0])
-                           for bb in blocks)
-            made = generate_loop(blocks, fold=True)
-            if made is not None:
-                ops = self.ops[header]
-                start = self.nphis[header]
-                ops[start] = (LOOP, made[1], made[0], ops[start], blocks, [])
+                # the run's function is generated on first interpreter
+                # entry (Code.make_runs)
+                ops[start] = (FUSED, len(stmts), None, stmts, [], [])
+        loops = tuple(
+            (self.ops[header], self.nphis[header],
+             tuple((self.ops[bb], self.runs[bb][self.nphis[bb]][0])
+                   for bb in blocks))
+            for header, blocks in loops.items())
         arg_slots = tuple(self.slot(a) for a in self.fn.args[:self.nargs])
         base = list(self.template)
         for slot, *_ in self.links:
             if slot is not None:
                 base[slot] = None  # each program binds its own
         code = Code(base, tuple(self.links), arg_slots, entry,
-                    list(self.ops.values()))
+                    list(self.ops.values()), loops, frozenset(self.checked))
         return code, self.template
 
     def loops(self) -> Dict[BasicBlock, List[BasicBlock]]:
@@ -1196,8 +1658,8 @@ class _Decoder:
             kind = BR
             c = rd(inst.condition)
             taken = self.edge(bb, inst.targets[0], k)
-            src = (f"if regs[{c}]:\n" + _indent(taken) + "\n"
-                   + self.edge(bb, inst.targets[1], k))
+            src = (f"if regs[{c}]:\n" + _indent(taken) + "\nelse:\n"
+                   + _indent(self.edge(bb, inst.targets[1], k)))
         elif cls is SelectInst:
             return (PLAIN, None, self._select(inst, bb, pos, k),
                     tuple(consts))

@@ -5,8 +5,7 @@ this reproduction: a wrong optimistic no-alias answer lets a pass forward
 a stale value or delete a live store, and the executed program then
 prints a different checksum (or traps / loops), failing verification.
 
-The machine keeps its own frame stack (no host recursion for calls) so
-that:
+The machine keeps its own frame stack so that:
 * instruction counts and cycle costs are exact,
 * multiple ranks can be interleaved by the MPI scheduler,
 * runaway miscompiles hit a step budget instead of hanging the driver.
@@ -17,6 +16,15 @@ and so is each innermost loop of such runs; calls, returns and allocas
 are ops the loop in :meth:`Machine._execute` runs itself, and every
 other op a specialised handler.  That loop dispatches once per run,
 loop, op or handler, and counts and charges in between.
+
+The host recurses only along *call trees*: a call to a function that
+never reaches the runtime, and whose callees do not either (no cycle of
+calls), runs as one generated Python function that calls its callees'
+directly (:meth:`~repro.vm.decode.DecodedFunction.plant`), while folded
+charges are exact.  A tree stops at a block that a budget check could
+fall in and hands its frames back to the loop, which goes on op by op
+from there; :attr:`Machine.fallbacks` counts the calls that took the
+interpreter instead, by reason.
 """
 
 from __future__ import annotations
@@ -44,7 +52,9 @@ from .decode import (
     PLAIN,
     PRICED,
     RET,
+    UNPLANTED,
     DecodedFunction,
+    Deopt,
     DecodedModule,
     binop_fn,
     charged,
@@ -139,6 +149,13 @@ class Machine:
         self.cycles = 0.0
         self.kernel_cycles: Dict[str, float] = {}
         self.kernel_launches: Dict[str, int] = {}
+        #: calls to a function that runs as a call tree which the
+        #: interpreter ran instead, by reason: ``budget`` (the tree
+        #: stopped at a block a budget check could fall in) or
+        #: ``inexact-charges`` (see :func:`~repro.vm.decode.
+        #: exact_charges`)
+        self.fallbacks: Dict[str, int] = {"budget": 0,
+                                          "inexact-charges": 0}
         self._gpu_factor = 1.0  # >1 while executing inside a GPU kernel
 
         self.globals: Dict[GlobalVariable, int] = {}
@@ -276,6 +293,19 @@ class Machine:
         frame.regs[dest] = result
         frame.index += 1
 
+    def _resume(self, levels: list, ret: int) -> Frame:
+        """Push the frames a call tree stopped in (:class:`~repro.vm.
+        decode.Deopt`), outermost first, the outermost returning to
+        slot ``ret``; their code's runs are generated for them.  Returns
+        the innermost."""
+        for code, ops, index, regs, dest in reversed(levels):
+            code.make_runs()
+            frame = Frame(ops, regs, ret)
+            frame.index = index
+            self.frames.append(frame)
+            ret = dest
+        return frame
+
     # -- the execution loop -------------------------------------------------
     def _check_budget(self, n: int) -> None:
         """The step-limit and wall-clock checks after an instruction."""
@@ -314,10 +344,16 @@ class Machine:
         only the entry and SLOW and PRICED ops can change; otherwise
         they charge op by op (:func:`~repro.vm.decode.charged`).
         Calls, returns and allocas run here, with the counters kept in
-        locals; a caller's frame records the index of its call."""
+        locals; a caller's frame records the index of its call.  A call
+        to a function with a call tree runs the tree while ``exact``
+        holds, with ``check_at`` as its limit: it returns the counters
+        with the result, or stops (:class:`~repro.vm.decode.Deopt`) and
+        its frames go on here; a trap inside it is traced back to the
+        innermost tree's op."""
         frames = self.frames
         mem = self.memory
         price = self.cost.of
+        fallbacks = self.fallbacks
         n = self.instructions
         cycles = self.cycles
         gpu = self._gpu_factor
@@ -363,16 +399,35 @@ class Machine:
                 cycles += gpu * op[1]
                 if kind == CALL:
                     code = regs[op[2]]
-                    if code.entry is None:
-                        code.decode()
-                    callee = code.template.copy()
-                    for slot, s in zip(code.arg_slots, op[3]):
-                        callee[slot] = regs[s]
-                    frame.ops = ops
-                    frame.index = i
-                    frame = Frame(code.entry, callee, op[4])
-                    frames.append(frame)
-                    ops, i, regs = code.entry, 0, callee
+                    tree = code.tree
+                    if tree is UNPLANTED:
+                        tree = code.plant()
+                    if tree is not None and exact:
+                        try:
+                            regs[op[4]], cycles, n = tree(
+                                mem, cycles, n, check_at,
+                                *map(regs.__getitem__, op[3]))
+                            i += 1
+                        except Deopt as stop:
+                            fallbacks["budget"] += 1
+                            n, cycles = stop.n, stop.cycles
+                            frame.ops = ops
+                            frame.index = i
+                            frame = self._resume(stop.levels, op[4])
+                            ops, i, regs = frame.ops, frame.index, frame.regs
+                    else:
+                        if tree is not None:
+                            fallbacks["inexact-charges"] += 1
+                        if code.entry is None:
+                            code.decode()
+                        callee = code.template.copy()
+                        for slot, s in zip(code.arg_slots, op[3]):
+                            callee[slot] = regs[s]
+                        frame.ops = ops
+                        frame.index = i
+                        frame = Frame(code.entry, callee, op[4])
+                        frames.append(frame)
+                        ops, i, regs = code.entry, 0, callee
                 elif kind == RET:
                     val = None if op[2] is None else regs[op[2]]
                     frames.pop()
@@ -437,7 +492,7 @@ class Machine:
                     check_at = self._next_check(n)
         except BaseException as e:
             point = trap_point(e.__traceback__, n)
-            if point is not None and op[0] in (FUSED, LOOP):
+            if point is not None and op[0] in (FUSED, LOOP, CALL):
                 n, cycles = point
             raise
         finally:

@@ -313,7 +313,7 @@ def test_new_sources_drop_the_kept_prefix():
 
 
 def _generated(o) -> bool:
-    """Is ``o`` a generated VM run or loop function?"""
+    """Is ``o`` a generated VM run, loop or call tree function?"""
     return isinstance(o, FunctionType) \
         and o.__code__.co_filename == decode._RUN_FILE
 
@@ -340,9 +340,9 @@ def test_dropped_driver_leaves_no_ir_for_the_collector(row):
         driver = ProbingDriver(get_config(row))
         report = driver.run()
         assert not report.failed
-        assert any(op[0] == decode.LOOP
-                   for code in driver.compiler._code.values()
-                   for ops in code.blocks for op in ops if op is not None)
+        # it generated loops: as LOOP ops, or inside call trees
+        assert any(code.loops and (code.ready or code.tree() is not None)
+                   for code in driver.compiler._code.values())
         del driver, report
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()

@@ -372,7 +372,8 @@ class TestFusedRuns:
 def _slow_twin(module, **kw):
     """The module decoded for itself, run once, and then laid out as the
     loop ran it before CALL, RET, ALLOCA and LOOP ops: each call, return
-    and alloca a SLOW handler, each loop its header's run."""
+    and alloca a SLOW handler, each loop its header's run.  A SLOW call
+    pushes a frame, so no call runs as a call tree."""
     from repro.vm.decode import SINK, SLOW, _handler
 
     m = Machine(module, **kw)
@@ -380,6 +381,7 @@ def _slow_twin(module, **kw):
     m.run_to_completion()  # decodes every function the run reaches
     twin = m.decoded
     for code in twin._private:
+        code.make_runs()  # made now, or a frame's first entry makes them
         for ops in code.blocks:
             for i, op in enumerate(ops):
                 if op is None:

@@ -173,18 +173,19 @@ def test_trap_inside_a_folded_block_and_every_step_limit(where, offset, out):
     inside a straight-line run of ``main`` (``d`` is 0), after a loop
     with a priced intrinsic: the count, the cycles and the text are
     those of the op-by-op path, for the whole run and for a step limit
-    on every instruction."""
+    on every instruction.  ``cut`` runs as a call tree; a step limit
+    inside it stops the tree, and its loop then runs as a LOOP op."""
     module = compile_source(TRAPS % offset)
     first = Machine(module)
     first.start("main")
     first.run_to_completion()
-    loops = _loop_kinds(first.decoded)
-    assert len(loops) == {"loop": 2, "run": 1}[where]
-    assert all(_promoted(op) for op in loops)
     state, count, cycles, kind, text, got = _assert_paths_agree(
         module, first.decoded)
     assert (state, kind, text, got) == ("trapped", "UndefinedBehavior",
                                         "sdiv by zero", out)
+    loops = _loop_kinds(first.decoded)
+    assert len(loops) == {"loop": 2, "run": 1}[where]
+    assert all(_promoted(op) for op in loops)
 
 
 def test_wall_clock_polls_inside_promoted_loops():
