@@ -254,22 +254,29 @@ class CodeGen:
 
     # -- functions ----------------------------------------------------------
     def _declare_function(self, fd: FunctionDef) -> None:
-        if fd.name in self.module.functions:
+        fn = self.module.functions.get(fd.name)
+        if fn is not None and (fd.body is None or not fn.is_declaration):
             return
-        ret = self.ir_type(fd.ret)
-        params = [self.ir_type(p.type) for p in fd.params]
-        fn = self.module.add_function(
-            FunctionType(ret, params), fd.name,
-            [p.name for p in fd.params],
-            target="nvptx" if fd.is_kernel else "host")
-        fn.source_file = self.filename
-        if fd.is_kernel:
-            fn.attrs.add("kernel")
-        if fd.body is None:
-            fn.is_declaration = True
+        ftype = FunctionType(self.ir_type(fd.ret),
+                             [self.ir_type(p.type) for p in fd.params])
+        if fn is None:
+            fn = self.module.add_function(
+                ftype, fd.name, [p.name for p in fd.params],
+                target="nvptx" if fd.is_kernel else "host")
+            fn.source_file = self.filename
+            if fd.is_kernel:
+                fn.attrs.add("kernel")
+        elif fn.ftype != ftype:
+            raise CodegenError(f"line {fd.line}: definition of "
+                               f"{fd.name}() does not match its prototype")
+        fn.is_declaration = fd.body is None
+        # a definition after its prototype names and marks the arguments
         for arg, p in zip(fn.args, fd.params):
+            arg.name = p.name
             if p.type.restrict:
                 arg.attrs.add("noalias")
+            else:
+                arg.attrs.discard("noalias")
 
     def next_outline_id(self) -> int:
         return next(self._outline_count)

@@ -140,9 +140,3 @@ class ScopedAliasMD:
 
     alias_scopes: Tuple[AliasScope, ...] = ()
     noalias_scopes: Tuple[AliasScope, ...] = ()
-
-    def merged_with(self, other: "ScopedAliasMD") -> "ScopedAliasMD":
-        return ScopedAliasMD(
-            tuple(dict.fromkeys(self.alias_scopes + other.alias_scopes)),
-            tuple(dict.fromkeys(self.noalias_scopes + other.noalias_scopes)),
-        )

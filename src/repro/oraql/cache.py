@@ -20,11 +20,11 @@ A verdict is keyed by ``<config fingerprint>:<exe hash>``:
   produced executable (same config + same sequence ⇒ same hash, the
   invariant ``tests/test_oraql_parallel.py`` pins down).
 
-Storage is append-only JSON-lines: one ``{"v": ..., "key": ...,
-"ok": ...}`` record per line.  Appends of a single short line are
-atomic enough for concurrent writers on POSIX (each worker of the
-parallel engine opens the file in append mode and writes one line per
-verdict).
+Storage is an append-only :class:`~repro.records.RecordLog`: one
+``{"v": ..., "key": ..., "ok": ...}`` record per line.  Appends of a
+single short line are atomic enough for concurrent writers on POSIX
+(each worker of the parallel engine opens the file in append mode and
+writes one line per verdict); only compaction fsyncs.
 
 Answer records
 --------------
@@ -63,12 +63,11 @@ the append log to one valid record per key (atomic rename).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
-import zlib
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..records import (RecordLog, answer_log, encode_record, parse_record,
+                       pop_crc)
 from .config import BenchmarkConfig
 from .replay import AnswerLog, code_digest
 
@@ -93,9 +92,22 @@ def config_fingerprint(config: BenchmarkConfig) -> str:
     return h.hexdigest()[:16]
 
 
-def _record_crc(rec: dict) -> int:
-    canon = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canon.encode())
+def _line(rec: dict) -> str:
+    """One cache line: ``rec`` under the schema version, CRC'd."""
+    return encode_record({"v": CACHE_SCHEMA_VERSION, **rec})
+
+
+def _verdict_record(key: str, ok: bool, triage: Optional[str]) -> dict:
+    rec = {"key": key, "ok": ok}
+    if triage is not None:
+        rec["triage"] = triage
+    return rec
+
+
+def _answer_record(key: str, log: AnswerLog, exe_hash: str) -> dict:
+    n, pess = log
+    return {"t": "answers", "key": key, "code": code_digest(), "n": n,
+            "pess": sorted(pess), "exe": exe_hash}
 
 
 class VerdictCache:
@@ -118,7 +130,7 @@ class VerdictCache:
         self.dropped_writes = 0
         #: load/refresh attempts that failed wholesale with OSError
         self.load_errors = 0
-        os.makedirs(cache_dir, exist_ok=True)
+        self._log = RecordLog(self.path)
         self._load()
 
     # -- persistence -----------------------------------------------------
@@ -127,63 +139,51 @@ class VerdictCache:
             return
         self.corrupt_records = 0
         try:
-            with open(self.path, "r") as f:
-                for line in f:
-                    self._ingest_line(line)
+            lines = self._log.read()
         except OSError:
             # an unreadable cache is a cold cache, not a crash
             self.load_errors += 1
+            return
+        for line in lines:
+            self._ingest_line(line)
 
     def _ingest_line(self, line: str) -> None:
         line = line.strip()
         if not line:
             return
-        try:
-            rec = json.loads(line)
-        except ValueError:
+        rec = parse_record(line)
+        if rec is None:
             # torn concurrent write or truncated final line
-            self.corrupt_records += 1
-            return
-        if not isinstance(rec, dict):
             self.corrupt_records += 1
             return
         if rec.get("v") != CACHE_SCHEMA_VERSION:
             return  # foreign schema: ignored, not corrupt
-        crc = rec.pop("crc", None)
-        if crc is not None and crc != _record_crc(rec):
+        crc = pop_crc(rec)
+        if crc is False:
             self.corrupt_records += 1
             return
-        if rec.get("t") == "answers":
-            self._ingest_answers(rec, crc)
-            return
-        if rec.get("t") == "baseline":
-            if crc is None or not isinstance(rec.get("key"), str):
+        kind, key = rec.get("t"), rec.get("key")
+        # an answer log or a baseline is never trusted without its
+        # checksum; a verdict written before checksums is
+        if kind == "answers":
+            log = answer_log(rec)
+            if crc is None or log is None or not isinstance(key, str) \
+                    or not isinstance(rec.get("code"), str):
+                self.corrupt_records += 1
+            elif rec["code"] == code_digest():  # else other code's: ignored
+                n, pess, exe = log
+                self._answers.setdefault(key, {})[(n, pess)] = exe
+        elif kind == "baseline":
+            if crc is None or not isinstance(key, str):
                 self.corrupt_records += 1
             else:
-                self._baselines.add(rec["key"])
-            return
-        key, ok = rec.get("key"), rec.get("ok")
-        if isinstance(key, str) and isinstance(ok, bool):
+                self._baselines.add(key)
+        elif isinstance(key, str) and isinstance(rec.get("ok"), bool):
             triage = rec.get("triage")
-            self._mem[key] = (ok, triage if isinstance(triage, str)
+            self._mem[key] = (rec["ok"], triage if isinstance(triage, str)
                               else None)
         else:
             self.corrupt_records += 1
-
-    def _ingest_answers(self, rec: dict, crc: Optional[int]) -> None:
-        key, n, pess, exe = (rec.get("key"), rec.get("n"), rec.get("pess"),
-                             rec.get("exe"))
-        if crc is None or not isinstance(key, str) \
-                or not isinstance(rec.get("code"), str) \
-                or not isinstance(n, int) or not isinstance(exe, str) \
-                or not isinstance(pess, list) \
-                or not all(isinstance(i, int) and 0 <= i < n for i in pess):
-            # an answer log is never trusted without its checksum
-            self.corrupt_records += 1
-            return
-        if rec["code"] != code_digest():
-            return  # written by other code: ignored, not corrupt
-        self._answers.setdefault(key, {})[(n, frozenset(pess))] = exe
 
     def refresh(self) -> None:
         """Re-read records other processes appended since the load."""
@@ -218,60 +218,36 @@ class VerdictCache:
         before = 0
         if os.path.exists(self.path):
             try:
-                with open(self.path, "r") as f:
-                    before = sum(1 for _ in f)
+                before = len(self._log.read())
             except OSError:
                 self.load_errors += 1
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir,
-                                   prefix=".verdicts-compact-")
+        lines = [_line(_verdict_record(key, *self._mem[key]))
+                 for key in sorted(self._mem)]
+        lines += [_line(_answer_record(key, log, exe))
+                  for key in sorted(self._answers)
+                  for log, exe in self._answers[key].items()]
+        lines += [_line({"t": "baseline", "key": key})
+                  for key in sorted(self._baselines)]
         try:
-            with os.fdopen(fd, "w") as f:
-                for key in sorted(self._mem):
-                    ok, triage = self._mem[key]
-                    f.write(self._encode(key, ok, triage) + "\n")
-                for key in sorted(self._answers):
-                    for log, exe in self._answers[key].items():
-                        f.write(self._encode_answers(key, log, exe) + "\n")
-                for key in sorted(self._baselines):
-                    f.write(self._encode_baseline(key) + "\n")
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, self.path)
+            self._log.replace("".join(line + "\n" for line in lines))
         except OSError:
             self.dropped_writes += 1
-            if os.path.exists(tmp):
-                os.unlink(tmp)
         self.corrupt_records = 0
         return before, (len(self._mem) + self.answer_records
                         + len(self._baselines))
+
+    def _append(self, rec: dict) -> None:
+        try:
+            self._log.append(_line(rec))
+        except OSError:
+            # a full/readonly disk must not kill the probing session;
+            # the record just isn't shared
+            self.dropped_writes += 1
 
     # -- the cache interface ---------------------------------------------
     @staticmethod
     def key(fingerprint: str, exe_hash: str) -> str:
         return f"{fingerprint}:{exe_hash}"
-
-    @staticmethod
-    def _encode(key: str, ok: bool, triage: Optional[str] = None) -> str:
-        rec = {"v": CACHE_SCHEMA_VERSION, "key": key, "ok": ok}
-        if triage is not None:
-            rec["triage"] = triage
-        rec["crc"] = _record_crc(rec)
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def _encode_answers(key: str, log: AnswerLog, exe_hash: str) -> str:
-        n, pess = log
-        rec = {"v": CACHE_SCHEMA_VERSION, "t": "answers", "key": key,
-               "code": code_digest(), "n": n, "pess": sorted(pess),
-               "exe": exe_hash}
-        rec["crc"] = _record_crc(rec)
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def _encode_baseline(key: str) -> str:
-        rec = {"v": CACHE_SCHEMA_VERSION, "t": "baseline", "key": key}
-        rec["crc"] = _record_crc(rec)
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def answer_key(fingerprint: str, setup: str) -> str:
@@ -291,11 +267,7 @@ class VerdictCache:
         if table.get(log) == exe_hash:
             return
         table[log] = exe_hash
-        try:
-            with open(self.path, "a") as f:
-                f.write(self._encode_answers(key, log, exe_hash) + "\n")
-        except OSError:
-            self.dropped_writes += 1
+        self._append(_answer_record(key, log, exe_hash))
 
     def has_baseline(self, key: str) -> bool:
         """Whether the baseline keyed ``key`` (:meth:`key`) ran and
@@ -307,11 +279,7 @@ class VerdictCache:
         if key in self._baselines:
             return
         self._baselines.add(key)
-        try:
-            with open(self.path, "a") as f:
-                f.write(self._encode_baseline(key) + "\n")
-        except OSError:
-            self.dropped_writes += 1
+        self._append({"t": "baseline", "key": key})
 
     @property
     def answer_records(self) -> int:
@@ -333,13 +301,7 @@ class VerdictCache:
                 and (triage is None or prev[1] == triage):
             return
         self._mem[key] = (ok, triage)
-        try:
-            with open(self.path, "a") as f:
-                f.write(self._encode(key, ok, triage) + "\n")
-        except OSError:
-            # a full/readonly disk must not kill the probing session;
-            # the verdict just isn't shared
-            self.dropped_writes += 1
+        self._append(_verdict_record(key, ok, triage))
 
     def stats(self) -> Dict[str, object]:
         return {

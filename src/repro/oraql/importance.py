@@ -554,17 +554,6 @@ class ImportanceDriver:
         self.injector = injector
         self.cost_model = CostModel(strict=strict_cost)
 
-    def _importance_journal(self) -> Optional[SessionJournal]:
-        if self.journal_dir is None:
-            return None
-        import os
-        fp = config_fingerprint(self.config)
-        name = (f"{self.config.name}-{fp}-importance-"
-                f"{self.strategy}.journal.jsonl")
-        return SessionJournal(os.path.join(self.journal_dir, name), fp,
-                              f"importance-{self.strategy}",
-                              resume=self.resume)
-
     def run(self) -> ImportanceReport:
         try:
             return self._run()
@@ -603,7 +592,9 @@ class ImportanceDriver:
         report.pessimistic_indices = sorted(pess)
 
         # -- phase 2: cycle-delta bisection of the safe set
-        journal = self._importance_journal()
+        journal = (SessionJournal.for_config(
+            self.journal_dir, self.config, f"importance-{self.strategy}",
+            resume=self.resume) if self.journal_dir else None)
         executor = TestExecutor(self.compiler, policy=self.policy,
                                 injector=self.injector)
         executor.begin_session()

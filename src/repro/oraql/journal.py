@@ -12,10 +12,10 @@ re-run.
 
 Record format
 -------------
-One JSON object per line.  Every record carries a CRC-32 of its
-canonical serialization (sorted keys, no whitespace, ``crc`` field
-excluded), so torn appends and bit rot are *detected and skipped*, not
-misread:
+One JSON object per line in a :class:`~repro.records.RecordLog` that
+fsyncs the header and every append.  Every record carries a CRC-32 of
+its canonical serialization (:func:`~repro.records.encode_record`), so
+torn appends and bit rot are *detected and skipped*, not misread:
 
 * ``{"t": "header", "v": 1, "fp": ..., "strategy": ..., "setup": ...}``
   — first line;
@@ -28,9 +28,9 @@ misread:
   keyed by executable hash, so foreign records are inert;
 * ``{"t": "probe", "exe": ..., "ok": ..., "n": ..., "triage": ...,
   "pess": [...]}`` — one per newly learned verdict, appended *before*
-  the verdict is acted on, flushed + fsync'd so a kill at any
-  instruction loses at most the probe in flight.  ``n`` and ``pess``
-  are the probe's answer log (:mod:`repro.oraql.replay`);
+  the verdict is acted on, so a kill at any instruction loses at most
+  the probe in flight.  ``n`` and ``pess`` are the probe's answer log
+  (:mod:`repro.oraql.replay`);
 * ``{"t": "answers", "exe": ..., "n": ..., "pess": [...]}`` — an answer
   log whose executable's verdict is already journaled.  Answer logs
   seed a resumed session's answer memo only when the header is intact
@@ -47,55 +47,16 @@ journal written by a newer schema minor-extension replays what it can.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..records import RecordLog, answer_log, decode_record, encode_record
 from .cache import config_fingerprint
 from .config import BenchmarkConfig
 from .errors import JournalError
 from .replay import setup_digest
 
 JOURNAL_SCHEMA_VERSION = 1
-
-
-def _crc_of(rec: dict) -> int:
-    canon = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canon.encode())
-
-
-def _encode(rec: dict) -> str:
-    rec = dict(rec)
-    rec["crc"] = _crc_of(rec)
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
-
-
-def _decode(line: str) -> Optional[dict]:
-    """Parse and CRC-check one journal line; None = corrupt/torn."""
-    try:
-        rec = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(rec, dict) or "crc" not in rec:
-        return None
-    crc = rec.pop("crc")
-    if crc != _crc_of(rec):
-        return None
-    return rec
-
-
-def encode_record(rec: dict) -> str:
-    """One CRC-carrying journal line (without the trailing newline).
-
-    Public so other append-only logs — the service's job table — share
-    the journal's torn-write detection instead of reinventing it."""
-    return _encode(rec)
-
-
-def decode_record(line: str) -> Optional[dict]:
-    """Inverse of :func:`encode_record`; ``None`` = corrupt/torn line."""
-    return _decode(line)
 
 
 class SessionJournal:
@@ -136,20 +97,15 @@ class SessionJournal:
         #: True when the replayed journal ends in a ``done`` record
         self.completed = False
         self.pessimistic_from_done: Optional[list] = None
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        self._log = RecordLog(path, sync=True)
         if resume and os.path.exists(path):
             self._replay()
         else:
-            with open(path, "w") as f:
-                f.write(_encode({"t": "header",
-                                 "v": JOURNAL_SCHEMA_VERSION,
-                                 "fp": fingerprint,
-                                 "strategy": strategy,
-                                 "setup": self.setup}) + "\n")
-                f.flush()
-                os.fsync(f.fileno())
+            self._log.start(encode_record({"t": "header",
+                                           "v": JOURNAL_SCHEMA_VERSION,
+                                           "fp": fingerprint,
+                                           "strategy": strategy,
+                                           "setup": self.setup}))
 
     @staticmethod
     def path_for(journal_dir: str, config: BenchmarkConfig,
@@ -172,8 +128,7 @@ class SessionJournal:
     # -- replay ------------------------------------------------------------
     def _replay(self) -> None:
         try:
-            with open(self.path, "r") as f:
-                lines = f.readlines()
+            lines = self._log.read()
         except OSError as e:
             raise JournalError(f"cannot read journal {self.path}: {e}")
         header_seen = False
@@ -182,7 +137,7 @@ class SessionJournal:
             line = line.strip()
             if not line:
                 continue
-            rec = _decode(line)
+            rec = decode_record(line)
             if rec is None:
                 self.corrupt_records += 1
                 continue
@@ -234,21 +189,15 @@ class SessionJournal:
 
     def _take_log(self, rec: dict) -> bool:
         """Collect a record's answer log; False when it is malformed."""
-        exe, n, pess = rec.get("exe"), rec.get("n"), rec.get("pess")
-        if not isinstance(exe, str) or not isinstance(n, int) \
-                or not isinstance(pess, list) or not all(
-                    isinstance(i, int) and 0 <= i < n for i in pess):
-            return False
-        self.answer_logs.append((n, frozenset(pess), exe))
-        return True
+        log = answer_log(rec)
+        if log is not None:
+            self.answer_logs.append(log)
+        return log is not None
 
     # -- appends -----------------------------------------------------------
     def _append(self, rec: dict) -> None:
         try:
-            with open(self.path, "a") as f:
-                f.write(_encode(rec) + "\n")
-                f.flush()
-                os.fsync(f.fileno())
+            self._log.append(encode_record(rec))
         except OSError:
             # a full/readonly disk must not kill the probing session;
             # it only degrades resumability

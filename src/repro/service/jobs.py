@@ -3,12 +3,12 @@
 The server's unit of work is a :class:`~repro.oraql.parallel.JobSpec`
 — everything a worker process needs to run one probing (or importance)
 session, already resolved.  Specs and results are checkpointed to an
-append-only, CRC-guarded job table (``jobs.jsonl`` under the state
-directory, sharing the session journal's record codec), which is what
-makes a killed server restartable: ``--resume`` replays the table,
-serves completed results from it, and resubmits incomplete jobs — each
-of which then replays its own per-job session journal, so the resumed
-fleet's reports are bit-identical to an uninterrupted run.
+append-only, CRC-guarded :class:`~repro.records.RecordLog`, the job
+table (``jobs.jsonl`` under the state directory; flushed, not fsync'd),
+which is what makes a killed server restartable: ``--resume`` replays
+the table, serves completed results from it, and resubmits incomplete
+jobs — each of which then replays its own per-job session journal, so
+the resumed fleet's reports are bit-identical to an uninterrupted run.
 
 Reports reach the job table and the wire as plain dicts
 (:func:`report_to_dict` / :func:`report_from_dict`), serialized by the
@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..oraql.driver import ProbingReport
-from ..oraql.journal import decode_record, encode_record
 from ..oraql.parallel import JobSpec
 from ..oraql.sequence import DecisionSequence
+from ..records import RecordLog, decode_record, encode_record
 
 #: live/driver-side fields that do not cross the wire
 _REPORT_SKIP = frozenset({"final_program", "baseline_program",
@@ -150,19 +150,18 @@ class JobTable:
         self.dropped_appends = 0
         #: ids replayed as already finished (served from the table)
         self.replayed_done: List[str] = []
+        self._log = RecordLog(path)
         if resume:
             self._replay()
         else:
             try:
-                with open(path, "w"):
-                    pass
+                self._log.start()
             except OSError:
                 self.dropped_appends += 1
 
     def _replay(self) -> None:
         try:
-            with open(self.path, "r") as f:
-                lines = f.readlines()
+            lines = self._log.read()
         except OSError:
             return
         for line in lines:
@@ -209,9 +208,7 @@ class JobTable:
 
     def _append(self, rec: dict) -> None:
         try:
-            with open(self.path, "a") as f:
-                f.write(encode_record(rec) + "\n")
-                f.flush()
+            self._log.append(encode_record(rec))
         except OSError:
             self.dropped_appends += 1
 

@@ -2,8 +2,9 @@
 
 JSONL (``--trace-out``)
     One record per line, written **atomically**: the whole stream is
-    serialized to a temp file in the target directory and moved into
-    place with :func:`os.replace`.  A probing session killed mid-write
+    serialized to a synced temp file in the target directory and moved
+    into place (:meth:`repro.records.RecordLog.replace`, the verdict
+    cache's compaction).  A probing session killed mid-write
     therefore leaves either no trace file or the previous complete one
     — never a torn or duplicated suffix (the chaos-smoke test pins
     this).
@@ -21,10 +22,9 @@ Chrome (``--trace-chrome``)
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Iterable, List, Optional, Tuple
 
+from ..records import RecordLog
 from .timer import PhaseNode
 
 #: JSON schema for the Chrome trace document (used by the CI
@@ -57,24 +57,6 @@ CHROME_TRACE_SCHEMA = {
 }
 
 
-def _atomic_write(path: str, payload: str) -> None:
-    """Write ``payload`` to ``path`` via tmp-file + rename so a fault
-    mid-write can never leave a torn file behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trace-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 # -- JSONL --------------------------------------------------------------------
 
 def dump_jsonl(records: Iterable[dict]) -> str:
@@ -82,7 +64,7 @@ def dump_jsonl(records: Iterable[dict]) -> str:
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    _atomic_write(path, dump_jsonl(records))
+    RecordLog(path).replace(dump_jsonl(records))
 
 
 def parse_jsonl(text: str) -> List[dict]:
@@ -155,7 +137,7 @@ def chrome_document(records: List[dict],
 def write_chrome(path: str, records: List[dict],
                  timer_tree: Optional[dict] = None) -> None:
     doc = chrome_document(records, timer_tree)
-    _atomic_write(path, json.dumps(doc, sort_keys=True))
+    RecordLog(path).replace(json.dumps(doc, sort_keys=True))
 
 
 def parse_chrome(doc: dict) -> Tuple[List[dict], Optional[dict]]:

@@ -5,11 +5,12 @@ The probing service streams job progress to its clients **in the
 QueryTrace JSONL schema** (DESIGN.md §5d/§5g): a worker probing a job
 runs its driver with a :class:`JsonlStreamingTrace`, which appends each
 coarse session event — the ``meta`` header, one ``compile`` record per
-compile boundary, the terminal ``done`` record — to an append-only
-events file, flushed per record.  The server tails the file and
-forwards each line verbatim inside an ``event`` envelope, so a service
-client's event stream is readable by the exact tooling that reads
-``--trace-out`` files (``python -m repro.trace summarize`` et al.).
+compile boundary, the terminal ``done`` record — to an events file, a
+:class:`~repro.records.RecordLog` of canonical lines without a ``crc``
+field, flushed per record.  The server tails the file and forwards each
+line verbatim inside an ``event`` envelope, so a service client's event
+stream is readable by the exact tooling that reads ``--trace-out``
+files (``python -m repro.trace summarize`` et al.).
 
 The zero-cost contract of the base sink is unchanged: the stream only
 *observes*; a streamed session's executables and verdicts are
@@ -19,11 +20,11 @@ bit-identical to an untraced one.  Write failures degrade streaming
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Callable, Iterator, List
 
+from ..records import RecordLog, canonical, parse_record
 from .sink import QueryTrace
 
 #: record kinds streamed (and retained) by a non-verbose streaming
@@ -48,14 +49,11 @@ class JsonlStreamingTrace(QueryTrace):
         #: records lost to OSError (full/readonly disk); the session
         #: keeps probing, clients just see a gappy stream
         self.dropped_writes = 0
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        self._log = RecordLog(path)
         # one stream per session attempt: a requeued job's retry starts
         # its event log over (tailers handle the shrink by rewinding)
         try:
-            with open(path, "w"):
-                pass
+            self._log.start()
         except OSError:
             self.dropped_writes += 1
 
@@ -69,10 +67,7 @@ class JsonlStreamingTrace(QueryTrace):
             return
         super()._emit(rec)
         try:
-            with open(self.path, "a") as f:
-                f.write(json.dumps(rec, sort_keys=True,
-                                   separators=(",", ":")) + "\n")
-                f.flush()
+            self._log.append(canonical(rec))
         except OSError:
             self.dropped_writes += 1
 
@@ -111,14 +106,8 @@ class EventTail:
             if not line.endswith("\n"):
                 break  # torn tail: re-read next poll
             consumed += len(line)
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(rec, dict):
+            rec = parse_record(line)  # None for a blank or damaged line
+            if rec is not None:
                 records.append(rec)
         self._offset += consumed
         return records

@@ -56,14 +56,11 @@ from .decode import (
     DecodedFunction,
     Deopt,
     DecodedModule,
-    binop_fn,
     charged,
     exact_charges,
     steps,
     trap_point,
 )
-# re-exported: tests use them
-from .decode import _unsigned, _wrap_int  # noqa: F401
 from .errors import (
     DeadlockError,
     StepLimitExceeded,
@@ -498,11 +495,6 @@ class Machine:
         finally:
             self.instructions = n
             self.cycles = cycles
-
-    # -- scalar semantics (constant folding uses the same templates) -----
-    @staticmethod
-    def _scalar_binop(op: str, a, b, ty: Type):
-        return binop_fn(op, ty)(a, b)
 
     # -- output ------------------------------------------------------------
     def write_stdout(self, text: str) -> None:

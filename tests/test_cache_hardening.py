@@ -7,6 +7,7 @@ import os
 
 from repro.oraql import VerdictCache
 from repro.oraql.cache import CACHE_SCHEMA_VERSION
+from repro.records import encode_record, record_crc
 
 
 def cache_at(tmp_path):
@@ -112,7 +113,7 @@ class TestCompaction:
         with open(c.path, "a") as f:
             f.write("torn garbage\n")
             # a superseding duplicate, as concurrent writers produce
-            f.write(VerdictCache._encode("fp:h1", True, "ok") + "\n")
+            f.write(_verdict_line("fp:h1", True, "ok") + "\n")
         before, after = c.compact()
         assert before == 4 and after == 2
         r = cache_at(tmp_path)
@@ -197,8 +198,8 @@ class TestAnswerRecords:
         rec.pop("crc")
         rec["code"] = "0" * 16
         with open(c.path, "w") as f:
-            f.write(VerdictCache._encode("fp:h1", True) + "\n")
-            f.write(json.dumps({**rec, "crc": _crc(rec)}) + "\n")
+            f.write(_verdict_line("fp:h1", True) + "\n")
+            f.write(json.dumps({**rec, "crc": record_crc(rec)}) + "\n")
         r = cache_at(tmp_path)
         assert self._answers(r) == []
         assert r.corrupt_records == 0
@@ -220,6 +221,8 @@ class TestAnswerRecords:
             (5, frozenset({1, 3}), "exe1"), (7, frozenset(), "exe2")]
 
 
-def _crc(rec):
-    from repro.oraql.cache import _record_crc
-    return _record_crc(rec)
+def _verdict_line(key, ok, triage=None):
+    rec = {"v": CACHE_SCHEMA_VERSION, "key": key, "ok": ok}
+    if triage is not None:
+        rec["triage"] = triage
+    return encode_record(rec)

@@ -198,7 +198,7 @@ class TestCLI:
         # holds: the journal header and the cache's answer records name
         # the verifying compiler's setup
         from repro.oraql.compiler import Compiler
-        from repro.oraql.journal import decode_record
+        from repro.records import decode_record
 
         def setups(name, *extra):
             journal, cache = tmp_path / name / "j", tmp_path / name / "c"

@@ -264,6 +264,33 @@ class TestSemantics:
             int main() { return f(1); }
             """)
 
+    def test_definition_after_prototype(self):
+        src = """
+        long odd(long n);
+        long even(long n) { if (n == 0) { return 1; } return odd(n - 1); }
+        long odd(long n) { if (n == 0) { return 0; } return even(n - 1); }
+        int main() { printf("%ld %ld\\n", even(4), even(3)); return 0; }
+        """
+        m = compile_source(src)
+        assert not m.get_function("odd").is_declaration
+        assert out_of(src) == "1 0\n"
+
+    def test_definition_takes_its_own_parameters(self):
+        m = compile_source("""
+        void f(double* a, double* restrict b);
+        void f(double* restrict x, double* y) { x[0] = y[0]; }
+        """)
+        f = m.get_function("f")
+        assert [a.name for a in f.args] == ["x", "y"]
+        assert [a.is_noalias for a in f.args] == [True, False]
+
+    def test_definition_must_match_its_prototype(self):
+        with pytest.raises(CodegenError, match="does not match"):
+            compile_source("""
+            long f(long n);
+            long f(double x) { return 1; }
+            """)
+
 
 class TestMetadataEmission:
     def test_restrict_becomes_noalias(self):

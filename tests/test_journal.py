@@ -3,6 +3,7 @@ tolerance, header identity checks, and kill-and-resume determinism
 (the resumed session must retrace the interrupted one bit-identically)."""
 
 import json
+import os
 
 import pytest
 
@@ -14,8 +15,8 @@ from repro.oraql import (
     SessionJournal,
     SourceFile,
 )
-from repro.oraql.journal import _decode, _encode
 from repro.oraql.strategies import strategy_names
+from repro.records import decode_record, encode_record
 
 from test_oraql_parallel import WIDE_HAZARD_SRC
 
@@ -62,19 +63,19 @@ def cfg_of(src, name="t"):
 
 
 class TestRecordFormat:
+    REC = {"t": "probe", "exe": "abc", "ok": True, "n": 3}
+
     def test_crc_round_trip(self):
-        line = _encode({"t": "probe", "exe": "abc", "ok": True, "n": 3})
-        rec = _decode(line)
-        assert rec == {"t": "probe", "exe": "abc", "ok": True, "n": 3}
+        assert decode_record(encode_record(self.REC)) == self.REC
 
     def test_bit_flip_detected(self):
-        line = _encode({"t": "probe", "exe": "abc", "ok": True, "n": 3})
-        assert _decode(line.replace('"ok":true', '"ok":false')) is None
+        line = encode_record(self.REC)
+        assert decode_record(line.replace('"ok":true', '"ok":false')) is None
 
     def test_garbage_rejected(self):
-        assert _decode("not json at all") is None
-        assert _decode(json.dumps(["a", "list"])) is None
-        assert _decode(json.dumps({"no": "crc"})) is None
+        assert decode_record("not json at all") is None
+        assert decode_record(json.dumps(["a", "list"])) is None
+        assert decode_record(json.dumps({"no": "crc"})) is None
 
 
 class TestJournalLifecycle:
@@ -136,7 +137,8 @@ class TestJournalLifecycle:
     def test_append_oserror_degrades(self, tmp_path):
         path = str(tmp_path / "s.journal.jsonl")
         j = SessionJournal(path, "fp", "chunked")
-        j.path = str(tmp_path)  # appending to a directory fails
+        os.remove(path)
+        os.mkdir(path)  # appending to a directory fails
         j.record_probe("h1", True, 5, "ok")
         assert j.dropped_appends == 1
 

@@ -8,8 +8,8 @@ import pytest
 from repro.oraql.cache import VerdictCache
 from repro.oraql.driver import ProbingDriver
 from repro.oraql.executor import ExecutorPolicy
-from repro.oraql.journal import encode_record
 from repro.oraql.parallel import JobSpec
+from repro.records import encode_record
 from repro.service import protocol as wire
 from repro.service.jobs import JobTable, report_from_dict, report_to_dict
 from repro.trace.stream import EventTail, JsonlStreamingTrace, read_stream

@@ -17,7 +17,7 @@ import pytest
 from repro.oraql.cache import CACHE_FILENAME
 from repro.oraql.config import BenchmarkConfig
 from repro.oraql.driver import ProbingDriver
-from repro.oraql.journal import encode_record
+from repro.records import encode_record
 from repro.service import ProbingService, ServiceClient, ServiceError
 from repro.service.jobs import JobTable
 from repro.workloads.base import get_config

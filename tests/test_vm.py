@@ -21,8 +21,8 @@ from repro.vm import (
     occupancy_factor,
 )
 from repro.vm.cost_model import UNKNOWN_OPCODE_COST
-from repro.vm.decode import ALLOCA, CALL, FUSED, LOOP, RET
-from repro.vm.interpreter import _unsigned, _wrap_int
+from repro.vm.decode import (ALLOCA, CALL, FUSED, LOOP, RET, _unsigned,
+                              _wrap_int, binop_fn)
 
 from helpers import run_main
 
@@ -78,7 +78,7 @@ class TestMemory:
 class TestArithmetic:
     @given(st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1))
     def test_add_wraps_like_i64(self, a, b):
-        r = Machine._scalar_binop("add", a, b, I64)
+        r = binop_fn("add", I64)(a, b)
         assert -(2**63) <= r < 2**63
         assert (r - (a + b)) % (2**64) == 0
 
@@ -86,31 +86,31 @@ class TestArithmetic:
     def test_sdiv_truncates_toward_zero(self, a, b):
         if b == 0:
             return
-        r = Machine._scalar_binop("sdiv", a, b, I64)
+        r = binop_fn("sdiv", I64)(a, b)
         assert r == int(a / b)
 
     @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
     def test_srem_sign_follows_dividend(self, a, b):
         if b == 0:
             return
-        r = Machine._scalar_binop("srem", a, b, I64)
-        q = Machine._scalar_binop("sdiv", a, b, I64)
+        r = binop_fn("srem", I64)(a, b)
+        q = binop_fn("sdiv", I64)(a, b)
         assert q * b + r == a
 
     def test_division_by_zero_traps(self):
         from repro.vm import UndefinedBehavior
         with pytest.raises(UndefinedBehavior):
-            Machine._scalar_binop("sdiv", 1, 0, I64)
+            binop_fn("sdiv", I64)(1, 0)
 
     def test_fdiv_by_zero_is_inf(self):
-        assert Machine._scalar_binop("fdiv", 1.0, 0.0, F64) == math.inf
-        assert Machine._scalar_binop("fdiv", -1.0, 0.0, F64) == -math.inf
+        assert binop_fn("fdiv", F64)(1.0, 0.0) == math.inf
+        assert binop_fn("fdiv", F64)(-1.0, 0.0) == -math.inf
 
     @given(st.integers(-2**63, 2**63 - 1), st.integers(0, 63))
     def test_shifts(self, a, s):
-        shl = Machine._scalar_binop("shl", a, s, I64)
+        shl = binop_fn("shl", I64)(a, s)
         assert _wrap_int(a << s, 64) == shl
-        lshr = Machine._scalar_binop("lshr", a, s, I64)
+        lshr = binop_fn("lshr", I64)(a, s)
         assert lshr == _wrap_int(_unsigned(a, 64) >> s, 64)
 
 

@@ -27,12 +27,14 @@ import pytest
 
 import repro.workloads  # noqa: F401 — registers all variants
 from helpers import counting_runs
-from repro.oraql.cache import VerdictCache, config_fingerprint
+from repro.oraql.cache import (CACHE_SCHEMA_VERSION, VerdictCache,
+                               config_fingerprint)
 from repro.oraql.driver import ProbingDriver
 from repro.oraql.errors import ProbingError
 from repro.oraql.executor import ExecutorPolicy
 from repro.oraql.importance import ImportanceDriver
 from repro.oraql.report import render_report
+from repro.records import encode_record
 from repro.workloads.base import get_config
 
 #: a bisecting row with a mix of passing and failing probes
@@ -113,14 +115,19 @@ def test_warm_session_runs_no_program(cold, warm_dir, runs):
     assert VerdictCache(str(warm_dir)).stats()["baseline_records"] == 1
 
 
+def _baseline_line(key):
+    return encode_record({"v": CACHE_SCHEMA_VERSION, "t": "baseline",
+                          "key": key})
+
+
 def _damaged(record):
-    line = VerdictCache._encode_baseline(record["key"])
+    line = _baseline_line(record["key"])
     rec = json.loads(line)
     return {
         "torn": line[:len(line) // 2],
         "crc-bad": json.dumps({**rec, "crc": rec["crc"] ^ 1}),
         "no-crc": json.dumps({k: v for k, v in rec.items() if k != "crc"}),
-        "other-fingerprint": VerdictCache._encode_baseline(
+        "other-fingerprint": _baseline_line(
             "0" * 16 + record["key"][record["key"].index(":"):]),
     }
 
