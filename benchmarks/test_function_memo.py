@@ -4,7 +4,10 @@
   a plain session, of all 16 rows under both strategies, built once
   through a shared compiler (served by its function memo) and once by
   a fresh compiler, must agree in everything
-  :func:`repro.fuzz.oracle.compile_fingerprint` reads.
+  :func:`repro.fuzz.oracle.compile_fingerprint` reads.  Each memo
+  program then takes every body its compile replayed: the whole module
+  must verify and print as the fresh compile's, which keeps the
+  coverage of an end-of-compile check over every function.
 * The premise the memo rests on, over the chunked sessions of the nine
   rows that bisect: a function that gets the same ORAQL answers, in the
   same order, as in an earlier compile of the session comes out with

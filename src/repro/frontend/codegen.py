@@ -255,7 +255,9 @@ class CodeGen:
     # -- functions ----------------------------------------------------------
     def _declare_function(self, fd: FunctionDef) -> None:
         fn = self.module.functions.get(fd.name)
-        if fn is not None and (fd.body is None or not fn.is_declaration):
+        if fn is not None and fd.body is not None and not fn.is_declaration:
+            raise CodegenError(f"line {fd.line}: redefinition of {fd.name}()")
+        if fn is not None and fd.body is None:
             return
         ftype = FunctionType(self.ir_type(fd.ret),
                              [self.ir_type(p.type) for p in fd.params])

@@ -7,7 +7,7 @@ miscompile to be attributed to ORAQL's optimism.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Callable, Container, Dict, Iterable, Optional, Set, Tuple
 
 from ..analysis.dominators import DominatorTree
 from .basicblock import BasicBlock
@@ -156,12 +156,14 @@ def format_safe(inst: Instruction) -> str:
 def verify_module(mod: Module,
                   cached_dt: Optional[Callable[[Function],
                                                Optional[DominatorTree]]]
-                  = None) -> None:
-    """Verify every defined function of ``mod``.
+                  = None, skip: Container[str] = ()) -> None:
+    """Verify every defined function of ``mod`` not named in ``skip``.
 
     ``cached_dt(fn)`` may return an up-to-date DominatorTree of ``fn``
     or None, e.g. the analysis manager that just ran a pipeline over
     ``mod``; a function without one gets a locally built tree.
     """
     for fn in mod.defined_functions():
+        if fn.name in skip:
+            continue
         verify_function(fn, dt=None if cached_dt is None else cached_dt(fn))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,7 +39,7 @@ from ..vm import DEFAULT_COSTS, INTRINSIC_COSTS, Machine, MPIWorld, VMError
 from ..vm.decode import CodeTable, DecodedModule, cost_tables
 from .config import BenchmarkConfig
 from .errors import ReleasedProgramError
-from .fnmemo import FunctionMemo, MemoRun, bypass_reason
+from .fnmemo import FunctionMemo, Handover, MemoRun, bypass_reason
 from .pass_ import DumpFlags, OraqlAAPass
 from .replay import setup_digest
 from .sequence import DecisionSequence
@@ -48,10 +49,15 @@ from .verify import RunResult
 @dataclass
 class CompiledProgram:
     """An "executable": the optimized module plus everything needed to
-    run it and to report on the compilation."""
+    run it and to report on the compilation.
+
+    ``_module`` is the module as the compile left it: a function the
+    function memo replayed has no body until ``handover`` gives it one
+    (see :class:`~repro.oraql.fnmemo.Handover`).  The VM reads it and
+    takes only the bodies it decodes; :attr:`module` takes them all."""
 
     config: BenchmarkConfig
-    module: Module
+    _module: Module
     ctx: CompilationContext
     oraql: Optional[OraqlAAPass]
     kernel_info: Dict[str, KernelInfo]
@@ -70,6 +76,9 @@ class CompiledProgram:
     #: every function for this program alone
     shared_code: Optional[dict] = field(default=None, repr=False,
                                         compare=False)
+    #: the replayed functions still without a body, or None
+    handover: Optional[Handover] = field(default=None, repr=False,
+                                         compare=False)
     #: decoded VM code per cost table (see :meth:`decoded`)
     _decoded: Dict[tuple, DecodedModule] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -111,9 +120,18 @@ class CompiledProgram:
         decoded = self._decoded.get(key)
         if decoded is None:
             decoded = self._decoded[key] = DecodedModule(
-                self.module, costs, intrinsics, self.shared_code,
-                self.fn_hashes)
+                self._module, costs, intrinsics, self.shared_code,
+                self.fn_hashes,
+                None if self.handover is None else self.handover.take)
         return decoded
+
+    @property
+    def module(self) -> Module:
+        """The optimized module, every function with its body: the
+        first read takes the replayed bodies the program lacks."""
+        if self.handover is not None:
+            self.handover.take_all()
+        return self._module
 
     def release(self) -> None:
         """Free the program's IR, its compilation context and its
@@ -129,8 +147,10 @@ class CompiledProgram:
         self._decoded.clear()
         self.ctx.release()
         if self.oraql is not None:
-            self.oraql.records.clear()  # they point into the IR
-        self.module.drop_all_references()
+            self.oraql.release()  # the records point into the IR
+        if self.handover is not None:
+            self.handover.pending = {}
+        self._module.drop_all_references()
         self.shared_code = None  # lets the table go with its last holder
         self.released = True
 
@@ -147,7 +167,7 @@ class CompiledProgram:
     def _held_elsewhere(self) -> bool:
         """Whether anything besides the program's own IR, context and
         decoded code references its module or its decoded code."""
-        module = self.module
+        module = self._module
         decoded = list(self._decoded.values())
         # this program's field, the local above and getrefcount's argument
         ours = 3 + sum(fn.parent is module
@@ -176,7 +196,7 @@ class CompiledProgram:
         try:
             if cfg.nranks > 1:
                 machines = [
-                    Machine(self.module, max_steps=max_steps,
+                    Machine(self._module, max_steps=max_steps,
                             cost_model=cost_model,
                             kernel_info=self.kernel_info,
                             num_threads=cfg.num_threads, argv=cfg.argv,
@@ -202,7 +222,7 @@ class CompiledProgram:
                         kcycles[k] = kcycles.get(k, 0.0) + v
                 return RunResult(out, state, err, insts, cycles, kcycles,
                                  error_kind=kind)
-            m = Machine(self.module, max_steps=max_steps,
+            m = Machine(self._module, max_steps=max_steps,
                         cost_model=cost_model,
                         kernel_info=self.kernel_info,
                         num_threads=cfg.num_threads, argv=cfg.argv,
@@ -298,6 +318,9 @@ class Compiler:
         self._memos: Dict[tuple, FunctionMemo] = {}
         #: the sources _kept and _code belong to
         self._sources: Tuple[Tuple[str, str], ...] = ()
+        #: the hand-overs of live programs whose replayed bodies the
+        #: memos hold: they take them before the memos are dropped
+        self._handovers: "weakref.WeakSet[Handover]" = weakref.WeakSet()
 
     @property
     def replay_digest(self) -> str:
@@ -380,6 +403,8 @@ class Compiler:
         #    compile runs the rest on a copy of the kept module
         contexts: List[CompilationContext] = []
         runs = []
+        # the replayed functions of the units so far (see Handover)
+        replayed: Dict[str, tuple] = {}
         reason = bypass_reason(trace, oraql, override, debug_pass_executions,
                                self.verify_analyses)
         memo_counts = {} if reason is None else {f"bypassed ({reason})": 1}
@@ -409,14 +434,18 @@ class Compiler:
                     runs.append(ctx.memo)
                 PassManager(ctx).run(rest)
                 ctx.memo = None
-            verify_module(module, partial(ctx.am.cached, DominatorTreeAnalysis))
+                if reason is None:
+                    replayed.update(runs[-1].replayed)
+            # a replayed body is verified when the program takes it
+            verify_module(module, partial(ctx.am.cached, DominatorTreeAnalysis),
+                          skip=replayed)
             contexts.append(ctx)
         ctx = contexts[0]
         main = ctx.module
         if len(contexts) > 1:
             for other in contexts[1:]:
                 main.link(other.module)
-            verify_module(main)
+            verify_module(main, skip=replayed)
             # fold the per-TU bookkeeping into the first context, which
             # becomes the program's reporting context
             for other in contexts[1:]:
@@ -427,11 +456,10 @@ class Compiler:
 
         # 4. codegen: host statistics + device kernels (Fig. 6 / Fig. 7),
         #    served through the content-addressed per-function cache
+        handover = Handover(replayed)
         with timed("codegen"):
-            stored: Dict[str, str] = {}
-            for run in runs:
-                stored.update(run.hashes)
-            fn_hashes = {name: stored.get(name) or function_hash(fn)
+            fn_hashes = {name: replayed[name][1].fn_hash if name in replayed
+                         else function_hash(fn)
                          for name, fn in main.functions.items()}
             for run in runs:
                 run.finish(fn_hashes)
@@ -440,8 +468,9 @@ class Compiler:
                     "steps replayed": sum(r.steps_replayed for r in runs),
                     "functions materialized": sum(r.materialized
                                                   for r in runs)}
-            codegen = self._codegen_cached(main, ctx.stats, fn_hashes)
-            kernels = self._kernels_cached(main, fn_hashes)
+            codegen = self._codegen_cached(main, ctx.stats, fn_hashes,
+                                           handover.take)
+            kernels = self._kernels_cached(main, fn_hashes, handover.take)
         for name, ki in kernels.items():
             ctx.stats.add("asm printer", "# machine instructions generated",
                           ki.machine_insts)
@@ -454,10 +483,16 @@ class Compiler:
                 ctx.log(f"[fn-hash] {name} {fh}")
         if trace is not None:
             trace.record_stats(ctx.stats)
+        if handover.pending:
+            self._handovers.add(handover)
+            if oraql is not None:
+                oraql.handover = handover
+        else:
+            handover = None
         return CompiledProgram(config, main, ctx, oraql, kernels, codegen,
                                exe_hash, fn_hashes=fn_hashes,
                                function_memo=memo_counts,
-                               shared_code=self._code)
+                               shared_code=self._code, handover=handover)
 
     def _context(self, module: Module, **kwargs) -> CompilationContext:
         """A compilation context under this compiler's settings."""
@@ -486,7 +521,12 @@ class Compiler:
 
     def drop_prefixes(self) -> None:
         """Free the kept prefix modules and the function memos now; the
-        next compile of each unit lowers it again."""
+        next compile of each unit lowers it again.  A live program
+        takes the replayed bodies it lacks first (a released one has
+        none to take)."""
+        for handover in list(self._handovers):
+            handover.take_all()
+        self._handovers.clear()
         for kept in self._kept.values():
             kept.drop()
         self._kept = {}
@@ -509,10 +549,12 @@ class Compiler:
         self._code, self._sources = CodeTable(), sources
 
     # -- codegen through the content-addressed cache -----------------------
-    def _codegen_cached(self, module: Module, stats, fn_hashes:
-                        Dict[str, str]) -> Dict[str, FunctionCodegen]:
+    def _codegen_cached(self, module: Module, stats,
+                        fn_hashes: Dict[str, str],
+                        take) -> Dict[str, FunctionCodegen]:
         """:func:`~repro.codegen.run_codegen` with a body-hash keyed
-        cache; identical selection logic and statistics side effects."""
+        cache; identical selection logic and statistics side effects.
+        ``take(fn)`` gives a replayed function its body on a miss."""
         out: Dict[str, FunctionCodegen] = {}
         for fn in module.defined_functions():
             if fn.target != "host":
@@ -520,6 +562,7 @@ class Compiler:
             key = (fn_hashes[fn.name], "host")
             cg = self._codegen_cache.get(key)
             if cg is None:
+                take(fn)
                 cg = codegen_function(fn)
                 self._codegen_cache[key] = cg
             out[fn.name] = cg
@@ -529,8 +572,8 @@ class Compiler:
                       cg.spills)
         return out
 
-    def _kernels_cached(self, module: Module,
-                        fn_hashes: Dict[str, str]) -> Dict[str, KernelInfo]:
+    def _kernels_cached(self, module: Module, fn_hashes: Dict[str, str],
+                        take) -> Dict[str, KernelInfo]:
         """:func:`~repro.codegen.compile_device_kernels` with the cache;
         KernelInfo is rebuilt around the function's own name (two
         same-bodied kernels under different names share one entry)."""
@@ -541,6 +584,7 @@ class Compiler:
             key = (fn_hashes[fn.name], "kernel:nvptx")
             cached = self._kernel_cache.get(key)
             if cached is None:
+                take(fn)
                 ki = compile_kernel(fn)
                 self._kernel_cache[key] = (ki.registers, ki.stack_bytes,
                                            ki.machine_insts)

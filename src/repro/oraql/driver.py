@@ -479,6 +479,8 @@ class ProbingDriver:
         finally:
             self._drop_passing()  # a session that raised kept one
             if self._own_compiler:
+                # the report's programs take the replayed bodies they
+                # still lack before the memos go
                 self.compiler.drop_prefixes()
 
     def _run(self) -> ProbingReport:

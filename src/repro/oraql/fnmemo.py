@@ -31,8 +31,10 @@ records move exactly as if the pass had run, and the recorded effects
 are applied.  If no edge matches, the function *materializes*: its
 prefix body re-runs the steps so far with the recorded answers and
 every effect discarded, and from there it runs live and records a new
-branch.  A function still virtual when the pipeline ends gets a copy of
-the stored final body.  Answers, executables, counters and records are
+branch.  A function still virtual when the pipeline ends is *replayed*:
+its hash is the stored path end's, and the program gets the stored
+body (moved or copied) only when something reads it (see
+:class:`Handover`).  Answers, executables, counters and records are
 those of a compile without the memo; only the work differs.
 
 Compiles that observe the pipeline from inside bypass the memo (see
@@ -48,6 +50,7 @@ from ..analysis.aliasing import AliasResult
 from ..ir.clone import clone_body, move_body
 from ..ir.function import Function
 from ..ir.values import GlobalVariable
+from ..ir.verifier import verify_function
 from ..passes.statistics import Statistics
 from .errors import ProbingError
 from .verify import TRIAGE_COMPILER_ERROR
@@ -131,10 +134,10 @@ class Edge:
 
 class Body:
     """A final body the memo holds, shared by the path ends that end
-    with it.  ``fn`` is the function of the last compile that got the
+    with it.  ``fn`` is the function of the last program that got the
     body; it is ``held``, so its program's release leaves it whole, and
-    the next compile that reuses it takes it over from a released
-    program instead of copying it."""
+    the next program that takes it moves it out of a released program
+    instead of copying it."""
 
     __slots__ = ("fn", "ends")
 
@@ -173,6 +176,42 @@ class PathEnd:
         self.fn_hash = fn_hash
         self.locs = locs
         body.ends.append(self)
+
+
+class Handover:
+    """The replayed functions of one program that have no body yet:
+    name -> (function, path end, the function's committed records and
+    their query positions).  The program takes a body only when it is
+    read: the VM decodes a function the session's code table lacks,
+    codegen misses its cache, or the module or the ORAQL records are
+    read.  A body is verified when it is taken; the compile verified
+    only the functions it ran live."""
+
+    __slots__ = ("pending", "__weakref__")
+
+    def __init__(self, pending: Dict[str, tuple]):
+        self.pending = pending
+
+    def take(self, fn: Function) -> None:
+        """Give ``fn`` its replayed body, if it waits for one."""
+        entry = self.pending.pop(fn.name, None)
+        if entry is not None:
+            _hand_over(*entry)
+
+    def take_all(self) -> None:
+        """Give every waiting function its body, in module order."""
+        pending, self.pending = self.pending, {}
+        for entry in pending.values():
+            _hand_over(*entry)
+
+
+def _hand_over(fn: Function, end: "PathEnd", records: list) -> None:
+    """``fn`` gets ``end``'s body, verified, and its records point into
+    it, as they would without the memo."""
+    end.body.give(fn)
+    for rec, pos in records:
+        rec.a, rec.b = end.locs[pos]
+    verify_function(fn)
 
 
 class FunctionMemo:
@@ -271,8 +310,9 @@ class MemoRun:
         self.cached = scope.cache_enabled
         self.states: List[_FnState] = []
         self.cur: Optional[_FnState] = None
-        #: name -> hash of the functions that got a stored body
-        self.hashes: Dict[str, str] = {}
+        #: the functions that end virtual, as :class:`Handover` holds
+        #: them
+        self.replayed: Dict[str, tuple] = {}
         self.steps_replayed = 0
         self.materialized = 0
 
@@ -308,12 +348,7 @@ class MemoRun:
                 if end is None:  # its recording compile did not finish
                     self._materialize(pm, pipeline, st)
                     continue
-                # the records point into the program's own body, as
-                # they would without the memo
-                end.body.give(st.fn)
-                for rec, pos in st.pending:
-                    rec.a, rec.b = end.locs[pos]
-                self.hashes[st.fn.name] = end.fn_hash
+                self.replayed[st.fn.name] = (st.fn, end, st.pending)
         finally:
             ctx.aa.oraql = self.oraql
 

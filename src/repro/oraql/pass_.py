@@ -122,7 +122,11 @@ class OraqlAAPass:
         # values are (optimistic, unique-query index) so a cache hit can
         # be traced back to the sequence entry that decided it
         self.cache: Dict[FrozenSet[int], Tuple[bool, int]] = {}
-        self.records: List[QueryRecord] = []
+        self._records: List[QueryRecord] = []
+        #: the compiled program's replayed functions that have no body
+        #: yet (:class:`~repro.oraql.fnmemo.Handover`): records point
+        #: into bodies, so the first read of :attr:`records` takes them
+        self.handover = None
         # Fig. 4 counters
         self.opt_unique = 0
         self.opt_cached = 0
@@ -213,7 +217,7 @@ class OraqlAAPass:
             self.unique_by_pass.get(issuing_pass, 0) + 1
         rec = QueryRecord(index, optimistic, False, 0, a, b, scope,
                           issuing_pass)
-        self.records.append(rec)
+        self._records.append(rec)
         if self.dump.first and (
                 (optimistic and self.dump.optimistic)
                 or (not optimistic and self.dump.pessimistic)):
@@ -225,6 +229,19 @@ class OraqlAAPass:
         if self.ctx is not None:
             for line in lines:
                 self.ctx.log(line)
+
+    @property
+    def records(self) -> List[QueryRecord]:
+        """The record of every unique query, in index order."""
+        if self.handover is not None:
+            handover, self.handover = self.handover, None
+            handover.take_all()
+        return self._records
+
+    def release(self) -> None:
+        """Forget the records, which point into the program's IR."""
+        self.handover = None
+        self._records.clear()
 
     # -- statistics reported back to the driver (LLVM -stats, §IV-A) -------
     @property

@@ -43,6 +43,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from ..records import canonical
+
 PROTOCOL_VERSION = 1
 
 #: structured refusal codes carried by ``error`` messages
@@ -70,9 +72,9 @@ class ProtocolError(ValueError):
 
 
 def encode(msg: dict) -> bytes:
-    """One wire line (newline-terminated, UTF-8)."""
-    return (json.dumps(msg, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
+    """One wire line: the message's canonical form (the record files'
+    too), newline-terminated, UTF-8."""
+    return (canonical(msg) + "\n").encode()
 
 
 def decode(line: bytes) -> dict:

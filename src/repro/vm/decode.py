@@ -1230,12 +1230,17 @@ class DecodedModule:
     tables)``, so a body is decoded once per session, and each program
     only binds its own template (:meth:`Code.bind`).  The cost tables
     are the opcode table and the intrinsic table, whose pure entries
-    decoded calls charge."""
+    decoded calls charge.
+
+    A function may lack its body until it is decoded: ``take(fn)``
+    gives it one (see :class:`~repro.oraql.fnmemo.Handover`), so a
+    function whose code is shared needs none."""
 
     def __init__(self, module: Module, costs: Dict[str, float],
                  intrinsic_costs: Dict[str, float],
                  shared: Optional[dict] = None,
-                 hashes: Optional[Dict[str, str]] = None):
+                 hashes: Optional[Dict[str, str]] = None,
+                 take: Optional[Callable[[Function], None]] = None):
         self.module = module
         self.costs = dict(costs)
         self.intrinsic_costs = dict(intrinsic_costs)
@@ -1247,6 +1252,7 @@ class DecodedModule:
         self._functions: Dict[Tuple[Function, int], DecodedFunction] = {}
         self._shared = shared
         self._hashes = hashes or {}
+        self._take = take
         self._table = cost_tables(costs, intrinsic_costs)
         #: see :func:`max_charge`
         self.max_charge = max_charge(costs, intrinsic_costs)
@@ -1275,6 +1281,8 @@ class DecodedModule:
                 template = code.bind(self)
                 if template is not None:
                     return code, template
+        if self._take is not None:
+            self._take(fn)
         decoder = _Decoder(self, fn, nargs)
         code, template = decoder.run()
         if key is not None and decoder.shareable \

@@ -376,8 +376,11 @@ def memo_referee(config, sequences):
     through one shared :class:`~repro.oraql.compiler.Compiler`, whose
     function memo serves every compile after the first, and through a
     fresh compiler; returns ``(bits, fields that differ, memo counts)``
-    for every compile that differs."""
-    from repro.fuzz.oracle import memo_mismatch
+    for every compile that differs.  Besides the fingerprint, each memo
+    program takes every replayed body, and its whole module must verify
+    and print as the fresh compile's does (field ``module``)."""
+    from repro.fuzz.oracle import compile_fingerprint, fresh_compile
+    from repro.ir import print_module, verify_module
     from repro.oraql.compiler import Compiler
     from repro.oraql.sequence import DecisionSequence
 
@@ -390,9 +393,14 @@ def memo_referee(config, sequences):
         kw = (dict(oraql_enabled=False) if bits is None else
               dict(sequence=DecisionSequence(bits), oraql_enabled=True))
         prog = shared.compile(config, **kw)
-        diff = memo_mismatch(prog, shared, config, **kw)
-        if diff is not None:
-            bad.append((bits, diff, prog.function_memo))
+        fresh = fresh_compile(shared, config, **kw)
+        mine, theirs = compile_fingerprint(prog), compile_fingerprint(fresh)
+        diff = [key for key in mine if mine[key] != theirs[key]]
+        verify_module(prog.module)
+        if print_module(prog.module) != print_module(fresh.module):
+            diff.append("module")
+        if diff:
+            bad.append((bits, ", ".join(diff), prog.function_memo))
     shared.drop_prefixes()
     return bad
 

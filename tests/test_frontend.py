@@ -291,6 +291,49 @@ class TestSemantics:
             long f(double x) { return 1; }
             """)
 
+    def test_second_definition_is_rejected(self):
+        with pytest.raises(CodegenError,
+                           match=r"^line 3: redefinition of f\(\)$"):
+            compile_source(
+                "int f(int a) { return 1; }\n"
+                "\n"
+                "int f(int a) { return 2; }\n"
+                "int main() { return f(0); }\n")
+
+    def test_prototype_definition_prototype(self):
+        src = """
+        long f(long n);
+        long f(long n) { return n + 1; }
+        long f(long n);
+        int main() { printf("%ld\\n", f(1)); return 0; }
+        """
+        assert not compile_source(src).get_function("f").is_declaration
+        assert out_of(src) == "2\n"
+
+    def test_prototype_after_definition(self):
+        src = """
+        long f(long n) { return n * 3; }
+        long f(long n);
+        int main() { printf("%ld\\n", f(2)); return 0; }
+        """
+        assert out_of(src) == "6\n"
+
+    def test_cli_reports_a_redefinition_without_a_traceback(
+            self, tmp_path, capsys):
+        import json
+
+        from repro.oraql.cli import main
+        text = ("int f(int a) { return 1; }\n"
+                "int f(int a) { return 2; }\n"
+                "int main() { return f(0); }\n")
+        path = tmp_path / "redef.json"
+        path.write_text(json.dumps(
+            {"name": "redef", "sources": [{"name": "a.c", "text": text}]}))
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "CodegenError: line 2: redefinition of f()" in err
+        assert "Traceback" not in err
+
 
 class TestMetadataEmission:
     def test_restrict_becomes_noalias(self):

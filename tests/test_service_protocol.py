@@ -43,6 +43,33 @@ class TestWireProtocol:
         with pytest.raises(AssertionError):
             wire.error_msg("made-up-code", "nope")
 
+    #: wire lines recorded before encode used the record files' codec:
+    #: sorted keys, no spaces, non-ASCII text as \u escapes
+    PINNED = [
+        ({"t": "hello", "v": 1}, b'{"t":"hello","v":1}\n'),
+        ({"t": "submit", "id": "job-1", "workload": "TestSNAP-openmp",
+          "strategy": "chunked", "max_tests": 40, "stream": True},
+         b'{"id":"job-1","max_tests":40,"strategy":"chunked",'
+         b'"stream":true,"t":"submit","workload":"TestSNAP-openmp"}\n'),
+        ({"t": "event", "id": "j",
+          "ev": {"t": "compile", "label": "probe", "bits": [0, 1, 1]}},
+         b'{"ev":{"bits":[0,1,1],"label":"probe","t":"compile"},'
+         b'"id":"j","t":"event"}\n'),
+        ({"t": "error", "code": "bad-request",
+          "message": "unknown workload 'Gr\u00fc\u00dfe\u2014\u03c0'"},
+         b'{"code":"bad-request","message":"unknown workload '
+         b"'Gr\\u00fc\\u00dfe\\u2014\\u03c0'\",\"t\":\"error\"}\n"),
+        ({"t": "result", "id": "\u00fc",
+          "report": {"z": None, "a": 1.5, "m": {"b": [], "a": {}}}},
+         b'{"id":"\\u00fc","report":{"a":1.5,"m":{"a":{},"b":[]},'
+         b'"z":null},"t":"result"}\n'),
+    ]
+
+    @pytest.mark.parametrize("msg,line", PINNED)
+    def test_wire_bytes_are_pinned(self, msg, line):
+        assert wire.encode(msg) == line
+        assert wire.decode(line) == msg
+
 
 class TestJobSpec:
     def test_roundtrip(self):

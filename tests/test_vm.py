@@ -1021,8 +1021,10 @@ class TestRelease:
         prog = compiler.compile(cfg)
         decoded = prog.decoded()
         del prog
-        assert decoded.module.get_function(cfg.entry).blocks
-        assert decoded.function(decoded.module.get_function(cfg.entry), 0)
+        # the function memo replayed main: decoding it takes its body
+        main = decoded.module.get_function(cfg.entry)
+        decoded.function(main, 0).decode()
+        assert main.blocks
 
     def test_half_built_program_drops_quietly(self):
         """A program whose construction failed has nothing to release."""
