@@ -17,6 +17,7 @@ import enum
 from collections import Counter
 from typing import List, Optional
 
+from ..ir import instructions as _ir
 from ..ir.function import Function
 from ..ir.instructions import (
     CallInst,
@@ -202,9 +203,24 @@ class AAResults:
         self.queries_by_issuer.update(other.queries_by_issuer)
 
 
-def underlying_object(ptr: Value, max_lookup: int = 12) -> Value:
+def underlying_object(ptr: Value) -> Value:
     """Strip GEPs / bitcasts / pointer-select-with-same-base to the base
-    object (LLVM's ``getUnderlyingObject``)."""
+    object (LLVM's ``getUnderlyingObject``).  The result is kept on the
+    pointer and reused while the IR mutation epoch holds (see
+    ``repro.ir.instructions.epoch``)."""
+    if not isinstance(ptr, (GEPInst, CastInst, SelectInst)):
+        return ptr
+    memo = ptr._underlying
+    epoch = _ir.epoch
+    if memo is not None and memo[0] == epoch:
+        return memo[1]
+    u = _underlying(ptr)
+    ptr._underlying = (epoch, u)
+    return u
+
+
+def _underlying(ptr: Value, max_lookup: int = 12) -> Value:
+    """:func:`underlying_object` computed afresh."""
     seen = 0
     v = ptr
     while seen < max_lookup:
@@ -215,7 +231,7 @@ def underlying_object(ptr: Value, max_lookup: int = 12) -> Value:
             v = v.value
         elif isinstance(v, SelectInst):
             t, f = v.operands[1], v.operands[2]
-            ut, uf = underlying_object(t, max_lookup - seen), underlying_object(
+            ut, uf = _underlying(t, max_lookup - seen), _underlying(
                 f, max_lookup - seen)
             if ut is uf:
                 return ut

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
+from ..ir import instructions as _ir
 from ..ir.function import Function
 from ..ir.instructions import (
     AllocaInst,
@@ -118,11 +119,26 @@ def _linearize(index: Value, scale: int,
     return 0, [(index, scale)]
 
 
-def decompose_pointer(ptr: Value, max_depth: int = 12) -> Decomposed:
+def decompose_pointer(ptr: Value) -> Decomposed:
     """Walk GEP/bitcast chains: (base, const_byte_offset, var_parts).
 
     Variable indices are linearized (``i + 3`` becomes var ``i`` plus a
-    constant byte offset) so structurally-related accesses cancel."""
+    constant byte offset) so structurally-related accesses cancel.  The
+    result is kept on the pointer and reused while the IR mutation
+    epoch holds (see ``repro.ir.instructions.epoch``)."""
+    if not isinstance(ptr, (GEPInst, CastInst)):
+        return ptr, 0, ()
+    memo = ptr._decomp
+    epoch = _ir.epoch
+    if memo is not None and memo[0] == epoch:
+        return memo[1]
+    d = _decompose(ptr)
+    ptr._decomp = (epoch, d)
+    return d
+
+
+def _decompose(ptr: Value, max_depth: int = 12) -> Decomposed:
+    """:func:`decompose_pointer` computed afresh."""
     offset = 0
     var_parts: List[Tuple[Value, int]] = []
     v = ptr

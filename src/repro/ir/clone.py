@@ -23,6 +23,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, Tuple
 
+from . import instructions
 from .function import Function
 from .instructions import BranchInst, CallInst, Instruction, PhiInst
 from .module import Module
@@ -31,6 +32,9 @@ from .values import Argument, Constant, GlobalVariable, Value, _value_ids
 
 #: slots a copy fills itself (or, ``__weakref__``, must not fill)
 _OWN_SLOTS = {"id", "users", "__weakref__"}
+#: slots a copy starts empty: the pointer facts an instruction keeps
+#: point at the original's values
+_EMPTY_SLOTS = ("_decomp", "_underlying")
 #: per class: the slots copied by reference before the fix-ups
 _SLOTS: Dict[type, Tuple[str, ...]] = {}
 _by_id = attrgetter("id")
@@ -45,7 +49,8 @@ def _slots(cls: type) -> Tuple[str, ...]:
                 f"{klass.__name__} has no __slots__: its instance "
                 f"attributes would not be copied")
             for name in vars(klass).get("__slots__", ()):
-                if name not in _OWN_SLOTS and name not in names:
+                if name not in _OWN_SLOTS and name not in names \
+                        and name not in _EMPTY_SLOTS:
                     names.append(name)
         slots = _SLOTS[cls] = tuple(names)
     return slots
@@ -77,6 +82,8 @@ def _shells(originals: list) -> Dict[int, Value]:
         c = new(cls)
         for name in _SLOTS.get(cls) or _slots(cls):
             setattr(c, name, getattr(v, name))
+        if isinstance(v, Instruction):
+            c._decomp = c._underlying = None
         c.id = next(_value_ids)
         vmap[v.id] = c
     return vmap
@@ -208,14 +215,17 @@ def move_body(src: Function, dst: Function) -> None:
     one: the cheap :func:`clone_body` for a ``src`` whose module was
     released.  The globals and functions the body references are
     resolved by name in ``dst``'s module, as :func:`clone_body` does;
-    every value keeps its id."""
+    every value keeps its id.  The pointer facts the body kept are
+    dropped: they may name the old module's globals."""
     module = dst.parent
     for bb in dst.blocks:
         bb.drop_all_references()
+    instructions.epoch += 1
     outer: Dict[int, Value] = {}
     for bb in src.blocks:
         bb.parent = dst
         for inst in bb.instructions:
+            inst._decomp = inst._underlying = None
             ops = inst.operands
             for i, op in enumerate(ops):
                 if isinstance(op, (GlobalVariable, Function)):

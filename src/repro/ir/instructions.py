@@ -44,12 +44,25 @@ PURE_INTRINSICS = {
     "fmin", "fmax", "llvm.vector.reduce.fadd", "llvm.vector.reduce.add",
 }
 
+#: The IR mutation epoch, one per process.  Every operand write moves
+#: it: ``_add_operand``, ``set_operand``, ``_replace_operand`` (so
+#: ``replace_all_uses_with``), ``drop_all_references`` (so
+#: ``erase_from_parent``), ``PhiInst.remove_incoming`` and
+#: ``clone.move_body``.  A fact computed from operands alone holds while
+#: the epoch it was computed at holds: ``basic_aa.decompose_pointer``
+#: and ``aliasing.underlying_object`` keep theirs on the instruction
+#: (the ``_decomp`` and ``_underlying`` slots, each ``(epoch, fact)`` or
+#: None).  Read it as ``instructions.epoch``: a name imported from here
+#: would not move.
+epoch = 0
+
 
 class Instruction(Value):
     """Base instruction: an SSA value with operands, a parent block, and
     the metadata families consumed by the AA stack and by ORAQL dumps."""
 
-    __slots__ = ("operands", "parent", "tbaa", "scoped", "dbg")
+    __slots__ = ("operands", "parent", "tbaa", "scoped", "dbg",
+                 "_decomp", "_underlying")
 
     opcode: str = "?"
 
@@ -60,16 +73,21 @@ class Instruction(Value):
         self.tbaa: Optional[TBAANode] = None
         self.scoped: Optional[ScopedAliasMD] = None
         self.dbg: Optional[DebugLoc] = None
+        self._decomp = self._underlying = None
         for op in operands:
             self._add_operand(op)
 
     # -- operand plumbing -------------------------------------------------
     def _add_operand(self, v: Value) -> None:
+        global epoch
         assert isinstance(v, Value), f"non-value operand {v!r}"
+        epoch += 1
         self.operands.append(v)
         v.users.add(self)
 
     def set_operand(self, index: int, v: Value) -> None:
+        global epoch
+        epoch += 1
         old = self.operands[index]
         self.operands[index] = v
         if old not in self.operands:
@@ -77,6 +95,8 @@ class Instruction(Value):
         v.users.add(self)
 
     def _replace_operand(self, old: Value, new: Value) -> None:
+        global epoch
+        epoch += 1
         for i, op in enumerate(self.operands):
             if op is old:
                 self.operands[i] = new
@@ -84,9 +104,14 @@ class Instruction(Value):
         old.users.discard(self)
 
     def drop_all_references(self) -> None:
+        """Drop every operand, and the pointer facts kept on the
+        instruction, which may point into the IR."""
+        global epoch
+        epoch += 1
         for op in self.operands:  # discard is idempotent: no dedup
             op.users.discard(self)
         self.operands.clear()
+        self._decomp = self._underlying = None
 
     def erase_from_parent(self) -> None:
         """Remove from the containing block and drop operand uses."""
@@ -125,6 +150,7 @@ class Instruction(Value):
         Value.__init__(new, self.type, self.name)
         new.operands = []
         new.parent = None
+        new._decomp = new._underlying = None
         for op in self.operands:
             new._add_operand(op)
         new.tbaa = self.tbaa
@@ -381,8 +407,10 @@ class PhiInst(Instruction):
         return None
 
     def remove_incoming(self, block) -> None:
+        global epoch
         for i, b in enumerate(self.incoming_blocks):
             if b is block:
+                epoch += 1
                 old = self.operands.pop(i)
                 self.incoming_blocks.pop(i)
                 if old not in self.operands:

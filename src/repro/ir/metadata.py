@@ -41,7 +41,8 @@ class TBAANode:
     (struct, field) pair with the field's scalar type as parent.
     """
 
-    __slots__ = ("name", "parent", "is_constant", "_id")
+    __slots__ = ("name", "parent", "is_constant", "_id", "_root",
+                 "_above")
 
     def __init__(self, name: str, parent: Optional["TBAANode"] = None,
                  is_constant: bool = False):
@@ -49,21 +50,21 @@ class TBAANode:
         self.parent = parent
         self.is_constant = is_constant
         self._id = next(_ids)
-
-    def ancestors(self):
-        node: Optional[TBAANode] = self
-        while node is not None:
-            yield node
-            node = node.parent
+        # ancestry, fixed at construction (a node's parent never
+        # changes); neither field names the node itself, so a node is
+        # no reference cycle
+        #: the tree's root, or None for a root
+        self._root = None if parent is None else parent.root()
+        #: the ids of the proper ancestors
+        self._above = frozenset() if parent is None else \
+            parent._above | {parent._id}
 
     def is_ancestor_of(self, other: "TBAANode") -> bool:
-        return any(a is self for a in other.ancestors())
+        return self is other or self._id in other._above
 
     def root(self) -> "TBAANode":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
+        root = self._root
+        return self if root is None else root
 
     def __str__(self) -> str:
         return f'!tbaa("{self.name}")'

@@ -43,7 +43,6 @@ Compiles that observe the pipeline from inside bypass the memo (see
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..analysis.aliasing import AliasResult
@@ -184,8 +183,9 @@ class Handover:
     their query positions).  The program takes a body only when it is
     read: the VM decodes a function the session's code table lacks,
     codegen misses its cache, or the module or the ORAQL records are
-    read.  A body is verified when it is taken; the compile verified
-    only the functions it ran live."""
+    read (the pessimistic records take only the functions they name).
+    A body is verified when it is taken; the compile verified only the
+    functions it ran live."""
 
     __slots__ = ("pending", "__weakref__")
 
@@ -197,6 +197,13 @@ class Handover:
         entry = self.pending.pop(fn.name, None)
         if entry is not None:
             _hand_over(*entry)
+
+    def take_named(self, names) -> None:
+        """Give each waiting function named in ``names`` its body, in
+        module order."""
+        pending = self.pending
+        for name in [name for name in pending if name in names]:
+            _hand_over(*pending.pop(name))
 
     def take_all(self) -> None:
         """Give every waiting function its body, in module order."""
@@ -610,7 +617,7 @@ def _moved(loc, vmap: dict):
     """``loc`` on the copy of its pointer; a pointer the copy lacks (an
     instruction a pass erased) stays."""
     ptr = vmap.get(loc.ptr.id)
-    return loc if ptr is None else replace(loc, ptr=ptr)
+    return loc if ptr is None else loc.with_ptr(ptr)
 
 
 def _since(now, before: dict) -> dict:

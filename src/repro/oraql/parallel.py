@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..faults.injector import FaultInjector
 from .cache import VerdictCache, config_fingerprint
+from .compiler import Compiler
 from .config import BenchmarkConfig
 from .driver import ProbingDriver, ProbingReport
 from .executor import ExecutorPolicy
@@ -157,13 +158,20 @@ def run_session(spec_dict: dict, paths: dict, attempt: int,
     journal = (SessionJournal(journal_path, config_fingerprint(cfg),
                               spec.strategy, resume=resume)
                if journal_path else None)
-    report = ProbingDriver(cfg, strategy=spec.strategy,
-                           max_tests=spec.max_tests,
-                           verdict_cache=cache, policy=spec.policy,
-                           journal=journal, injector=injector,
-                           trace=trace).run()
-    # live IR/program objects do not survive (or justify) pickling back
-    return report.detach_for_transport()
+    compiler = Compiler()
+    try:
+        report = ProbingDriver(cfg, compiler=compiler,
+                               strategy=spec.strategy,
+                               max_tests=spec.max_tests,
+                               verdict_cache=cache, policy=spec.policy,
+                               journal=journal, injector=injector,
+                               trace=trace).run()
+        # live IR/program objects do not survive (or justify) pickling
+        # back; released before the compiler drops its function memos,
+        # the programs take none of the replayed bodies they lack
+        return report.detach_for_transport()
+    finally:
+        compiler.drop_prefixes()
 
 
 def _failed_report(config: BenchmarkConfig, error: str, triage: str,

@@ -263,4 +263,11 @@ class OraqlAAPass:
         }
 
     def pessimistic_records(self) -> List[QueryRecord]:
-        return [r for r in self.records if not r.optimistic]
+        """The pessimistic records, in index order.  Of the replayed
+        functions that wait for a body, only those a pessimistic record
+        names take theirs (none on a fully optimistic program); a later
+        read of :attr:`records` takes the rest."""
+        pessimistic = [r for r in self._records if not r.optimistic]
+        if self.handover is not None and pessimistic:
+            self.handover.take_named({r.scope for r in pessimistic})
+        return pessimistic

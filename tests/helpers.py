@@ -405,6 +405,117 @@ def memo_referee(config, sequences):
     return bad
 
 
+def walked_tbaa_alias(a, b):
+    """The TBAA verdict by walking parent chains, as
+    :func:`repro.ir.metadata.tbaa_alias` answered before node ancestry
+    was precomputed: the reference its answers must equal."""
+    if a is None or b is None:
+        return True
+
+    def root(node):
+        while node.parent is not None:
+            node = node.parent
+        return node
+
+    if root(a) is not root(b):
+        return True
+    if a.parent is root(a) or b.parent is root(b):
+        return True
+    if a.parent is None or b.parent is None:
+        return True
+    return walked_is_ancestor_of(a, b) or walked_is_ancestor_of(b, a)
+
+
+def walked_is_ancestor_of(node, other):
+    """Whether ``node`` is ``other`` or one of its ancestors, by walking
+    ``other``'s parent chain."""
+    while other is not None:
+        if other is node:
+            return True
+        other = other.parent
+    return False
+
+
+class AliasMemoMismatch(AssertionError):
+    """A pointer fact the alias layer reused, or a TBAA verdict, differs
+    from the one computed afresh."""
+
+
+@contextlib.contextmanager
+def alias_memo_referee():
+    """Check the alias layer's reused pointer facts inside the block.
+
+    Every call of ``decompose_pointer`` and ``underlying_object`` (each
+    epoch-memo hit among them) is computed again without the memo, and
+    every ``tbaa_alias`` verdict against :func:`walked_tbaa_alias`; a
+    difference raises :class:`AliasMemoMismatch` and is also kept in
+    ``counts["mismatches"]`` (a compile error can be booked as a
+    verdict).  The wrappers replace each function wherever a ``repro``
+    module bound it.  Yields the counts: calls and memo hits per fact,
+    TBAA verdicts, and the mismatches."""
+    from repro.analysis import aliasing, basic_aa
+    from repro.ir import instructions, metadata
+
+    counts = {"decompose": 0, "decompose hits": 0, "underlying": 0,
+              "underlying hits": 0, "tbaa": 0, "mismatches": []}
+
+    def hit(ptr, slot):
+        memo = getattr(ptr, slot, None)
+        return memo is not None and memo[0] == instructions.epoch
+
+    def mismatch(what, ptr, got, want):
+        text = f"{what}({ptr!r}): reused {got!r}, afresh {want!r}"
+        counts["mismatches"].append(text)
+        raise AliasMemoMismatch(text)
+
+    decompose = basic_aa.decompose_pointer
+    underlying = aliasing.underlying_object
+    tbaa = metadata.tbaa_alias
+
+    def checked_decompose(ptr):
+        counts["decompose"] += 1
+        counts["decompose hits"] += hit(ptr, "_decomp")
+        got = decompose(ptr)
+        want = basic_aa._decompose(ptr)
+        if got != want:
+            mismatch("decompose_pointer", ptr, got, want)
+        return got
+
+    def checked_underlying(ptr):
+        counts["underlying"] += 1
+        counts["underlying hits"] += hit(ptr, "_underlying")
+        got = underlying(ptr)
+        want = aliasing._underlying(ptr)
+        if got is not want:
+            mismatch("underlying_object", ptr, got, want)
+        return got
+
+    def checked_tbaa(a, b):
+        counts["tbaa"] += 1
+        got = tbaa(a, b)
+        want = walked_tbaa_alias(a, b)
+        if got != want:
+            mismatch("tbaa_alias", (a, b), got, want)
+        return got
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("repro") or module is None:
+            continue
+        for attr, original, wrapper in (
+                ("decompose_pointer", decompose, checked_decompose),
+                ("underlying_object", underlying, checked_underlying),
+                ("tbaa_alias", tbaa, checked_tbaa)):
+            if getattr(module, attr, None) is original:
+                setattr(module, attr, wrapper)
+                patched.append((module, attr, original))
+    try:
+        yield counts
+    finally:
+        for module, attr, original in patched:
+            setattr(module, attr, original)
+
+
 def answer_premise(config, sequences):
     """Check the function memo's premise on ``sequences``: a function
     that gets the same ORAQL answers, in the same order, as in an

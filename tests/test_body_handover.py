@@ -8,6 +8,7 @@ reads them (:class:`repro.oraql.fnmemo.Handover`).
   print and render their records as a compile without the memo does.
 * A program that runs takes no body for a function whose decoded code
   the session already shares.
+* A report reads only the bodies its pessimistic records name.
 """
 
 from __future__ import annotations
@@ -81,8 +82,34 @@ def test_cached_probes_take_no_body(row, monkeypatch):
     # no stored body moved or copied, and only the live functions checked
     assert [(given, verified) for given, verified, _ in probes] \
         == [(0, live) for _, _, live in probes]
-    # the final program's records are read: its bodies were handed over
-    assert counts.given > 0
+    # the report reads the final program's pessimistic records: the
+    # functions they name have their bodies, and the others still wait
+    final = report.final_program
+    pessimistic = report.pessimistic_records
+    named = {rec.scope for rec in pessimistic}
+    assert named
+    assert all(rec.a is not None and rec.b is not None
+               for rec in pessimistic)
+    waiting = set(final.handover.pending) if final.handover else set()
+    assert not waiting & named
+    # a later read of every record takes the rest
+    given = counts.given
+    assert all(rec.a is not None and rec.b is not None
+               for rec in final.oraql.records)
+    assert final.handover is None or not final.handover.pending
+    assert counts.given == given + len(waiting)
+    compiler.drop_prefixes()
+
+
+def test_a_fully_optimistic_report_takes_no_body(monkeypatch):
+    """No pessimistic record, so the report reads no replayed body."""
+    compiler = Compiler()
+    counts = _Counts(monkeypatch, compiler)
+    report = ProbingDriver(get_config("TestSNAP-seq"),
+                           compiler=compiler).run()
+    assert report.fully_optimistic and report.pessimistic_records == []
+    assert counts.given == 0
+    assert report.final_program.handover.pending
     compiler.drop_prefixes()
 
 
